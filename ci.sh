@@ -99,3 +99,13 @@ SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test golden_trace
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test socket_telemetry
 SW_LIVE=1 cargo run --release -p sw-bench --bin tracecheck
+
+# Wall-clock ledger gate: swperf (perf/, a package of its own) must keep
+# building against the crates' public surface and keep agreeing with
+# itself. --quick runs all four workloads at scales 12-13 with every
+# answer checked against the harness's reference BFS; --selftest runs
+# each workload twice per seed and requires equal digests and equal
+# exact counts. Numbers are printed, not gated: a before/after claim is
+# `perf/run.sh compare` over alternating full runs (perf/README.md).
+timeout 300 perf/run.sh --quick
+timeout 300 perf/run.sh --selftest

@@ -7,15 +7,65 @@
 //! the stalest recency stamp instead of carrying an intrusive list.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sw_graph::Vid;
+
+/// One root's level array plus what is memoised from it.
+#[derive(Debug)]
+pub struct RootLevels {
+    levels: Arc<Vec<u32>>,
+    /// `within[h]` = vertices at level <= `h`. Built by the first k-hop
+    /// query for the root, not by the sweep: a root nobody asks a k-hop
+    /// of never pays the pass.
+    within: OnceLock<Vec<u64>>,
+}
+
+impl RootLevels {
+    /// Wraps a freshly swept level array.
+    pub fn new(levels: Arc<Vec<u32>>) -> Self {
+        Self {
+            levels,
+            within: OnceLock::new(),
+        }
+    }
+
+    /// BFS level of `v` ([`sw_algos::msbfs::UNREACHED`] when no path
+    /// exists).
+    pub fn level(&self, v: Vid) -> u32 {
+        self.levels[v as usize]
+    }
+
+    /// Vertices within `hops` of the root (the root included).
+    pub fn within(&self, hops: u32) -> u64 {
+        let within = self.within.get_or_init(|| {
+            // One branch-free counting pass (a quarter of the time of
+            // one that tests for `UNREACHED`, whose branch mispredicts):
+            // `l + 1` wraps unreached to 0, so the maximum is the bucket
+            // past the deepest level, where unreached vertices are sent.
+            let top = self.levels.iter().map(|&l| l.wrapping_add(1)).max().unwrap_or(0);
+            let mut hist = vec![0u64; top as usize + 1];
+            for &l in self.levels.iter() {
+                hist[l.min(top) as usize] += 1;
+            }
+            hist.pop();
+            let mut sum = 0;
+            for h in &mut hist {
+                sum += *h;
+                *h = sum;
+            }
+            hist
+        });
+        let last = within.len().saturating_sub(1);
+        within.get(last.min(hops as usize)).copied().unwrap_or(0)
+    }
+}
 
 /// An LRU map from root vertex to its level array.
 #[derive(Debug)]
 pub struct LevelCache {
     cap: usize,
     tick: u64,
-    map: HashMap<Vid, (Arc<Vec<u32>>, u64)>,
+    map: HashMap<Vid, (Arc<RootLevels>, u64)>,
     evictions: u64,
 }
 
@@ -32,7 +82,7 @@ impl LevelCache {
     }
 
     /// Looks `root` up, refreshing its recency on a hit.
-    pub fn get(&mut self, root: Vid) -> Option<Arc<Vec<u32>>> {
+    pub fn get(&mut self, root: Vid) -> Option<Arc<RootLevels>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&root).map(|(levels, used)| {
@@ -44,11 +94,16 @@ impl LevelCache {
     /// Inserts (or refreshes) `root`'s level array, evicting the least
     /// recently used entry when over capacity.
     pub fn insert(&mut self, root: Vid, levels: Arc<Vec<u32>>) {
+        self.put(root, Arc::new(RootLevels::new(levels)));
+    }
+
+    /// [`LevelCache::insert`] for a caller that keeps the entry too.
+    pub fn put(&mut self, root: Vid, entry: Arc<RootLevels>) {
         if self.cap == 0 {
             return;
         }
         self.tick += 1;
-        self.map.insert(root, (levels, self.tick));
+        self.map.insert(root, (entry, self.tick));
         while self.map.len() > self.cap {
             let stalest = self
                 .map
@@ -77,12 +132,51 @@ impl LevelCache {
     }
 }
 
+/// The k-hop answer as it was before the memo — one scan of the level
+/// array per query. The oracle [`RootLevels::within`] is tested against.
+#[cfg(test)]
+pub(crate) fn khop_scan(levels: &[u32], hops: u32) -> u64 {
+    use sw_algos::msbfs::UNREACHED;
+    levels
+        .iter()
+        .filter(|&&l| l != UNREACHED && l <= hops)
+        .count() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_algos::msbfs::UNREACHED;
 
     fn arc(v: u32) -> Arc<Vec<u32>> {
         Arc::new(vec![v])
+    }
+
+    #[test]
+    fn memoised_khop_equals_the_scan() {
+        use sw_graph::{generate_kronecker, KroneckerConfig};
+        let el = generate_kronecker(&KroneckerConfig::graph500(10, 77));
+        let mut arrays: Vec<Vec<u32>> = [1u64, 5, 900]
+            .iter()
+            .map(|&r| sw_algos::msbfs::bfs_levels_oracle(&el, r))
+            .collect();
+        assert!(
+            arrays[0].contains(&UNREACHED),
+            "the graph must have vertices the root cannot reach"
+        );
+        // Degenerate shapes: nothing reached, only the root, a level gap.
+        arrays.push(vec![UNREACHED; 7]);
+        arrays.push(vec![0]);
+        arrays.push(vec![0, 3, UNREACHED, 3, 1]);
+        arrays.push(Vec::new());
+        for levels in arrays {
+            let max_level = levels.iter().filter(|&&l| l != UNREACHED).max();
+            let top = max_level.map_or(0, |&l| l) + 2;
+            let entry = RootLevels::new(Arc::new(levels.clone()));
+            for hops in (0..=top).chain([u32::MAX - 1, u32::MAX]) {
+                assert_eq!(entry.within(hops), khop_scan(&levels, hops), "hops {hops}");
+            }
+        }
     }
 
     #[test]
@@ -104,7 +198,7 @@ mod tests {
         c.insert(1, arc(1));
         c.insert(1, arc(10));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1).unwrap()[0], 10);
+        assert_eq!(c.get(1).unwrap().level(0), 10);
         assert_eq!(c.evictions(), 0);
     }
 

@@ -7,13 +7,15 @@
 //! graph cluster, drains the queue in FIFO order through
 //! [`crate::batcher::CyclePlan`], runs at most one
 //! [`sw_algos::msbfs`] sweep per cycle, and answers every query from a
-//! level array — freshly swept or cached. Deadlines are enforced at
+//! level array — freshly swept or cached. A reader answers a query
+//! itself when the root is cached and its connection has nothing at the
+//! worker (so answers keep send order). Deadlines are enforced at
 //! answer time as structured [`QueryStatus::Timeout`] results, so an
 //! overloaded server degrades to late-but-shaped answers and sheds the
 //! rest, instead of hanging clients.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -28,18 +30,18 @@ use sw_algos::msbfs::{msbfs_distributed, MAX_BATCH, UNREACHED};
 use sw_algos::runtime::AlgoCluster;
 use sw_graph::{EdgeList, StorageBackend, Vid};
 use sw_net::framing::{
-    BusyFrame, FrameDecoder, QueryFrame, QueryOp, QueryStatus, ResultFrame, StatsFormat,
+    BusyFrame, Frame, FrameDecoder, QueryFrame, QueryOp, QueryStatus, ResultFrame, StatsFormat,
     StatsFrame, StatsReqFrame, KIND_QUERY, KIND_STATS_REQ,
 };
-use sw_trace::live::LivePlane;
-use sw_trace::{CounterSet, Tracer};
+use sw_trace::live::{LatencyHistogram, LivePlane, RollingCounter};
+use sw_trace::{CounterSet, Tracer, NO_LEVEL};
 use swbfs_core::config::Messaging;
 use swbfs_core::instrument as ins;
 
 use crate::batcher::{CyclePlan, Placement};
-use crate::cache::LevelCache;
+use crate::cache::{LevelCache, RootLevels};
 use crate::counters as c;
-use crate::wire::{read_frame, write_frame, ReadEvent, Stream};
+use crate::wire::{frame_err, read_frame, ReadEvent, Stream};
 
 /// How the server is reachable.
 #[derive(Clone, Debug)]
@@ -130,7 +132,45 @@ const SLOW_LOG_CAP: usize = 128;
 struct Job {
     query: QueryFrame,
     received: Instant,
-    reply: Arc<Mutex<Stream>>,
+    conn: Arc<Mutex<Conn>>,
+}
+
+/// A connection's write half, shared by its reader and the worker.
+struct Conn {
+    stream: Stream,
+    /// Replies encoded in answer order and not yet written: one write
+    /// per burst (reader) or per cycle (worker), not one per frame.
+    buf: Vec<u8>,
+    /// Queries of this connection admitted to the worker whose answers
+    /// are not on the wire yet. The reader answers a cache hit itself
+    /// only while this is zero, which keeps answers in send order.
+    in_flight: usize,
+}
+
+impl Conn {
+    fn push(&mut self, frame: &Frame) {
+        frame.encode_into(&mut self.buf);
+    }
+
+    /// Writes what [`Conn::push`] gathered. A failed write drops the
+    /// buffer: the peer is gone and only its own replies go with it.
+    fn flush(&mut self) -> io::Result<()> {
+        let res = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        res
+    }
+}
+
+/// Per-burst tallies of the per-query `serve.*` counters: one merge
+/// under the metrics lock per burst or cycle, not one per query.
+#[derive(Default)]
+struct Tally {
+    queries: u64,
+    cache_hits: u64,
+    coalesced: u64,
+    ok: u64,
+    timeouts: u64,
+    bad: u64,
 }
 
 /// State shared by the accept, reader, and worker threads.
@@ -144,9 +184,18 @@ struct Shared {
     max_queue: usize,
     metrics: Mutex<CounterSet>,
     conns: Mutex<Vec<JoinHandle<()>>>,
+    num_vertices: Vid,
+    /// Hot-root level arrays: filled by the worker, read by every thread.
+    cache: Mutex<LevelCache>,
     /// The wall-clock telemetry plane — strictly beside the
     /// deterministic `metrics` above, never feeding into them.
     live: Arc<LivePlane>,
+    /// Live instruments of the answer path, resolved once — recording
+    /// is then one atomic op, no registry lock per query.
+    lat_hist: Arc<LatencyHistogram>,
+    answers_w: Arc<RollingCounter>,
+    lookups_w: Arc<RollingCounter>,
+    hits_w: Arc<RollingCounter>,
     /// Ring buffer of recent slow queries (newest at the back).
     slow: Mutex<VecDeque<SlowQuery>>,
     slow_threshold: u64,
@@ -287,6 +336,7 @@ impl Server {
     ) -> io::Result<Server> {
         listener.set_nonblocking()?;
         let max_batch = cfg.max_batch.clamp(1, MAX_BATCH);
+        let live = Arc::new(LivePlane::new());
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             paused: AtomicBool::new(cfg.start_paused),
@@ -295,7 +345,13 @@ impl Server {
             max_queue: cfg.max_queue.max(1),
             metrics: Mutex::new(CounterSet::new()),
             conns: Mutex::new(Vec::new()),
-            live: Arc::new(LivePlane::new()),
+            num_vertices: cluster.num_vertices(),
+            cache: Mutex::new(LevelCache::new(cfg.cache_capacity)),
+            lat_hist: live.histogram("serve.latency_micros"),
+            answers_w: live.window("serve.answers"),
+            lookups_w: live.window("serve.lookups"),
+            hits_w: live.window("serve.cache_hits"),
+            live,
             slow: Mutex::new(VecDeque::new()),
             slow_threshold: cfg.slow_query_micros,
             tracer: cfg.tracer.clone(),
@@ -313,14 +369,10 @@ impl Server {
             .merge_prefixed("store.", &cluster.metrics().section("store."));
         let worker = {
             let shared = Arc::clone(&shared);
-            let cache_cap = cfg.cache_capacity;
             let delay = cfg.service_delay;
-            let tracer = cfg.tracer.clone();
             std::thread::Builder::new()
                 .name("sw-serve-worker".into())
-                .spawn(move || {
-                    worker_loop(cluster, rx, shared, cache_cap, max_batch, delay, tracer)
-                })?
+                .spawn(move || worker_loop(cluster, rx, shared, max_batch, delay))?
         };
 
         let accept = {
@@ -399,7 +451,10 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for h in self.shared.conns.lock().unwrap().drain(..) {
+        // Taken out first: a reader answering a stats poll wants this
+        // lock, and joining it while holding the lock would never end.
+        let readers = std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        for h in readers {
             let _ = h.join();
         }
         // With the accept thread and every reader gone, dropping the
@@ -430,7 +485,11 @@ fn accept_loop(listener: Listener, tx: SyncSender<Job>, shared: Arc<Shared>) {
                     .name("sw-serve-conn".into())
                     .spawn(move || reader_loop(stream, tx, sh));
                 if let Ok(h) = handle {
-                    shared.conns.lock().unwrap().push(h);
+                    // Readers whose peer has gone are let go here, or
+                    // connection churn grows the list without bound.
+                    let mut conns = shared.conns.lock().unwrap();
+                    conns.retain(|h| !h.is_finished());
+                    conns.push(h);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -442,8 +501,8 @@ fn accept_loop(listener: Listener, tx: SyncSender<Job>, shared: Arc<Shared>) {
 }
 
 fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
-    let reply = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+    let conn = match stream.try_clone() {
+        Ok(stream) => Arc::new(Mutex::new(Conn { stream, buf: Vec::new(), in_flight: 0 })),
         Err(_) => return,
     };
     let mut stream = stream;
@@ -453,12 +512,24 @@ fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
     {
         return;
     }
+    let tr = shared.tracer.as_ref();
     let mut dec = FrameDecoder::new();
+    let mut tally = Tally::default();
     while !shared.stop.load(Ordering::SeqCst) {
-        let frame = match read_frame(&mut stream, &mut dec) {
-            Ok(ReadEvent::Frame(f)) => f,
-            Ok(ReadEvent::TimedOut) => continue,
-            Ok(ReadEvent::Closed) | Err(_) => break,
+        let frame = match dec.next_frame().map_err(frame_err) {
+            Ok(Some(f)) => f,
+            // The decoder ran dry: the burst ends here, its replies go
+            // out in one write before the read blocks (and the lock is
+            // released before it does).
+            Ok(None) => {
+                let flushed = shared.end_burst(&mut tally, &mut conn.lock().unwrap());
+                match flushed.and_then(|()| read_frame(&mut stream, &mut dec)) {
+                    Ok(ReadEvent::Frame(f)) => f,
+                    Ok(ReadEvent::TimedOut) => continue,
+                    Ok(ReadEvent::Closed) | Err(_) => break,
+                }
+            }
+            Err(_) => break,
         };
         if frame.kind == KIND_STATS_REQ {
             // Telemetry polls are answered right here on the reader
@@ -473,10 +544,7 @@ fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
                         format: req.format,
                         body,
                     };
-                    let mut w = reply.lock().unwrap();
-                    if write_frame(&mut w, &resp.into_frame()).is_err() {
-                        break;
-                    }
+                    conn.lock().unwrap().push(&resp.into_frame());
                 }
                 Err(_) => break,
             }
@@ -489,10 +557,35 @@ fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
         }
         match QueryFrame::from_frame(&frame) {
             Ok(query) => {
+                let received = Instant::now();
+                let mut out = conn.lock().unwrap();
+                // A cache hit is answered where it arrived, unless the
+                // server is paused (everything stages) or an earlier
+                // query of this connection is still at the worker (its
+                // answer must go out first).
+                let entry = valid_root(&query, shared.num_vertices)
+                    .filter(|_| out.in_flight == 0 && !shared.paused.load(Ordering::SeqCst))
+                    .and_then(|root| shared.cache.lock().unwrap().get(root));
+                if let Some(entry) = entry {
+                    let t0 = ins::span_begin(tr);
+                    let res = answer(&query, Some(&entry), Placement::CacheHit, 0, received);
+                    shared.record(&mut tally, &query, &res, Placement::CacheHit, 0, 0);
+                    out.push(&res.into_frame());
+                    ins::span_end(tr, 0, c::SPAN_QUERY, c::CAT_SERVE, NO_LEVEL, t0, res.micros);
+                    continue;
+                }
+                // Replies gathered so far leave, tallied, before the
+                // worker can write this query's: its write carries the
+                // whole buffer, and bytes must not overtake their counters.
+                if shared.end_burst(&mut tally, &mut out).is_err() {
+                    break;
+                }
+                out.in_flight += 1;
+                drop(out);
                 let job = Job {
                     query,
-                    received: Instant::now(),
-                    reply: Arc::clone(&reply),
+                    received,
+                    conn: Arc::clone(&conn),
                 };
                 match tx.try_send(job) {
                     Ok(()) => {
@@ -506,8 +599,9 @@ fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
                             queue_depth: shared.depth.load(Ordering::SeqCst) as u32,
                             queue_limit: shared.max_queue as u32,
                         };
-                        let mut w = job.reply.lock().unwrap();
-                        let _ = write_frame(&mut w, &busy.into_frame());
+                        let mut out = conn.lock().unwrap();
+                        out.in_flight -= 1;
+                        out.push(&busy.into_frame());
                     }
                     Err(TrySendError::Disconnected(_)) => break,
                 }
@@ -529,11 +623,12 @@ fn reader_loop(stream: Stream, tx: SyncSender<Job>, shared: Arc<Shared>) {
                     batch_roots: 0,
                     micros: 0,
                 };
-                let mut w = reply.lock().unwrap();
-                let _ = write_frame(&mut w, &res.into_frame());
+                conn.lock().unwrap().push(&res.into_frame());
             }
         }
     }
+    // Whatever ended the loop, replies already computed still go out.
+    let _ = shared.end_burst(&mut tally, &mut conn.lock().unwrap());
 }
 
 /// Renders the stats endpoint's body: point-in-time gauges are
@@ -548,6 +643,8 @@ fn stats_body(shared: &Shared, format: StatsFormat) -> Vec<u8> {
         .live
         .gauge("serve.inflight")
         .store(shared.depth.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
+    let open = shared.conns.lock().unwrap().iter().filter(|h| !h.is_finished()).count();
+    shared.live.gauge("serve.connections").store(open as u64, Ordering::Relaxed);
     shared.live.gauge("serve.slow_queries").store(
         shared.slow.lock().unwrap().len() as u64,
         Ordering::Relaxed,
@@ -600,22 +697,130 @@ fn valid_root(q: &QueryFrame, n: Vid) -> Option<Vid> {
     }
 }
 
-/// Answers one well-formed query from its root's level array.
-fn compute_value(q: &QueryFrame, levels: &[u32]) -> u64 {
-    match q.op {
-        QueryOp::Distance => {
-            let l = levels[q.target as usize];
-            if l == UNREACHED {
-                u64::MAX
-            } else {
-                u64::from(l)
+/// Answers one admitted query — the status, deadline and value rules of
+/// the service, for whichever thread holds the query. `entry` is the
+/// root's level array (`None` only for [`Placement::NoSweep`]) and
+/// `sweep_roots` the width of the sweep that produced it this cycle.
+fn answer(
+    q: &QueryFrame,
+    entry: Option<&RootLevels>,
+    placement: Placement,
+    sweep_roots: u32,
+    received: Instant,
+) -> ResultFrame {
+    let elapsed = received.elapsed();
+    let deadline = Duration::from_millis(u64::from(q.deadline_ms));
+    let (status, value) = if placement == Placement::NoSweep {
+        (QueryStatus::BadQuery, 0)
+    } else if q.deadline_ms > 0 && elapsed > deadline {
+        (QueryStatus::Timeout, 0)
+    } else {
+        let entry = entry.expect("accepted root resident after sweep");
+        let value = match q.op {
+            QueryOp::Distance => match entry.level(q.target) {
+                UNREACHED => u64::MAX,
+                l => u64::from(l),
+            },
+            QueryOp::Reachable => u64::from(entry.level(q.target) != UNREACHED),
+            QueryOp::KHop => entry.within(q.hops),
+        };
+        (QueryStatus::Ok, value)
+    };
+    ResultFrame {
+        id: q.id,
+        status,
+        value,
+        batch_roots: match placement {
+            Placement::CacheHit | Placement::NoSweep => 0,
+            Placement::FreshRoot | Placement::Coalesced => sweep_roots,
+        },
+        micros: elapsed.as_micros() as u64,
+    }
+}
+
+impl Tally {
+    /// Moves the tallies into `cs` and onto the live windows. A key
+    /// appears in `cs` only once its event has happened, as when every
+    /// query added its own.
+    fn drain(&mut self, cs: &mut CounterSet, shared: &Shared) {
+        for (key, v) in [
+            (c::QUERIES, self.queries),
+            (c::CACHE_HITS, self.cache_hits),
+            (c::COALESCED, self.coalesced),
+            (c::RESULTS_OK, self.ok),
+            (c::TIMEOUTS, self.timeouts),
+            (c::BAD_QUERIES, self.bad),
+        ] {
+            if v > 0 {
+                cs.add(key, v);
             }
         }
-        QueryOp::Reachable => u64::from(levels[q.target as usize] != UNREACHED),
-        QueryOp::KHop => levels
-            .iter()
-            .filter(|&&l| l != UNREACHED && l <= q.hops)
-            .count() as u64,
+        shared.answers_w.record_now(self.queries);
+        shared.lookups_w.record_now(self.queries);
+        shared.hits_w.record_now(self.cache_hits);
+        *self = Tally::default();
+    }
+}
+
+impl Shared {
+    /// Accounts one answer: the burst's tally, the latency histogram
+    /// and the slow-query log (`sweep_micros`/`sweep_rounds` describe
+    /// the sweep that served it, zero without one).
+    fn record(
+        &self,
+        tally: &mut Tally,
+        q: &QueryFrame,
+        res: &ResultFrame,
+        placement: Placement,
+        sweep_micros: u64,
+        sweep_rounds: u32,
+    ) {
+        tally.queries += 1;
+        match placement {
+            Placement::CacheHit => tally.cache_hits += 1,
+            Placement::Coalesced => tally.coalesced += 1,
+            Placement::FreshRoot | Placement::NoSweep => {}
+        }
+        match res.status {
+            QueryStatus::Ok => tally.ok += 1,
+            QueryStatus::Timeout => tally.timeouts += 1,
+            QueryStatus::BadQuery => tally.bad += 1,
+        }
+        self.lat_hist.record(res.micros);
+        if self.slow_threshold > 0 && res.micros >= self.slow_threshold {
+            let class = match placement {
+                Placement::NoSweep => "bad",
+                Placement::CacheHit => "cache",
+                // The sweep is charged when it accounts for most of
+                // the latency; otherwise the query spent its time
+                // waiting for its cycle.
+                _ if sweep_micros * 2 >= res.micros => "sweep",
+                _ => "queue",
+            };
+            let mut slow = self.slow.lock().unwrap();
+            if slow.len() == SLOW_LOG_CAP {
+                slow.pop_front();
+            }
+            slow.push_back(SlowQuery {
+                id: q.id,
+                root: q.root,
+                op: q.op,
+                micros: res.micros,
+                rounds: if res.batch_roots == 0 { 0 } else { sweep_rounds },
+                batch_roots: res.batch_roots,
+                class,
+            });
+        }
+    }
+
+    /// Ends a reader's burst: its tallies merge first, so a client that
+    /// reads `Server::metrics` right after an answer arrives sees it
+    /// counted, then its replies go out in one write.
+    fn end_burst(&self, tally: &mut Tally, conn: &mut Conn) -> io::Result<()> {
+        if tally.queries > 0 {
+            tally.drain(&mut self.metrics.lock().unwrap(), self);
+        }
+        conn.flush()
     }
 }
 
@@ -625,28 +830,18 @@ fn worker_loop(
     mut cluster: AlgoCluster,
     rx: Receiver<Job>,
     shared: Arc<Shared>,
-    cache_cap: usize,
     max_batch: usize,
     delay: Duration,
-    tracer: Option<Tracer>,
 ) {
-    let n = cluster.num_vertices();
-    let mut cache = LevelCache::new(cache_cap);
+    let n = shared.num_vertices;
     let mut evictions_seen = 0u64;
     let mut carry: Option<Job> = None;
     let mut cycle = 0u32;
-    let tr = tracer.as_ref();
-    let sweep_lane = tracer.as_ref().map_or(0, |t| 1 % t.num_lanes().max(1));
-
-    // Live-plane instruments, resolved once — recording is then one
-    // atomic op, no registry lock on the cycle path. These are
-    // wall-clock measurements beside the deterministic `local`
+    let tr = shared.tracer.as_ref();
+    let sweep_lane = tr.map_or(0, |t| 1 % t.num_lanes().max(1));
+    // A wall-clock measurement beside the deterministic `local`
     // counters below, never mixed into them.
-    let lat_hist = shared.live.histogram("serve.latency_micros");
     let sweep_hist = shared.live.histogram("serve.sweep_micros");
-    let answers_w = shared.live.window("serve.answers");
-    let lookups_w = shared.live.window("serve.lookups");
-    let hits_w = shared.live.window("serve.cache_hits");
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -676,7 +871,7 @@ fn worker_loop(
 
         let mut local = CounterSet::new();
         let mut plan = CyclePlan::new(max_batch);
-        let mut resident: HashMap<Vid, Arc<Vec<u32>>> = HashMap::new();
+        let mut resident: HashMap<Vid, Arc<RootLevels>> = HashMap::new();
         let mut jobs: Vec<Job> = Vec::new();
         let mut pending = Some(first);
         loop {
@@ -694,8 +889,8 @@ fn worker_loop(
             let hit = match root {
                 Some(r) if resident.contains_key(&r) => true,
                 Some(r) => {
-                    if let Some(levels) = cache.get(r) {
-                        resident.insert(r, levels);
+                    if let Some(entry) = shared.cache.lock().unwrap().get(r) {
+                        resident.insert(r, entry);
                         true
                     } else {
                         false
@@ -729,11 +924,14 @@ fn worker_loop(
             sweep_micros = wall0.elapsed().as_micros() as u64;
             sweep_rounds = out.rounds;
             sweep_hist.record(sweep_micros);
+            let mut cache = shared.cache.lock().unwrap();
             for (k, &root) in out.sources.iter().enumerate() {
                 let levels = Arc::new(std::mem::take(&mut out.levels[k]));
-                cache.insert(root, Arc::clone(&levels));
-                resident.insert(root, levels);
+                let entry = Arc::new(RootLevels::new(levels));
+                cache.put(root, Arc::clone(&entry));
+                resident.insert(root, entry);
             }
+            drop(cache);
             local.add(c::BATCHES, 1);
             local.add(c::SWEPT_ROOTS, plan.roots.len() as u64);
             local.add(c::CACHE_MISSES, plan.roots.len() as u64);
@@ -752,97 +950,46 @@ fn worker_loop(
 
         // Answer phase: compute every accepted query's result first, in
         // admission order.
-        let mut answers: Vec<(ResultFrame, u64, u64)> = Vec::with_capacity(jobs.len());
-        for (k, job) in jobs.iter().enumerate() {
+        let mut tally = Tally::default();
+        let mut answers: Vec<(ResultFrame, u64)> = Vec::with_capacity(jobs.len());
+        for (job, &placement) in jobs.iter().zip(&plan.placements) {
             let q = &job.query;
             let t0 = ins::span_begin(tr);
-            let elapsed = job.received.elapsed();
-            let placement = plan.placements[k];
-            local.add(c::QUERIES, 1);
-            match placement {
-                Placement::CacheHit => local.add(c::CACHE_HITS, 1),
-                Placement::Coalesced => local.add(c::COALESCED, 1),
-                Placement::FreshRoot | Placement::NoSweep => {}
-            }
-            let deadline = Duration::from_millis(u64::from(q.deadline_ms));
-            let (status, value) = if placement == Placement::NoSweep {
-                (QueryStatus::BadQuery, 0)
-            } else if q.deadline_ms > 0 && elapsed > deadline {
-                (QueryStatus::Timeout, 0)
-            } else {
-                let levels = resident
-                    .get(&q.root)
-                    .expect("accepted root resident after sweep");
-                (QueryStatus::Ok, compute_value(q, levels))
-            };
-            match status {
-                QueryStatus::Ok => local.add(c::RESULTS_OK, 1),
-                QueryStatus::Timeout => local.add(c::TIMEOUTS, 1),
-                QueryStatus::BadQuery => local.add(c::BAD_QUERIES, 1),
-            }
-            let micros = elapsed.as_micros() as u64;
-            let batch_roots = match placement {
-                Placement::CacheHit | Placement::NoSweep => 0,
-                Placement::FreshRoot | Placement::Coalesced => plan.roots.len() as u32,
-            };
-            let res = ResultFrame {
-                id: q.id,
-                status,
-                value,
-                batch_roots,
-                micros,
-            };
-
-            // Live plane: latency histogram, QPS/lookup/hit windows,
-            // and the slow-query log — all beside `local`.
-            lat_hist.record(micros);
-            answers_w.record_now(1);
-            lookups_w.record_now(1);
-            if placement == Placement::CacheHit {
-                hits_w.record_now(1);
-            }
-            if shared.slow_threshold > 0 && micros >= shared.slow_threshold {
-                let class = match placement {
-                    Placement::NoSweep => "bad",
-                    Placement::CacheHit => "cache",
-                    // The sweep is charged when it accounts for most of
-                    // the latency; otherwise the query spent its time
-                    // waiting for its cycle.
-                    _ if sweep_micros * 2 >= micros => "sweep",
-                    _ => "queue",
-                };
-                let mut slow = shared.slow.lock().unwrap();
-                if slow.len() == SLOW_LOG_CAP {
-                    slow.pop_front();
-                }
-                slow.push_back(SlowQuery {
-                    id: q.id,
-                    root: q.root,
-                    op: q.op,
-                    micros,
-                    rounds: if batch_roots == 0 { 0 } else { sweep_rounds },
-                    batch_roots,
-                    class,
-                });
-            }
-            answers.push((res, t0, micros));
+            let entry = resident.get(&q.root).map(Arc::as_ref);
+            let res = answer(q, entry, placement, plan.roots.len() as u32, job.received);
+            shared.record(&mut tally, q, &res, placement, sweep_micros, sweep_rounds);
+            answers.push((res, t0));
         }
 
         // Flush counters *before* the replies go out, so a client that
         // reads `Server::metrics` right after its answer arrives always
         // sees the cycle that produced it.
-        let evictions = cache.evictions();
+        tally.drain(&mut local, &shared);
+        let evictions = shared.cache.lock().unwrap().evictions();
         local.add(c::CACHE_EVICTIONS, evictions - evictions_seen);
         evictions_seen = evictions;
         shared.metrics.lock().unwrap().merge(&local);
 
-        for (job, (res, t0, micros)) in jobs.iter().zip(answers) {
-            {
-                let mut w = job.reply.lock().unwrap();
-                let _ = write_frame(&mut w, &res.into_frame());
+        // One write per run of a connection's answers; a vanished peer
+        // fails its own write and nobody else's. The run leaves
+        // `in_flight` under the lock that writes it, so no client sees
+        // an answer its reader still counts.
+        let mut rest = answers.as_slice();
+        for run in jobs.chunk_by(|a, b| Arc::ptr_eq(&a.conn, &b.conn)) {
+            let (mine, later) = rest.split_at(run.len());
+            rest = later;
+            let mut out = run[0].conn.lock().unwrap();
+            mine.iter().for_each(|(res, _)| out.push(&res.into_frame()));
+            out.in_flight -= run.len();
+            let _ = out.flush();
+            drop(out);
+            for (res, t0) in mine {
+                ins::span_end(tr, 0, c::SPAN_QUERY, c::CAT_SERVE, cycle, *t0, res.micros);
             }
-            ins::span_end(tr, 0, c::SPAN_QUERY, c::CAT_SERVE, cycle, t0, micros);
         }
         cycle = cycle.wrapping_add(1);
     }
 }
+
+#[cfg(test)]
+mod tests;

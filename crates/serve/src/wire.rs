@@ -107,11 +107,13 @@ pub enum ReadEvent {
 ///
 /// Mid-frame EOF and garbage bytes both surface as `InvalidData`.
 pub fn read_frame(stream: &mut Stream, dec: &mut FrameDecoder) -> io::Result<ReadEvent> {
-    let mut buf = [0u8; 16 * 1024];
     loop {
         if let Some(frame) = dec.next_frame().map_err(frame_err)? {
             return Ok(ReadEvent::Frame(frame));
         }
+        // Zeroed per read, not per frame: a pipelined burst is parsed out
+        // of the decoder without touching it.
+        let mut buf = [0u8; 16 * 1024];
         match stream.read(&mut buf) {
             Ok(0) => {
                 dec.finish().map_err(frame_err)?;

@@ -204,6 +204,7 @@ fn batching_attribution_and_cache_hits() {
     for &r in &roots {
         client.send(QueryOp::Distance, r, 1, 0, 0).unwrap();
     }
+    wait_for_depth(&server, roots.len());
     server.resume();
     for _ in &roots {
         let a = answer(client.recv().unwrap());
@@ -287,4 +288,161 @@ fn shutdown_is_idempotent_and_unblocks_clients() {
     if let sw_serve::ServerAddr::Unix(path) = &addr {
         assert!(!path.exists(), "unix socket file must be cleaned up");
     }
+}
+
+/// Polls until `n` queries are admitted and waiting (the server is
+/// paused or its worker busy).
+fn wait_for_depth(server: &Server, n: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.queue_depth() < n {
+        assert!(std::time::Instant::now() < deadline, "queries never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A cached root's queries are answered by the connection's reader, a
+/// miss by the worker. Mixed on one pipelined connection, the answers
+/// still come back in send order, each with the oracle's value.
+#[test]
+fn pipelined_misses_and_hits_are_answered_in_send_order() {
+    let el = graph();
+    let n = el.num_vertices;
+    let mut server = Server::start(&el, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr()).unwrap();
+    const HOT: u64 = 5;
+    answer(client.query(QueryOp::Reachable, HOT, 1, 0, 0).unwrap());
+
+    for round in 0..20u64 {
+        // miss, hit, hit, miss, hit — fresh roots every round.
+        let roots = [100 + 2 * round, HOT, HOT, 101 + 2 * round, HOT];
+        let mut sent = Vec::new();
+        for (i, &root) in roots.iter().enumerate() {
+            let target = (root * 31 + i as u64) % n;
+            let id = client.send(QueryOp::Distance, root, target, 0, 0).unwrap();
+            sent.push((id, root, target));
+        }
+        for (id, root, target) in sent {
+            let a = answer(client.recv().unwrap());
+            assert_eq!(a.id, id, "round {round}: answers must keep send order");
+            assert_eq!(a.status, QueryStatus::Ok);
+            let want = bfs_levels_oracle(&el, root)[target as usize];
+            let want = if want == u32::MAX { u64::MAX } else { u64::from(want) };
+            assert_eq!(a.value, want, "distance {root}->{target}");
+        }
+    }
+    let m = server.metrics();
+    assert_eq!(m.get("serve.queries"), 1 + 5 * 20);
+    assert_eq!(m.get("serve.results_ok"), 1 + 5 * 20);
+    assert_eq!(m.get("serve.swept_roots"), 1 + 2 * 20);
+    server.shutdown();
+}
+
+#[test]
+fn paused_server_stages_cache_hits_too() {
+    let el = graph();
+    let mut server = Server::start(&el, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr()).unwrap();
+    answer(client.query(QueryOp::Reachable, 5, 1, 0, 0).unwrap());
+
+    server.pause();
+    for _ in 0..3 {
+        client.send(QueryOp::Reachable, 5, 1, 0, 0).unwrap();
+    }
+    wait_for_depth(&server, 3);
+    client.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    assert!(client.recv().is_err(), "a paused server must not answer, cached root or not");
+    assert_eq!(server.queue_depth(), 3, "staged hits count as queued");
+
+    server.resume();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for _ in 0..3 {
+        let a = answer(client.recv().unwrap());
+        assert_eq!((a.status, a.value, a.batch_roots), (QueryStatus::Ok, 1, 0));
+    }
+    assert_eq!(server.metrics().get("serve.cache_hits"), 3);
+    server.shutdown();
+}
+
+/// While the worker is held up in one connection's cycle, another
+/// connection's hit is answered at once by its own reader — and is in
+/// `Server::metrics` by the time its answer can be read.
+#[test]
+fn a_hit_on_another_connection_does_not_wait_for_the_sweep() {
+    const DELAY: Duration = Duration::from_millis(400);
+    let el = graph();
+    let cfg = ServeConfig {
+        service_delay: DELAY,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(&el, cfg).unwrap();
+    let mut first = Client::connect(&server.addr()).unwrap();
+    let mut second = Client::connect(&server.addr()).unwrap();
+    answer(second.query(QueryOp::Reachable, 5, 5, 0, 0).unwrap());
+
+    // The miss is admitted before the hit is sent: staged while paused,
+    // then released into a cycle that sits out the delay.
+    server.pause();
+    first.send(QueryOp::Distance, 900, 1, 0, 0).unwrap();
+    wait_for_depth(&server, 1);
+    server.resume();
+    let before = server.metrics();
+    let hit = answer(second.query(QueryOp::Reachable, 5, 5, 0, 0).unwrap());
+    let after = server.metrics();
+    assert_eq!((hit.status, hit.value, hit.batch_roots), (QueryStatus::Ok, 1, 0));
+    assert!(
+        u128::from(hit.micros) < DELAY.as_micros() / 2,
+        "the hit waited {} us behind another connection's cycle",
+        hit.micros
+    );
+    assert_eq!(
+        after.get("serve.cache_hits"),
+        before.get("serve.cache_hits") + 1,
+        "the counters must already hold the hit when its answer can be read"
+    );
+    assert!(after.get("serve.queries") > before.get("serve.queries"));
+
+    let miss = answer(first.recv().unwrap());
+    assert_eq!(miss.status, QueryStatus::Ok);
+    assert!(u128::from(miss.micros) >= DELAY.as_micros());
+    server.shutdown();
+}
+
+/// A peer that pipelines a burst and closes without reading costs the
+/// service that connection's replies and nothing else: the same cycle's
+/// other connection is answered, and the server keeps serving.
+#[test]
+fn a_peer_that_vanishes_mid_burst_takes_only_its_own_replies() {
+    let el = graph();
+    let cfg = ServeConfig {
+        start_paused: true,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(&el, cfg).unwrap();
+    let mut vanishing = Client::connect(&server.addr()).unwrap();
+    let mut staying = Client::connect(&server.addr()).unwrap();
+    const BURST: usize = 64;
+    for i in 0..BURST / 2 {
+        vanishing.send(QueryOp::KHop, i as u64, 0, 2, 0).unwrap();
+    }
+    wait_for_depth(&server, BURST / 2);
+    staying.send(QueryOp::Reachable, 7, 7, 0, 0).unwrap();
+    wait_for_depth(&server, BURST / 2 + 1);
+    for i in BURST / 2..BURST {
+        vanishing.send(QueryOp::KHop, i as u64, 0, 2, 0).unwrap();
+    }
+    staying.send(QueryOp::Reachable, 8, 8, 0, 0).unwrap();
+    wait_for_depth(&server, BURST + 2);
+    drop(vanishing);
+    server.resume();
+
+    for _ in 0..2 {
+        let a = answer(staying.recv().unwrap());
+        assert_eq!((a.status, a.value), (QueryStatus::Ok, 1));
+    }
+    let a = answer(staying.query(QueryOp::KHop, 3, 0, 2, 0).unwrap());
+    assert_eq!(a.status, QueryStatus::Ok);
+    let m = server.metrics();
+    assert_eq!(m.get("serve.queries"), BURST as u64 + 3);
+    assert_eq!(m.get("serve.results_ok"), BURST as u64 + 3);
+    server.shutdown();
 }
