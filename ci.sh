@@ -109,3 +109,6 @@ SW_LIVE=1 cargo run --release -p sw-bench --bin tracecheck
 # `perf/run.sh compare` over alternating full runs (perf/README.md).
 timeout 300 perf/run.sh --quick
 timeout 300 perf/run.sh --selftest
+# serve_sat traced at full size: exits non-zero when serve.sweep_share
+# < 0.9, roots_per_batch < 60, or anything was shed or dropped.
+timeout 300 perf/run.sh --workload serve_sat --seed 1 --seconds 5 --trace 1 > /dev/null

@@ -16,7 +16,19 @@
 //! exchange over any [`Transport`], gen/handle spans per round, and
 //! the canonical `exchange.*` counter path. `tests/msbfs_differential.rs`
 //! proves the batch bit-identical to K independent single-source runs
-//! across the shared-memory and socket fabrics.
+//! across the shared-memory, channel and socket fabrics.
+//!
+//! State is three words per vertex — `seen` (waves that ever arrived),
+//! `curr` (waves arriving this round), `next` (waves found for the
+//! coming round) — each one `n`-word array of which rank `r` touches
+//! only the slice of its own id range, plus the sender-side scratch:
+//! an `n`-word `agg` and an `n/64`-word `touched` bitmap that the ranks
+//! use one after another and leave zeroed. A round is four streamed
+//! passes (DESIGN.md §9): **gen** ORs each frontier mask into `next`
+//! (neighbour in range) or `agg` (remote), **emit** walks `touched` in
+//! ascending order, **handle** ORs the unsorted inbox into `next`, and
+//! **settle** scans `next` once, writing `round + 1` straight into the
+//! output level arrays. Nothing is sorted, divided or transposed.
 
 use crate::runtime::AlgoCluster;
 use sw_graph::{Csr, EdgeList, Vid};
@@ -38,7 +50,9 @@ pub struct MsBfsOutput {
     /// `levels[k][v]` = BFS distance from `sources[k]` to vertex `v`
     /// ([`UNREACHED`] when no path exists).
     pub levels: Vec<Vec<u32>>,
-    /// Synchronous rounds the sweep ran (= deepest settled level).
+    /// Synchronous rounds the sweep ran: the deepest settled level plus
+    /// the final round that finds the frontier empty (an isolated source
+    /// reports 1).
     pub rounds: u32,
 }
 
@@ -63,111 +77,109 @@ pub fn msbfs_distributed<T: Transport>(
     for &s in sources {
         assert!(s < n, "source {s} outside the {n}-vertex id space");
     }
-    let ranks = cluster.num_ranks() as usize;
+    let n = n as usize;
     let tracer = cluster.tracer().cloned();
     let tr = tracer.as_ref();
-
-    // Per-rank mask state, one u64 per owned vertex: `seen` (any wave
-    // that ever arrived), `curr` (waves arriving this round), `next`
-    // (waves found for the coming round). `dist` is the flattened
-    // per-source level array, stride kq.
-    let owned: Vec<usize> = (0..ranks)
+    let ranges: Vec<(usize, usize)> = (0..cluster.num_ranks())
         .map(|r| {
-            let (s, e) = cluster.part.range(r as u32);
-            (e - s) as usize
+            let (lo, hi) = cluster.part.range(r);
+            (lo as usize, hi as usize)
         })
         .collect();
-    let mut seen: Vec<Vec<u64>> = owned.iter().map(|&m| vec![0u64; m]).collect();
-    let mut curr: Vec<Vec<u64>> = owned.iter().map(|&m| vec![0u64; m]).collect();
-    let mut next: Vec<Vec<u64>> = owned.iter().map(|&m| vec![0u64; m]).collect();
-    let mut dist: Vec<Vec<u32>> = owned.iter().map(|&m| vec![UNREACHED; m * kq]).collect();
 
-    // Sender-side aggregation scratch: one mask slot per *global*
-    // vertex plus the list of touched targets, reused every round so
-    // the steady state allocates nothing.
-    let mut agg: Vec<Vec<u64>> = (0..ranks).map(|_| vec![0u64; n as usize]).collect();
-    let mut touched: Vec<Vec<Vid>> = (0..ranks).map(|_| Vec::new()).collect();
+    let mut seen = vec![0u64; n];
+    let mut curr = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    // Per sweep, not per rank: ranks generate one after another and
+    // emission hands both back zeroed. (Per thread, should ranks ever
+    // generate in parallel.)
+    let mut agg = vec![0u64; n];
+    let mut touched = vec![0u64; n.div_ceil(64)];
+    let mut levels: Vec<Vec<u32>> = (0..kq).map(|_| vec![UNREACHED; n]).collect();
 
     // Seed: each source claims its bit at distance 0.
     for (b, &s) in sources.iter().enumerate() {
-        let r = cluster.part.owner(s) as usize;
-        let i = cluster.part.to_local(s) as usize;
-        let bit = 1u64 << b;
-        curr[r][i] |= bit;
-        seen[r][i] |= bit;
-        dist[r][i * kq + b] = 0;
+        curr[s as usize] |= 1u64 << b;
+        seen[s as usize] |= 1u64 << b;
+        levels[b][s as usize] = 0;
     }
 
     let mut round = 0u32;
-    loop {
-        if curr.iter().all(|c| c.iter().all(|&w| w == 0)) {
-            break;
-        }
+    let mut frontier_left = true;
+    while frontier_left {
         cluster.set_round(round);
-        let settle_at = round + 1;
 
         // Generate: every frontier vertex offers its mask to all
-        // neighbours; local waves apply straight into `next`, remote
-        // ones aggregate per target so each (rank, target) sends one
-        // record regardless of how many frontier vertices feed it.
+        // neighbours. A neighbour is local iff `v - lo < len` (one
+        // compare, no division); remote masks aggregate per target so
+        // each (rank, target) sends one record however many frontier
+        // vertices feed it.
         let mut out = cluster.lend_outboxes();
-        for r in 0..ranks {
+        for (r, &(lo, hi)) in ranges.iter().enumerate() {
             let t0 = ins::span_begin(tr);
             let csr = &cluster.csrs[r];
-            let part = cluster.part;
-            for (i, &mask) in curr[r].iter().enumerate() {
+            let (seen_r, next_r) = (&mut seen[lo..hi], &mut next[lo..hi]);
+            for (i, &mask) in curr[lo..hi].iter().enumerate() {
                 if mask == 0 {
                     continue;
                 }
                 for &v in csr.neighbors_local(i) {
-                    let o = part.owner(v) as usize;
-                    if o == r {
-                        let vl = part.to_local(v) as usize;
-                        apply_mask(
-                            mask,
-                            vl,
-                            kq,
-                            settle_at,
-                            &mut seen[r],
-                            &mut next[r],
-                            &mut dist[r],
-                        );
+                    let v = v as usize;
+                    if let Some(s) = seen_r.get_mut(v.wrapping_sub(lo)) {
+                        apply_mask(mask, s, &mut next_r[v - lo]);
                     } else {
-                        let slot = &mut agg[r][v as usize];
-                        if *slot == 0 {
-                            touched[r].push(v);
-                        }
-                        *slot |= mask;
+                        agg[v] |= mask;
+                        touched[v / 64] |= 1 << (v % 64);
                     }
                 }
             }
-            // Ascending-target emission keeps message contents (not
-            // just sorted inboxes) deterministic across runs.
-            touched[r].sort_unstable();
-            let produced = touched[r].len() as u64;
-            for &v in &touched[r] {
-                let mask = std::mem::take(&mut agg[r][v as usize]);
-                out[r].push(part.owner(v), EdgeRec { u: v, v: mask });
+            // Emit: the bitmap walk yields targets in ascending order —
+            // the order the wire has always carried — and the range the
+            // walk is inside names the destination.
+            let mut produced = 0u64;
+            let mut dest = 0;
+            for (w, word) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let v = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    while v >= ranges[dest].1 {
+                        dest += 1;
+                    }
+                    let mask = std::mem::take(&mut agg[v]);
+                    let rec = EdgeRec {
+                        u: v as Vid,
+                        v: mask,
+                    };
+                    out[r].push(dest as u32, rec);
+                    produced += 1;
+                }
             }
-            touched[r].clear();
             ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
         }
 
-        // Exchange + apply remote waves.
-        let inboxes = cluster.exchange_round(out);
+        // Exchange, unsorted: the handler below commutes. Then per rank
+        // apply the remote waves and settle what the round found —
+        // `next` now holds exactly the (vertex, source) pairs first
+        // reached this round, so one scan writes their level and tells
+        // whether any frontier is left.
+        let inboxes = cluster.exchange_unsorted(out);
+        frontier_left = false;
         for (r, inbox) in inboxes.iter().enumerate() {
             let t0 = ins::span_begin(tr);
+            let (lo, hi) = ranges[r];
+            let (seen_r, next_r) = (&mut seen[lo..hi], &mut next[lo..hi]);
             for rec in inbox {
-                let vl = cluster.part.to_local(rec.u) as usize;
-                apply_mask(
-                    rec.v,
-                    vl,
-                    kq,
-                    settle_at,
-                    &mut seen[r],
-                    &mut next[r],
-                    &mut dist[r],
-                );
+                let i = rec.u as usize - lo;
+                apply_mask(rec.v, &mut seen_r[i], &mut next_r[i]);
+            }
+            for (i, &word) in next_r.iter().enumerate() {
+                let mut new = word;
+                frontier_left |= new != 0;
+                while new != 0 {
+                    levels[new.trailing_zeros() as usize][lo + i] = round + 1;
+                    new &= new - 1;
+                }
             }
             ins::span_end(
                 tr,
@@ -181,23 +193,11 @@ pub fn msbfs_distributed<T: Transport>(
         }
         cluster.recycle_inboxes(inboxes);
 
-        for r in 0..ranks {
-            std::mem::swap(&mut curr[r], &mut next[r]);
-            next[r].fill(0);
-        }
+        std::mem::swap(&mut curr, &mut next);
+        next.fill(0);
         round += 1;
     }
 
-    // Assemble the per-source global level arrays.
-    let mut levels: Vec<Vec<u32>> = (0..kq).map(|_| vec![UNREACHED; n as usize]).collect();
-    for r in 0..ranks {
-        let (start, _) = cluster.part.range(r as u32);
-        for i in 0..owned[r] {
-            for (b, lv) in levels.iter_mut().enumerate() {
-                lv[start as usize + i] = dist[r][i * kq + b];
-            }
-        }
-    }
     MsBfsOutput {
         sources: sources.to_vec(),
         levels,
@@ -205,31 +205,15 @@ pub fn msbfs_distributed<T: Transport>(
     }
 }
 
-/// Applies an arriving mask to one owned vertex: bits not yet seen
-/// settle at `settle_at` and join the next frontier. Local and remote
-/// arrivals of the same round commute — both write the same distance,
-/// and `seen` keeps the first writer's claim idempotent.
+/// Applies an arriving mask to one owned vertex: bits not yet seen join
+/// the next frontier. Arrivals of one round commute — `seen` makes the
+/// first claim idempotent and OR has no order — so neither local-versus-
+/// remote nor inbox order can change the outcome.
 #[inline]
-fn apply_mask(
-    mask: u64,
-    vl: usize,
-    kq: usize,
-    settle_at: u32,
-    seen: &mut [u64],
-    next: &mut [u64],
-    dist: &mut [u32],
-) {
-    let mut new = mask & !seen[vl];
-    if new == 0 {
-        return;
-    }
-    seen[vl] |= new;
-    next[vl] |= new;
-    while new != 0 {
-        let b = new.trailing_zeros() as usize;
-        dist[vl * kq + b] = settle_at;
-        new &= new - 1;
-    }
+fn apply_mask(mask: u64, seen: &mut u64, next: &mut u64) {
+    let new = mask & !*seen;
+    *seen |= new;
+    *next |= new;
 }
 
 /// Single-node reference: one sequential BFS, the differential oracle

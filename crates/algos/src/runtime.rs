@@ -243,19 +243,27 @@ impl<T: Transport> AlgoCluster<T> {
         self.part.num_vertices()
     }
 
-    /// Runs one exchange round under the configured transport, sorting
-    /// inboxes for determinism, and accumulates traffic statistics.
+    /// Runs one exchange round under the configured transport and
+    /// accumulates traffic statistics. Inboxes arrive in whatever order
+    /// the fabric delivers: for kernels whose handler commutes.
     ///
     /// # Panics
     /// Panics if the fabric fails structurally (e.g. a socket peer
     /// died); the analytics kernels have no retry story of their own.
-    pub fn exchange_round(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
-        let (mut inboxes, st) = self
+    pub fn exchange_unsorted(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
+        let (inboxes, st) = self
             .transport
             .exchange(self.messaging, out, &self.layout, Codec::Fixed(16))
             .expect("transport failed structurally mid-round");
         self.stats.absorb(&st);
         ins::absorb_exchange(&mut self.metrics, &st);
+        inboxes
+    }
+
+    /// [`Self::exchange_unsorted`] plus a sort of every inbox, for
+    /// kernels whose result depends on arrival order (float sums).
+    pub fn exchange_round(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
+        let mut inboxes = self.exchange_unsorted(out);
         if !self.transport.delivers_sorted() {
             inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
         }
@@ -317,6 +325,25 @@ mod tests {
         );
         assert!(c.stats.messages > 0);
         c.recycle_inboxes(inbox);
+    }
+
+    #[test]
+    fn unsorted_delivery_is_the_same_records_and_stats() {
+        let el = EdgeList::new(4, vec![(0, 1)]);
+        let round = |sorted: bool| {
+            let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Direct);
+            let mut out = c.lend_outboxes();
+            out[0].push(1, EdgeRec { u: 9, v: 1 });
+            out[0].push(1, EdgeRec { u: 3, v: 2 });
+            let mut inbox = if sorted {
+                c.exchange_round(out)
+            } else {
+                c.exchange_unsorted(out)
+            };
+            inbox[1].sort_unstable();
+            (inbox, c.stats, c.metrics().clone())
+        };
+        assert_eq!(round(true), round(false));
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! Differential proof of the MS-BFS batching trick: a batch of K
 //! sources swept bit-parallel must produce level arrays bit-identical
 //! to K *independent* single-source runs — for K ∈ {1, 3, 64}, across
-//! the in-process shared-memory fabric and the multi-process socket
-//! fabric, and against the sequential oracle.
+//! the in-process shared-memory and channel fabrics and the
+//! multi-process socket fabric, and against the sequential oracle.
+//! Around that core: odd shapes (partition boundaries inside a bitmap
+//! word, ranks that own nothing), degenerate depth, and a pin on the
+//! wire — records, bytes and per-round span counts — that a rewrite of
+//! the sweep's bookkeeping must leave where it was.
 //!
 //! The socket half discovers `swbfs-rankd` at runtime like the
 //! graph500 smoke test; with `SWBFS_RANKD_REQUIRE` set (ci.sh does,
 //! right after building the daemon) a missing binary is a hard failure
 //! rather than a silent skip.
 
-use sw_algos::msbfs::{bfs_levels_oracle, msbfs_distributed, MAX_BATCH};
+use proptest::prelude::*;
+use sw_algos::msbfs::{bfs_levels_oracle, msbfs_distributed, MsBfsOutput, MAX_BATCH, UNREACHED};
 use sw_algos::runtime::AlgoCluster;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, Vid};
+use sw_trace::{ClockDomain, Tracer};
 use swbfs_core::config::Messaging;
+use swbfs_core::engine::{Channels, Transport};
+use swbfs_core::instrument::{SPAN_GEN, SPAN_HANDLE};
 
 /// Distinct deterministic sources spread over the id space.
 fn pick_sources(n: u64, k: usize) -> Vec<Vid> {
@@ -67,6 +75,168 @@ fn shared_mem_batch_equals_independent_runs() {
             AlgoCluster::new(&el, 6, 3, Messaging::Relay)
         });
     }
+}
+
+#[test]
+fn channels_batch_equals_independent_runs() {
+    let el = generate_kronecker(&KroneckerConfig::graph500(11, 13));
+    for k in [1usize, 3, MAX_BATCH] {
+        assert_batch_equals_independent(&el, k, || {
+            AlgoCluster::with_transport(&el, 6, 3, Messaging::Relay, Channels::new())
+        });
+    }
+}
+
+/// Every level array equals the oracle's, and `rounds` is the deepest
+/// finite level plus the one round that finds the frontier empty.
+fn assert_matches_oracle(el: &EdgeList, out: &MsBfsOutput, what: &str) {
+    let mut deepest = 0;
+    for (k, &s) in out.sources.iter().enumerate() {
+        let oracle = bfs_levels_oracle(el, s);
+        assert_eq!(out.levels[k], oracle, "{what}: bit {k} (source {s})");
+        let reached = oracle.iter().copied().filter(|&l| l != UNREACHED);
+        deepest = deepest.max(reached.max().unwrap());
+    }
+    assert_eq!(out.rounds, deepest + 1, "{what}: rounds");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Odd shapes: `n` a multiple of neither 64 nor `ranks`, trailing
+    /// ranks that own nothing, duplicate sources, every batch width.
+    #[test]
+    fn odd_shapes_match_the_oracle(
+        n in 9u64..300,
+        raw_edges in proptest::collection::vec((0u64..300, 0u64..300), 0..600),
+        ranks in 1u32..=9,
+        group in 1u32..=3,
+        relay in any::<bool>(),
+        raw_sources in proptest::collection::vec(0u64..300, 1..65),
+    ) {
+        let edges = raw_edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let el = EdgeList::new(n, edges);
+        let sources: Vec<Vid> = raw_sources.into_iter().map(|s| s % n).collect();
+        let messaging = if relay { Messaging::Relay } else { Messaging::Direct };
+        let mut c = AlgoCluster::new(&el, ranks, group, messaging);
+        let out = msbfs_distributed(&mut c, &sources);
+        assert_matches_oracle(&el, &out, &format!("n={n} ranks={ranks} group={group} {messaging:?}"));
+    }
+}
+
+/// 1000 vertices over 7 ranks: blocks of 143, so every partition
+/// boundary falls inside a word of the emission bitmap. Hubs on both
+/// sides of the first boundary (142 | 143, both in word 2) fan out over
+/// the whole id space, so each boundary word carries bits for two
+/// destinations in the same round.
+#[test]
+fn partition_boundary_inside_a_bitmap_word() {
+    let n = 1000u64;
+    let mut edges: Vec<(Vid, Vid)> = Vec::new();
+    for hub in [142u64, 143] {
+        edges.extend((0..n).filter(|&v| v != hub && v % 3 != 0).map(|v| (hub, v)));
+    }
+    edges.extend((0..n - 7).step_by(3).map(|v| (v, v + 7)));
+    let el = EdgeList::new(n, edges);
+    let sources: Vec<Vid> = (0..MAX_BATCH as u64).map(|k| (k * 131 + 140) % n).collect();
+    for messaging in [Messaging::Direct, Messaging::Relay] {
+        let mut c = AlgoCluster::new(&el, 7, 3, messaging);
+        let out = msbfs_distributed(&mut c, &sources);
+        assert_matches_oracle(&el, &out, &format!("{messaging:?}"));
+    }
+}
+
+/// Degenerate depth and width: one wave down a 4096-vertex path is 4096
+/// rounds of one record each. A second sweep on the warm cluster must
+/// not grow any pooled buffer — the kernel allocates per sweep, never
+/// per round.
+#[test]
+fn deep_path_width_one_and_warm_second_sweep() {
+    let n = 4096u64;
+    let el = EdgeList::new(n, (0..n - 1).map(|v| (v, v + 1)).collect());
+    let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Direct);
+    let first = msbfs_distributed(&mut c, &[0]);
+    assert_matches_oracle(&el, &first, "path");
+    assert_eq!(first.rounds, 4096);
+    let allocs = c.stats.pool_allocs;
+    let second = msbfs_distributed(&mut c, &[0]);
+    assert_eq!(second.levels, first.levels);
+    assert_eq!(c.stats.pool_allocs, allocs, "a warm sweep grew a pool");
+}
+
+#[test]
+fn edgeless_source_takes_one_round() {
+    let el = EdgeList::new(130, vec![(0, 1), (64, 129)]);
+    for ranks in [1u32, 3] {
+        let mut c = AlgoCluster::new(&el, ranks, 2, Messaging::Relay);
+        let out = msbfs_distributed(&mut c, &[77]);
+        assert_matches_oracle(&el, &out, "edgeless");
+        assert_eq!(out.rounds, 1);
+    }
+}
+
+/// What one sweep put on the wire and into its spans.
+#[derive(Debug, PartialEq, Eq)]
+struct Wire {
+    messages: u64,
+    bytes: u64,
+    record_hops: u64,
+    /// Per round, summed over ranks: records produced by gen, records
+    /// applied by handle (equal: what is sent in a round lands in it).
+    rounds: Vec<(u64, u64)>,
+}
+
+/// Scale 10, 6 ranks in groups of 3, 64 sources: the fixed instance
+/// behind [`wire_pin`].
+fn wire_of<T: Transport>(make: impl FnOnce(&EdgeList) -> AlgoCluster<T>) -> Wire {
+    let el = generate_kronecker(&KroneckerConfig::graph500(10, 17));
+    let sources = pick_sources(el.num_vertices, MAX_BATCH);
+    let mut c = make(&el);
+    let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, c.num_ranks() as usize, 1 << 12);
+    c.set_tracer(Some(tracer.clone()));
+    let out = msbfs_distributed(&mut c, &sources);
+    let mut rounds = vec![(0u64, 0u64); out.rounds as usize];
+    let report = tracer.report();
+    assert_eq!(report.total_dropped(), 0);
+    for ev in report.lanes.iter().flat_map(|l| &l.events) {
+        if ev.name == SPAN_GEN {
+            rounds[ev.level as usize].0 += ev.arg;
+        } else if ev.name == SPAN_HANDLE {
+            rounds[ev.level as usize].1 += ev.arg;
+        }
+    }
+    Wire {
+        messages: c.stats.messages,
+        bytes: c.stats.bytes,
+        record_hops: c.stats.record_hops,
+        rounds,
+    }
+}
+
+/// Captured at the parent of the PR that rewrote the sweep's
+/// bookkeeping (PR 18), before the kernel was touched: the same records
+/// must cross the wire in the same rounds on every fabric. This file
+/// passes unchanged against that parent (EXPERIMENTS.md "PR 18" has the
+/// commit and the command). The rounds carry 10,086 records: Channels
+/// and Socket count one hop per record, the pooled arena counts 4,003
+/// more (and 16 B for each) for Relay's forwarding stage — at the
+/// parent too — so `bytes` and `record_hops` are pinned per fabric.
+fn wire_pin(bytes: u64, record_hops: u64) -> Wire {
+    Wire {
+        messages: 150,
+        bytes,
+        record_hops,
+        rounds: [899, 3059, 3095, 2812, 221].map(|n| (n, n)).to_vec(),
+    }
+}
+
+#[test]
+fn the_wire_did_not_move_shared_mem_and_channels() {
+    let shm = wire_of(|el| AlgoCluster::new(el, 6, 3, Messaging::Relay));
+    assert_eq!(shm, wire_pin(226_624, 14_089), "SharedMem");
+    let chn =
+        wire_of(|el| AlgoCluster::with_transport(el, 6, 3, Messaging::Relay, Channels::new()));
+    assert_eq!(chn, wire_pin(162_576, 10_086), "Channels");
 }
 
 /// Storage differential: a batched sweep over a store-restored cluster
@@ -138,6 +308,21 @@ mod socket {
                 None
             }
         }
+    }
+
+    #[test]
+    fn the_wire_did_not_move_socket() {
+        let Some(rankd) = rankd_or_skip() else { return };
+        let sock = wire_of(|el| {
+            AlgoCluster::with_transport(
+                el,
+                6,
+                3,
+                Messaging::Relay,
+                SocketTransport::unix().with_rankd(rankd),
+            )
+        });
+        assert_eq!(sock, wire_pin(162_576, 10_086), "Socket");
     }
 
     #[test]

@@ -722,7 +722,8 @@ fn answer(
                 l => u64::from(l),
             },
             QueryOp::Reachable => u64::from(entry.level(q.target) != UNREACHED),
-            QueryOp::KHop => entry.within(q.hops),
+            QueryOp::KHop if placement == Placement::CacheHit => entry.within(q.hops),
+            QueryOp::KHop => entry.count_within(q.hops),
         };
         (QueryStatus::Ok, value)
     };
