@@ -49,9 +49,6 @@ pub struct BfsConfig {
     pub small_input_bytes: usize,
     /// Wire size of one edge message, bytes.
     pub edge_msg_bytes: usize,
-    /// Sort inboxes before applying, making parent maps independent of
-    /// transport (Direct and Relay then produce identical trees).
-    pub canonical_order: bool,
     /// Disable the direction optimization and traverse Top-Down only — the
     /// conventional-BFS ablation baseline.
     pub force_top_down: bool,
@@ -98,7 +95,6 @@ impl BfsConfig {
             bottom_up_hubs: 1 << 14,
             small_input_bytes: 1024,
             edge_msg_bytes: 8,
-            canonical_order: true,
             force_top_down: false,
             compress: false,
             degree_ordered_adjacency: false,

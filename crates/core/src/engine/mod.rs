@@ -66,7 +66,6 @@ use crate::policy::{Direction, PolicyInputs, TraversalPolicy};
 use crate::rank::RankState;
 use crate::result::{BfsOutput, LevelStats};
 use crate::shuffling::check_chip_feasibility;
-use crate::NO_PARENT;
 use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use sw_arch::ChipConfig;
@@ -264,6 +263,9 @@ pub struct SuperstepEngine<T: Transport> {
     hub_states: Vec<HubState>,
     /// `(hub_index, local_index)` pairs per rank, for contribution builds.
     owned_hubs: Vec<Vec<(u32, u32)>>,
+    /// Per-rank hub-gather contributions `(in next, settled)`, rebuilt
+    /// in place at every level boundary.
+    hub_contribs: (Vec<Bitmap>, Vec<Bitmap>),
     total_directed_edges: u64,
     input_edges: u64,
     /// Rows holding a byte-coded copy, summed over ranks at construction.
@@ -531,6 +533,9 @@ impl<T: Transport> SuperstepEngine<T> {
             })
             .collect();
 
+        let contribs = || (0..num_ranks).map(|_| Bitmap::new(set.len())).collect();
+        let hub_contribs = (contribs(), contribs());
+
         let total_directed_edges = ranks.iter().map(|r| r.csr.num_entries()).sum();
         transport.setup(num_ranks as usize);
         Self {
@@ -540,6 +545,7 @@ impl<T: Transport> SuperstepEngine<T> {
             ranks,
             hub_states,
             owned_hubs,
+            hub_contribs,
             total_directed_edges,
             input_edges,
             rows_compressed,
@@ -763,6 +769,10 @@ impl<T: Transport> SuperstepEngine<T> {
         let mut policy = TraversalPolicy::new(self.cfg.alpha, self.cfg.beta);
         let mut levels: Vec<LevelStats> = Vec::new();
         let mut level = 0u32;
+        // `m_u` needs no sweep: a vertex is in the frontier exactly once,
+        // the level after it is settled, so the unvisited degree sum is
+        // the total minus every frontier's `m_f` so far.
+        let mut m_u = self.total_directed_edges;
 
         loop {
             let n_f: u64 = self.ranks.iter().map(|r| r.frontier_vertices()).sum();
@@ -770,7 +780,12 @@ impl<T: Transport> SuperstepEngine<T> {
                 break;
             }
             let m_f: u64 = self.ranks.par_iter().map(|r| r.frontier_edges()).sum();
-            let m_u: u64 = self.ranks.par_iter().map(|r| r.unvisited_edges()).sum();
+            m_u -= m_f;
+            debug_assert_eq!(
+                m_u,
+                self.ranks.iter().map(|r| r.unvisited_edges()).sum::<u64>(),
+                "level {level}: carried m_u disagrees with the visited-map sweep"
+            );
             let dir = if self.cfg.force_top_down {
                 Direction::TopDown
             } else {
@@ -822,12 +837,13 @@ impl<T: Transport> SuperstepEngine<T> {
             level += 1;
         }
 
-        // Gather the distributed parent map.
-        let mut parents = vec![NO_PARENT; self.part.num_vertices() as usize];
+        // Gather the distributed parent map: blocks are contiguous and
+        // in rank order.
+        let mut parents = Vec::with_capacity(self.part.num_vertices() as usize);
         for r in &self.ranks {
-            let (start, _) = self.part.range(r.rank);
-            parents[start as usize..start as usize + r.owned()].copy_from_slice(&r.parent);
+            parents.extend_from_slice(&r.parent);
         }
+        debug_assert_eq!(parents.len() as Vid, self.part.num_vertices());
         Ok(BfsOutput {
             root,
             parents,
@@ -884,6 +900,7 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(outs, ls)?;
+        let inboxes = self.canonicalize(inboxes);
 
         self.ranks
             .par_iter_mut()
@@ -931,6 +948,7 @@ impl<T: Transport> SuperstepEngine<T> {
             ls.bytes_decoded += st.bytes_decoded;
         }
 
+        // Queries need no order (the handler sorts its replies instead).
         let inboxes = self.run_exchange(outs, ls)?;
 
         let mut replies = self.transport.lend_outboxes();
@@ -957,6 +975,7 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(replies, ls)?;
+        let inboxes = self.canonicalize(inboxes);
 
         self.ranks
             .par_iter_mut()
@@ -972,7 +991,9 @@ impl<T: Transport> SuperstepEngine<T> {
 
     /// Runs one record exchange through the transport — or, when a test
     /// has requested the oracle, through the seed's nested-Vec path —
-    /// and folds the transport stats into `ls`. With an armed fault
+    /// and folds the transport stats into `ls`. Inboxes come back in the
+    /// fabric's order; [`Self::canonicalize`] them when the consumer
+    /// depends on it. With an armed fault
     /// session the exchange runs the injection/retry/degradation
     /// pipeline; an unsurvivable schedule surfaces as a structured error
     /// here.
@@ -992,7 +1013,7 @@ impl<T: Transport> SuperstepEngine<T> {
                 self.cfg.codec(),
             );
             self.absorb_exchange(ls, &xs);
-            return Ok(self.canonicalize(inboxes));
+            return Ok(inboxes);
         }
         // Wall-clock leg of the observability split: when the live
         // plane is armed, each exchange also lands in a log2-bucketed
@@ -1015,14 +1036,14 @@ impl<T: Transport> SuperstepEngine<T> {
             self.absorb_exchange(ls, &xs);
             let inboxes = result?;
             Self::live_record_exchange(live_t0);
-            return Ok(self.canonicalize(inboxes));
+            return Ok(inboxes);
         }
         let (inboxes, xs) =
             self.transport
                 .exchange(self.cfg.messaging, out, &self.layout, self.cfg.codec())?;
         self.absorb_exchange(ls, &xs);
         Self::live_record_exchange(live_t0);
-        Ok(self.canonicalize(inboxes))
+        Ok(inboxes)
     }
 
     /// Publishes one exchange's wall-clock duration to the armed live
@@ -1047,8 +1068,12 @@ impl<T: Transport> SuperstepEngine<T> {
         ins::absorb_exchange(&mut self.metrics, xs);
     }
 
+    /// Sorts forward inboxes a fabric delivered in arrival order: the
+    /// Forward Handler's first-claim-wins makes parents depend on it, and
+    /// sorted inboxes are what makes them independent of the fabric and
+    /// of Direct vs Relay.
     fn canonicalize(&self, mut inboxes: Vec<Vec<EdgeRec>>) -> Vec<Vec<EdgeRec>> {
-        if self.cfg.canonical_order && !self.transport.delivers_sorted() {
+        if !self.transport.delivers_sorted() {
             inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
         }
         inboxes
@@ -1068,25 +1093,21 @@ impl<T: Transport> SuperstepEngine<T> {
     /// Rebuilds the replicated hub bitmaps from every rank's `next` +
     /// parent state; returns the gather traffic in bytes.
     fn update_hubs(&mut self) -> u64 {
-        let num_ranks = self.part.num_ranks() as usize;
-        let nbits = self.hub_states[0].curr.len();
-        let mut contrib_curr = Vec::with_capacity(num_ranks);
-        let mut contrib_visited = Vec::with_capacity(num_ranks);
-        for r in 0..num_ranks {
-            let mut c = Bitmap::new(nbits);
-            let mut v = Bitmap::new(nbits);
+        let (contrib_curr, contrib_visited) = &mut self.hub_contribs;
+        for (r, rank) in self.ranks.iter().enumerate() {
+            let (c, v) = (&mut contrib_curr[r], &mut contrib_visited[r]);
+            c.clear_all();
+            v.clear_all();
             for &(hub_idx, local) in &self.owned_hubs[r] {
-                if self.ranks[r].next.contains(local as usize) {
+                if rank.next.contains(local as usize) {
                     c.set(hub_idx as usize);
                 }
-                if self.ranks[r].visited(local as usize) {
+                if rank.visited(local as usize) {
                     v.set(hub_idx as usize);
                 }
             }
-            contrib_curr.push(c);
-            contrib_visited.push(v);
         }
-        gather_hub_level(&mut self.hub_states, &contrib_curr, &contrib_visited).bytes
+        gather_hub_level(&mut self.hub_states, contrib_curr, contrib_visited).bytes
     }
 }
 

@@ -118,8 +118,16 @@ pub trait Transport: Send {
     fn set_trace_level(&mut self, level: u32);
 
     /// Whether inboxes come back canonically sorted already (the engine
-    /// then skips its `canonical_order` sort). Transports with
-    /// nondeterministic arrival order must sort and return `true`.
+    /// then skips its own sort). Transports with nondeterministic
+    /// arrival order must sort and return `true`.
+    ///
+    /// Which exchanges the engine needs in order: **forward** inboxes
+    /// (Top-Down claims and Bottom-Up replies) — the Forward Handler is
+    /// first-claim-wins, so their order decides parents. Bottom-Up
+    /// **query** inboxes are consumed in whatever order they arrive:
+    /// the Backward Handler answers each query independently and sorts
+    /// its (far fewer) replies before emitting them, so a fabric that
+    /// returns `false` pays no sort for them.
     fn delivers_sorted(&self) -> bool {
         false
     }

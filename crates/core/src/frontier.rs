@@ -10,6 +10,7 @@
 //! is small, abandoning the queue once the frontier grows past a density
 //! threshold — Beamer's queue/bitmap switch, applied per rank.
 
+use sw_graph::bitmap::Ones;
 use sw_graph::Bitmap;
 
 /// Queue kept while `population * DENSITY_DIVISOR <= capacity`.
@@ -19,9 +20,32 @@ const DENSITY_DIVISOR: usize = 32;
 #[derive(Clone, Debug)]
 pub struct Frontier {
     bits: Bitmap,
-    /// Insertion-order queue; `None` once the frontier went dense.
-    queue: Option<Vec<u32>>,
+    /// Insertion-order queue, meaningful only while `sparse`. Its
+    /// allocation outlives [`Frontier::clear`] and the dense phase.
+    queue: Vec<u32>,
+    /// False once the frontier went dense.
+    sparse: bool,
     population: usize,
+}
+
+/// Iterator over a [`Frontier`]'s members ([`Frontier::iter`]).
+#[derive(Clone, Debug)]
+pub enum FrontierIter<'a> {
+    /// Queue (insertion) order.
+    Sparse(std::slice::Iter<'a, u32>),
+    /// Ascending bitmap order.
+    Dense(Ones<'a>),
+}
+
+impl Iterator for FrontierIter<'_> {
+    type Item = usize;
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            FrontierIter::Sparse(q) => q.next().map(|&i| i as usize),
+            FrontierIter::Dense(ones) => ones.next(),
+        }
+    }
 }
 
 impl Frontier {
@@ -29,7 +53,8 @@ impl Frontier {
     pub fn new(len: usize) -> Self {
         Self {
             bits: Bitmap::new(len),
-            queue: Some(Vec::new()),
+            queue: Vec::new(),
+            sparse: true,
             population: 0,
         }
     }
@@ -51,24 +76,26 @@ impl Frontier {
 
     /// True while the queue representation is live.
     pub fn is_sparse(&self) -> bool {
-        self.queue.is_some()
+        self.sparse
     }
 
     /// Membership test (always O(1)).
+    #[inline]
     pub fn contains(&self, i: usize) -> bool {
         self.bits.get(i)
     }
 
     /// Inserts `i`; returns whether it was already present.
+    #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
         let was = self.bits.set(i);
         if !was {
             self.population += 1;
-            if let Some(q) = &mut self.queue {
+            if self.sparse {
                 if self.population * DENSITY_DIVISOR > self.bits.len() {
-                    self.queue = None; // went dense
+                    self.sparse = false; // went dense
                 } else {
-                    q.push(i as u32);
+                    self.queue.push(i as u32);
                 }
             }
         }
@@ -79,29 +106,28 @@ impl Frontier {
     /// once dense. (Callers that need a fixed order sort; the BFS's
     /// claim semantics are order-independent at the level of validity,
     /// and deterministic for a fixed representation.)
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match &self.queue {
-            Some(q) => Box::new(q.iter().map(|&i| i as usize)),
-            None => Box::new(self.bits.iter_ones()),
+    pub fn iter(&self) -> FrontierIter<'_> {
+        if self.sparse {
+            FrontierIter::Sparse(self.queue.iter())
+        } else {
+            FrontierIter::Dense(self.bits.iter_ones())
         }
     }
 
     /// Members in ascending index order regardless of representation.
     pub fn sorted_members(&self) -> Vec<usize> {
-        match &self.queue {
-            Some(q) => {
-                let mut v: Vec<usize> = q.iter().map(|&i| i as usize).collect();
-                v.sort_unstable();
-                v
-            }
-            None => self.bits.iter_ones().collect(),
+        let mut v: Vec<usize> = self.iter().collect();
+        if self.sparse {
+            v.sort_unstable();
         }
+        v
     }
 
     /// Empties the frontier, keeping capacity and re-arming the queue.
     pub fn clear(&mut self) {
         self.bits.clear_all();
-        self.queue = Some(Vec::new());
+        self.queue.clear();
+        self.sparse = true;
         self.population = 0;
     }
 

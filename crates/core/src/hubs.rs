@@ -54,16 +54,19 @@ impl HubState {
     }
 
     /// Hub index of `v`, if it is a hub.
+    #[inline]
     pub fn hub_index(&self, v: Vid) -> Option<u32> {
         self.set.hub_index(v)
     }
 
     /// True if hub `idx` is in the current frontier.
+    #[inline]
     pub fn in_frontier(&self, idx: u32) -> bool {
         self.curr.get(idx as usize)
     }
 
     /// True if hub `idx` has been settled.
+    #[inline]
     pub fn is_visited(&self, idx: u32) -> bool {
         self.visited.get(idx as usize)
     }
@@ -96,10 +99,7 @@ pub fn gather_hub_level(
     if ranks == 0 {
         return HubGatherStats::default();
     }
-    let nbits = states[0].curr.len();
 
-    let mut merged_curr = Bitmap::new(nbits);
-    let mut merged_visited = Bitmap::new(nbits);
     let mut bytes = 0u64;
     let mut all_empty = true;
     for r in 0..ranks {
@@ -112,13 +112,27 @@ pub fn gather_hub_level(
             (contribs_curr[r].byte_size() + contribs_visited[r].byte_size()) as u64
         };
         bytes += payload * (ranks as u64 - 1);
-        merged_curr.union_with(&contribs_curr[r]);
-        merged_visited.union_with(&contribs_visited[r]);
     }
 
-    for st in states.iter_mut() {
-        st.curr = merged_curr.clone();
-        st.visited.union_with(&merged_visited);
+    // Merge in place, no bitmap allocated: rank 0's `curr` (about to be
+    // replaced anyway) first holds the merged *visited* contributions
+    // while every rank ORs them in, then becomes the merged frontier
+    // the other ranks copy.
+    let (first, rest) = states.split_first_mut().expect("ranks > 0");
+    first.curr.clear_all();
+    for c in contribs_visited {
+        first.curr.union_with(c);
+    }
+    first.visited.union_with(&first.curr);
+    for st in rest.iter_mut() {
+        st.visited.union_with(&first.curr);
+    }
+    first.curr.clear_all();
+    for c in contribs_curr {
+        first.curr.union_with(c);
+    }
+    for st in rest.iter_mut() {
+        st.curr.copy_from(&first.curr);
     }
 
     HubGatherStats { bytes, all_empty }

@@ -30,6 +30,7 @@ use sw_graph::Vid;
 /// One row scan: the three tiers over a neighbour stream. Returns the
 /// parent found, if any; buffered queries are only flushed by the
 /// caller when no tier answered.
+#[inline]
 fn scan_row(
     state: &RankState,
     hubs: &HubState,
@@ -64,18 +65,23 @@ pub fn backward_generator(
     out: &mut Outboxes,
 ) -> ModuleStats {
     let mut stats = ModuleStats::default();
-    let mut queries: Vec<EdgeRec> = Vec::new();
+    let mut queries = std::mem::take(&mut state.scratch.recs);
     let owned = state.owned();
     let num_words = state.visited_bits.words().len();
     for wi in 0..num_words {
         // Snapshot the word: the only bit a claim below can set is the
         // claimed vertex's own, already cleared from the snapshot.
-        let mut w = !state.visited_bits.words()[wi] & tail_mask(wi, owned);
+        let unvisited = !state.visited_bits.words()[wi] & tail_mask(wi, owned);
         stats.words_scanned += 1;
-        if w == 0 {
+        if unvisited == 0 {
             stats.words_skipped += 1;
             continue;
         }
+        // Counted as a scanned word above, whatever it holds; rows
+        // without a neighbour have nothing to scan and no parent to find
+        // (a third of a Kronecker graph, and all that is left unvisited
+        // in the tail levels).
+        let mut w = unvisited & state.has_row().words()[wi];
         while w != 0 {
             let v_local = wi * 64 + w.trailing_zeros() as usize;
             w &= w - 1;
@@ -111,6 +117,7 @@ pub fn backward_generator(
             }
         }
     }
+    state.scratch.recs = queries;
     stats
 }
 
@@ -253,5 +260,57 @@ mod tests {
                 assert!(st_w.bytes_decoded > 0, "coded rows should be exercised");
             }
         }
+    }
+
+    #[test]
+    fn isolated_rows_are_masked_out_but_still_counted() {
+        // 200 vertices over 2 ranks; rank 0 owns 0..100 (two words).
+        // Only every third vertex below 150 has edges; the rest — two
+        // thirds of rank 0's rows, and whole stretches of both words —
+        // are isolated. The masked sweep must match the scalar
+        // reference in parents and records, and count words exactly as
+        // the unmasked sweep did: by what is *unvisited*, isolated or
+        // not.
+        let edges: Vec<(Vid, Vid)> = (0..150u64)
+            .step_by(3)
+            .flat_map(|v| [(v, (v + 3) % 150), (v, (v * 7 + 102) % 150 / 3 * 3)])
+            .collect();
+        let el = EdgeList::new(200, edges);
+        let part = Partition1D::new(200, 2);
+        let hubs = HubState::new(HubSet::from_degrees(vec![(102, 9)], 4));
+        let mut word = RankState::build(0, part, &el);
+        let isolated = (0..word.owned()).filter(|&i| word.csr.degree_local(i) == 0).count();
+        assert!(isolated > 60, "{isolated} isolated rows");
+        let mut refk = word.clone();
+        seed_frontier(&mut word, &[(0, 0), (30, 30)]);
+        seed_frontier(&mut refk, &[(0, 0), (30, 30)]);
+        let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
+        let st_w = backward_generator(&mut word, &hubs, &mut out_w);
+        let st_r = reference::backward_generator(&mut refk, &hubs, &mut out_r);
+        assert_eq!(word.parent, refk.parent);
+        assert_eq!(out_w.parts(), out_r.parts());
+        assert!(out_w.total_records() > 0 && st_w.local_claims > 0);
+        assert_eq!(
+            ModuleStats { words_scanned: 0, words_skipped: 0, ..st_w },
+            st_r,
+            "every counter the reference reports"
+        );
+        // Two words, neither fully settled: scanned, not skipped.
+        assert_eq!((st_w.words_scanned, st_w.words_skipped), (2, 0));
+
+        // Settle every vertex *with* a row: what is left unvisited is
+        // isolated rows only. The words still count as scanned and not
+        // skipped (they hold unvisited vertices), yet no row is scanned.
+        for i in 0..word.owned() {
+            if word.csr.degree_local(i) > 0 {
+                word.claim(i, 0);
+            }
+        }
+        word.advance_level();
+        let mut out = Outboxes::new(2);
+        let st = backward_generator(&mut word, &hubs, &mut out);
+        assert_eq!((st.words_scanned, st.words_skipped), (2, 0));
+        assert_eq!((st.edges_scanned, st.local_claims, out.total_records()), (0, 0, 0));
+        assert_eq!(word.next.count(), 0);
     }
 }

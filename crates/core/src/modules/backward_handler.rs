@@ -1,37 +1,52 @@
 //! Backward Handler (Algorithm 2, `BACKWARD_HANDLER`): answer backward
 //! queries — a *reaction* module: for each query `(u, v)` with `u` in the
 //! current frontier, emit the forward claim `(u, v)` towards `owner(v)`.
+//!
+//! The query inbox may arrive in **any order**: a query is answered by
+//! one frontier-bit test that nothing else in the batch can change. What
+//! must be canonical is the *reply* stream — its order per destination
+//! is the varint codec's delta order and, for self-addressed replies,
+//! the order claims race in — so the handler collects the hits, sorts
+//! those by `(u, v)`, and only then pushes and claims. Replies are a
+//! fraction of the queries (most askers' neighbours are not in the
+//! frontier), which is why the sort lives here and not on the inbox.
 
 use super::{ModuleStats, Outboxes};
 use crate::messages::EdgeRec;
 use crate::rank::RankState;
 
-/// Answers a batch of backward queries. Queries must target vertices this
-/// rank owns (`u` owned here).
+/// Answers a batch of backward queries, in any order. Queries must
+/// target vertices this rank owns (`u` owned here).
 pub fn backward_handler(
     state: &mut RankState,
     records: &[EdgeRec],
     out: &mut Outboxes,
 ) -> ModuleStats {
-    let mut stats = ModuleStats::default();
-    for rec in records {
+    let mut stats = ModuleStats {
+        edges_scanned: records.len() as u64,
+        ..Default::default()
+    };
+    let mut hits = std::mem::take(&mut state.scratch.recs);
+    hits.clear();
+    hits.extend(records.iter().filter(|rec| {
         debug_assert!(state.owns(rec.u), "backward record misrouted");
-        stats.edges_scanned += 1;
-        if state.curr.contains(state.local(rec.u)) {
-            let dest = state.part.owner(rec.v);
-            if dest == state.rank {
-                // The asker is this very rank (possible when a relay path
-                // folds back): claim directly.
-                let vl = state.local(rec.v);
-                if state.claim(vl, rec.u) {
-                    stats.local_claims += 1;
-                }
-            } else {
-                out.push(dest, *rec);
-                stats.records_out += 1;
+        state.curr.contains(state.local(rec.u))
+    }));
+    hits.sort_unstable();
+    for rec in &hits {
+        if state.owns(rec.v) {
+            // The asker is this very rank (possible when a relay path
+            // folds back): claim directly.
+            let vl = state.local(rec.v);
+            if state.claim(vl, rec.u) {
+                stats.local_claims += 1;
             }
+        } else {
+            out.push(state.part.owner(rec.v), *rec);
+            stats.records_out += 1;
         }
     }
+    state.scratch.recs = hits;
     stats
 }
 
@@ -89,5 +104,60 @@ mod tests {
         assert_eq!(stats.local_claims, 1);
         assert_eq!(s.parent[s.local(5)], 4);
         assert_eq!(out.total_records(), 0);
+    }
+
+    #[test]
+    fn any_inbox_order_yields_the_sorted_inbox_replies() {
+        // Rank 1 of 3 owns 8..16; frontier = {8, 9, 11, 15}. Queries from
+        // askers on all three ranks — so replies go to ranks 0 and 2 and
+        // the self-addressed branch claims, with contests (10 and 12 are
+        // each asked about by several frontier vertices) whose winner
+        // the order decides — plus misses and a duplicate.
+        let edges: Vec<(u64, u64)> = (8..16).map(|v| (v, (v + 1) % 24)).collect();
+        let el = EdgeList::new(24, edges);
+        let mut base = RankState::build(1, Partition1D::new(24, 3), &el);
+        for u in [8u64, 9, 11, 15] {
+            let l = base.local(u);
+            base.claim(l, u);
+        }
+        base.advance_level();
+        let frontier = [8u64, 9, 11, 15, 10, 13]; // last two: misses
+        let askers = [0u64, 3, 7, 10, 12, 14, 17, 20, 23];
+        let mut sorted: Vec<EdgeRec> = frontier
+            .iter()
+            .flat_map(|&u| askers.iter().map(move |&v| EdgeRec { u, v }))
+            .collect();
+        sorted.push(EdgeRec { u: 9, v: 3 }); // a multi-edge asks twice
+        sorted.sort_unstable();
+
+        let run = |inbox: &[EdgeRec]| {
+            let mut s = base.clone();
+            let mut out = Outboxes::new(3);
+            let stats = backward_handler(&mut s, inbox, &mut out);
+            (out, stats, s.parent.clone(), s.next.iter().collect::<Vec<_>>())
+        };
+        let (out_sorted, stats_sorted, parent_sorted, next_sorted) = run(&sorted);
+        assert!(stats_sorted.records_out > 0 && stats_sorted.local_claims > 0);
+        assert_eq!(parent_sorted[base.local(10)], 8, "least (u, v) wins the contest");
+
+        // Reversed, rotated, and a fixed-seed Fisher-Yates shuffle.
+        let mut shuffled = sorted.clone();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..shuffled.len()).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            shuffled.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let mut reversed = sorted.clone();
+        reversed.reverse();
+        let mut rotated = sorted.clone();
+        rotated.rotate_left(17);
+        for (label, inbox) in [("shuffled", shuffled), ("reversed", reversed), ("rotated", rotated)] {
+            assert_ne!(inbox, sorted, "{label}");
+            let (out, stats, parent, next) = run(&inbox);
+            assert_eq!(out.parts(), out_sorted.parts(), "{label}: reply stream");
+            assert_eq!(stats, stats_sorted, "{label}: module stats");
+            assert_eq!(parent, parent_sorted, "{label}: self-addressed claims");
+            assert_eq!(next, next_sorted, "{label}: next-frontier order");
+        }
     }
 }

@@ -21,7 +21,7 @@
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
 use crate::messages::EdgeRec;
-use crate::rank::{tail_mask, RankState};
+use crate::rank::{tail_mask, KernelScratch, RankState};
 use crate::NO_PARENT;
 use sw_graph::Vid;
 
@@ -30,6 +30,7 @@ use sw_graph::Vid;
 const BLOCK_BITS: u32 = 12;
 
 /// One frontier row: hub-visited suppression, remote push, local stage.
+#[inline]
 fn scan_row(
     state: &RankState,
     hubs: &HubState,
@@ -56,6 +57,28 @@ fn scan_row(
     }
 }
 
+/// One frontier vertex: its coded row if it has one, else the CSR slice.
+fn scan_vertex(
+    state: &RankState,
+    hubs: &HubState,
+    u_local: usize,
+    staged: &mut Vec<(u32, Vid)>,
+    out: &mut Outboxes,
+    stats: &mut ModuleStats,
+) {
+    let u = state.global(u_local);
+    match state.adjacency.as_ref().and_then(|a| a.coded_row(u_local)) {
+        Some(mut it) => {
+            scan_row(state, hubs, u, it.by_ref(), staged, out, stats);
+            stats.bytes_decoded += it.bytes_read() as u64;
+        }
+        None => {
+            let row = state.csr.neighbors_local(u_local).iter().copied();
+            scan_row(state, hubs, u, row, staged, out, stats);
+        }
+    }
+}
+
 /// Runs the Forward Generator over `state`'s current frontier.
 pub fn forward_generator(
     state: &mut RankState,
@@ -63,16 +86,28 @@ pub fn forward_generator(
     out: &mut Outboxes,
 ) -> ModuleStats {
     let mut stats = ModuleStats::default();
+    let mut scratch = std::mem::take(&mut state.scratch);
+    let KernelScratch {
+        staged,
+        cursors,
+        order,
+        winner,
+        ..
+    } = &mut scratch;
 
-    // Frontier enumeration: queue order while sparse (matching the
-    // reference kernel's `curr.iter()`), word-parallel bitmap sweep once
-    // dense — same ascending order the dense iterator produced.
-    let frontier: Vec<u32> = if state.curr.is_sparse() {
-        state.curr.iter().map(|i| i as u32).collect()
+    // Pass 1 — scan: remote records out in scan order, local claims
+    // staged as (target, parent) in scan order. Frontier enumeration is
+    // queue order while sparse (matching the reference kernel's
+    // `curr.iter()`), a word-parallel bitmap sweep once dense — the same
+    // ascending order the dense iterator produces.
+    staged.clear();
+    if state.curr.is_sparse() {
+        for u_local in state.curr.iter() {
+            scan_vertex(state, hubs, u_local, staged, out, &mut stats);
+        }
     } else {
         let bits = state.curr.as_bitmap();
         let len = bits.len();
-        let mut members = Vec::with_capacity(state.curr.count());
         for (wi, &word) in bits.words().iter().enumerate() {
             stats.words_scanned += 1;
             let mut w = word & tail_mask(wi, len);
@@ -81,36 +116,10 @@ pub fn forward_generator(
                 continue;
             }
             while w != 0 {
-                members.push((wi * 64) as u32 + w.trailing_zeros());
+                let u_local = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
+                scan_vertex(state, hubs, u_local, staged, out, &mut stats);
             }
-        }
-        members
-    };
-
-    // Pass 1 — scan: remote records out in scan order, local claims
-    // staged as (target, parent) in scan order.
-    let mut staged: Vec<(u32, Vid)> = Vec::new();
-    for &u_local in &frontier {
-        let u = state.global(u_local as usize);
-        let coded = state
-            .adjacency
-            .as_ref()
-            .and_then(|a| a.coded_row(u_local as usize));
-        match coded {
-            Some(mut it) => {
-                scan_row(state, hubs, u, it.by_ref(), &mut staged, out, &mut stats);
-                stats.bytes_decoded += it.bytes_read() as u64;
-            }
-            None => scan_row(
-                state,
-                hubs,
-                u,
-                state.csr.neighbors_local(u_local as usize).iter().copied(),
-                &mut staged,
-                out,
-                &mut stats,
-            ),
         }
     }
 
@@ -119,21 +128,24 @@ pub fn forward_generator(
     // block and keep their scan order, so each contest's winner equals
     // the inline loop's.
     let num_blocks = (state.owned() >> BLOCK_BITS) + 1;
-    let mut cursors = vec![0u32; num_blocks + 1];
-    for &(vl, _) in &staged {
+    cursors.clear();
+    cursors.resize(num_blocks + 1, 0);
+    for &(vl, _) in staged.iter() {
         cursors[(vl >> BLOCK_BITS) as usize + 1] += 1;
     }
     for b in 0..num_blocks {
         cursors[b + 1] += cursors[b];
     }
-    let mut order = vec![0u32; staged.len()];
+    order.clear();
+    order.resize(staged.len(), 0);
     for (idx, &(vl, _)) in staged.iter().enumerate() {
         let c = &mut cursors[(vl >> BLOCK_BITS) as usize];
         order[*c as usize] = idx as u32;
         *c += 1;
     }
-    let mut winner = vec![false; staged.len()];
-    for &idx in &order {
+    winner.clear();
+    winner.resize(staged.len(), false);
+    for &idx in order.iter() {
         let (vl, u) = staged[idx as usize];
         if state.parent[vl as usize] == NO_PARENT {
             state.parent[vl as usize] = u;
@@ -143,13 +155,14 @@ pub fn forward_generator(
 
     // Pass 3 — publish winners in original scan order, so the `next`
     // queue records discoveries exactly as the inline loop did.
-    for (idx, &(vl, _)) in staged.iter().enumerate() {
-        if winner[idx] {
+    for (&(vl, _), &won) in staged.iter().zip(winner.iter()) {
+        if won {
             state.visited_bits.set(vl as usize);
             state.next.insert(vl as usize);
             stats.local_claims += 1;
         }
     }
+    state.scratch = scratch;
     stats
 }
 

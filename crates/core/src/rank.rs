@@ -2,6 +2,7 @@
 //! the traversal state.
 
 use crate::frontier::Frontier;
+use crate::messages::EdgeRec;
 use crate::NO_PARENT;
 use sw_graph::compressed::CompressedCsr;
 use sw_graph::{Bitmap, Csr, EdgeList, GraphStore, Partition1D, Vid};
@@ -31,6 +32,33 @@ pub struct RankState {
     pub curr: Frontier,
     /// Owned vertices discovered this level.
     pub next: Frontier,
+    /// First owned global id: `part.range(rank).0`, cached so the
+    /// per-edge ownership test is a subtract-and-compare, not a divide.
+    lo: Vid,
+    /// Bit `i` ⟺ row `i` has at least one neighbour, fixed at
+    /// construction. The Bottom-Up sweep masks its unvisited words with
+    /// it: an isolated vertex can never find a parent.
+    has_row: Bitmap,
+    /// Working buffers of the kernels, kept here so a level allocates
+    /// nothing once they are warm.
+    pub(crate) scratch: KernelScratch,
+}
+
+/// Per-call buffers of the generator and handler kernels. A kernel
+/// `mem::take`s the struct, works, and puts it back with capacity intact.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct KernelScratch {
+    /// Forward Generator: local claims `(target, parent)` in scan order.
+    pub staged: Vec<(u32, Vid)>,
+    /// Forward Generator: per-block cursors of the counting sort.
+    pub cursors: Vec<u32>,
+    /// Forward Generator: staged indices grouped by target block.
+    pub order: Vec<u32>,
+    /// Forward Generator: which staged claims won.
+    pub winner: Vec<bool>,
+    /// Backward Generator: one row's pending queries. Backward Handler:
+    /// the queries that hit the frontier.
+    pub recs: Vec<EdgeRec>,
 }
 
 impl RankState {
@@ -38,16 +66,32 @@ impl RankState {
     pub fn build(rank: u32, part: Partition1D, edges: &EdgeList) -> Self {
         let (start, end) = part.range(rank);
         let csr = Csr::from_edge_list_rows(edges, start, end - start);
-        let owned = (end - start) as usize;
+        Self::over(rank, part, csr, None)
+    }
+
+    /// Fresh traversal state over an owned CSR slice.
+    fn over(rank: u32, part: Partition1D, csr: Csr, adjacency: Option<CompressedCsr>) -> Self {
+        let owned = csr.num_rows() as usize;
+        let (lo, hi) = part.range(rank);
+        assert_eq!((hi - lo) as usize, owned, "CSR rows disagree with the partition");
+        let mut has_row = Bitmap::new(owned);
+        for (i, w) in csr.offsets().windows(2).enumerate() {
+            if w[1] > w[0] {
+                has_row.set(i);
+            }
+        }
         Self {
             rank,
             part,
             csr,
-            adjacency: None,
+            adjacency,
             parent: vec![NO_PARENT; owned],
             visited_bits: Bitmap::new(owned),
             curr: Frontier::new(owned),
             next: Frontier::new(owned),
+            lo,
+            has_row,
+            scratch: KernelScratch::default(),
         }
     }
 
@@ -60,19 +104,7 @@ impl RankState {
     /// records `degree_ordered` / `hub_min_degree` and engine
     /// construction refuses a config that disagrees.
     pub fn from_store(rank: u32, part: Partition1D, store: &GraphStore) -> Self {
-        let csr = store.csr();
-        let adjacency = store.compressed();
-        let owned = csr.num_rows() as usize;
-        Self {
-            rank,
-            part,
-            csr,
-            adjacency,
-            parent: vec![NO_PARENT; owned],
-            visited_bits: Bitmap::new(owned),
-            curr: Frontier::new(owned),
-            next: Frontier::new(owned),
-        }
+        Self::over(rank, part, store.csr(), store.compressed())
     }
 
     /// Builds the byte-coded sidecar for rows with degree at least
@@ -90,20 +122,29 @@ impl RankState {
         self.parent.len()
     }
 
-    /// True if this rank owns global vertex `v`.
+    /// True if this rank owns global vertex `v`: one range test against
+    /// the cached block (ids below `lo` wrap to huge offsets).
+    #[inline]
     pub fn owns(&self, v: Vid) -> bool {
-        self.part.owner(v) == self.rank
+        v.wrapping_sub(self.lo) < self.parent.len() as Vid
     }
 
     /// Local index of an owned global vertex.
+    #[inline]
     pub fn local(&self, v: Vid) -> usize {
         debug_assert!(self.owns(v));
-        self.part.to_local(v) as usize
+        (v - self.lo) as usize
     }
 
     /// Global id of a local index.
+    #[inline]
     pub fn global(&self, local: usize) -> Vid {
-        self.part.to_global(self.rank, local as u32)
+        self.lo + local as Vid
+    }
+
+    /// Rows with at least one neighbour, as a bitmap over local indices.
+    pub(crate) fn has_row(&self) -> &Bitmap {
+        &self.has_row
     }
 
     /// True if the owned vertex at `local` has been settled.
@@ -113,6 +154,7 @@ impl RankState {
 
     /// Claims vertex `local` for `parent` if unclaimed; returns whether the
     /// claim won. Winners enter `next` and the visited bitmap.
+    #[inline]
     pub fn claim(&mut self, local: usize, parent: Vid) -> bool {
         if self.parent[local] == NO_PARENT {
             self.parent[local] = parent;
@@ -222,9 +264,42 @@ mod tests {
         assert_eq!(r0.owned(), 3);
         assert_eq!(r1.owned(), 3);
         assert!(r0.owns(2) && !r0.owns(3));
+        assert!(r1.owns(3) && r1.owns(5) && !r1.owns(2) && !r1.owns(6));
         assert_eq!(r1.local(3), 0);
         assert_eq!(r1.global(0), 3);
         assert_eq!(r0.csr.neighbors(2), &[1, 3]);
+    }
+
+    #[test]
+    fn range_test_agrees_with_the_partition_algebra() {
+        // Uneven blocks and empty tail ranks: 10 ids over 4 ranks owns
+        // [0,3) [3,6) [6,9) [9,10); 5 ids over 8 ranks leaves ranks 5-7
+        // empty.
+        for (n, p) in [(10u64, 4u32), (5, 8), (64, 1)] {
+            let el = EdgeList::new(n, vec![(0, n - 1)]);
+            let part = Partition1D::new(n, p);
+            for rank in 0..p {
+                let r = RankState::build(rank, part, &el);
+                assert_eq!(r.owned() as u64, part.owned_count(rank));
+                for v in 0..n {
+                    assert_eq!(r.owns(v), part.owner(v) == rank, "n={n} p={p} rank={rank} v={v}");
+                    if r.owns(v) {
+                        assert_eq!(r.local(v), part.to_local(v) as usize);
+                        assert_eq!(r.global(r.local(v)), v);
+                    }
+                }
+                assert!(!r.owns(n) && !r.owns(Vid::MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn has_row_marks_exactly_the_rows_with_neighbours() {
+        let el = EdgeList::new(70, vec![(0, 1), (1, 65), (69, 69)]);
+        let r = RankState::build(0, Partition1D::new(70, 1), &el);
+        let expect: Vec<usize> = (0..70).filter(|&i| r.csr.degree_local(i) > 0).collect();
+        assert_eq!(r.has_row().iter_ones().collect::<Vec<_>>(), expect);
+        assert!(expect.contains(&65) && !expect.contains(&2));
     }
 
     #[test]

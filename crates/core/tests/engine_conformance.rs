@@ -102,6 +102,28 @@ fn check_oracle_parity<T: Transport>(make: fn() -> T) {
             oracle,
             "{name}/{messaging:?}: level map diverges from the sequential oracle"
         );
+        // The policy inputs are carried, not swept (`m_u` is the total
+        // minus every frontier's `m_f` so far): hold both to the degree
+        // sums the oracle's level map implies, at every level.
+        let degree_sum = |keep: &dyn Fn(Option<u32>) -> bool| -> u64 {
+            (0..engine.num_vertices())
+                .filter(|&v| keep(oracle[v as usize]))
+                .map(|v| engine.degree_of(v))
+                .sum()
+        };
+        for ls in &out.levels {
+            let l = ls.level;
+            assert_eq!(
+                ls.frontier_edges,
+                degree_sum(&|lv| lv == Some(l)),
+                "{name}/{messaging:?}: m_f at level {l}"
+            );
+            assert_eq!(
+                ls.unvisited_edges,
+                degree_sum(&|lv| lv.is_none_or(|x| x > l)),
+                "{name}/{messaging:?}: m_u at level {l}"
+            );
+        }
         // Tree edges must exist in the graph (Graph500 validation rule).
         let edges: std::collections::HashSet<(Vid, Vid)> = el.symmetric_iter().collect();
         for (v, &p) in out.parents.iter().enumerate() {

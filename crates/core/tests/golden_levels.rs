@@ -1,0 +1,135 @@
+//! Golden digests of whole BFS runs, captured at the commit *before*
+//! the engine-level cost work (PR 19) and held fixed across it.
+//!
+//! The differential suites (`kernel_parity`, `engine_conformance`,
+//! `chaos`) compare two things built from the same tree, so a change
+//! that moves both sides together passes them. These constants do not
+//! move with the tree: the FNV-1a digest folds the full parent map and
+//! every field of every [`LevelStats`] — direction, `m_f`, `m_u`, edges
+//! scanned, records, messages, **bytes** (so varint wire order counts),
+//! claims, hub skips, gather bytes, settled, word counters — for eight
+//! roots per configuration on SharedMem × {Direct, Relay} × {fixed,
+//! varint}.
+
+use swbfs_core::engine::ClusterBuilder;
+use swbfs_core::result::LevelStats;
+use swbfs_core::{BfsConfig, BfsOutput, Messaging};
+use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
+
+const SCALE: u32 = 12;
+const RANKS: u32 = 8;
+const ROOTS: usize = 8;
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fold_level(h: &mut u64, ls: &LevelStats) {
+    // Destructured so a new `LevelStats` field fails to compile here
+    // instead of silently staying out of the digest.
+    let LevelStats {
+        level,
+        direction,
+        frontier_vertices,
+        frontier_edges,
+        unvisited_edges,
+        edges_scanned,
+        records_generated,
+        records_sent,
+        messages_sent,
+        bytes_sent,
+        local_claims,
+        hub_skips,
+        hub_gather_bytes,
+        settled,
+        words_scanned,
+        words_skipped,
+        bytes_decoded,
+    } = *ls;
+    for x in [
+        level as u64,
+        direction as u64,
+        frontier_vertices,
+        frontier_edges,
+        unvisited_edges,
+        edges_scanned,
+        records_generated,
+        records_sent,
+        messages_sent,
+        bytes_sent,
+        local_claims,
+        hub_skips,
+        hub_gather_bytes,
+        settled,
+        words_scanned,
+        words_skipped,
+        bytes_decoded,
+    ] {
+        fnv(h, x);
+    }
+}
+
+fn fold_run(h: &mut u64, out: &BfsOutput) {
+    fnv(h, out.root);
+    for &p in &out.parents {
+        fnv(h, p);
+    }
+    fnv(h, out.levels.len() as u64);
+    for ls in &out.levels {
+        fold_level(h, ls);
+    }
+}
+
+/// Digest of `ROOTS` runs of one configuration on one engine (reused
+/// across roots, as the Graph500 driver reuses it).
+fn digest(messaging: Messaging, varint: bool) -> u64 {
+    let el = generate_kronecker(&KroneckerConfig::graph500(SCALE, 19));
+    let mut cfg = BfsConfig::threaded_small(2).with_messaging(messaging);
+    if varint {
+        cfg = cfg.with_compression();
+    }
+    let mut engine = ClusterBuilder::new(&el, RANKS, cfg).build().unwrap();
+    // Every 97th vertex with an edge: spread over all ranks, hubs and
+    // leaves alike, all in the giant component or a small one.
+    let roots: Vec<Vid> = (0..engine.num_vertices())
+        .filter(|&v| engine.degree_of(v) > 0)
+        .step_by(97)
+        .take(ROOTS)
+        .collect();
+    assert_eq!(roots.len(), ROOTS);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut bottom_up_levels = 0;
+    for &root in &roots {
+        let out = engine.run(root).unwrap();
+        bottom_up_levels += out
+            .levels
+            .iter()
+            .filter(|ls| ls.direction == swbfs_core::policy::Direction::BottomUp)
+            .count();
+        fold_run(&mut h, &out);
+    }
+    assert!(bottom_up_levels > 0, "the digest must cover Bottom-Up levels");
+    h
+}
+
+#[test]
+fn shared_mem_runs_match_the_digests_pinned_before_pr19() {
+    // (messaging, varint codec, digest at commit 8d688c2)
+    let golden = [
+        (Messaging::Direct, false, 0xb485_81e9_000d_ea8e_u64),
+        (Messaging::Direct, true, 0xb55c_e7ab_7015_be0e),
+        (Messaging::Relay, false, 0xfdd4_039b_69ff_9ce1),
+        (Messaging::Relay, true, 0xb4aa_6255_c3f9_8b8a),
+    ];
+    for (messaging, varint, want) in golden {
+        let got = digest(messaging, varint);
+        assert_eq!(
+            got, want,
+            "{messaging:?}/varint={varint}: digest {got:#018x} differs from the pinned \
+             {want:#018x} — parents or a LevelStats field moved"
+        );
+    }
+}

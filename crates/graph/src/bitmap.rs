@@ -36,12 +36,14 @@ impl Bitmap {
     }
 
     /// Reads bit `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range {}", self.len);
         self.words[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
     }
 
     /// Sets bit `i`; returns the previous value.
+    #[inline]
     pub fn set(&mut self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range {}", self.len);
         let w = &mut self.words[i / WORD_BITS];
@@ -81,10 +83,12 @@ impl Bitmap {
     }
 
     /// Iterates the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            BitIter { word: w }.map(move |b| wi * WORD_BITS + b)
-        })
+    pub fn iter_ones(&self) -> Ones<'_> {
+        Ones {
+            words: &self.words,
+            next_word: 0,
+            word: 0,
+        }
     }
 
     /// Serializes to the packed word representation (for network transfer).
@@ -120,6 +124,13 @@ impl Bitmap {
         for (a, &b) in self.words.iter_mut().zip(words) {
             *a |= b;
         }
+    }
+
+    /// Overwrites this bitmap with `other`'s bits (same length), keeping
+    /// the allocation — what `*self = other.clone()` does without one.
+    pub fn copy_from(&mut self, other: &Bitmap) {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        self.words.copy_from_slice(&other.words);
     }
 
     /// Number of set bits in the half-open bit range `lo..hi`.
@@ -184,19 +195,28 @@ impl Bitmap {
     }
 }
 
-struct BitIter {
+/// Ascending iterator over a [`Bitmap`]'s set bits
+/// ([`Bitmap::iter_ones`]): zero words cost one compare each.
+#[derive(Clone, Debug)]
+pub struct Ones<'a> {
+    words: &'a [u64],
+    /// Index of the next word to load.
+    next_word: usize,
+    /// Unreported bits of word `next_word - 1`.
     word: u64,
 }
 
-impl Iterator for BitIter {
+impl Iterator for Ones<'_> {
     type Item = usize;
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        if self.word == 0 {
-            return None;
+        while self.word == 0 {
+            self.word = *self.words.get(self.next_word)?;
+            self.next_word += 1;
         }
         let b = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1;
-        Some(b)
+        Some((self.next_word - 1) * WORD_BITS + b)
     }
 }
 
@@ -320,6 +340,10 @@ mod tests {
         let mut other = Bitmap::new(130);
         other.or_assign(b.words());
         assert_eq!(other, b);
+        let mut copy = Bitmap::new(130);
+        copy.set(7); // overwritten, not merged
+        copy.copy_from(&b);
+        assert_eq!(copy, b);
     }
 
     #[test]

@@ -45,6 +45,7 @@ impl Partition1D {
     }
 
     /// The owning rank of global vertex `v`.
+    #[inline]
     pub fn owner(&self, v: Vid) -> u32 {
         debug_assert!(v < self.num_vertices);
         (v / self.block) as u32
@@ -65,11 +66,13 @@ impl Partition1D {
     }
 
     /// Translates a global id to its owner-local index.
+    #[inline]
     pub fn to_local(&self, v: Vid) -> LocalVid {
         (v % self.block) as LocalVid
     }
 
     /// Translates `(rank, local)` back to the global id.
+    #[inline]
     pub fn to_global(&self, rank: u32, local: LocalVid) -> Vid {
         rank as Vid * self.block + local as Vid
     }
