@@ -50,12 +50,23 @@
 //! orchestrator teardown a one-liner: close the control sockets.
 //! Protocol violations exit 43; the `SWBFS_RANKD_DIE_AT_PHASE` chaos
 //! knob exits 41 after collecting that phase's `XMIT`s.
+//!
+//! ## Loop
+//!
+//! One thread; a pass is one `poll(2)` over every descriptor the daemon
+//! owns, then one `read` on each descriptor it flagged (an `accept`
+//! only if it flagged the listener), then a parse of *every* decoder,
+//! flagged or not, then whatever sends and reports the parsed frames
+//! completed. Reading is what costs, so it waits for readiness;
+//! parsing an empty decoder costs nothing, so it does not — which is
+//! why bytes that rode in behind an earlier frame are never stranded.
 
 use super::sys::{poll_fds, Addr, Conn, Listener, PollFd, Stream, POLLIN, POLLOUT};
 use super::{
     CODE_DROP, CODE_TRUNCATE, DIE_AT_PHASE_ENV, KIND_BYE, KIND_HELLO, KIND_INBOX, KIND_MSG,
     KIND_PEER, KIND_READY, KIND_STATX, KIND_TABLE, KIND_TELEM, KIND_XMIT,
 };
+use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 use sw_net::framing::Frame;
 use sw_trace::live::LatencyHistogram;
@@ -123,6 +134,8 @@ struct Rankd {
     ins: Vec<Vec<Conn>>,
     /// Accepted but not yet identified (no `PEER` frame seen).
     anon: Vec<Conn>,
+    /// `poll_once`'s descriptor set, kept for its allocation.
+    fds: Vec<PollFd>,
     phase: u32,
     /// This phase's `XMIT` payloads, per destination.
     xmits: Vec<Option<Frame>>,
@@ -210,6 +223,7 @@ impl Rankd {
             out,
             ins: (0..ranks).map(|_| Vec::new()).collect(),
             anon: Vec::new(),
+            fds: Vec::new(),
             phase: 0,
             xmits: (0..ranks).map(|_| None).collect(),
             xmit_count: 0,
@@ -260,62 +274,48 @@ impl Rankd {
     }
 
     /// One bounded wait for readiness across every file descriptor the
-    /// daemon owns.
+    /// daemon owns, then one `read` on each descriptor `poll` flagged
+    /// (and `accept` only when it flagged the listener).
     fn poll_once(&mut self) -> Result<(), Violation> {
-        let mut fds = Vec::with_capacity(2 + 2 * self.ranks + self.anon.len());
-        let ev = if self.ctrl.pending_out() > 0 {
-            POLLIN | POLLOUT
-        } else {
-            POLLIN
-        };
-        fds.push(PollFd {
-            fd: self.ctrl.fd(),
-            events: ev,
-            revents: 0,
-        });
-        fds.push(PollFd {
-            fd: {
-                use std::os::unix::io::AsRawFd;
-                self.listener.as_raw_fd()
-            },
-            events: POLLIN,
-            revents: 0,
-        });
-        for conns in &self.ins {
-            for c in conns {
-                fds.push(PollFd {
-                    fd: c.fd(),
-                    events: POLLIN,
-                    revents: 0,
-                });
+        let watch = |fd, events| PollFd { fd, events, revents: 0 };
+        let ctrl_out = if self.ctrl.pending_out() > 0 { POLLOUT } else { 0 };
+        let fds = &mut self.fds;
+        fds.clear();
+        fds.push(watch(self.ctrl.fd(), POLLIN | ctrl_out));
+        fds.push(watch(self.listener.as_raw_fd(), POLLIN));
+        let inbound = self.ins.iter().flatten().chain(&self.anon);
+        fds.extend(inbound.map(|c| watch(c.fd(), POLLIN)));
+        let writers = self.out.iter().flatten().filter(|c| c.pending_out() > 0);
+        fds.extend(writers.map(|c| watch(c.fd(), POLLOUT)));
+        poll_fds(fds, 100).map_err(|_| Violation("poll failed"))?;
+
+        // POLLHUP/POLLERR count as readable: the read is what turns
+        // them into an EOF or an error.
+        if fds[0].revents & !POLLOUT != 0 && self.ctrl.fill().is_err() {
+            // Parent vanished mid-read; same as EOF.
+            self.ctrl.eof = true;
+        }
+        let inbound = self.ins.iter_mut().flatten().chain(&mut self.anon);
+        for (conn, fd) in inbound.zip(&fds[2..]) {
+            if fd.revents != 0 {
+                let _ = conn.fill();
             }
         }
-        for c in &self.anon {
-            fds.push(PollFd {
-                fd: c.fd(),
-                events: POLLIN,
-                revents: 0,
-            });
-        }
-        for conn in self.out.iter().flatten() {
-            if conn.pending_out() > 0 {
-                fds.push(PollFd {
-                    fd: conn.fd(),
-                    events: POLLOUT,
-                    revents: 0,
-                });
+        if fds[1].revents != 0 {
+            while let Ok(Some(stream)) = self.listener.accept() {
+                // A new connection was not polled: read it once now
+                // (its `PEER` is usually already there).
+                let mut conn = Conn::new(stream);
+                let _ = conn.fill();
+                self.anon.push(conn);
             }
         }
-        poll_fds(&mut fds, 100).map_err(|_| Violation("poll failed"))?;
         Ok(())
     }
 
-    /// Drains the control connection. `Some(code)` means exit.
+    /// Parses what the control connection has buffered. `Some(code)`
+    /// means exit.
     fn pump_ctrl(&mut self) -> Result<Option<i32>, Violation> {
-        if self.ctrl.fill().is_err() {
-            // Parent vanished mid-read; same as EOF.
-            return Ok(Some(0));
-        }
         loop {
             match self.ctrl.next_frame() {
                 Ok(Some(f)) => match f.kind {
@@ -349,18 +349,20 @@ impl Rankd {
         Ok(None)
     }
 
-    /// Accepts new mesh connections, identifies them, and drains
-    /// identified ones into this phase's message slots.
+    /// Identifies new mesh connections and parses what identified
+    /// ones have buffered into this phase's message slots. Both loops
+    /// run over every connection, flagged by `poll` or not — parsing
+    /// an empty decoder is free — because a `MSG` can already be in a
+    /// decoder no later read will announce: one that arrived in the
+    /// same segment as its connection's `PEER` (handshake, and every
+    /// fault-realization reconnect) was read by the identifying
+    /// `fill`, and is parsed below once the connection has moved to
+    /// `ins`, in this same pass.
     fn pump_mesh_in(&mut self) -> Result<(), Violation> {
-        while let Ok(Some(stream)) = self.listener.accept() {
-            self.anon.push(Conn::new(stream));
-        }
-
         // Identify: the first frame on any inbound mesh connection must
         // be PEER{src}.
         let mut still_anon = Vec::new();
         for mut conn in std::mem::take(&mut self.anon) {
-            let _ = conn.fill();
             match conn.next_frame() {
                 Ok(Some(f)) if f.kind == KIND_PEER => {
                     let s = f.src as usize;
@@ -385,7 +387,6 @@ impl Rankd {
         for s in 0..self.ranks {
             let mut keep = Vec::new();
             for mut conn in std::mem::take(&mut self.ins[s]) {
-                let _ = conn.fill();
                 loop {
                     match conn.next_frame() {
                         Ok(Some(f)) if f.kind == KIND_MSG => {
@@ -594,5 +595,96 @@ fn wait_frame(conn: &mut Conn, deadline: Instant) -> Result<Frame, Violation> {
         if conn.fill().is_err() {
             return Err(Violation("connection broke while awaiting a frame"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use sw_net::framing::FrameDecoder;
+
+    /// Blocking read of the stream's next frame. The 5 s read timeout is
+    /// the test's verdict on a stuck daemon, long before the 60 s the
+    /// orchestrator would give a phase.
+    fn read_frame(stream: &mut UnixStream, dec: &mut FrameDecoder) -> Frame {
+        loop {
+            if let Some(f) = dec.next_frame().expect("well-formed stream") {
+                return f;
+            }
+            let mut buf = [0u8; 4096];
+            let n = stream.read(&mut buf).expect("the daemon answers within the read timeout");
+            assert!(n > 0, "the daemon closed the connection");
+            dec.extend(&buf[..n]);
+        }
+    }
+
+    /// The wake-up a readiness-driven loop can lose: rank 1 writes its
+    /// connection's `PEER` and phase 0's `MSG` in one `write`, so the
+    /// `fill` that identifies the connection takes the `MSG` along and
+    /// no later readiness will ever announce it. It is the last thing
+    /// the phase waits for (the daemon's own send is already out), so
+    /// nothing else wakes the loop either: the phase completes in that
+    /// same pass or it sits out the 100 ms poll. The test plays the
+    /// orchestrator and rank 1 around a real `Rankd` for rank 0 of 2.
+    #[test]
+    fn a_msg_written_together_with_its_peer_frame_completes_the_phase() {
+        let dir = std::env::temp_dir().join(format!("swb-rankd-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ctrl_listener = UnixListener::bind(dir.join("ctrl.sock")).unwrap();
+        let rank1_listener = UnixListener::bind(dir.join("rank1.sock")).unwrap();
+        let ctrl_addr = Addr::Unix(dir.join("ctrl.sock"));
+        let daemon = std::thread::spawn(move || {
+            Rankd::handshake(ctrl_addr, 0, 2).and_then(Rankd::run).map_err(|v| v.0)
+        });
+        let timeout = Some(Duration::from_secs(5));
+
+        let (mut ctrl, _) = ctrl_listener.accept().unwrap();
+        ctrl.set_read_timeout(timeout).unwrap();
+        let mut ctrl_dec = FrameDecoder::new();
+        let hello = read_frame(&mut ctrl, &mut ctrl_dec);
+        assert_eq!(hello.kind, KIND_HELLO);
+        let mesh0 = String::from_utf8(hello.payload).unwrap();
+        let mut table = Frame::control(KIND_TABLE, 0, 0, 0);
+        table.payload = format!("{mesh0}\n{}", Addr::Unix(dir.join("rank1.sock"))).into_bytes();
+        ctrl.write_all(&table.encode()).unwrap();
+        let (mut from0, _) = rank1_listener.accept().unwrap();
+        from0.set_read_timeout(timeout).unwrap();
+        let mut from0_dec = FrameDecoder::new();
+        assert_eq!(read_frame(&mut from0, &mut from0_dec).kind, KIND_PEER);
+        assert_eq!(read_frame(&mut ctrl, &mut ctrl_dec).kind, KIND_READY);
+
+        // No pre-send fault codes, not deferred, then the body.
+        let mut xmit = Frame::control(KIND_XMIT, 0, 0, 1);
+        xmit.payload = [&[0, 0][..], b"from rank 0"].concat();
+        ctrl.write_all(&xmit.encode()).unwrap();
+        let sent = read_frame(&mut from0, &mut from0_dec);
+        assert_eq!((sent.kind, sent.phase, sent.src, sent.dst), (KIND_MSG, 0, 0, 1));
+        assert_eq!(sent.payload, b"from rank 0");
+
+        let Some(Addr::Unix(mesh0)) = Addr::parse(&mesh0) else {
+            panic!("a Unix-socket daemon advertises a Unix mesh address");
+        };
+        let mut to0 = UnixStream::connect(mesh0).unwrap();
+        let mut peer_and_msg = Frame::control(KIND_PEER, 0, 1, 0).encode();
+        let mut msg = Frame::control(KIND_MSG, 0, 1, 0);
+        msg.payload = b"from rank 1".to_vec();
+        msg.encode_into(&mut peer_and_msg);
+        let written = Instant::now();
+        to0.write_all(&peer_and_msg).unwrap();
+
+        let inbox = read_frame(&mut ctrl, &mut ctrl_dec);
+        let waited = written.elapsed();
+        assert_eq!((inbox.kind, inbox.phase, inbox.src, inbox.dst), (KIND_INBOX, 0, 1, 0));
+        assert_eq!(inbox.payload, b"from rank 1");
+        assert!(waited < Duration::from_millis(50), "the MSG sat in its decoder for {waited:?}");
+        assert_eq!(read_frame(&mut ctrl, &mut ctrl_dec).kind, KIND_STATX);
+        assert_eq!(read_frame(&mut ctrl, &mut ctrl_dec).kind, KIND_TELEM);
+
+        // Control-connection EOF is the teardown signal.
+        drop(ctrl);
+        assert_eq!(daemon.join().unwrap(), Ok(0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

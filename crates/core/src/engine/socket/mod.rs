@@ -784,29 +784,32 @@ fn drive_phase(
     incidents: &mut WireIncidents,
     deadline: Instant,
 ) -> Option<PhaseFailure> {
+    let mut fds: Vec<PollFd> = Vec::with_capacity(p);
     while *inboxes_left > 0 || statx.iter().any(|s| !s) || telem_done.iter().any(|t| !t) {
         if Instant::now() >= deadline {
             return Some(PhaseFailure::Proto("exchange deadline exceeded"));
         }
-        let mut fds: Vec<PollFd> = fab
-            .ctrl
-            .iter()
-            .map(|c| PollFd {
-                fd: c.fd(),
-                events: if c.pending_out() > 0 {
-                    POLLIN | POLLOUT
-                } else {
-                    POLLIN
-                },
-                revents: 0,
-            })
-            .collect();
+        fds.clear();
+        fds.extend(fab.ctrl.iter().map(|c| PollFd {
+            fd: c.fd(),
+            events: if c.pending_out() > 0 {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            },
+            revents: 0,
+        }));
         if poll_fds(&mut fds, 100).is_err() {
             return Some(PhaseFailure::Proto("orchestrator poll failed"));
         }
 
-        for (r, c) in fab.ctrl.iter_mut().enumerate() {
-            if c.flush().is_err() || c.fill().is_err() {
+        for ((r, c), fd) in fab.ctrl.iter_mut().enumerate().zip(&fds) {
+            // Read only where `poll` saw something (POLLHUP/POLLERR
+            // included: the read turns them into EOF or an error). The
+            // parse loop below runs regardless — it is free, and it is
+            // what makes skipping the read safe.
+            let readable = fd.revents & !POLLOUT != 0;
+            if c.flush().is_err() || (readable && c.fill().is_err()) {
                 return Some(PhaseFailure::Peer(r));
             }
             loop {

@@ -9,6 +9,13 @@
 //! run nonblocking after connection setup — short reads, short writes,
 //! and `WouldBlock` are the normal case, which is exactly what the
 //! framing layer is built to absorb.
+//!
+//! Reads are readiness-driven: a loop calls [`Conn::fill`] on the
+//! descriptors `poll` flagged, and one `fill` is one `read` of at most
+//! [`READ_CHUNK`] bytes. `poll` is level-triggered, so whatever a read
+//! left in the kernel — more bytes, or the EOF behind them — flags the
+//! descriptor again on the next pass; nobody has to read on to
+//! `WouldBlock` to find out.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -126,7 +133,7 @@ impl Listener {
         };
         match res {
             Ok(s) => {
-                s.set_nonblocking(true)?;
+                s.configure()?;
                 Ok(Some(s))
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
@@ -153,7 +160,7 @@ pub(crate) enum Stream {
 impl Stream {
     /// Connects to `addr`, retrying briefly on refusals (a peer's
     /// accept backlog can lag under the fault-realization reconnect
-    /// storm), then switches to nonblocking.
+    /// storm), then switches to nonblocking (and `TCP_NODELAY`).
     pub fn connect(addr: &Addr, deadline: Instant) -> io::Result<Stream> {
         loop {
             let res = match addr {
@@ -162,7 +169,7 @@ impl Stream {
             };
             match res {
                 Ok(s) => {
-                    s.set_nonblocking(true)?;
+                    s.configure()?;
                     return Ok(s);
                 }
                 Err(e) => {
@@ -175,10 +182,17 @@ impl Stream {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// Every fabric stream runs nonblocking. TCP additionally runs
+    /// with Nagle off: the mesh is unidirectional, so nothing flows
+    /// back to piggyback an ACK on, and a second small write on a
+    /// connection would otherwise sit out the peer's delayed ACK.
+    fn configure(&self) -> io::Result<()> {
         match self {
-            Stream::Unix(s) => s.set_nonblocking(nb),
-            Stream::Tcp(s) => s.set_nonblocking(nb),
+            Stream::Unix(s) => s.set_nonblocking(true),
+            Stream::Tcp(s) => {
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)
+            }
         }
     }
 
@@ -215,16 +229,28 @@ impl AsRawFd for Stream {
     }
 }
 
+/// Most bytes one [`Conn::fill`] takes off its socket: the bound on
+/// what a single readiness event may make a connection buffer, however
+/// fast its peer writes. It is also the size of the read buffer a
+/// connection keeps once it has read (one that never reads — the
+/// outgoing half of the mesh — keeps none), so it is sized for the
+/// fabric's usual frames — a phase's worth for one rank is a few KB —
+/// and longer frames simply take more readiness events.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A buffered framed connection: incremental [`FrameDecoder`] on the
 /// read side, a byte queue drained by `WouldBlock`-aware writes on the
 /// write side. One poll-loop thread services any number of these.
 pub(crate) struct Conn {
     stream: Stream,
+    /// Where `fill` reads into: empty until the first read, then
+    /// [`READ_CHUNK`] bytes zeroed once and reused as they are.
+    rbuf: Vec<u8>,
     dec: FrameDecoder,
     outq: Vec<u8>,
     sent: usize,
-    /// The peer closed its write side (all buffered bytes already
-    /// consumed by `fill`).
+    /// A `read` returned 0: the peer closed its write side and every
+    /// byte it wrote before that is already in the decoder.
     pub eof: bool,
 }
 
@@ -232,6 +258,7 @@ impl Conn {
     pub fn new(stream: Stream) -> Self {
         Self {
             stream,
+            rbuf: Vec::new(),
             dec: FrameDecoder::new(),
             outq: Vec::new(),
             sent: 0,
@@ -286,21 +313,23 @@ impl Conn {
         self.sent = 0;
     }
 
-    /// Reads until `WouldBlock` or EOF, feeding the frame decoder.
+    /// One `read` of at most [`READ_CHUNK`] bytes, fed to the frame
+    /// decoder. Call it on a descriptor `poll` flagged: bytes (or the
+    /// EOF) this read did not reach flag it again.
     pub fn fill(&mut self) -> io::Result<()> {
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read_nb(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(n) => self.dec.extend(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        if self.rbuf.is_empty() {
+            self.rbuf = vec![0; READ_CHUNK];
         }
+        match self.stream.read_nb(&mut self.rbuf) {
+            Ok(0) => self.eof = true,
+            Ok(n) => self.dec.extend(&self.rbuf[..n]),
+            // Nothing this time; if there is something after all,
+            // `poll` flags the descriptor again.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// Next complete frame already buffered, if any.
@@ -347,5 +376,114 @@ impl Conn {
     /// `ECONNRESET`) where a message was due.
     pub fn shutdown(&self) {
         self.stream.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sw_net::framing::FRAME_HEADER_BYTES;
+
+    fn sample(n: usize) -> Frame {
+        let mut f = Frame::control(6, 3, 1, 2);
+        f.payload = (0..n).map(|i| i as u8).collect();
+        f
+    }
+
+    /// A nonblocking `Conn` and the blocking stream its peer writes to.
+    fn pair() -> (Conn, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let ours = Stream::Unix(ours);
+        ours.configure().unwrap();
+        (Conn::new(ours), theirs)
+    }
+
+    #[test]
+    fn a_frame_split_across_two_writes_is_held_back_then_delivered_whole() {
+        let (mut conn, mut peer) = pair();
+        let bytes = sample(300).encode();
+        peer.write_all(&bytes[..100]).unwrap();
+        conn.fill().unwrap();
+        assert_eq!(conn.next_frame(), Ok(None), "a partial frame never surfaces");
+        peer.write_all(&bytes[100..]).unwrap();
+        conn.fill().unwrap();
+        assert_eq!(conn.next_frame(), Ok(Some(sample(300))));
+        assert_eq!(conn.next_frame(), Ok(None));
+        // Nothing to read is not an error and not an EOF.
+        conn.fill().unwrap();
+        assert!(!conn.eof);
+    }
+
+    /// One `fill` is one `read`: had the first `fill` read on after its
+    /// short read it would have met the EOF already waiting behind the
+    /// frame. It surfaces on the next readiness instead.
+    #[test]
+    fn a_short_read_ends_fill_and_eof_surfaces_on_the_next_one() {
+        let (mut conn, mut peer) = pair();
+        peer.write_all(&sample(40).encode()).unwrap();
+        drop(peer);
+        conn.fill().unwrap();
+        assert!(!conn.eof, "fill read past a short read");
+        assert_eq!(conn.next_frame(), Ok(Some(sample(40))));
+        conn.fill().unwrap();
+        assert!(conn.eof);
+        assert_eq!(conn.finish(), Ok(()));
+    }
+
+    /// A peer that writes faster than we parse grows the decoder by one
+    /// chunk per readiness event, not by whatever it managed to queue.
+    #[test]
+    fn one_readiness_event_buffers_at_most_one_chunk() {
+        let (mut conn, mut peer) = pair();
+        let bytes = sample(3 * READ_CHUNK).encode();
+        let writer = std::thread::spawn(move || peer.write_all(&bytes).unwrap());
+        let mut fills = 0;
+        while conn.dec.pending() < FRAME_HEADER_BYTES + 3 * READ_CHUNK {
+            let before = conn.dec.pending();
+            let mut fds = [PollFd { fd: conn.fd(), events: POLLIN, revents: 0 }];
+            let flagged = poll_fds(&mut fds, 5_000).unwrap();
+            assert_eq!(flagged, 1, "level-triggered poll re-flags what a read left");
+            conn.fill().unwrap();
+            assert!(conn.dec.pending() - before <= READ_CHUNK);
+            fills += 1;
+        }
+        writer.join().unwrap();
+        assert!(fills >= 4, "{fills} fills moved more than three chunks");
+        assert_eq!(conn.next_frame(), Ok(Some(sample(3 * READ_CHUNK))));
+    }
+
+    #[test]
+    fn a_torn_final_frame_ends_as_truncated() {
+        let (mut conn, mut peer) = pair();
+        let bytes = sample(90).encode();
+        peer.write_all(&bytes[..50]).unwrap();
+        drop(peer);
+        conn.fill().unwrap();
+        conn.fill().unwrap();
+        assert!(conn.eof);
+        assert_eq!(conn.next_frame(), Ok(None));
+        assert_eq!(
+            conn.finish(),
+            Err(FrameError::Truncated { have: 50, need: bytes.len() })
+        );
+    }
+
+    #[test]
+    fn tcp_streams_run_with_nodelay_on_both_ends() {
+        let listener = Listener::bind_tcp().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let ours = Stream::connect(&listener.addr().unwrap(), deadline).unwrap();
+        let theirs = loop {
+            match listener.accept().unwrap() {
+                Some(s) => break s,
+                None => assert!(Instant::now() < deadline, "accept timed out"),
+            }
+        };
+        for s in [ours, theirs] {
+            match s {
+                Stream::Tcp(t) => assert!(t.nodelay().unwrap()),
+                Stream::Unix(_) => unreachable!("bind_tcp yields TCP streams"),
+            }
+        }
     }
 }

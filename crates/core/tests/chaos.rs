@@ -239,6 +239,17 @@ fn socket_survivable_schedules_are_bit_identical_to_the_oracle() {
             inc.torn_frames + inc.resets > 0,
             "no physical short-write or disconnect was realized"
         );
+        // Surviving is not enough: a daemon that missed a readiness
+        // event (a re-sent `MSG` riding in with its reconnect's `PEER`)
+        // recovers when its 100 ms poll times out, and only the phase
+        // latency shows it.
+        for (r, t) in engine.transport().rank_telemetry().iter().enumerate() {
+            assert!(
+                t.hist.max < 50_000,
+                "rank {r}: a phase took {} us (compress {compress})",
+                t.hist.max
+            );
+        }
     }
 }
 

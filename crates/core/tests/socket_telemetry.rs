@@ -10,6 +10,7 @@
 use swbfs_core::config::{BfsConfig, Messaging};
 use swbfs_core::engine::{ClusterBuilder, RankTelemetry, SocketTransport};
 use swbfs_core::threaded::ThreadedCluster;
+use swbfs_core::FaultPlan;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 use sw_trace::live;
 
@@ -127,4 +128,57 @@ fn armed_plane_receives_per_rank_fabric_metrics() {
     let counters = plane.to_counters();
     assert!(counters.get("live.socket.rank0.frames") > 0);
     assert!(counters.get("live.socket.rank0.bytes") > 0);
+}
+
+/// Both poll loops wait with a 100 ms timeout, so a readiness event a
+/// loop failed to act on does not fail anything: it shows up as a
+/// phase that took 100 ms. No phase of any rank may come near that —
+/// over several roots on a healthy fabric, and over schedules whose
+/// drops and truncations make daemons reconnect mid-phase (every
+/// reconnect is a `PEER` with, often, the re-sent `MSG` in the same
+/// segment: bytes the identifying read takes along and no later
+/// readiness announces).
+fn check_no_phase_waits_out_a_poll_timeout(make: fn() -> SocketTransport) {
+    let el = scale12();
+    let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
+    let oracle = |root| ThreadedCluster::new(&el, 6, cfg).unwrap().run(root).unwrap();
+    let mut engine = ClusterBuilder::new(&el, 6, cfg).transport(make()).build().unwrap();
+    let assert_no_stall = |fabric: &SocketTransport, what: &str| {
+        for (r, t) in fabric.rank_telemetry().iter().enumerate() {
+            assert!(t.hist.count() > 0);
+            assert!(
+                t.hist.max < 50_000,
+                "rank {r}: a phase took {} us {what} — a lost wake-up waits out the 100 ms poll",
+                t.hist.max
+            );
+        }
+    };
+
+    for root in [1, 7, 99, 1234, 4000] {
+        assert_eq!(engine.run(root).unwrap(), oracle(root));
+    }
+    assert_no_stall(engine.transport(), "on a healthy fabric");
+
+    for seed in [11, 12, 13] {
+        engine.set_fault_plan(Some(FaultPlan {
+            drop_permille: 100,
+            truncate_permille: 80,
+            max_burst: 2,
+            ..FaultPlan::quiet(seed)
+        }));
+        assert_eq!(engine.run(seed).unwrap(), oracle(seed));
+    }
+    let inc = engine.transport().wire_incidents();
+    assert!(inc.resets > 0 && inc.torn_frames > 0, "the schedules realized no reconnects: {inc:?}");
+    assert_no_stall(engine.transport(), "under drops and truncations");
+}
+
+#[test]
+fn unix_fabric_loses_no_wake_up() {
+    check_no_phase_waits_out_a_poll_timeout(socket_unix);
+}
+
+#[test]
+fn tcp_fabric_loses_no_wake_up() {
+    check_no_phase_waits_out_a_poll_timeout(socket_tcp);
 }
