@@ -13,13 +13,14 @@ cargo bench --no-run -q
 
 # Pool-size determinism matrix: the work-stealing pool behind the rayon
 # shim must be invisible in outputs. Conformance + kernel parity + chaos
-# run sequentially (SW_POOL_THREADS=1, the default) and on a 4-worker
-# pool; every assertion in those suites is bit-exactness, so any
-# scheduling-dependent result fails the matrix.
+# + order-freedom run sequentially (SW_POOL_THREADS=1, the default) and
+# on a 4-worker pool; every assertion in those suites is bit-exactness,
+# so any scheduling-dependent result fails the matrix.
 for threads in 1 4; do
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test engine_conformance
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test kernel_parity
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test chaos
+  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test order_free
 done
 
 # Socket fabric gate: the multi-process transport (one swbfs-rankd
@@ -38,6 +39,10 @@ export SWBFS_RANKD="$PWD/target/release/swbfs-rankd"
 export SWBFS_RANKD_REQUIRE=1
 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
 timeout 600 cargo test -q -p swbfs-core --test chaos socket
+# Since PR 25 no fabric sorts its inboxes: the socket fabric's inboxes,
+# permuted (shuffled, reversed), must leave parents, LevelStats and
+# counters unchanged.
+timeout 600 cargo test -q -p swbfs-core --test order_free socket
 timeout 600 cargo test -q -p swbfs-core --test socket_teardown
 timeout 600 cargo test -q -p sw-graph500 --test socket_smoke
 timeout 600 cargo test -q -p sw-algos --test msbfs_differential socket

@@ -264,9 +264,7 @@ impl<T: Transport> AlgoCluster<T> {
     /// kernels whose result depends on arrival order (float sums).
     pub fn exchange_round(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
         let mut inboxes = self.exchange_unsorted(out);
-        if !self.transport.delivers_sorted() {
-            inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
-        }
+        inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
         inboxes
     }
 

@@ -56,8 +56,9 @@ pub struct BfsConfig {
     /// the paper's configuration).
     pub compress: bool,
     /// Reorder neighbour lists by descending degree (the Yasui-style
-    /// Bottom-Up refinement, §7 ref \[25\]; off in the paper's
-    /// configuration).
+    /// Bottom-Up refinement, §7 ref \[25\]): the likeliest parents —
+    /// hubs — are scanned first, so the Bottom-Up early exit fires
+    /// sooner. On by default since PR 25.
     pub degree_ordered_adjacency: bool,
     /// Bounded-retry and degradation policy for injected transport
     /// faults; only consulted when a fault session is armed.
@@ -97,7 +98,7 @@ impl BfsConfig {
             edge_msg_bytes: 8,
             force_top_down: false,
             compress: false,
-            degree_ordered_adjacency: false,
+            degree_ordered_adjacency: true,
             retry: crate::faults::RetryPolicy::default(),
             compress_hub_rows: false,
             hub_compress_min_degree: 64,

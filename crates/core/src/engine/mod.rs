@@ -71,7 +71,9 @@ use std::path::{Path, PathBuf};
 use sw_arch::ChipConfig;
 use sw_graph::hub::HubSet;
 use sw_graph::store::{partition_path, PartitionMeta};
-use sw_graph::{Bitmap, EdgeList, GraphStore, Partition1D, StorageBackend, StoreManifest, Vid};
+use sw_graph::{
+    Bitmap, Csr, EdgeList, GraphStore, Partition1D, StorageBackend, StoreManifest, Vid,
+};
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer, NO_LEVEL};
 
@@ -215,32 +217,28 @@ impl<'a, T: Transport> ClusterBuilder<'a, T> {
     /// [`ClusterBuilder::build`] through the *distributed* construction
     /// path (Graph500 step 3 as the machine runs it): generator chunks
     /// are shuffled to endpoint owners over the configured messaging
-    /// mode before the local CSR builds. Functionally identical to
-    /// [`ClusterBuilder::build`]; also returns the construction traffic.
+    /// mode, and the rows they build go through the same preparation as
+    /// [`ClusterBuilder::build`]'s. Functionally identical to it; also
+    /// returns the construction traffic.
     pub fn build_distributed(self) -> Result<(SuperstepEngine<T>, ExchangeStats), ExecError> {
-        let el = match &self.source {
-            Source::Edges(el) => *el,
-            Source::Store { .. } => {
-                return Err(ExecError::BadSetup(
-                    "distributed construction shuffles generator chunks, so it needs an \
-                     edge-list source; a persisted store is already partitioned — use build()"
-                        .into(),
-                ))
-            }
+        let Source::Edges(el) = self.source else {
+            return Err(ExecError::BadSetup(
+                "distributed construction shuffles generator chunks, so it needs an \
+                 edge-list source; a persisted store is already partitioned — use build()"
+                    .into(),
+            ));
         };
         let messaging = self.cfg.messaging;
-        let mut engine = self.build()?;
-        let built = crate::construction::build_distributed(
-            el,
-            &engine.part,
-            &engine.layout,
-            messaging,
-        );
-        for (rank, csr) in built.csrs.into_iter().enumerate() {
-            debug_assert_eq!(csr, engine.ranks[rank].csr);
-            engine.ranks[rank].csr = csr;
-        }
-        Ok((engine, built.stats))
+        let mut stats = ExchangeStats::default();
+        let mut engine =
+            SuperstepEngine::from_rows(el, self.num_ranks, self.cfg, self.transport, |p, l| {
+                let built = crate::construction::build_distributed(el, p, l, messaging);
+                stats = built.stats;
+                built.csrs
+            })?;
+        engine.set_tracer(self.tracer);
+        engine.set_fault_plan(self.fault_plan);
+        Ok((engine, stats))
     }
 }
 
@@ -323,6 +321,27 @@ impl<T: Transport> SuperstepEngine<T> {
         cfg: BfsConfig,
         transport: T,
     ) -> Result<Self, ExecError> {
+        Self::from_rows(el, num_ranks, cfg, transport, |part, _| {
+            (0..part.num_ranks())
+                .into_par_iter()
+                .map(|r| {
+                    let (lo, hi) = part.range(r);
+                    Csr::from_edge_list_rows(el, lo, hi - lo)
+                })
+                .collect()
+        })
+    }
+
+    /// The one edge-list construction path: `rows` makes every rank's
+    /// CSR (shortcut build or distributed shuffle), prepared exactly once
+    /// here — degree reorder, then the coded sidecar, then assembly.
+    fn from_rows(
+        el: &EdgeList,
+        num_ranks: u32,
+        cfg: BfsConfig,
+        transport: T,
+        rows: impl FnOnce(&Partition1D, &GroupLayout) -> Vec<Csr>,
+    ) -> Result<Self, ExecError> {
         if num_ranks == 0 {
             return Err(ExecError::BadSetup("zero ranks".into()));
         }
@@ -341,9 +360,10 @@ impl<T: Transport> SuperstepEngine<T> {
         let layout = GroupLayout::new(num_ranks, cfg.group_size.min(num_ranks));
         check_chip_feasibility(&cfg, &ChipConfig::sw26010(), &layout)?;
 
-        let mut ranks: Vec<RankState> = (0..num_ranks)
-            .into_par_iter()
-            .map(|r| RankState::build(r, part, el))
+        let mut ranks: Vec<RankState> = rows(&part, &layout)
+            .into_iter()
+            .enumerate()
+            .map(|(r, csr)| RankState::over(r as u32, part, csr, None))
             .collect();
 
         if cfg.degree_ordered_adjacency {
@@ -900,7 +920,6 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(outs, ls)?;
-        let inboxes = self.canonicalize(inboxes);
 
         self.ranks
             .par_iter_mut()
@@ -948,7 +967,6 @@ impl<T: Transport> SuperstepEngine<T> {
             ls.bytes_decoded += st.bytes_decoded;
         }
 
-        // Queries need no order (the handler sorts its replies instead).
         let inboxes = self.run_exchange(outs, ls)?;
 
         let mut replies = self.transport.lend_outboxes();
@@ -975,7 +993,6 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(replies, ls)?;
-        let inboxes = self.canonicalize(inboxes);
 
         self.ranks
             .par_iter_mut()
@@ -991,9 +1008,10 @@ impl<T: Transport> SuperstepEngine<T> {
 
     /// Runs one record exchange through the transport — or, when a test
     /// has requested the oracle, through the seed's nested-Vec path —
-    /// and folds the transport stats into `ls`. Inboxes come back in the
-    /// fabric's order; [`Self::canonicalize`] them when the consumer
-    /// depends on it. With an armed fault
+    /// and folds the transport stats into `ls`. Inboxes come back in
+    /// whatever order the fabric delivers: no handler depends on it (the
+    /// Forward Handler claims min-parent, the Backward Handler sorts its
+    /// replies). With an armed fault
     /// session the exchange runs the injection/retry/degradation
     /// pipeline; an unsurvivable schedule surfaces as a structured error
     /// here.
@@ -1066,17 +1084,6 @@ impl<T: Transport> SuperstepEngine<T> {
         ls.messages_sent += xs.messages;
         ls.bytes_sent += xs.bytes;
         ins::absorb_exchange(&mut self.metrics, xs);
-    }
-
-    /// Sorts forward inboxes a fabric delivered in arrival order: the
-    /// Forward Handler's first-claim-wins makes parents depend on it, and
-    /// sorted inboxes are what makes them independent of the fabric and
-    /// of Direct vs Relay.
-    fn canonicalize(&self, mut inboxes: Vec<Vec<EdgeRec>>) -> Vec<Vec<EdgeRec>> {
-        if !self.transport.delivers_sorted() {
-            inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
-        }
-        inboxes
     }
 
     /// [`Self::update_hubs`] under a `hub_gather` span on the run lane,

@@ -529,9 +529,9 @@ impl SocketTransport {
         f
     }
 
-    /// Decodes the raw inbox payloads into sorted per-rank inboxes,
-    /// recording the same per-rank deliver spans the channel fabric
-    /// records.
+    /// Decodes the raw inbox payloads into per-rank inboxes (source
+    /// order), recording the same per-rank deliver spans the channel
+    /// fabric records.
     fn decode_inboxes(&mut self, raw: RawInboxes) -> Result<Vec<Vec<EdgeRec>>, ExchangeError> {
         let tracer = self.tracer.clone();
         let trace = tracer.as_ref();
@@ -554,7 +554,6 @@ impl SocketTransport {
                     Err(_) => return Err(self.proto("undecodable inbox payload")),
                 }
             }
-            inbox.sort_unstable();
             ins::span_end(
                 trace,
                 d,
@@ -756,10 +755,6 @@ impl Transport for SocketTransport {
 
     fn set_trace_level(&mut self, level: u32) {
         self.level = level;
-    }
-
-    fn delivers_sorted(&self) -> bool {
-        true
     }
 
     fn teardown(&mut self) {

@@ -27,11 +27,13 @@ use sw_trace::Tracer;
 ///
 /// Contract:
 ///
-/// * **Determinism** — identical outbox contents must yield identical
-///   inboxes and identical [`ExchangeStats`], independent of thread
-///   scheduling. Transports whose raw arrival order is nondeterministic
-///   must canonicalize (sort) and say so via
-///   [`Transport::delivers_sorted`].
+/// * **Determinism of content, not order** — identical outbox contents
+///   must yield inboxes holding identical *multisets* of records and
+///   identical [`ExchangeStats`], independent of thread scheduling. The
+///   order within an inbox is the fabric's own (arrival order is fine):
+///   the engine's handlers are order-free — the Forward Handler claims
+///   min-parent, the Backward Handler sorts its replies — so no fabric
+///   sorts.
 /// * **Idempotent faulty re-delivery** — [`Transport::exchange_faulty`]
 ///   replays the armed [`FaultSession`]'s deterministic schedule against
 ///   the phase's message set *before* delivering; on a terminal failure
@@ -116,21 +118,6 @@ pub trait Transport: Send {
 
     /// Tags subsequently recorded spans with BFS level `level`.
     fn set_trace_level(&mut self, level: u32);
-
-    /// Whether inboxes come back canonically sorted already (the engine
-    /// then skips its own sort). Transports with nondeterministic
-    /// arrival order must sort and return `true`.
-    ///
-    /// Which exchanges the engine needs in order: **forward** inboxes
-    /// (Top-Down claims and Bottom-Up replies) — the Forward Handler is
-    /// first-claim-wins, so their order decides parents. Bottom-Up
-    /// **query** inboxes are consumed in whatever order they arrive:
-    /// the Backward Handler answers each query independently and sorts
-    /// its (far fewer) replies before emitting them, so a fabric that
-    /// returns `false` pays no sort for them.
-    fn delivers_sorted(&self) -> bool {
-        false
-    }
 
     /// Called when the owning engine is dropped or rebuilt. Default:
     /// nothing to tear down.

@@ -6,9 +6,10 @@
 //! even when three vertices are set — and power-law BFS spends most of
 //! its *levels* (not its time) on tiny frontiers. The hybrid keeps the
 //! bitmap always (membership, and the §5 bitmap-compressed hub gathers
-//! read it directly) plus an insertion-order queue while the population
-//! is small, abandoning the queue once the frontier grows past a density
-//! threshold — Beamer's queue/bitmap switch, applied per rank.
+//! read it directly) plus a queue — sorted when the level's discoveries
+//! become the frontier — while the population is small, abandoning the
+//! queue once the frontier grows past a density threshold — Beamer's
+//! queue/bitmap switch, applied per rank.
 
 use sw_graph::bitmap::Ones;
 use sw_graph::Bitmap;
@@ -20,8 +21,9 @@ const DENSITY_DIVISOR: usize = 32;
 #[derive(Clone, Debug)]
 pub struct Frontier {
     bits: Bitmap,
-    /// Insertion-order queue, meaningful only while `sparse`. Its
-    /// allocation outlives [`Frontier::clear`] and the dense phase.
+    /// Members (ascending after [`Frontier::sort`]), meaningful only while
+    /// `sparse`. Its allocation outlives [`Frontier::clear`] and the
+    /// dense phase.
     queue: Vec<u32>,
     /// False once the frontier went dense.
     sparse: bool,
@@ -31,7 +33,7 @@ pub struct Frontier {
 /// Iterator over a [`Frontier`]'s members ([`Frontier::iter`]).
 #[derive(Clone, Debug)]
 pub enum FrontierIter<'a> {
-    /// Queue (insertion) order.
+    /// Queue order.
     Sparse(std::slice::Iter<'a, u32>),
     /// Ascending bitmap order.
     Dense(Ones<'a>),
@@ -102,10 +104,8 @@ impl Frontier {
         was
     }
 
-    /// Iterates members: insertion order while sparse, ascending index
-    /// once dense. (Callers that need a fixed order sort; the BFS's
-    /// claim semantics are order-independent at the level of validity,
-    /// and deterministic for a fixed representation.)
+    /// Iterates members: queue order while sparse — ascending once
+    /// [`Frontier::sort`] ran — and ascending index once dense.
     pub fn iter(&self) -> FrontierIter<'_> {
         if self.sparse {
             FrontierIter::Sparse(self.queue.iter())
@@ -114,13 +114,12 @@ impl Frontier {
         }
     }
 
-    /// Members in ascending index order regardless of representation.
-    pub fn sorted_members(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.iter().collect();
+    /// Puts a sparse frontier's queue in ascending order, so iteration
+    /// no longer depends on the order members were inserted in.
+    pub fn sort(&mut self) {
         if self.sparse {
-            v.sort_unstable();
+            self.queue.sort_unstable();
         }
-        v
     }
 
     /// Empties the frontier, keeping capacity and re-arming the queue.
@@ -172,7 +171,7 @@ mod tests {
         f.insert(50);
         f.insert(20);
         assert!(!f.is_sparse());
-        assert_eq!(f.sorted_members(), vec![3, 9, 20, 50]);
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![3, 9, 20, 50]); // ascending
         for i in 0..64 {
             assert_eq!(f.contains(i), [3, 9, 20, 50].contains(&i));
         }
@@ -244,7 +243,9 @@ mod tests {
             f.insert(i);
             reference[i] = true;
             let expect: Vec<usize> = (0..64).filter(|&j| reference[j]).collect();
-            assert_eq!(f.sorted_members(), expect, "after {} inserts", k + 1);
+            let mut sorted = f.clone();
+            sorted.sort();
+            assert_eq!(sorted.iter().collect::<Vec<_>>(), expect, "after {} inserts", k + 1);
             for (j, &is_member) in reference.iter().enumerate() {
                 assert_eq!(f.contains(j), is_member);
             }
@@ -270,6 +271,30 @@ mod tests {
         f.insert(2);
         assert_eq!(f.iter().collect::<Vec<_>>(), vec![40, 2]);
         assert_eq!(f.as_bitmap().count_ones(), 2);
+    }
+
+    #[test]
+    fn sparse_iteration_is_ascending_whatever_the_insertion_order() {
+        let members: Vec<usize> = (0..30).map(|i| i * 33 % 1000).collect();
+        let mut expect = members.clone();
+        expect.sort_unstable();
+        let mut reversed = members.clone();
+        reversed.reverse();
+        let mut shuffled = members.clone();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..shuffled.len()).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            shuffled.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        for order in [members, reversed, shuffled] {
+            let mut f = Frontier::new(1000);
+            for &i in &order {
+                f.insert(i);
+            }
+            assert!(f.is_sparse(), "30/1000 stays sparse");
+            f.sort();
+            assert_eq!(f.iter().collect::<Vec<_>>(), expect, "inserted as {order:?}");
+        }
     }
 
     #[test]

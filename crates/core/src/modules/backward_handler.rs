@@ -3,13 +3,14 @@
 //! current frontier, emit the forward claim `(u, v)` towards `owner(v)`.
 //!
 //! The query inbox may arrive in **any order**: a query is answered by
-//! one frontier-bit test that nothing else in the batch can change. What
-//! must be canonical is the *reply* stream — its order per destination
-//! is the varint codec's delta order and, for self-addressed replies,
-//! the order claims race in — so the handler collects the hits, sorts
-//! those by `(u, v)`, and only then pushes and claims. Replies are a
+//! one frontier-bit test that nothing else in the batch can change, and
+//! self-addressed replies claim min-parent ([`RankState::claim_min`]).
+//! What must be canonical is the *reply* stream — its order per
+//! destination is the varint codec's delta order, so the byte count —
+//! so the handler collects the hits, sorts those by `(u, v)`, and only
+//! then pushes. It is the engine's one remaining sort: replies are a
 //! fraction of the queries (most askers' neighbours are not in the
-//! frontier), which is why the sort lives here and not on the inbox.
+//! frontier), which is why it lives here and not on any inbox.
 
 use super::{ModuleStats, Outboxes};
 use crate::messages::EdgeRec;
@@ -38,7 +39,7 @@ pub fn backward_handler(
             // The asker is this very rank (possible when a relay path
             // folds back): claim directly.
             let vl = state.local(rec.v);
-            if state.claim(vl, rec.u) {
+            if state.claim_min(vl, rec.u) {
                 stats.local_claims += 1;
             }
         } else {
@@ -157,7 +158,7 @@ mod tests {
             assert_eq!(out.parts(), out_sorted.parts(), "{label}: reply stream");
             assert_eq!(stats, stats_sorted, "{label}: module stats");
             assert_eq!(parent, parent_sorted, "{label}: self-addressed claims");
-            assert_eq!(next, next_sorted, "{label}: next-frontier order");
+            assert_eq!(next, next_sorted, "{label}: next frontier");
         }
     }
 }

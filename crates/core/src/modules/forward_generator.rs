@@ -6,23 +6,21 @@
 //! Local claims are **cache-blocked**: the scan stages `(target, parent)`
 //! pairs instead of claiming inline, then applies them grouped by target
 //! block so the parent-array writes land with locality instead of
-//! hopping across the whole owned range. The grouping is a *stable*
-//! counting sort and each target's competing claims live in one block,
-//! so the winner of every contest — and, via a final pass in original
-//! scan order, the `next`-frontier insertion order — is exactly what the
-//! inline loop produced: parents stay bit-identical to
-//! [`reference::forward_generator`](super::reference). Remote records
-//! are pushed during the scan, order unchanged.
+//! hopping across the whole owned range. Every claim goes through
+//! [`RankState::claim_min`], so each contest's winner is its smallest
+//! parent whatever order the claims are applied in: parents stay
+//! bit-identical to [`reference::forward_generator`](super::reference).
+//! Remote records are pushed during the scan, in scan order.
 //!
-//! A dense frontier is swept word-parallel over its bitmap (zero words
-//! skipped with one compare); a sparse frontier keeps its queue order.
-//! Rows with a byte-coded copy decode through the varint stream.
+//! The frontier is enumerated in ascending order: a dense one swept
+//! word-parallel over its bitmap (zero words skipped with one compare),
+//! a sparse one through its sorted queue. Rows with a byte-coded copy
+//! decode through the varint stream.
 
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
 use crate::messages::EdgeRec;
 use crate::rank::{tail_mask, KernelScratch, RankState};
-use crate::NO_PARENT;
 use sw_graph::Vid;
 
 /// Local-claim block: 2^12 targets = 32 KB of parent entries, sized for
@@ -91,15 +89,14 @@ pub fn forward_generator(
         staged,
         cursors,
         order,
-        winner,
         ..
     } = &mut scratch;
 
     // Pass 1 — scan: remote records out in scan order, local claims
     // staged as (target, parent) in scan order. Frontier enumeration is
-    // queue order while sparse (matching the reference kernel's
-    // `curr.iter()`), a word-parallel bitmap sweep once dense — the same
-    // ascending order the dense iterator produces.
+    // the sorted queue while sparse, a word-parallel bitmap sweep once
+    // dense — ascending either way, as the reference kernel's
+    // `curr.iter()`.
     staged.clear();
     if state.curr.is_sparse() {
         for u_local in state.curr.iter() {
@@ -123,10 +120,8 @@ pub fn forward_generator(
         }
     }
 
-    // Pass 2 — blocked claim: stable counting sort by target block, then
-    // parent writes block by block. All claims on one target share a
-    // block and keep their scan order, so each contest's winner equals
-    // the inline loop's.
+    // Pass 2 — blocked claim: counting sort by target block, then
+    // min-parent claims block by block.
     let num_blocks = (state.owned() >> BLOCK_BITS) + 1;
     cursors.clear();
     cursors.resize(num_blocks + 1, 0);
@@ -143,22 +138,9 @@ pub fn forward_generator(
         order[*c as usize] = idx as u32;
         *c += 1;
     }
-    winner.clear();
-    winner.resize(staged.len(), false);
     for &idx in order.iter() {
         let (vl, u) = staged[idx as usize];
-        if state.parent[vl as usize] == NO_PARENT {
-            state.parent[vl as usize] = u;
-            winner[idx as usize] = true;
-        }
-    }
-
-    // Pass 3 — publish winners in original scan order, so the `next`
-    // queue records discoveries exactly as the inline loop did.
-    for (&(vl, _), &won) in staged.iter().zip(winner.iter()) {
-        if won {
-            state.visited_bits.set(vl as usize);
-            state.next.insert(vl as usize);
+        if state.claim_min(vl as usize, u) {
             stats.local_claims += 1;
         }
     }
@@ -260,8 +242,7 @@ mod tests {
     #[test]
     fn matches_reference_kernel_with_and_without_coding() {
         // Contested claims: many frontier vertices share targets, so the
-        // blocked pass must reproduce every first-wins outcome and the
-        // exact next-queue order.
+        // blocked pass must reproduce every min-parent outcome.
         let edges: Vec<(Vid, Vid)> = (0..60u64)
             .flat_map(|v| [(v, (v + 1) % 60), (v, (v * 13 + 7) % 60), (v % 6, (v + 30) % 60)])
             .collect();
@@ -282,11 +263,7 @@ mod tests {
             let st_r = reference::forward_generator(&mut refk, &hubs, &mut out_r);
             assert_eq!(word.parent, refk.parent, "min_degree {min_degree:?}");
             assert_eq!(out_w.parts(), out_r.parts());
-            assert_eq!(
-                word.next.iter().collect::<Vec<_>>(),
-                refk.next.iter().collect::<Vec<_>>(),
-                "next-frontier insertion order must match"
-            );
+            assert_eq!(word.next.as_bitmap(), refk.next.as_bitmap());
             assert_eq!(st_w.edges_scanned, st_r.edges_scanned);
             assert_eq!(st_w.local_claims, st_r.local_claims);
             assert_eq!(st_w.hub_skips, st_r.hub_skips);

@@ -1,19 +1,20 @@
 //! Forward Handler (Algorithm 2, `FORWARD_HANDLER`): apply incoming
 //! forward claims — a *dispose* module (reads, updates memory, sends
-//! nothing).
+//! nothing). Claims are min-parent ([`RankState::claim_min`]), so the
+//! inbox may arrive in any order.
 
 use super::ModuleStats;
 use crate::messages::EdgeRec;
 use crate::rank::RankState;
 
-/// Applies a batch of forward records to the owned parent map. Records
-/// must target vertices this rank owns.
+/// Applies a batch of forward records, in any order, to the owned
+/// parent map. Records must target vertices this rank owns.
 pub fn forward_handler(state: &mut RankState, records: &[EdgeRec]) -> ModuleStats {
     let mut stats = ModuleStats::default();
     for rec in records {
         debug_assert!(state.owns(rec.v), "forward record misrouted");
         let vl = state.local(rec.v);
-        if state.claim(vl, rec.u) {
+        if state.claim_min(vl, rec.u) {
             stats.local_claims += 1;
         }
     }
@@ -31,15 +32,16 @@ mod tests {
     }
 
     #[test]
-    fn first_claim_wins_duplicates_ignored() {
+    fn smallest_parent_wins_duplicates_ignored() {
         let mut s = state();
         let recs = vec![
-            EdgeRec { u: 0, v: 5 },
             EdgeRec { u: 1, v: 5 },
+            EdgeRec { u: 0, v: 5 },
+            EdgeRec { u: 2, v: 6 },
             EdgeRec { u: 2, v: 6 },
         ];
         let stats = forward_handler(&mut s, &recs);
-        assert_eq!(stats.local_claims, 2);
+        assert_eq!(stats.local_claims, 2, "one per newly claimed vertex");
         assert_eq!(s.parent[s.local(5)], 0);
         assert_eq!(s.parent[s.local(6)], 2);
         assert!(s.next.contains(s.local(5)));

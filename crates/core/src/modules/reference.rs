@@ -24,7 +24,8 @@ use crate::messages::EdgeRec;
 use crate::rank::RankState;
 
 /// The seed's Forward Generator: raw scan order, per-edge re-borrow,
-/// claims applied inline.
+/// claims applied inline (under the engine's one claim rule,
+/// [`RankState::claim_min`]).
 pub fn forward_generator(
     state: &mut RankState,
     hubs: &HubState,
@@ -47,7 +48,7 @@ pub fn forward_generator(
             }
             if state.owns(v) {
                 let vl = state.local(v);
-                if state.claim(vl, u) {
+                if state.claim_min(vl, u) {
                     stats.local_claims += 1;
                 }
             } else {

@@ -54,8 +54,6 @@ pub(crate) struct KernelScratch {
     pub cursors: Vec<u32>,
     /// Forward Generator: staged indices grouped by target block.
     pub order: Vec<u32>,
-    /// Forward Generator: which staged claims won.
-    pub winner: Vec<bool>,
     /// Backward Generator: one row's pending queries. Backward Handler:
     /// the queries that hit the frontier.
     pub recs: Vec<EdgeRec>,
@@ -70,7 +68,12 @@ impl RankState {
     }
 
     /// Fresh traversal state over an owned CSR slice.
-    fn over(rank: u32, part: Partition1D, csr: Csr, adjacency: Option<CompressedCsr>) -> Self {
+    pub(crate) fn over(
+        rank: u32,
+        part: Partition1D,
+        csr: Csr,
+        adjacency: Option<CompressedCsr>,
+    ) -> Self {
         let owned = csr.num_rows() as usize;
         let (lo, hi) = part.range(rank);
         assert_eq!((hi - lo) as usize, owned, "CSR rows disagree with the partition");
@@ -171,6 +174,23 @@ impl RankState {
         }
     }
 
+    /// The claim rule of every offered parent, a priority write: claims
+    /// `local` for `u` like [`Self::claim`] when unvisited (`true`), else
+    /// lowers the parent of a vertex claimed *this level* (in `next`) to
+    /// a smaller `u`. A vertex settled earlier is never touched; the
+    /// smallest offer wins whatever order the offers come in.
+    #[inline(always)]
+    pub fn claim_min(&mut self, local: usize, u: Vid) -> bool {
+        if self.claim(local, u) {
+            true
+        } else {
+            if u < self.parent[local] && self.next.contains(local) {
+                self.parent[local] = u;
+            }
+            false
+        }
+    }
+
     /// Returns the rank to its pre-run state: parents unset, visited and
     /// both frontiers empty. Capacity (and the sealed adjacency) is kept.
     pub fn reset(&mut self) {
@@ -180,11 +200,13 @@ impl RankState {
         self.next.clear();
     }
 
-    /// Ends the level: `next` becomes `curr`, `next` clears. Returns the
-    /// number of vertices settled this level.
+    /// Ends the level: `next` becomes `curr` (iterating in ascending
+    /// order, whatever order its members were claimed in), `next`
+    /// clears. Returns the number of vertices settled this level.
     pub fn advance_level(&mut self) -> u64 {
         let settled = self.next.count() as u64;
         std::mem::swap(&mut self.curr, &mut self.next);
+        self.curr.sort();
         self.next.clear();
         settled
     }
@@ -305,6 +327,87 @@ mod tests {
         let expect: Vec<usize> = (0..70).filter(|&i| r.csr.degree_local(i) > 0).collect();
         assert_eq!(r.has_row().iter_ones().collect::<Vec<_>>(), expect);
         assert!(expect.contains(&65) && !expect.contains(&2));
+    }
+
+    #[test]
+    fn claim_min_local_versus_remote_contest() {
+        // Rank 1 owns 4..8; vertex 6 is offered by its local frontier
+        // neighbour 7 (the generator's staged claim) and by 1 on rank 0
+        // (a forward record). Either order settles it on 1.
+        use crate::hubs::HubState;
+        use crate::modules::{forward_generator, forward_handler, Outboxes};
+        use sw_graph::hub::HubSet;
+        let el = EdgeList::new(8, vec![(7, 6), (1, 6)]);
+        let hubs = HubState::new(HubSet::from_degrees(vec![], 4));
+        let mut base = RankState::build(1, Partition1D::new(8, 2), &el);
+        base.claim(base.local(7), 7);
+        base.advance_level();
+        let remote = [EdgeRec { u: 1, v: 6 }];
+        let mut gen_first = base.clone();
+        forward_generator(&mut gen_first, &hubs, &mut Outboxes::new(2));
+        assert_eq!(gen_first.parent[base.local(6)], 7, "local claim lands first");
+        assert_eq!(forward_handler(&mut gen_first, &remote).local_claims, 0);
+        let mut remote_first = base.clone();
+        assert_eq!(forward_handler(&mut remote_first, &remote).local_claims, 1);
+        let st = forward_generator(&mut remote_first, &hubs, &mut Outboxes::new(2));
+        assert_eq!(st.local_claims, 0, "6 was already claimed this level");
+        assert_eq!(gen_first.parent[base.local(6)], 1, "the smaller parent wins");
+        assert_eq!(gen_first.parent, remote_first.parent);
+        assert_eq!(gen_first.next.as_bitmap(), remote_first.next.as_bitmap());
+        assert_eq!(gen_first.visited_bits, remote_first.visited_bits);
+    }
+
+    #[test]
+    fn claim_min_counts_duplicate_offers_once() {
+        let (mut r0, _) = two_rank_setup();
+        assert!(r0.claim_min(2, 3), "first offer claims");
+        assert!(!r0.claim_min(2, 3), "a duplicate edge is no new claim");
+        assert!(!r0.claim_min(2, 1), "a smaller offer lowers, claims nothing");
+        assert!(!r0.claim_min(2, 3), "a larger one does neither");
+        assert_eq!(r0.parent[2], 1);
+        assert_eq!(r0.next.count(), 1);
+        assert_eq!(r0.advance_level(), 1);
+    }
+
+    #[test]
+    fn claim_min_self_addressed_reply_races_remote_replies_order_free() {
+        // Rank 1 owns 4..8 with 4 and 7 in the frontier. Vertex 5 asked
+        // about 7 (same rank: the Backward Handler claims it directly)
+        // and about 1 and 2 on rank 0 (their replies reach the Forward
+        // Handler). Any order of the two handlers settles 5 on 1.
+        use crate::modules::{backward_handler, forward_handler, Outboxes};
+        let el = EdgeList::new(8, vec![(5, 7), (5, 1), (5, 2), (4, 0)]);
+        let mut base = RankState::build(1, Partition1D::new(8, 2), &el);
+        for v in [4, 7] {
+            base.claim(base.local(v), v);
+        }
+        base.advance_level();
+        let queries = [EdgeRec { u: 7, v: 5 }, EdgeRec { u: 4, v: 0 }];
+        let replies = [EdgeRec { u: 2, v: 5 }, EdgeRec { u: 1, v: 5 }];
+        let mut handler_first = base.clone();
+        let mut out = Outboxes::new(2);
+        let st = backward_handler(&mut handler_first, &queries, &mut out);
+        assert_eq!((st.local_claims, st.records_out), (1, 1));
+        assert_eq!(out.for_rank(0), &[EdgeRec { u: 4, v: 0 }]);
+        assert_eq!(handler_first.parent[base.local(5)], 7);
+        forward_handler(&mut handler_first, &replies);
+        let mut replies_first = base.clone();
+        forward_handler(&mut replies_first, &replies);
+        let st = backward_handler(&mut replies_first, &queries, &mut Outboxes::new(2));
+        assert_eq!(st.local_claims, 0, "5 was already claimed this level");
+        assert_eq!(handler_first.parent[base.local(5)], 1);
+        assert_eq!(handler_first.parent, replies_first.parent);
+        assert_eq!(handler_first.next.as_bitmap(), replies_first.next.as_bitmap());
+    }
+
+    #[test]
+    fn claim_min_never_lowers_a_vertex_settled_in_an_earlier_level() {
+        let (mut r0, _) = two_rank_setup();
+        assert!(r0.claim_min(2, 2));
+        r0.advance_level();
+        assert!(!r0.claim_min(2, 0), "settled last level");
+        assert_eq!(r0.parent[2], 2, "not lowered");
+        assert!(r0.next.is_empty(), "not re-entered into next");
     }
 
     #[test]

@@ -1,16 +1,28 @@
-//! Golden digests of whole BFS runs, captured at the commit *before*
-//! the engine-level cost work (PR 19) and held fixed across it.
+//! Golden digests of whole BFS runs, captured at PR 25 and held fixed
+//! from then on.
 //!
 //! The differential suites (`kernel_parity`, `engine_conformance`,
-//! `chaos`) compare two things built from the same tree, so a change
-//! that moves both sides together passes them. These constants do not
-//! move with the tree: the FNV-1a digest folds the full parent map and
-//! every field of every [`LevelStats`] — direction, `m_f`, `m_u`, edges
-//! scanned, records, messages, **bytes** (so varint wire order counts),
-//! claims, hub skips, gather bytes, settled, word counters — for eight
-//! roots per configuration on SharedMem × {Direct, Relay} × {fixed,
-//! varint}.
+//! `chaos`, `order_free`) compare two things built from the same tree,
+//! so a change that moves both sides together passes them. These
+//! constants do not move with the tree: the FNV-1a digest folds the full
+//! parent map and every field of every [`LevelStats`] — direction,
+//! `m_f`, `m_u`, edges scanned, records, messages, **bytes** (so varint
+//! wire order counts), claims, hub skips, gather bytes, settled, word
+//! counters — for eight roots per configuration on SharedMem × {Direct,
+//! Relay} × {fixed, varint}.
+//!
+//! PR 25 moved them on purpose, twice over: rows are degree-ordered by
+//! default (the Bottom-Up sweep meets hubs first, so it scans fewer
+//! edges and may settle on another frontier neighbour), and every
+//! contested claim now goes to the smallest frontier parent instead of
+//! the first in a sorted inbox (the Top-Down tree changes, the level of
+//! every vertex does not). Because parent identity is what moved, each
+//! golden root is held to what a BFS tree owes whatever its shape —
+//! Graph500's five validation rules and the sequential oracle's level
+//! map — before its digest is folded.
 
+use sw_graph500::validate_bfs;
+use swbfs_core::baseline::sequential_bfs_levels;
 use swbfs_core::engine::ClusterBuilder;
 use swbfs_core::result::LevelStats;
 use swbfs_core::{BfsConfig, BfsOutput, Messaging};
@@ -104,6 +116,12 @@ fn digest(messaging: Messaging, varint: bool) -> u64 {
     let mut bottom_up_levels = 0;
     for &root in &roots {
         let out = engine.run(root).unwrap();
+        validate_bfs(&el, &out).unwrap_or_else(|e| panic!("root {root}: {e}"));
+        assert_eq!(
+            out.levels_from_parents(),
+            sequential_bfs_levels(&el, root),
+            "root {root}: level map diverges from the sequential oracle"
+        );
         bottom_up_levels += out
             .levels
             .iter()
@@ -116,20 +134,20 @@ fn digest(messaging: Messaging, varint: bool) -> u64 {
 }
 
 #[test]
-fn shared_mem_runs_match_the_digests_pinned_before_pr19() {
-    // (messaging, varint codec, digest at commit 8d688c2)
+fn shared_mem_runs_match_the_digests_pinned_at_pr25() {
+    // (messaging, varint codec, digest captured at PR 25)
     let golden = [
-        (Messaging::Direct, false, 0xb485_81e9_000d_ea8e_u64),
-        (Messaging::Direct, true, 0xb55c_e7ab_7015_be0e),
-        (Messaging::Relay, false, 0xfdd4_039b_69ff_9ce1),
-        (Messaging::Relay, true, 0xb4aa_6255_c3f9_8b8a),
+        (Messaging::Direct, false, 0x385b_f9c5_89b1_0ac5_u64),
+        (Messaging::Direct, true, 0x7638_ce70_e46a_4508),
+        (Messaging::Relay, false, 0xd196_8c61_d030_4ea2),
+        (Messaging::Relay, true, 0x0fb9_e643_c792_03ae),
     ];
-    for (messaging, varint, want) in golden {
-        let got = digest(messaging, varint);
+    let got: Vec<u64> = golden.iter().map(|&(m, varint, _)| digest(m, varint)).collect();
+    for (&(messaging, varint, want), &got_one) in golden.iter().zip(&got) {
         assert_eq!(
-            got, want,
-            "{messaging:?}/varint={varint}: digest {got:#018x} differs from the pinned \
-             {want:#018x} — parents or a LevelStats field moved"
+            got_one, want,
+            "{messaging:?}/varint={varint}: digest {got_one:#018x} differs from the pinned \
+             {want:#018x} — parents or a LevelStats field moved (all four: {got:x?})"
         );
     }
 }

@@ -1,0 +1,202 @@
+//! Order-freedom, proven rather than assumed: since PR 25 no fabric
+//! sorts its inboxes and the engine does not either — every contested
+//! parent goes to the smallest frontier id (`RankState::claim_min`) and
+//! the Backward Handler sorts its replies. So handing the handlers their
+//! inboxes in *any* order must leave everything observable unchanged.
+//!
+//! [`Reordering`] wraps a real fabric and permutes every inbox it
+//! returns — by a seeded shuffle, or by reversal — before the engine
+//! sees it. On SharedMem, Channels and Socket-Unix, Direct and Relay,
+//! scales 10–14, several roots, varint codec on (so reply order would
+//! show up in the byte counts): parents, every `LevelStats` field and the
+//! canonical counter set must equal the unwrapped run's. Parents must
+//! also agree between Direct and Relay on each fabric.
+
+use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
+use sw_net::GroupLayout;
+use sw_trace::{CounterSet, Tracer};
+use swbfs_core::config::Messaging;
+use swbfs_core::engine::{Channels, ClusterBuilder, SharedMem, SocketTransport, Transport};
+use swbfs_core::error::ExchangeError;
+use swbfs_core::exchange::{Codec, ExchangeStats};
+use swbfs_core::faults::{FaultSession, RetryPolicy};
+use swbfs_core::messages::EdgeRec;
+use swbfs_core::modules::Outboxes;
+use swbfs_core::{BfsConfig, BfsOutput};
+
+/// How [`Reordering`] permutes an inbox.
+#[derive(Clone, Copy, Debug)]
+enum Permute {
+    /// Fisher-Yates from a seeded LCG that advances across exchanges.
+    Shuffle(u64),
+    Reverse,
+}
+
+/// A test-only fabric: `inner` moves the records, then every inbox it
+/// returns is permuted.
+struct Reordering<T> {
+    inner: T,
+    permute: Permute,
+}
+
+impl<T: Transport> Reordering<T> {
+    fn permute(&mut self, inboxes: &mut [Vec<EdgeRec>]) {
+        for inbox in inboxes {
+            match &mut self.permute {
+                Permute::Reverse => inbox.reverse(),
+                Permute::Shuffle(x) => {
+                    for i in (1..inbox.len()).rev() {
+                        *x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        inbox.swap(i, (*x >> 33) as usize % (i + 1));
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl<T: Transport> Transport for Reordering<T> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn setup(&mut self, num_ranks: usize) {
+        self.inner.setup(num_ranks);
+    }
+
+    fn lend_outboxes(&mut self) -> Vec<Outboxes> {
+        self.inner.lend_outboxes()
+    }
+
+    fn exchange(
+        &mut self,
+        mode: Messaging,
+        out: Vec<Outboxes>,
+        layout: &GroupLayout,
+        codec: Codec,
+    ) -> Result<(Vec<Vec<EdgeRec>>, ExchangeStats), ExchangeError> {
+        let (mut inboxes, stats) = self.inner.exchange(mode, out, layout, codec)?;
+        self.permute(&mut inboxes);
+        Ok((inboxes, stats))
+    }
+
+    fn exchange_faulty(
+        &mut self,
+        mode: Messaging,
+        out: Vec<Outboxes>,
+        layout: &GroupLayout,
+        codec: Codec,
+        plain: Codec,
+        policy: &RetryPolicy,
+        session: &mut FaultSession,
+    ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
+        let (mut result, stats) = self
+            .inner
+            .exchange_faulty(mode, out, layout, codec, plain, policy, session);
+        if let Ok(inboxes) = &mut result {
+            self.permute(inboxes);
+        }
+        (result, stats)
+    }
+
+    fn recycle_inboxes(&mut self, inboxes: Vec<Vec<EdgeRec>>) {
+        self.inner.recycle_inboxes(inboxes);
+    }
+
+    fn set_tracer(&mut self, tracer: Option<Tracer>) {
+        self.inner.set_tracer(tracer);
+    }
+
+    fn set_trace_level(&mut self, level: u32) {
+        self.inner.set_trace_level(level);
+    }
+
+    fn teardown(&mut self) {
+        self.inner.teardown();
+    }
+}
+
+/// Every root's output and counter set on one engine over `transport`.
+fn runs<T: Transport>(
+    el: &sw_graph::EdgeList,
+    cfg: BfsConfig,
+    transport: T,
+    roots: &[Vid],
+) -> Vec<(BfsOutput, CounterSet)> {
+    let mut engine = ClusterBuilder::new(el, 6, cfg)
+        .transport(transport)
+        .build()
+        .expect("build");
+    roots
+        .iter()
+        .map(|&root| {
+            let out = engine.run(root).unwrap();
+            (out, engine.metrics().clone())
+        })
+        .collect()
+}
+
+fn check<T: Transport>(make: impl Fn() -> T) {
+    for scale in 10..=14u32 {
+        let el = generate_kronecker(&KroneckerConfig::graph500(scale, 40 + scale as u64));
+        let mut touched = vec![false; el.num_vertices as usize];
+        for &(a, b) in &el.edges {
+            touched[a as usize] = true;
+            touched[b as usize] = true;
+        }
+        let roots: Vec<Vid> = (0..el.num_vertices)
+            .filter(|&v| touched[v as usize])
+            .step_by(el.num_vertices as usize / 4)
+            .take(3)
+            .collect();
+        let mut by_messaging = Vec::new();
+        for messaging in [Messaging::Direct, Messaging::Relay] {
+            let cfg = BfsConfig::threaded_small(3)
+                .with_messaging(messaging)
+                .with_compression();
+            let unwrapped = make();
+            let name = unwrapped.name();
+            let plain = runs(&el, cfg, unwrapped, &roots);
+            for permute in [Permute::Shuffle(0x5eed ^ scale as u64), Permute::Reverse] {
+                let wrapped = Reordering {
+                    inner: make(),
+                    permute,
+                };
+                let got = runs(&el, cfg, wrapped, &roots);
+                for (k, ((a, ca), (b, cb))) in plain.iter().zip(&got).enumerate() {
+                    let at = format!(
+                        "{name} scale {scale} {messaging:?} {permute:?} root {}",
+                        roots[k]
+                    );
+                    assert_eq!(a.parents, b.parents, "{at}: parents");
+                    assert_eq!(a.levels, b.levels, "{at}: LevelStats");
+                    assert_eq!(ca, cb, "{at}: counter set");
+                }
+            }
+            by_messaging.push(plain);
+        }
+        for (d, r) in by_messaging[0].iter().zip(&by_messaging[1]) {
+            assert_eq!(
+                d.0.parents, r.0.parents,
+                "scale {scale}: Direct vs Relay parents"
+            );
+        }
+    }
+}
+
+#[test]
+fn shared_mem_levels_are_order_free() {
+    check(SharedMem::new);
+}
+
+#[test]
+fn channels_levels_are_order_free() {
+    check(Channels::new);
+}
+
+#[test]
+fn socket_unix_levels_are_order_free() {
+    check(|| SocketTransport::unix().with_rankd(env!("CARGO_BIN_EXE_swbfs-rankd")));
+}

@@ -114,22 +114,28 @@ fn degree_ordered_adjacency_cuts_bottom_up_scans() {
     // The Yasui-style refinement: hubs first in each neighbour list means
     // the Bottom-Up early exit fires sooner, so fewer edges are scanned
     // for the same (valid) traversal.
+    // Ordering is the default since PR 25, so the plain side opts out.
     let el = generate_kronecker(&KroneckerConfig::graph500(13, 17));
     let root = select_roots(&el, 1, 4)[0];
     let base = BfsConfig::threaded_small(4);
-    let mut plain = swbfs::bfs::ClusterBuilder::new(&el, 8, base).build().unwrap();
-    let mut ordered = swbfs::bfs::ClusterBuilder::new(
+    assert!(base.degree_ordered_adjacency, "hubs first by default");
+    let mut plain = swbfs::bfs::ClusterBuilder::new(
         &el,
         8,
         BfsConfig {
-            degree_ordered_adjacency: true,
+            degree_ordered_adjacency: false,
             ..base
         },
     )
     .build()
     .unwrap();
+    let mut ordered = swbfs::bfs::ClusterBuilder::new(&el, 8, base).build().unwrap();
+    let (mut distributed, _) = swbfs::bfs::ClusterBuilder::new(&el, 8, base)
+        .build_distributed()
+        .unwrap();
     let a = plain.run(root).unwrap();
     let b = ordered.run(root).unwrap();
+    let c = distributed.run(root).unwrap();
     // Same coverage and hop distances; both valid.
     assert_eq!(a.reached(), b.reached());
     assert_eq!(a.levels_from_parents(), b.levels_from_parents());
@@ -147,6 +153,10 @@ fn degree_ordered_adjacency_cuts_bottom_up_scans() {
         sb < sa,
         "degree ordering did not reduce bottom-up scans: {sb} !< {sa}"
     );
+    // The distributed construction keeps the ordering (before PR 25 it
+    // swapped unordered rows back in after preparing the ordered ones).
+    assert_eq!(bu_scans(&c), sb, "build_distributed lost the ordering");
+    assert_eq!(c, b, "build_distributed and build disagree");
 }
 
 #[test]
