@@ -15,12 +15,17 @@ cargo bench --no-run -q
 # shim must be invisible in outputs. Conformance + kernel parity + chaos
 # + order-freedom run sequentially (SW_POOL_THREADS=1, the default) and
 # on a 4-worker pool; every assertion in those suites is bit-exactness,
-# so any scheduling-dependent result fails the matrix.
+# so any scheduling-dependent result fails the matrix. A level's
+# close-out (advance_level, n_f, m_f) runs inside the last parallel rank
+# pass, so the golden digests and the single-build comparison run on
+# both pool sizes too.
 for threads in 1 4; do
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test engine_conformance
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test kernel_parity
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test chaos
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test order_free
+  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test golden_levels
+  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test single_build
 done
 
 # Socket fabric gate: the multi-process transport (one swbfs-rankd

@@ -6,14 +6,14 @@
 //! Usage: `ablation [scale] [ranks]`
 
 use std::time::Instant;
-use sw_bench::print_table;
+use sw_bench::{print_table, PositionalArgs};
 use sw_graph::{generate_kronecker, KroneckerConfig};
 use swbfs_core::{BfsConfig, ClusterBuilder, Messaging};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(17);
-    let ranks: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let args = PositionalArgs::new("ablation [scale] [ranks]");
+    let scale: u32 = args.get(0, 17);
+    let ranks: u32 = args.get(1, 16);
 
     let el = generate_kronecker(&KroneckerConfig::graph500(scale, 4));
     eprintln!(

@@ -4,15 +4,15 @@
 //!
 //! Usage: `ablation2d [scale] [procs]` (procs must be a perfect square).
 
-use sw_bench::print_table;
+use sw_bench::{print_table, PositionalArgs};
 use sw_graph::{generate_kronecker, Csr, KroneckerConfig};
 use swbfs_core::baseline2d::bfs_2d;
 use swbfs_core::{BfsConfig, ClusterBuilder, Messaging};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(15);
-    let procs: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let args = PositionalArgs::new("ablation2d [scale] [procs]");
+    let scale: u32 = args.get(0, 15);
+    let procs: u32 = args.get(1, 16);
     let side = (procs as f64).sqrt() as u32;
     assert_eq!(side * side, procs, "procs must be a perfect square");
 

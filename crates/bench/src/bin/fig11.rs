@@ -10,15 +10,15 @@
 //! at 4 Ki and dies at 16 Ki from MPI connection memory).
 
 use sw_arch::ChipConfig;
-use sw_bench::{experiment_profile, fmt_gteps, print_table};
+use sw_bench::{experiment_profile, fmt_gteps, print_table, PositionalArgs};
 use sw_net::NetworkConfig;
 use swbfs_core::traffic::extrapolate_depth;
 use swbfs_core::{BfsConfig, Messaging, ModelOutcome, ModeledCluster, Processing};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let profile_scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(18);
-    let profile_ranks: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let args = PositionalArgs::new("fig11 [profile_scale] [profile_ranks]");
+    let profile_scale: u32 = args.get(0, 18);
+    let profile_ranks: u32 = args.get(1, 16);
     let vpn: u64 = 16 << 20;
 
     eprintln!("measuring traffic profile (scale {profile_scale}, {profile_ranks} ranks)...");

@@ -4,15 +4,15 @@
 //! the full machine).
 
 use sw_arch::ChipConfig;
-use sw_bench::{experiment_profile, fmt_gteps, print_table};
+use sw_bench::{experiment_profile, fmt_gteps, print_table, PositionalArgs};
 use sw_net::NetworkConfig;
 use swbfs_core::traffic::extrapolate_depth;
 use swbfs_core::{BfsConfig, ModelOutcome, ModeledCluster};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let profile_scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(18);
-    let profile_ranks: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let args = PositionalArgs::new("fig12 [profile_scale] [profile_ranks]");
+    let profile_scale: u32 = args.get(0, 18);
+    let profile_ranks: u32 = args.get(1, 16);
 
     eprintln!("measuring traffic profile (scale {profile_scale}, {profile_ranks} ranks)...");
     let base_profile = experiment_profile(profile_scale, profile_ranks);

@@ -3,15 +3,16 @@
 //!
 //! Usage: `graph500_host [scale] [ranks] [roots] [seed]`
 
+use sw_bench::PositionalArgs;
 use sw_graph500::{report::format_report, run_benchmark, Graph500Spec};
 use swbfs_core::BfsConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(18);
-    let ranks: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let roots: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let args = PositionalArgs::new("graph500_host [scale] [ranks] [roots] [seed]");
+    let scale: u32 = args.get(0, 18);
+    let ranks: u32 = args.get(1, 8);
+    let roots: usize = args.get(2, 16);
+    let seed: u64 = args.get(3, 1);
 
     eprintln!("Graph500: scale {scale}, {ranks} ranks, {roots} roots, seed {seed}");
     let spec = Graph500Spec::quick(scale, seed, roots);

@@ -3,15 +3,16 @@
 //!
 //! Usage: `graph500_sweep [min_scale] [max_scale] [ranks] [roots]`
 
+use sw_bench::PositionalArgs;
 use sw_graph500::{run_benchmark, Graph500Spec};
 use swbfs_core::BfsConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let min_scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(12);
-    let max_scale: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(18);
-    let ranks: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let roots: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let args = PositionalArgs::new("graph500_sweep [min_scale] [max_scale] [ranks] [roots]");
+    let min_scale: u32 = args.get(0, 12);
+    let max_scale: u32 = args.get(1, 18);
+    let ranks: u32 = args.get(2, 8);
+    let roots: usize = args.get(3, 8);
 
     println!(
         "scale,vertices,edges,ranks,roots,construction_s,min_teps,median_teps,harmonic_mean_teps,max_teps"

@@ -4,15 +4,15 @@
 //!
 //! Usage: `kernel2 [scale] [ranks] [roots] [max_weight]`
 
-use sw_bench::print_table;
+use sw_bench::{print_table, PositionalArgs};
 use sw_graph500::{run_kernel2, Graph500Spec};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(15);
-    let ranks: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let roots: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let max_w: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(255);
+    let args = PositionalArgs::new("kernel2 [scale] [ranks] [roots] [max_weight]");
+    let scale: u32 = args.get(0, 15);
+    let ranks: u32 = args.get(1, 8);
+    let roots: usize = args.get(2, 8);
+    let max_w: u64 = args.get(3, 255);
 
     eprintln!("kernel 2: scale {scale}, {ranks} ranks, {roots} roots, weights 1..={max_w}");
     let spec = Graph500Spec::quick(scale, 3, roots);

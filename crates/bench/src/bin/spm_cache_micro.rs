@@ -7,12 +7,12 @@
 use rand::{Rng, SeedableRng};
 use sw_arch::spm_cache::ClusterBitmap;
 use sw_arch::{ChipConfig, CpeId};
-use sw_bench::print_table;
+use sw_bench::{print_table, PositionalArgs};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let bits: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16 << 20);
-    let lookups: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1 << 20);
+    let args = PositionalArgs::new("spm_cache_micro [bits] [lookups]");
+    let bits: u64 = args.get(0, 16 << 20);
+    let lookups: u64 = args.get(1, 1 << 20);
     let chip = ChipConfig::sw26010();
 
     println!("§3.1 collaborative SPM: {bits} bit cluster bitmap, {lookups} random lookups\n");

@@ -6,15 +6,15 @@
 
 use std::time::Instant;
 use sw_arch::ChipConfig;
-use sw_bench::{experiment_profile, print_table};
+use sw_bench::{experiment_profile, print_table, PositionalArgs};
 use sw_graph500::{run_benchmark, Graph500Spec};
 use sw_net::NetworkConfig;
 use swbfs_core::traffic::extrapolate_depth;
 use swbfs_core::{BfsConfig, ModelOutcome, ModeledCluster};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let host_scale: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(18);
+    let args = PositionalArgs::new("table2 [host_scale]");
+    let host_scale: u32 = args.get(0, 18);
 
     // Modeled full machine: 40,768 nodes, 26.2M vertices/node (scale 40).
     eprintln!("measuring traffic profile...");

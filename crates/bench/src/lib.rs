@@ -22,8 +22,47 @@
 
 pub mod snapshot;
 
+use std::str::FromStr;
 use swbfs_core::traffic::{measure_profile, LevelProfile};
 use swbfs_core::BfsConfig;
+
+/// A binary's optional positional arguments, each with a default.
+///
+/// An argument that is present but does not parse, or one more than the
+/// usage lists, prints the usage and exits with status 2 — a typo must
+/// not silently run the default.
+pub struct PositionalArgs {
+    args: Vec<String>,
+    usage: &'static str,
+}
+
+impl PositionalArgs {
+    /// The process's arguments, checked against `usage`
+    /// (`"name [a] [b]"`, one `[…]` per optional positional argument).
+    pub fn new(usage: &'static str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let parsed = Self { args, usage };
+        if parsed.args.len() > usage.matches('[').count() {
+            parsed.fail("too many arguments");
+        }
+        parsed
+    }
+
+    /// Argument `i` (0-based), or `default` when it is absent.
+    pub fn get<T: FromStr>(&self, i: usize, default: T) -> T {
+        match self.args.get(i) {
+            None => default,
+            Some(s) => s
+                .parse()
+                .unwrap_or_else(|_| self.fail(&format!("argument {} ({s:?}) is not valid", i + 1))),
+        }
+    }
+
+    fn fail(&self, why: &str) -> ! {
+        eprintln!("{why}\nusage: {}", self.usage);
+        std::process::exit(2)
+    }
+}
 
 /// Measures the per-level traffic profile the modeled experiments replay.
 ///

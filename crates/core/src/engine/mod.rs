@@ -258,7 +258,9 @@ pub struct SuperstepEngine<T: Transport> {
     part: Partition1D,
     layout: GroupLayout,
     ranks: Vec<RankState>,
-    hub_states: Vec<HubState>,
+    /// The replicated hub state: every rank's copy is identical after a
+    /// gather, so one copy serves all ranks' generators.
+    hubs: HubState,
     /// `(hub_index, local_index)` pairs per rank, for contribution builds.
     owned_hubs: Vec<Vec<(u32, u32)>>,
     /// Per-rank hub-gather contributions `(in next, settled)`, rebuilt
@@ -379,7 +381,7 @@ impl<T: Transport> SuperstepEngine<T> {
             let degrees = &degrees;
             ranks
                 .par_iter_mut()
-                .for_each(|r| r.csr.reorder_neighbors_by_degree(|v| degrees[v as usize]));
+                .for_each(|r| r.reorder_neighbors_by_degree(|v| degrees[v as usize]));
         }
 
         // Byte-coded sidecar for high-degree rows — built *after* any
@@ -539,9 +541,6 @@ impl<T: Transport> SuperstepEngine<T> {
             .collect();
         let set = HubSet::from_degrees(nominations, k);
         let td_limit = cfg.top_down_hubs.min(set.len()) as u32;
-        let hub_states: Vec<HubState> = (0..num_ranks)
-            .map(|_| HubState::with_td_limit(set.clone(), td_limit))
-            .collect();
         let owned_hubs: Vec<Vec<(u32, u32)>> = (0..num_ranks)
             .map(|r| {
                 set.hubs()
@@ -555,6 +554,7 @@ impl<T: Transport> SuperstepEngine<T> {
 
         let contribs = || (0..num_ranks).map(|_| Bitmap::new(set.len())).collect();
         let hub_contribs = (contribs(), contribs());
+        let hubs = HubState::with_td_limit(set, td_limit);
 
         let total_directed_edges = ranks.iter().map(|r| r.csr.num_entries()).sum();
         transport.setup(num_ranks as usize);
@@ -563,7 +563,7 @@ impl<T: Transport> SuperstepEngine<T> {
             part,
             layout,
             ranks,
-            hub_states,
+            hubs,
             owned_hubs,
             hub_contribs,
             total_directed_edges,
@@ -660,6 +660,13 @@ impl<T: Transport> SuperstepEngine<T> {
     /// post-mortem state such as [`SocketTransport::last_exits`]).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
+    }
+
+    /// Every rank's state, in rank order. A hook for integration tests
+    /// that inspect prepared rows, not part of the documented API.
+    #[doc(hidden)]
+    pub fn rank_states(&self) -> &[RankState] {
+        &self.ranks
     }
 
     /// Degree (with multiplicity) of a global vertex.
@@ -781,10 +788,8 @@ impl<T: Transport> SuperstepEngine<T> {
         let owner = self.part.owner(root) as usize;
         let rl = self.part.to_local(root) as usize;
         self.ranks[owner].claim(rl, root);
+        let mut next: NextFrontier = self.ranks.iter_mut().map(close_level).sum();
         let mut gather = self.traced_update_hubs(NO_LEVEL);
-        for r in &mut self.ranks {
-            r.advance_level();
-        }
 
         let mut policy = TraversalPolicy::new(self.cfg.alpha, self.cfg.beta);
         let mut levels: Vec<LevelStats> = Vec::new();
@@ -795,11 +800,10 @@ impl<T: Transport> SuperstepEngine<T> {
         let mut m_u = self.total_directed_edges;
 
         loop {
-            let n_f: u64 = self.ranks.iter().map(|r| r.frontier_vertices()).sum();
+            let NextFrontier(n_f, m_f) = next;
             if n_f == 0 {
                 break;
             }
-            let m_f: u64 = self.ranks.par_iter().map(|r| r.frontier_edges()).sum();
             m_u -= m_f;
             debug_assert_eq!(
                 m_u,
@@ -829,10 +833,10 @@ impl<T: Transport> SuperstepEngine<T> {
 
             self.transport.set_trace_level(level);
             let lt0 = ins::span_begin(self.tracer.as_ref());
-            match dir {
+            next = match dir {
                 Direction::TopDown => self.top_down_level(&mut ls)?,
                 Direction::BottomUp => self.bottom_up_level(&mut ls)?,
-            }
+            };
             // Level work is charged in transport-invariant units (edges
             // scanned + records generated + 1), so virtual-domain level
             // spans line up across Direct and Relay.
@@ -851,7 +855,7 @@ impl<T: Transport> SuperstepEngine<T> {
             }
 
             gather = self.traced_update_hubs(level);
-            ls.settled = self.ranks.iter_mut().map(|r| r.advance_level()).sum();
+            ls.settled = next.0;
             ins::absorb_kernel(&mut self.metrics, &ls);
             levels.push(ls);
             level += 1;
@@ -880,25 +884,23 @@ impl<T: Transport> SuperstepEngine<T> {
         for r in &mut self.ranks {
             r.reset();
         }
-        for h in &mut self.hub_states {
-            h.curr.clear_all();
-            h.visited.clear_all();
-        }
+        self.hubs.reset();
     }
 
-    /// One Top-Down level: Forward Generator → exchange → Forward Handler.
-    fn top_down_level(&mut self, ls: &mut LevelStats) -> Result<(), ExecError> {
+    /// One Top-Down level: Forward Generator → exchange → Forward Handler
+    /// (which closes the level out).
+    fn top_down_level(&mut self, ls: &mut LevelStats) -> Result<NextFrontier, ExecError> {
         let trace = self.tracer.clone();
         let trace = trace.as_ref();
         let lvl = ls.level;
         let reference = self.cfg.reference_kernels;
+        let h = &self.hubs;
         let mut outs = self.transport.lend_outboxes();
         let gen: Vec<ModuleStats> = self
             .ranks
             .par_iter_mut()
-            .zip(self.hub_states.par_iter())
             .zip(outs.par_iter_mut())
-            .map(|((r, h), out)| {
+            .map(|(r, out)| {
                 let t0 = ins::span_begin(trace);
                 let st = if reference {
                     crate::modules::reference::forward_generator(r, h, out)
@@ -920,33 +922,23 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(outs, ls)?;
-
-        self.ranks
-            .par_iter_mut()
-            .zip(inboxes.par_iter())
-            .for_each(|(r, inbox)| {
-                let t0 = ins::span_begin(trace);
-                forward_handler(r, inbox);
-                ins::span_end(trace, r.rank as usize, ins::SPAN_HANDLE, ins::CAT_COMPUTE, lvl, t0, inbox.len() as u64);
-            });
-        self.transport.recycle_inboxes(inboxes);
-        Ok(())
+        Ok(self.handle_forward(inboxes, lvl))
     }
 
     /// One Bottom-Up level: Backward Generator → exchange → Backward
-    /// Handler → exchange → Forward Handler.
-    fn bottom_up_level(&mut self, ls: &mut LevelStats) -> Result<(), ExecError> {
+    /// Handler → exchange → Forward Handler (which closes the level out).
+    fn bottom_up_level(&mut self, ls: &mut LevelStats) -> Result<NextFrontier, ExecError> {
         let trace = self.tracer.clone();
         let trace = trace.as_ref();
         let lvl = ls.level;
         let reference = self.cfg.reference_kernels;
+        let h = &self.hubs;
         let mut outs = self.transport.lend_outboxes();
         let gen: Vec<ModuleStats> = self
             .ranks
             .par_iter_mut()
-            .zip(self.hub_states.par_iter())
             .zip(outs.par_iter_mut())
-            .map(|((r, h), out)| {
+            .map(|(r, out)| {
                 let t0 = ins::span_begin(trace);
                 let st = if reference {
                     crate::modules::reference::backward_generator(r, h, out)
@@ -969,6 +961,7 @@ impl<T: Transport> SuperstepEngine<T> {
 
         let inboxes = self.run_exchange(outs, ls)?;
 
+        let codec = self.cfg.codec();
         let mut replies = self.transport.lend_outboxes();
         let handled: Vec<ModuleStats> = self
             .ranks
@@ -977,7 +970,7 @@ impl<T: Transport> SuperstepEngine<T> {
             .zip(replies.par_iter_mut())
             .map(|((r, inbox), out)| {
                 let t0 = ins::span_begin(trace);
-                let st = backward_handler(r, inbox, out);
+                let st = backward_handler(r, inbox, out, codec);
                 ins::span_end(trace, r.rank as usize, ins::SPAN_HANDLE, ins::CAT_COMPUTE, lvl, t0, inbox.len() as u64);
                 st
             })
@@ -993,17 +986,28 @@ impl<T: Transport> SuperstepEngine<T> {
         }
 
         let inboxes = self.run_exchange(replies, ls)?;
+        Ok(self.handle_forward(inboxes, lvl))
+    }
 
-        self.ranks
+    /// A level's last per-rank pass: the Forward Handler, then the
+    /// rank's close-out ([`close_level`]) inside the same `handle` span —
+    /// no fork–join or serial loop of its own.
+    fn handle_forward(&mut self, inboxes: Vec<Vec<EdgeRec>>, lvl: u32) -> NextFrontier {
+        let trace = self.tracer.as_ref();
+        let next = self
+            .ranks
             .par_iter_mut()
             .zip(inboxes.par_iter())
-            .for_each(|(r, inbox)| {
+            .map(|(r, inbox)| {
                 let t0 = ins::span_begin(trace);
                 forward_handler(r, inbox);
+                let next = close_level(r);
                 ins::span_end(trace, r.rank as usize, ins::SPAN_HANDLE, ins::CAT_COMPUTE, lvl, t0, inbox.len() as u64);
-            });
+                next
+            })
+            .sum();
         self.transport.recycle_inboxes(inboxes);
-        Ok(())
+        next
     }
 
     /// Runs one record exchange through the transport — or, when a test
@@ -1097,8 +1101,9 @@ impl<T: Transport> SuperstepEngine<T> {
         bytes
     }
 
-    /// Rebuilds the replicated hub bitmaps from every rank's `next` +
-    /// parent state; returns the gather traffic in bytes.
+    /// Rebuilds the replicated hub bitmaps from every rank's new frontier
+    /// (`curr`: the level is closed out) + parent state; returns the
+    /// gather traffic in bytes.
     fn update_hubs(&mut self) -> u64 {
         let (contrib_curr, contrib_visited) = &mut self.hub_contribs;
         for (r, rank) in self.ranks.iter().enumerate() {
@@ -1106,7 +1111,7 @@ impl<T: Transport> SuperstepEngine<T> {
             c.clear_all();
             v.clear_all();
             for &(hub_idx, local) in &self.owned_hubs[r] {
-                if rank.next.contains(local as usize) {
+                if rank.curr.contains(local as usize) {
                     c.set(hub_idx as usize);
                 }
                 if rank.visited(local as usize) {
@@ -1114,8 +1119,25 @@ impl<T: Transport> SuperstepEngine<T> {
                 }
             }
         }
-        gather_hub_level(&mut self.hub_states, contrib_curr, contrib_visited).bytes
+        gather_hub_level(&mut self.hubs, contrib_curr, contrib_visited).bytes
     }
+}
+
+/// The next frontier's `(n_f, m_f)`, summed over ranks.
+#[derive(Clone, Copy, Default)]
+struct NextFrontier(u64, u64);
+
+impl std::iter::Sum for NextFrontier {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self(a.0 + b.0, a.1 + b.1))
+    }
+}
+
+/// Ends the level on one rank (`next` becomes `curr`) and returns its
+/// share of the next `(n_f, m_f)`: the vertices it settled this level
+/// and their degree sum.
+fn close_level(r: &mut RankState) -> NextFrontier {
+    NextFrontier(r.advance_level(), r.frontier_edges())
 }
 
 impl<T: Transport> Drop for SuperstepEngine<T> {

@@ -5,9 +5,9 @@
 //!
 //! 1. **local** — the neighbour is owned here; its frontier bit answers
 //!    immediately and the scan short-circuits on a hit;
-//! 2. **hub** — the neighbour is a hub; the replicated hub-curr bitmap is
-//!    *authoritative* (in the frontier → claim and stop; not → no query
-//!    needed at all);
+//! 2. **hub** — the neighbour is a hub (one membership bit test); the
+//!    replicated hub frontier, read by vertex id, is *authoritative* (in
+//!    the frontier → claim and stop; not → no query needed at all);
 //! 3. **remote** — a backward query `(u, v)` must go to `owner(u)`; these
 //!    are queued only if tiers 1–2 found no parent.
 //!
@@ -20,6 +20,11 @@
 //! byte-coded copy ([`RankState::adjacency`]) decode through the varint
 //! stream instead of the plain slice; the early-exit `break` then also
 //! stops the decoder, and only the bytes actually pulled are charged.
+//! A plain row is tested first through [`RankState::head`], a dense
+//! column of first neighbours read in the sweep's own order — under
+//! degree order the likeliest parent — and the row itself is loaded only
+//! when the head does not answer (the paper's degree-aware prefetch as
+//! data rather than as a prefetch instruction).
 
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
@@ -45,8 +50,8 @@ fn scan_row(
             if state.curr.contains(state.local(u)) {
                 return Some(u);
             }
-        } else if let Some(idx) = hubs.hub_index(u) {
-            if hubs.in_frontier(idx) {
+        } else if hubs.set.contains(u) {
+            if hubs.frontier_hub(u) {
                 return Some(u);
             }
             // Hub not in frontier: authoritative no — skip the query.
@@ -97,14 +102,16 @@ pub fn backward_generator(
                     stats.bytes_decoded += it.bytes_read() as u64;
                     f
                 }
-                None => scan_row(
-                    state,
-                    hubs,
-                    v,
-                    state.csr.neighbors_local(v_local).iter().copied(),
-                    &mut queries,
-                    &mut stats,
-                ),
+                None => {
+                    // The head column first; the row only if it did not answer.
+                    let head = state.head(v_local);
+                    debug_assert_eq!(Some(&head), state.csr.neighbors_local(v_local).first());
+                    let first = std::iter::once(head);
+                    scan_row(state, hubs, v, first, &mut queries, &mut stats).or_else(|| {
+                        let rest = state.csr.neighbors_local(v_local)[1..].iter().copied();
+                        scan_row(state, hubs, v, rest, &mut queries, &mut stats)
+                    })
+                }
             };
             if let Some(u) = found {
                 state.claim(v_local, u);
@@ -169,6 +176,7 @@ mod tests {
         let (mut state, mut hubs) = setup();
         let idx = hubs.hub_index(6).unwrap();
         hubs.curr.set(idx as usize);
+        hubs.refresh_views();
         let mut out = Outboxes::new(2);
         backward_generator(&mut state, &hubs, &mut out);
         // v=2's only neighbour is hub 6, in frontier: claimed locally.

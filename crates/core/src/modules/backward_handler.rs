@@ -5,23 +5,28 @@
 //! The query inbox may arrive in **any order**: a query is answered by
 //! one frontier-bit test that nothing else in the batch can change, and
 //! self-addressed replies claim min-parent ([`RankState::claim_min`]).
-//! What must be canonical is the *reply* stream — its order per
-//! destination is the varint codec's delta order, so the byte count —
-//! so the handler collects the hits, sorts those by `(u, v)`, and only
-//! then pushes. It is the engine's one remaining sort: replies are a
-//! fraction of the queries (most askers' neighbours are not in the
-//! frontier), which is why it lives here and not on any inbox.
+//! The *reply* order per destination is observable only through the
+//! varint codec, whose byte count is a function of delta order. So the
+//! handler collects the hits and, under [`Codec::Compressed`] only, sorts
+//! them by `(u, v)` before it pushes — the engine's one remaining sort,
+//! kept off the inbox because replies are a fraction of the queries.
+//! Under a fixed codec a batch costs `count × size` bytes whatever its
+//! order, so the replies go out in arrival order.
 
 use super::{ModuleStats, Outboxes};
+use crate::exchange::Codec;
 use crate::messages::EdgeRec;
 use crate::rank::RankState;
 
 /// Answers a batch of backward queries, in any order. Queries must
-/// target vertices this rank owns (`u` owned here).
+/// target vertices this rank owns (`u` owned here). `codec` is the one
+/// the replies will travel under: only [`Codec::Compressed`] reads their
+/// order, and only then are they sorted.
 pub fn backward_handler(
     state: &mut RankState,
     records: &[EdgeRec],
     out: &mut Outboxes,
+    codec: Codec,
 ) -> ModuleStats {
     let mut stats = ModuleStats {
         edges_scanned: records.len() as u64,
@@ -33,7 +38,9 @@ pub fn backward_handler(
         debug_assert!(state.owns(rec.u), "backward record misrouted");
         state.curr.contains(state.local(rec.u))
     }));
-    hits.sort_unstable();
+    if codec == Codec::Compressed {
+        hits.sort_unstable();
+    }
     for rec in &hits {
         if state.owns(rec.v) {
             // The asker is this very rank (possible when a relay path
@@ -55,6 +62,8 @@ pub fn backward_handler(
 mod tests {
     use super::*;
     use sw_graph::{EdgeList, Partition1D};
+
+    const FIXED: Codec = Codec::Fixed(16);
 
     fn state() -> RankState {
         // rank 1 owns 4..8; edge 4-5 so both have nonzero degree.
@@ -80,6 +89,7 @@ mod tests {
             &mut s,
             &[EdgeRec { u: 4, v: 0 }, EdgeRec { u: 5, v: 0 }],
             &mut out,
+            FIXED,
         );
         assert_eq!(stats.records_out, 1);
         assert_eq!(out.for_rank(0), &[EdgeRec { u: 4, v: 0 }]);
@@ -90,7 +100,7 @@ mod tests {
     fn non_frontier_query_is_dropped() {
         let mut s = state();
         let mut out = Outboxes::new(2);
-        let stats = backward_handler(&mut s, &[EdgeRec { u: 4, v: 0 }], &mut out);
+        let stats = backward_handler(&mut s, &[EdgeRec { u: 4, v: 0 }], &mut out, FIXED);
         assert_eq!(stats.records_out, 0);
         assert_eq!(out.total_records(), 0);
         assert_eq!(stats.edges_scanned, 1);
@@ -101,7 +111,7 @@ mod tests {
         let mut s = state();
         seed_frontier_with_4(&mut s);
         let mut out = Outboxes::new(2);
-        let stats = backward_handler(&mut s, &[EdgeRec { u: 4, v: 5 }], &mut out);
+        let stats = backward_handler(&mut s, &[EdgeRec { u: 4, v: 5 }], &mut out, FIXED);
         assert_eq!(stats.local_claims, 1);
         assert_eq!(s.parent[s.local(5)], 4);
         assert_eq!(out.total_records(), 0);
@@ -131,16 +141,12 @@ mod tests {
         sorted.push(EdgeRec { u: 9, v: 3 }); // a multi-edge asks twice
         sorted.sort_unstable();
 
-        let run = |inbox: &[EdgeRec]| {
+        let run = |inbox: &[EdgeRec], codec: Codec| {
             let mut s = base.clone();
             let mut out = Outboxes::new(3);
-            let stats = backward_handler(&mut s, inbox, &mut out);
+            let stats = backward_handler(&mut s, inbox, &mut out, codec);
             (out, stats, s.parent.clone(), s.next.iter().collect::<Vec<_>>())
         };
-        let (out_sorted, stats_sorted, parent_sorted, next_sorted) = run(&sorted);
-        assert!(stats_sorted.records_out > 0 && stats_sorted.local_claims > 0);
-        assert_eq!(parent_sorted[base.local(10)], 8, "least (u, v) wins the contest");
-
         // Reversed, rotated, and a fixed-seed Fisher-Yates shuffle.
         let mut shuffled = sorted.clone();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -152,13 +158,47 @@ mod tests {
         reversed.reverse();
         let mut rotated = sorted.clone();
         rotated.rotate_left(17);
-        for (label, inbox) in [("shuffled", shuffled), ("reversed", reversed), ("rotated", rotated)] {
-            assert_ne!(inbox, sorted, "{label}");
-            let (out, stats, parent, next) = run(&inbox);
-            assert_eq!(out.parts(), out_sorted.parts(), "{label}: reply stream");
-            assert_eq!(stats, stats_sorted, "{label}: module stats");
-            assert_eq!(parent, parent_sorted, "{label}: self-addressed claims");
-            assert_eq!(next, next_sorted, "{label}: next frontier");
+        // Per-destination reply multisets: what a fixed codec observes.
+        let multisets = |out: &Outboxes| {
+            (0..3)
+                .map(|d| {
+                    let mut r = out.for_rank(d);
+                    r.sort_unstable();
+                    r
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let (out_sorted, stats_sorted, parent_sorted, next_sorted) =
+            run(&sorted, Codec::Compressed);
+        assert!(stats_sorted.records_out > 0 && stats_sorted.local_claims > 0);
+        assert_eq!(parent_sorted[base.local(10)], 8, "least (u, v) wins the contest");
+        let inboxes = [
+            ("sorted", &sorted),
+            ("shuffled", &shuffled),
+            ("reversed", &reversed),
+            ("rotated", &rotated),
+        ];
+        for codec in [Codec::Compressed, FIXED] {
+            for (label, inbox) in inboxes {
+                let label = format!("{codec:?} {label}");
+                let (out, stats, parent, next) = run(inbox, codec);
+                if codec == Codec::Compressed {
+                    assert_eq!(out.parts(), out_sorted.parts(), "{label}: reply stream");
+                } else {
+                    assert_eq!(
+                        multisets(&out),
+                        multisets(&out_sorted),
+                        "{label}: replies per destination"
+                    );
+                }
+                assert_eq!(stats, stats_sorted, "{label}: module stats");
+                assert_eq!(parent, parent_sorted, "{label}: self-addressed claims");
+                assert_eq!(next, next_sorted, "{label}: next frontier");
+            }
         }
+        // Unsorted under the fixed codec: the reversed inbox's replies
+        // come out in its order, not the sorted one.
+        assert_ne!(run(&reversed, FIXED).0.parts(), out_sorted.parts());
     }
 }

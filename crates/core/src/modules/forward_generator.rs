@@ -27,7 +27,8 @@ use sw_graph::Vid;
 /// a core-local cache tile.
 const BLOCK_BITS: u32 = 12;
 
-/// One frontier row: hub-visited suppression, remote push, local stage.
+/// One frontier row: hub-visited suppression (one bit test by vertex
+/// id), remote push, local stage.
 #[inline]
 fn scan_row(
     state: &RankState,
@@ -40,11 +41,9 @@ fn scan_row(
 ) {
     for v in neighbours {
         stats.edges_scanned += 1;
-        if let Some(idx) = hubs.hub_index(v) {
-            if idx < hubs.td_limit && hubs.is_visited(idx) {
-                stats.hub_skips += 1;
-                continue;
-            }
+        if hubs.settled_td_hub(v) {
+            stats.hub_skips += 1;
+            continue;
         }
         if state.owns(v) {
             staged.push((state.local(v) as u32, u));
@@ -194,6 +193,7 @@ mod tests {
         seed_frontier(&mut state, &[(0, 0)]);
         let idx = hubs.hub_index(6).unwrap();
         hubs.visited.set(idx as usize);
+        hubs.refresh_views();
         let mut out = Outboxes::new(2);
         let stats = forward_generator(&mut state, &hubs, &mut out);
         assert_eq!(stats.hub_skips, 1);

@@ -14,8 +14,9 @@ pub struct RankState {
     pub rank: u32,
     /// The global partition map.
     pub part: Partition1D,
-    /// CSR rows owned by this rank (columns are global ids).
-    pub csr: Csr,
+    /// CSR rows owned by this rank (columns are global ids), read-only
+    /// outside this module.
+    pub csr: RankRows,
     /// Byte-coded copies of high-degree rows (armed by
     /// [`RankState::seal_adjacency`]); kernels prefer a coded row when
     /// one exists and fall back to [`RankState::csr`] otherwise.
@@ -42,6 +43,50 @@ pub struct RankState {
     /// Working buffers of the kernels, kept here so a level allocates
     /// nothing once they are warm.
     pub(crate) scratch: KernelScratch,
+}
+
+/// A rank's CSR rows together with their first-neighbour column.
+///
+/// Reads go through [`Csr`] (the type derefs to it); nothing outside this
+/// module can reorder or replace the rows, so the column cannot fall out
+/// of step with them. [`RankState::reorder_neighbors_by_degree`] is the
+/// one way to change the row order.
+///
+/// ```compile_fail
+/// fn reorder(r: &mut swbfs_core::rank::RankState) {
+///     r.csr.reorder_neighbors_by_degree(|_| 0); // the rows are read-only
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct RankRows {
+    csr: Csr,
+    /// First neighbour of row `i` (`NO_PARENT` for an empty row), in the
+    /// rows' current order: under degree order the row's likeliest
+    /// parent, which the Bottom-Up sweep tests before it loads the row.
+    heads: Vec<Vid>,
+}
+
+impl RankRows {
+    fn new(csr: Csr) -> Self {
+        let mut rows = Self { csr, heads: Vec::new() };
+        rows.refill_heads();
+        rows
+    }
+
+    /// Copies every non-empty row's first neighbour into `heads`.
+    fn refill_heads(&mut self) {
+        let csr = &self.csr;
+        self.heads = (0..csr.num_rows() as usize)
+            .map(|i| csr.neighbors_local(i).first().copied().unwrap_or(NO_PARENT))
+            .collect();
+    }
+}
+
+impl std::ops::Deref for RankRows {
+    type Target = Csr;
+    fn deref(&self) -> &Csr {
+        &self.csr
+    }
 }
 
 /// Per-call buffers of the generator and handler kernels. A kernel
@@ -86,7 +131,7 @@ impl RankState {
         Self {
             rank,
             part,
-            csr,
+            csr: RankRows::new(csr),
             adjacency,
             parent: vec![NO_PARENT; owned],
             visited_bits: Bitmap::new(owned),
@@ -96,6 +141,15 @@ impl RankState {
             has_row,
             scratch: KernelScratch::default(),
         }
+    }
+
+    /// Lays every row out by descending neighbour degree
+    /// ([`Csr::reorder_neighbors_by_degree`]) and refills the
+    /// first-neighbour column from the reordered rows. Call before
+    /// [`Self::seal_adjacency`].
+    pub fn reorder_neighbors_by_degree(&mut self, degree_of: impl Fn(Vid) -> u64 + Sync) {
+        self.csr.csr.reorder_neighbors_by_degree(degree_of);
+        self.csr.refill_heads();
     }
 
     /// Builds rank `rank`'s state from an opened partition store.
@@ -148,6 +202,13 @@ impl RankState {
     /// Rows with at least one neighbour, as a bitmap over local indices.
     pub(crate) fn has_row(&self) -> &Bitmap {
         &self.has_row
+    }
+
+    /// First neighbour of the non-empty row at `local`:
+    /// `csr.neighbors_local(local)[0]`, from a dense column.
+    #[inline]
+    pub fn head(&self, local: usize) -> Vid {
+        self.csr.heads[local]
     }
 
     /// True if the owned vertex at `local` has been settled.
@@ -212,9 +273,10 @@ impl RankState {
     }
 
     /// Sum of degrees of current-frontier vertices (this rank's share of
-    /// `m_f`).
+    /// `m_f`), read from the offsets slice.
     pub fn frontier_edges(&self) -> u64 {
-        self.curr.iter().map(|i| self.csr.degree_local(i)).sum()
+        let offsets = self.csr.offsets();
+        self.curr.iter().map(|i| offsets[i + 1] - offsets[i]).sum()
     }
 
     /// Sum of degrees of unvisited owned vertices (this rank's share of
@@ -239,11 +301,6 @@ impl RankState {
             }
         }
         sum
-    }
-
-    /// Frontier vertex count (this rank's share of `n_f`).
-    pub fn frontier_vertices(&self) -> u64 {
-        self.curr.count() as u64
     }
 
     /// Degrees of owned vertices as `(global, degree)` pairs with nonzero
@@ -330,6 +387,27 @@ mod tests {
     }
 
     #[test]
+    fn heads_follow_the_rows_through_a_reorder() {
+        // Row 0 lists 1, 2, 3 in id order; 3 has the largest degree (4),
+        // so degree order puts it first. Row 4 is empty.
+        let edges = vec![(0, 1), (0, 2), (0, 3), (3, 5), (3, 6), (3, 2), (1, 2)];
+        let el = EdgeList::new(7, edges);
+        let mut r = RankState::build(0, Partition1D::new(7, 1), &el);
+        let check = |r: &RankState| {
+            for i in (0..r.owned()).filter(|&i| r.has_row().get(i)) {
+                assert_eq!(r.head(i), r.csr.neighbors_local(i)[0], "row {i}");
+            }
+        };
+        check(&r);
+        assert_eq!(r.head(0), 1);
+        let degrees: Vec<u64> = (0..7).map(|i| r.csr.degree_local(i)).collect();
+        r.reorder_neighbors_by_degree(|v| degrees[v as usize]);
+        check(&r);
+        assert_eq!(r.head(0), 3);
+        assert!(!r.has_row().get(4));
+    }
+
+    #[test]
     fn claim_min_local_versus_remote_contest() {
         // Rank 1 owns 4..8; vertex 6 is offered by its local frontier
         // neighbour 7 (the generator's staged claim) and by 1 on rank 0
@@ -375,6 +453,7 @@ mod tests {
         // about 7 (same rank: the Backward Handler claims it directly)
         // and about 1 and 2 on rank 0 (their replies reach the Forward
         // Handler). Any order of the two handlers settles 5 on 1.
+        use crate::exchange::Codec;
         use crate::modules::{backward_handler, forward_handler, Outboxes};
         let el = EdgeList::new(8, vec![(5, 7), (5, 1), (5, 2), (4, 0)]);
         let mut base = RankState::build(1, Partition1D::new(8, 2), &el);
@@ -386,14 +465,14 @@ mod tests {
         let replies = [EdgeRec { u: 2, v: 5 }, EdgeRec { u: 1, v: 5 }];
         let mut handler_first = base.clone();
         let mut out = Outboxes::new(2);
-        let st = backward_handler(&mut handler_first, &queries, &mut out);
+        let st = backward_handler(&mut handler_first, &queries, &mut out, Codec::Fixed(16));
         assert_eq!((st.local_claims, st.records_out), (1, 1));
         assert_eq!(out.for_rank(0), &[EdgeRec { u: 4, v: 0 }]);
         assert_eq!(handler_first.parent[base.local(5)], 7);
         forward_handler(&mut handler_first, &replies);
         let mut replies_first = base.clone();
         forward_handler(&mut replies_first, &replies);
-        let st = backward_handler(&mut replies_first, &queries, &mut Outboxes::new(2));
+        let st = backward_handler(&mut replies_first, &queries, &mut Outboxes::new(2), Codec::Fixed(16));
         assert_eq!(st.local_claims, 0, "5 was already claimed this level");
         assert_eq!(handler_first.parent[base.local(5)], 1);
         assert_eq!(handler_first.parent, replies_first.parent);
@@ -428,7 +507,7 @@ mod tests {
         assert_eq!(r0.advance_level(), 2);
         assert!(r0.curr.contains(0) && r0.curr.contains(2));
         assert!(r0.next.is_empty());
-        assert_eq!(r0.frontier_vertices(), 2);
+        assert_eq!(r0.curr.count(), 2);
         // degrees: v0 = 1 (0-1), v2 = 2 (1-2, 2-3).
         assert_eq!(r0.frontier_edges(), 3);
     }

@@ -1,16 +1,22 @@
 //! Order-freedom, proven rather than assumed: since PR 25 no fabric
 //! sorts its inboxes and the engine does not either — every contested
 //! parent goes to the smallest frontier id (`RankState::claim_min`) and
-//! the Backward Handler sorts its replies. So handing the handlers their
-//! inboxes in *any* order must leave everything observable unchanged.
+//! the Backward Handler sorts its replies where the codec reads their
+//! order. So handing the handlers their inboxes in *any* order must
+//! leave everything observable unchanged.
 //!
 //! [`Reordering`] wraps a real fabric and permutes every inbox it
 //! returns — by a seeded shuffle, or by reversal — before the engine
 //! sees it. On SharedMem, Channels and Socket-Unix, Direct and Relay,
-//! scales 10–14, several roots, varint codec on (so reply order would
-//! show up in the byte counts): parents, every `LevelStats` field and the
+//! scales 10–14, several roots: parents, every `LevelStats` field and the
 //! canonical counter set must equal the unwrapped run's. Parents must
 //! also agree between Direct and Relay on each fabric.
+//!
+//! Each fabric runs two arms. Under the varint codec reply order would
+//! show up in the byte counts, so that arm is what keeps the Backward
+//! Handler's hit sort honest. Under the fixed codec the handler pushes
+//! its replies unsorted, in whatever order the permuted query inbox
+//! gives — and everything observable must still be equal.
 
 use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
 use sw_net::GroupLayout;
@@ -138,7 +144,7 @@ fn runs<T: Transport>(
         .collect()
 }
 
-fn check<T: Transport>(make: impl Fn() -> T) {
+fn check<T: Transport>(make: impl Fn() -> T, varint: bool) {
     for scale in 10..=14u32 {
         let el = generate_kronecker(&KroneckerConfig::graph500(scale, 40 + scale as u64));
         let mut touched = vec![false; el.num_vertices as usize];
@@ -153,9 +159,8 @@ fn check<T: Transport>(make: impl Fn() -> T) {
             .collect();
         let mut by_messaging = Vec::new();
         for messaging in [Messaging::Direct, Messaging::Relay] {
-            let cfg = BfsConfig::threaded_small(3)
-                .with_messaging(messaging)
-                .with_compression();
+            let cfg = BfsConfig::threaded_small(3).with_messaging(messaging);
+            let cfg = if varint { cfg.with_compression() } else { cfg };
             let unwrapped = make();
             let name = unwrapped.name();
             let plain = runs(&el, cfg, unwrapped, &roots);
@@ -167,7 +172,7 @@ fn check<T: Transport>(make: impl Fn() -> T) {
                 let got = runs(&el, cfg, wrapped, &roots);
                 for (k, ((a, ca), (b, cb))) in plain.iter().zip(&got).enumerate() {
                     let at = format!(
-                        "{name} scale {scale} {messaging:?} {permute:?} root {}",
+                        "{name} varint={varint} scale {scale} {messaging:?} {permute:?} root {}",
                         roots[k]
                     );
                     assert_eq!(a.parents, b.parents, "{at}: parents");
@@ -186,17 +191,36 @@ fn check<T: Transport>(make: impl Fn() -> T) {
     }
 }
 
+fn rankd() -> SocketTransport {
+    SocketTransport::unix().with_rankd(env!("CARGO_BIN_EXE_swbfs-rankd"))
+}
+
 #[test]
 fn shared_mem_levels_are_order_free() {
-    check(SharedMem::new);
+    check(SharedMem::new, true);
 }
 
 #[test]
 fn channels_levels_are_order_free() {
-    check(Channels::new);
+    check(Channels::new, true);
 }
 
 #[test]
 fn socket_unix_levels_are_order_free() {
-    check(|| SocketTransport::unix().with_rankd(env!("CARGO_BIN_EXE_swbfs-rankd")));
+    check(rankd, true);
+}
+
+#[test]
+fn shared_mem_fixed_codec_levels_are_order_free() {
+    check(SharedMem::new, false);
+}
+
+#[test]
+fn channels_fixed_codec_levels_are_order_free() {
+    check(Channels::new, false);
+}
+
+#[test]
+fn socket_unix_fixed_codec_levels_are_order_free() {
+    check(rankd, false);
 }

@@ -11,11 +11,27 @@
 //! had been sealed from rows that were then replaced. Comparing the
 //! persisted partition files byte for byte catches both: a file holds a
 //! rank's CSR rows *and* its sidecar.
+//!
+//! Each rank's first-neighbour column (`RankState::head`, what the
+//! Bottom-Up sweep tests before it loads a row) must match its rows as
+//! prepared, on every path: a column filled before the degree reorder
+//! would point at the row's old first neighbour.
 
 use std::path::Path;
-use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
-use swbfs_core::engine::{ClusterBuilder, SharedMem, SuperstepEngine};
+use sw_graph::{generate_kronecker, KroneckerConfig, StorageBackend, Vid};
+use swbfs_core::engine::{ClusterBuilder, SharedMem, SuperstepEngine, Transport};
 use swbfs_core::{BfsConfig, Messaging};
+
+/// Every non-empty row's head is its first neighbour.
+fn assert_heads_match_rows<T: Transport>(engine: &SuperstepEngine<T>, label: &str) {
+    for r in engine.rank_states() {
+        for i in 0..r.owned() {
+            if let Some(&first) = r.csr.neighbors_local(i).first() {
+                assert_eq!(r.head(i), first, "{label}: rank {} row {i}", r.rank);
+            }
+        }
+    }
+}
 
 fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
@@ -62,6 +78,20 @@ fn build_and_build_distributed_prepare_identical_engines() {
                     traffic.record_hops > 0,
                     "{label}: the shuffle moved nothing"
                 );
+
+                assert_heads_match_rows(&shortcut, &format!("{label} build"));
+                assert_heads_match_rows(&shuffled, &format!("{label} build_distributed"));
+                let store = tmp.join("store");
+                std::fs::remove_dir_all(&store).ok();
+                shortcut.persist_store(&store).unwrap();
+                for backend in [StorageBackend::Heap, StorageBackend::Mapped] {
+                    let restarted = ClusterBuilder::from_store_dir(&store, cfg)
+                        .storage(backend)
+                        .build()
+                        .unwrap();
+                    assert_heads_match_rows(&restarted, &format!("{label} from_store {backend:?}"));
+                }
+                std::fs::remove_dir_all(&store).ok();
 
                 let a = persisted(&shortcut, &tmp.join("shortcut"));
                 let b = persisted(&shuffled, &tmp.join("shuffled"));

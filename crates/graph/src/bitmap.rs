@@ -42,6 +42,16 @@ impl Bitmap {
         self.words[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
     }
 
+    /// Reads bit `i`, `false` for any `i` past the end: the one-load
+    /// membership test of an id-indexed view whose length is a bound the
+    /// caller need not know. (Bits past `len` in the last word are zero.)
+    #[inline]
+    pub fn test(&self, i: usize) -> bool {
+        self.words
+            .get(i / WORD_BITS)
+            .is_some_and(|w| w & (1u64 << (i % WORD_BITS)) != 0)
+    }
+
     /// Sets bit `i`; returns the previous value.
     #[inline]
     pub fn set(&mut self, i: usize) -> bool {
@@ -91,11 +101,6 @@ impl Bitmap {
         }
     }
 
-    /// Serializes to the packed word representation (for network transfer).
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// The packed `u64` words, low bit of word 0 = bit 0.
     ///
     /// Word-parallel kernels scan this surface directly: skip zero
@@ -112,25 +117,6 @@ impl Bitmap {
     /// [`Bitmap::count_ones`] and word-parallel sweeps over-count.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-
-    /// Word-level in-place OR from a raw word slice of the same shape.
-    ///
-    /// Equivalent to [`Bitmap::union_with`] but usable when the source
-    /// is a borrowed word surface (e.g. a received hub-frontier packet)
-    /// rather than an owned [`Bitmap`].
-    pub fn or_assign(&mut self, words: &[u64]) {
-        assert_eq!(self.words.len(), words.len(), "bitmap word-count mismatch");
-        for (a, &b) in self.words.iter_mut().zip(words) {
-            *a |= b;
-        }
-    }
-
-    /// Overwrites this bitmap with `other`'s bits (same length), keeping
-    /// the allocation — what `*self = other.clone()` does without one.
-    pub fn copy_from(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words.copy_from_slice(&other.words);
     }
 
     /// Number of set bits in the half-open bit range `lo..hi`.
@@ -178,15 +164,6 @@ impl Bitmap {
                 let wi = start + 1 + off;
                 wi * WORD_BITS + self.words[wi].trailing_zeros() as usize
             })
-    }
-
-    /// Rebuilds from packed words produced by [`Bitmap::as_words`].
-    pub fn from_words(len: usize, words: &[u64]) -> Self {
-        assert_eq!(words.len(), len.div_ceil(WORD_BITS), "word count mismatch");
-        Self {
-            len,
-            words: words.to_vec(),
-        }
     }
 
     /// Size in bytes of the packed representation.
@@ -296,6 +273,20 @@ mod tests {
     }
 
     #[test]
+    fn test_agrees_with_get_and_reads_false_past_the_end() {
+        let mut b = Bitmap::new(70);
+        b.set(0);
+        b.set(69);
+        for i in 0..70 {
+            assert_eq!(b.test(i), b.get(i));
+        }
+        for i in [70, 127, 128, 1 << 40, usize::MAX] {
+            assert!(!b.test(i), "{i}");
+        }
+        assert!(!Bitmap::new(0).test(0));
+    }
+
+    #[test]
     fn iter_ones_matches_set() {
         let mut b = Bitmap::new(300);
         let idxs = [0usize, 1, 63, 64, 65, 127, 128, 255, 299];
@@ -319,13 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn words_round_trip() {
+    fn byte_size_counts_whole_words() {
         let mut a = Bitmap::new(70);
         a.set(69);
-        a.set(2);
-        let b = Bitmap::from_words(70, a.as_words());
-        assert_eq!(a, b);
         assert_eq!(a.byte_size(), 16);
+        assert_eq!(Bitmap::new(64).byte_size(), 8);
     }
 
     #[test]
@@ -337,13 +326,6 @@ mod tests {
         assert_eq!(b.words()[0], 0b10);
         b.words_mut()[2] |= 1; // bit 128
         assert!(b.get(128));
-        let mut other = Bitmap::new(130);
-        other.or_assign(b.words());
-        assert_eq!(other, b);
-        let mut copy = Bitmap::new(130);
-        copy.set(7); // overwritten, not merged
-        copy.copy_from(&b);
-        assert_eq!(copy, b);
     }
 
     #[test]

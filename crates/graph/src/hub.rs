@@ -8,40 +8,33 @@
 //! This module picks the global top-k vertices by degree and assigns each a
 //! dense *hub index* used to address the replicated bitmap.
 
-use crate::{Csr, Vid};
+use crate::{Bitmap, Csr, Vid};
+use std::collections::HashMap;
 
 /// Number of hub vertices the paper replicates during Top-Down levels.
 pub const TOP_DOWN_HUBS: usize = 1 << 12;
 /// Number of hub vertices the paper replicates during Bottom-Up levels.
 pub const BOTTOM_UP_HUBS: usize = 1 << 14;
 
-/// Key of an unoccupied reverse-map slot. Never a vertex id: it is the
-/// `NO_PARENT` sentinel of the traversal, and [`HubSet::from_ranked`]
-/// asserts it.
-const EMPTY: Vid = Vid::MAX;
-
-/// 2^64 / φ: the multiplier of Fibonacci hashing, which spreads the
-/// generator's scrambled-but-clustered ids over the high bits.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// The global hub set: the `k` highest-degree vertices, each with a dense
 /// index into the replicated hub bitmap.
 ///
-/// The reverse map (global id → hub index) is probed once per scanned
-/// edge by both generators, so it is a flat open-addressed table — keys
-/// and indices in parallel arrays of power-of-two length at load ≤ ½,
-/// multiplicative hash, linear probing — rather than a `HashMap`: no
-/// SipHash, and a miss (the common case) touches one or two key words.
+/// Membership is one bit test in a bitmap over ids `0..=max hub id`
+/// ([`HubSet::contains`]; ids past it read false) — what the Bottom-Up
+/// sweep asks per remote neighbour. Hub ids must therefore be graph
+/// vertex ids: the bitmap — like any id-indexed view built over the same
+/// hubs — takes one bit per id up to the largest hub, at most `n / 8`
+/// bytes for a graph of `n` vertices. The reverse map (global id → hub
+/// index) is asked only by the reference kernels, so it is a plain
+/// `HashMap`.
 #[derive(Clone, Debug)]
 pub struct HubSet {
     /// Hub global ids, ordered by descending degree (ties by ascending id).
     hubs: Vec<Vid>,
-    /// Reverse-map keys; [`EMPTY`] marks a free slot.
-    keys: Vec<Vid>,
-    /// Hub index of the key in the same slot.
-    vals: Vec<u32>,
-    /// `64 − log2(keys.len())`: the hash keeps the top bits.
-    shift: u32,
+    /// Bit `v` ⟺ `v` is a hub; one bit per id up to the largest hub.
+    members: Bitmap,
+    /// Global id → hub index.
+    index: HashMap<Vid, u32>,
 }
 
 impl Default for HubSet {
@@ -55,6 +48,8 @@ impl HubSet {
     ///
     /// Deterministic: ties broken by ascending vertex id. If the graph has
     /// fewer than `k` vertices with nonzero degree, only those are hubs.
+    /// Hubs are the CSR's own row ids, so the membership bitmap takes at
+    /// most one bit per vertex.
     pub fn top_k(csr: &Csr, k: usize) -> Self {
         let mut by_degree: Vec<(u64, Vid)> = csr
             .rows()
@@ -70,6 +65,10 @@ impl HubSet {
     /// Builds a hub set from per-rank degree observations: each entry is
     /// `(vertex, degree)`. Used by the distributed build where no single
     /// rank holds the whole CSR.
+    ///
+    /// The vertices must be graph vertex ids: the membership bitmap
+    /// spans every id up to the largest hub selected, so its memory
+    /// grows with that id (one bit each), not with `k`.
     pub fn from_degrees(mut degrees: Vec<(Vid, u64)>, k: usize) -> Self {
         degrees.retain(|&(_, d)| d > 0);
         degrees.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -77,36 +76,17 @@ impl HubSet {
         Self::from_ranked(degrees.into_iter().map(|(v, _)| v).collect())
     }
 
-    /// Builds the reverse map over hubs already in rank order. Ids must
-    /// be distinct.
+    /// Builds the lookups over hubs already in rank order. Ids must be
+    /// distinct.
     fn from_ranked(hubs: Vec<Vid>) -> Self {
-        // At least two slots (so `shift < 64`) and at least twice the
-        // hubs (so every probe sequence ends at a free slot).
-        let cap = (hubs.len() * 2).next_power_of_two().max(2);
-        let mut set = Self {
-            hubs,
-            keys: vec![EMPTY; cap],
-            vals: vec![0; cap],
-            shift: 64 - cap.trailing_zeros(),
-        };
-        for i in 0..set.hubs.len() {
-            let v = set.hubs[i];
-            debug_assert!(v != EMPTY, "the empty-slot sentinel is not a vertex id");
-            let mut slot = set.slot_of(v);
-            while set.keys[slot] != EMPTY {
-                debug_assert!(set.keys[slot] != v, "hub {v} listed twice");
-                slot = (slot + 1) & (cap - 1);
-            }
-            set.keys[slot] = v;
-            set.vals[slot] = i as u32;
+        let mut members = Bitmap::new(hubs.iter().max().map_or(0, |&m| m as usize + 1));
+        let mut index = HashMap::with_capacity(hubs.len());
+        for (i, &v) in hubs.iter().enumerate() {
+            members.set(v as usize);
+            let dup = index.insert(v, i as u32);
+            debug_assert!(dup.is_none(), "hub {v} listed twice");
         }
-        set
-    }
-
-    /// Home slot of `v`.
-    #[inline]
-    fn slot_of(&self, v: Vid) -> usize {
-        (v.wrapping_mul(GOLDEN) >> self.shift) as usize
+        Self { hubs, members, index }
     }
 
     /// Number of hubs actually selected.
@@ -119,27 +99,17 @@ impl HubSet {
         self.hubs.is_empty()
     }
 
+    /// True if `v` is a hub: one bit test, false for any id past the
+    /// largest hub ([`Vid::MAX`] included).
+    #[inline]
+    pub fn contains(&self, v: Vid) -> bool {
+        self.members.test(v as usize)
+    }
+
     /// Dense hub index of a vertex, if it is a hub.
     #[inline]
     pub fn hub_index(&self, v: Vid) -> Option<u32> {
-        // Both arrays are one power-of-two length, never zero: indexing
-        // with `slot & mask` lets the compiler drop the bounds checks.
-        let keys = &self.keys[..];
-        let vals = &self.vals[..keys.len()];
-        let mask = keys.len() - 1;
-        let mut slot = self.slot_of(v);
-        loop {
-            // Free slot first: a probe for the sentinel itself then ends
-            // as a miss instead of matching an unoccupied slot.
-            let key = keys[slot & mask];
-            if key == EMPTY {
-                return None;
-            }
-            if key == v {
-                return Some(vals[slot & mask]);
-            }
-            slot += 1;
-        }
+        self.index.get(&v).copied()
     }
 
     /// Global id of hub `i`.
@@ -220,8 +190,7 @@ mod tests {
         assert!(frac > 0.10, "top 1% hubs only cover {frac:.3} of entries");
     }
 
-    /// The oracle the table replaced a `HashMap` against: a linear
-    /// search of the rank-ordered hub list.
+    /// The oracle: a linear search of the rank-ordered hub list.
     fn naive_index(hs: &HubSet, v: Vid) -> Option<u32> {
         hs.hubs().iter().position(|&h| h == v).map(|i| i as u32)
     }
@@ -232,52 +201,40 @@ mod tests {
             assert!(hs.is_empty());
             for v in [0, 1, 3, 1 << 40, Vid::MAX] {
                 assert_eq!(hs.hub_index(v), None);
+                assert!(!hs.contains(v));
             }
         }
     }
 
-    #[test]
-    fn colliding_keys_probe_past_each_other_and_wrap() {
-        // Four hubs → eight slots. Draw all four (and two non-members)
-        // from the ids whose home slot is the *last* one, so every
-        // insert after the first collides and the probe wraps to slot 0.
-        let probe = HubSet::from_degrees((0..4).map(|v| (v, 1)).collect(), 4);
-        assert_eq!(probe.keys.len(), 8);
-        let same_home: Vec<Vid> = (0..10_000u64).filter(|&v| probe.slot_of(v) == 7).take(6).collect();
-        assert_eq!(same_home.len(), 6);
-        let degrees = same_home[..4].iter().enumerate().map(|(i, &v)| (v, 100 - i as u64)).collect();
-        let hs = HubSet::from_degrees(degrees, 4);
-        assert_eq!(hs.hubs(), &same_home[..4]);
-        for (i, &v) in same_home.iter().enumerate() {
-            assert_eq!(hs.hub_index(v), (i < 4).then_some(i as u32), "id {v}");
-        }
-        assert_eq!(hs.hub_index(Vid::MAX), None, "the sentinel is never a member");
-    }
-
     proptest::proptest! {
         #[test]
-        fn table_matches_linear_search(
+        fn lookups_match_linear_search(
             ids in proptest::collection::vec(0u64..512, 0..96),
             far in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..8),
             k in 0usize..80,
         ) {
-            // Distinct ids (dense small ones plus a few anywhere in the
-            // id space), degrees descending in draw order; `k` cuts the
-            // set anywhere from empty through k = 1 to everything.
+            // Distinct graph-sized ids, degrees descending in draw order;
+            // `k` cuts the set anywhere from empty through k = 1 to
+            // everything. Ids from the whole `u64` range are only asked
+            // about: a hub is a vertex id, and the membership bitmap
+            // spans up to the largest.
             let mut seen = std::collections::HashSet::new();
             let degrees: Vec<(Vid, u64)> = ids
                 .iter()
-                .chain(&far)
-                .filter(|&&v| v != Vid::MAX && seen.insert(v))
+                .filter(|&&v| seen.insert(v))
                 .enumerate()
                 .map(|(i, &v)| (v, 1_000 - i as u64))
                 .collect();
             let hs = HubSet::from_degrees(degrees.clone(), k);
             proptest::prop_assert_eq!(hs.len(), k.min(degrees.len()));
             // Every drawn id (member or cut off by k), every small id,
-            // and the sentinel.
-            for v in degrees.iter().map(|&(v, _)| v).chain(0..512).chain([Vid::MAX]) {
+            // ids just past the largest hub, anywhere in the id space,
+            // and `Vid::MAX`.
+            let past = hs.hubs().iter().max().map_or(0, |&m| m + 1);
+            let probes = degrees.iter().map(|&(v, _)| v).chain(0..512).chain(far).chain([past, past + 64, Vid::MAX]);
+            for v in probes {
                 proptest::prop_assert_eq!((v, hs.hub_index(v)), (v, naive_index(&hs, v)));
+                proptest::prop_assert_eq!((v, hs.contains(v)), (v, naive_index(&hs, v).is_some()));
             }
         }
     }
