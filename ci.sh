@@ -18,7 +18,9 @@ cargo bench --no-run -q
 # so any scheduling-dependent result fails the matrix. A level's
 # close-out (advance_level, n_f, m_f) runs inside the last parallel rank
 # pass, so the golden digests and the single-build comparison run on
-# both pool sizes too.
+# both pool sizes too. The partitioned CSR builder runs one rank per
+# pool task: its oracle proptest and the partition-file pin
+# (single_build) must hold on both.
 for threads in 1 4; do
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test engine_conformance
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test kernel_parity
@@ -26,6 +28,7 @@ for threads in 1 4; do
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test order_free
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test golden_levels
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test single_build
+  SW_POOL_THREADS=$threads cargo test -q -p sw-graph --test csr_proptest
 done
 
 # Socket fabric gate: the multi-process transport (one swbfs-rankd

@@ -4,7 +4,9 @@
 use rayon::prelude::*;
 use std::path::Path;
 use sw_graph::store::{partition_path, PartitionMeta};
-use sw_graph::{Csr, EdgeList, GraphStore, Partition1D, StorageBackend, StoreManifest, Vid};
+use sw_graph::{
+    Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreManifest, Vid,
+};
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer};
 use swbfs_core::config::Messaging;
@@ -76,13 +78,7 @@ impl<T: Transport> AlgoCluster<T> {
     ) -> Self {
         assert!(ranks > 0 && el.num_vertices >= ranks as u64);
         let part = Partition1D::new(el.num_vertices, ranks);
-        let csrs: Vec<Csr> = (0..ranks)
-            .into_par_iter()
-            .map(|r| {
-                let (s, e) = part.range(r);
-                Csr::from_edge_list_rows(el, s, e - s)
-            })
-            .collect();
+        let csrs = Csr::build_partitioned(&part, RowOrder::ById, |_| el.edges.iter().copied());
         transport.setup(ranks as usize);
         let mut metrics = CounterSet::new();
         // Key-set parity with the BFS engine: the storage counters exist

@@ -14,21 +14,21 @@ use crate::arena::ExchangeArena;
 use crate::config::Messaging;
 use crate::exchange::{Codec, ExchangeStats};
 use crate::messages::EdgeRec;
-use sw_graph::{Csr, EdgeList, Partition1D, Vid};
+use sw_graph::{Csr, EdgeList, Partition1D, RowOrder, Vid};
 use sw_net::GroupLayout;
 
 /// Traffic and outcome of a distributed construction.
 #[derive(Debug)]
 pub struct Construction {
-    /// Per-rank CSR partitions, identical to
-    /// `Csr::from_edge_list_rows(full_list, …)`.
+    /// Per-rank CSR partitions, identical to the shortcut
+    /// [`Csr::build_partitioned`] over the full list.
     pub csrs: Vec<Csr>,
     /// Exchange traffic the shuffle generated.
     pub stats: ExchangeStats,
 }
 
 /// Shuffles `el` — held as `ranks` generator chunks — to endpoint owners
-/// and builds every rank's CSR partition.
+/// and builds every rank's CSR partition in `order`.
 ///
 /// Chunk `r` is `el.edges[r * chunk .. (r+1) * chunk]` (the deterministic
 /// slices a per-node Kronecker generator would emit). Every edge travels
@@ -38,6 +38,7 @@ pub fn build_distributed(
     part: &Partition1D,
     layout: &GroupLayout,
     messaging: Messaging,
+    order: RowOrder,
 ) -> Construction {
     let ranks = part.num_ranks() as usize;
     let chunk = el.len().div_ceil(ranks.max(1));
@@ -66,18 +67,16 @@ pub fn build_distributed(
         }
     }
     let (inboxes, stats) = arena.exchange(messaging, out, layout, Codec::Fixed(16));
+    // Its outbox and bucket buffers are spent: free them for the rows.
+    drop(arena);
 
-    // Assemble per-rank edge sets and build the CSR rows. The local CSR
-    // build sorts neighbour lists, so arrival order does not matter.
-    let csrs = (0..ranks)
-        .map(|r| {
-            let mut edges = std::mem::take(&mut kept[r]);
-            edges.extend(inboxes[r].iter().map(|rec| (rec.u, rec.v)));
-            let local = EdgeList::new(el.num_vertices, edges);
-            let (start, end) = part.range(r as u32);
-            Csr::from_edge_list_rows(&local, start, end - start)
-        })
-        .collect();
+    // Rank `r` builds from its kept edges and its inbox, read where they
+    // lie. Every row is sorted into a total order, so arrival order does
+    // not matter.
+    let csrs = Csr::build_partitioned(part, order, |r| {
+        let r = r as usize;
+        kept[r].iter().copied().chain(inboxes[r].iter().map(|rec| (rec.u, rec.v)))
+    });
     Construction { csrs, stats }
 }
 
@@ -89,12 +88,10 @@ mod tests {
     fn check(el: &EdgeList, ranks: u32, messaging: Messaging) {
         let part = Partition1D::new(el.num_vertices, ranks);
         let layout = GroupLayout::new(ranks, 3.min(ranks));
-        let built = build_distributed(el, &part, &layout, messaging);
-        assert_eq!(built.csrs.len(), ranks as usize);
-        for r in 0..ranks {
-            let (start, end) = part.range(r);
-            let expect = Csr::from_edge_list_rows(el, start, end - start);
-            assert_eq!(built.csrs[r as usize], expect, "rank {r}");
+        for order in [RowOrder::ById, RowOrder::ByDegree] {
+            let built = build_distributed(el, &part, &layout, messaging, order);
+            let expect = Csr::build_partitioned(&part, order, |_| el.edges.iter().copied());
+            assert_eq!(built.csrs, expect, "{order:?}");
         }
     }
 
@@ -118,7 +115,7 @@ mod tests {
         let el = generate_kronecker(&KroneckerConfig::graph500(9, 8));
         let part = Partition1D::new(el.num_vertices, 8);
         let layout = GroupLayout::new(8, 4);
-        let built = build_distributed(&el, &part, &layout, Messaging::Direct);
+        let built = build_distributed(&el, &part, &layout, Messaging::Direct, RowOrder::ById);
         assert!(built.stats.record_hops <= 2 * el.len() as u64);
         assert!(built.stats.record_hops > 0);
     }

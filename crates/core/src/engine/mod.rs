@@ -72,7 +72,7 @@ use sw_arch::ChipConfig;
 use sw_graph::hub::HubSet;
 use sw_graph::store::{partition_path, PartitionMeta};
 use sw_graph::{
-    Bitmap, Csr, EdgeList, GraphStore, Partition1D, StorageBackend, StoreManifest, Vid,
+    Bitmap, Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreManifest, Vid,
 };
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer, NO_LEVEL};
@@ -231,8 +231,8 @@ impl<'a, T: Transport> ClusterBuilder<'a, T> {
         let messaging = self.cfg.messaging;
         let mut stats = ExchangeStats::default();
         let mut engine =
-            SuperstepEngine::from_rows(el, self.num_ranks, self.cfg, self.transport, |p, l| {
-                let built = crate::construction::build_distributed(el, p, l, messaging);
+            SuperstepEngine::from_rows(el, self.num_ranks, self.cfg, self.transport, |p, l, o| {
+                let built = crate::construction::build_distributed(el, p, l, messaging, o);
                 stats = built.stats;
                 built.csrs
             })?;
@@ -323,26 +323,21 @@ impl<T: Transport> SuperstepEngine<T> {
         cfg: BfsConfig,
         transport: T,
     ) -> Result<Self, ExecError> {
-        Self::from_rows(el, num_ranks, cfg, transport, |part, _| {
-            (0..part.num_ranks())
-                .into_par_iter()
-                .map(|r| {
-                    let (lo, hi) = part.range(r);
-                    Csr::from_edge_list_rows(el, lo, hi - lo)
-                })
-                .collect()
+        Self::from_rows(el, num_ranks, cfg, transport, |part, _, order| {
+            Csr::build_partitioned(part, order, |_| el.edges.iter().copied())
         })
     }
 
     /// The one edge-list construction path: `rows` makes every rank's
-    /// CSR (shortcut build or distributed shuffle), prepared exactly once
-    /// here — degree reorder, then the coded sidecar, then assembly.
+    /// CSR in the configured row order (shortcut build or distributed
+    /// shuffle), prepared exactly once here — the coded sidecar, then
+    /// assembly.
     fn from_rows(
         el: &EdgeList,
         num_ranks: u32,
         cfg: BfsConfig,
         transport: T,
-        rows: impl FnOnce(&Partition1D, &GroupLayout) -> Vec<Csr>,
+        rows: impl FnOnce(&Partition1D, &GroupLayout, RowOrder) -> Vec<Csr>,
     ) -> Result<Self, ExecError> {
         if num_ranks == 0 {
             return Err(ExecError::BadSetup("zero ranks".into()));
@@ -362,30 +357,17 @@ impl<T: Transport> SuperstepEngine<T> {
         let layout = GroupLayout::new(num_ranks, cfg.group_size.min(num_ranks));
         check_chip_feasibility(&cfg, &ChipConfig::sw26010(), &layout)?;
 
-        let mut ranks: Vec<RankState> = rows(&part, &layout)
+        // Yasui-style Bottom-Up refinement: likely parents (hubs) first in
+        // every neighbour list, laid out by the builder.
+        let order = if cfg.degree_ordered_adjacency { RowOrder::ByDegree } else { RowOrder::ById };
+        let mut ranks: Vec<RankState> = rows(&part, &layout, order)
             .into_iter()
             .enumerate()
             .map(|(r, csr)| RankState::over(r as u32, part, csr, None))
             .collect();
 
-        if cfg.degree_ordered_adjacency {
-            // Yasui-style Bottom-Up refinement: likely parents (hubs)
-            // first in every neighbour list. Degrees are global, so build
-            // the lookup once from all ranks' owned degrees.
-            let mut degrees = vec![0u64; el.num_vertices as usize];
-            for r in &ranks {
-                for (v, d) in r.owned_degrees() {
-                    degrees[v as usize] = d;
-                }
-            }
-            let degrees = &degrees;
-            ranks
-                .par_iter_mut()
-                .for_each(|r| r.reorder_neighbors_by_degree(|v| degrees[v as usize]));
-        }
-
-        // Byte-coded sidecar for high-degree rows — built *after* any
-        // adjacency reorder, since the coding snapshots rows as they are.
+        // Byte-coded sidecar for high-degree rows, coded from the rows in
+        // their final order.
         let rows_compressed: u64 = if cfg.compress_hub_rows {
             ranks
                 .par_iter_mut()

@@ -48,37 +48,30 @@ pub struct RankState {
 /// A rank's CSR rows together with their first-neighbour column.
 ///
 /// Reads go through [`Csr`] (the type derefs to it); nothing outside this
-/// module can reorder or replace the rows, so the column cannot fall out
-/// of step with them. [`RankState::reorder_neighbors_by_degree`] is the
-/// one way to change the row order.
+/// module can replace the rows, so the column cannot fall out of step
+/// with them. Row order is decided once, by the builder
+/// ([`Csr::build_partitioned`]).
 ///
 /// ```compile_fail
-/// fn reorder(r: &mut swbfs_core::rank::RankState) {
-///     r.csr.reorder_neighbors_by_degree(|_| 0); // the rows are read-only
+/// fn replace(r: &mut swbfs_core::rank::RankState, rows: sw_graph::Csr) {
+///     *r.csr = rows; // the rows are read-only
 /// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct RankRows {
     csr: Csr,
     /// First neighbour of row `i` (`NO_PARENT` for an empty row), in the
-    /// rows' current order: under degree order the row's likeliest
-    /// parent, which the Bottom-Up sweep tests before it loads the row.
+    /// rows' order: under degree order the row's likeliest parent, which
+    /// the Bottom-Up sweep tests before it loads the row.
     heads: Vec<Vid>,
 }
 
 impl RankRows {
     fn new(csr: Csr) -> Self {
-        let mut rows = Self { csr, heads: Vec::new() };
-        rows.refill_heads();
-        rows
-    }
-
-    /// Copies every non-empty row's first neighbour into `heads`.
-    fn refill_heads(&mut self) {
-        let csr = &self.csr;
-        self.heads = (0..csr.num_rows() as usize)
+        let heads = (0..csr.num_rows() as usize)
             .map(|i| csr.neighbors_local(i).first().copied().unwrap_or(NO_PARENT))
             .collect();
+        Self { csr, heads }
     }
 }
 
@@ -143,21 +136,12 @@ impl RankState {
         }
     }
 
-    /// Lays every row out by descending neighbour degree
-    /// ([`Csr::reorder_neighbors_by_degree`]) and refills the
-    /// first-neighbour column from the reordered rows. Call before
-    /// [`Self::seal_adjacency`].
-    pub fn reorder_neighbors_by_degree(&mut self, degree_of: impl Fn(Vid) -> u64 + Sync) {
-        self.csr.csr.reorder_neighbors_by_degree(degree_of);
-        self.csr.refill_heads();
-    }
-
     /// Builds rank `rank`'s state from an opened partition store.
     ///
     /// The CSR (and the byte-coded sidecar, when the store carries one)
     /// are *views* into the store's backing bytes — on the mmap backend
     /// no adjacency word is copied. The store is already sealed: callers
-    /// must not reorder or re-seal, which is why the persisted manifest
+    /// must not re-seal, which is why the persisted manifest
     /// records `degree_ordered` / `hub_min_degree` and engine
     /// construction refuses a config that disagrees.
     pub fn from_store(rank: u32, part: Partition1D, store: &GraphStore) -> Self {
@@ -165,8 +149,8 @@ impl RankState {
     }
 
     /// Builds the byte-coded sidecar for rows with degree at least
-    /// `min_degree`. Call after any adjacency reordering — the coding
-    /// snapshots the rows as they are. Returns the number of coded rows.
+    /// `min_degree`. The coding snapshots the rows as they are. Returns
+    /// the number of coded rows.
     pub fn seal_adjacency(&mut self, min_degree: u64) -> u64 {
         let coded = CompressedCsr::from_csr(&self.csr, min_degree);
         let n = coded.coded_rows() as u64;
@@ -387,21 +371,24 @@ mod tests {
     }
 
     #[test]
-    fn heads_follow_the_rows_through_a_reorder() {
+    fn heads_follow_the_row_order() {
         // Row 0 lists 1, 2, 3 in id order; 3 has the largest degree (4),
         // so degree order puts it first. Row 4 is empty.
         let edges = vec![(0, 1), (0, 2), (0, 3), (3, 5), (3, 6), (3, 2), (1, 2)];
         let el = EdgeList::new(7, edges);
-        let mut r = RankState::build(0, Partition1D::new(7, 1), &el);
+        let part = Partition1D::new(7, 1);
         let check = |r: &RankState| {
             for i in (0..r.owned()).filter(|&i| r.has_row().get(i)) {
                 assert_eq!(r.head(i), r.csr.neighbors_local(i)[0], "row {i}");
             }
         };
+        let r = RankState::build(0, part, &el);
         check(&r);
         assert_eq!(r.head(0), 1);
-        let degrees: Vec<u64> = (0..7).map(|i| r.csr.degree_local(i)).collect();
-        r.reorder_neighbors_by_degree(|v| degrees[v as usize]);
+        let rows = Csr::build_partitioned(&part, sw_graph::RowOrder::ByDegree, |_| {
+            el.edges.iter().copied()
+        });
+        let r = RankState::over(0, part, rows.into_iter().next().unwrap(), None);
         check(&r);
         assert_eq!(r.head(0), 3);
         assert!(!r.has_row().get(4));

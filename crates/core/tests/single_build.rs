@@ -1,8 +1,9 @@
 //! One CSR build, whichever construction path: `build()` (shortcut rows
 //! from the full edge list) and `build_distributed()` (rows built from
-//! the construction shuffle) hand their per-rank CSRs to the same
-//! preparation — degree reorder, then the coded sidecar, then assembly —
-//! so they must produce identical engines.
+//! the construction shuffle) both lay their rows out through the one
+//! partitioned builder, in the configured order, and hand them to the
+//! same preparation — the coded sidecar, then assembly — so they must
+//! produce identical engines.
 //!
 //! Before PR 25 the distributed path built every CSR twice and swapped
 //! the shuffle's *unprepared* rows in afterwards: with ordering on, the
@@ -14,8 +15,8 @@
 //!
 //! Each rank's first-neighbour column (`RankState::head`, what the
 //! Bottom-Up sweep tests before it loads a row) must match its rows as
-//! prepared, on every path: a column filled before the degree reorder
-//! would point at the row's old first neighbour.
+//! prepared, on every path: a column filled from the rows in another
+//! order would point at the wrong first neighbour.
 
 use std::path::Path;
 use sw_graph::{generate_kronecker, KroneckerConfig, StorageBackend, Vid};
@@ -114,4 +115,59 @@ fn build_and_build_distributed_prepare_identical_engines() {
         }
     }
     std::fs::remove_dir_all(&tmp).ok();
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The comparison above holds the two builds to each other; this holds
+/// them to constants. The FNV-1a digest folds the name and every byte of
+/// every partition file (rows, sidecar, header) and the manifest, for a
+/// fixed scale-12 graph under both row orders at 1, 3 and 8 ranks — the
+/// shuffle's files are asserted equal to the shortcut's first.
+#[test]
+fn partition_files_match_the_pinned_digests() {
+    let el = generate_kronecker(&KroneckerConfig::graph500(12, 27));
+    let tmp = std::env::temp_dir().join(format!("swbfs_partition_pin_{}", std::process::id()));
+    // (degree order, ranks, digest captured before the partitioned builder)
+    let golden = [
+        (true, 1u32, 0xf3c1_0af8_d972_6abc_u64),
+        (true, 3, 0x0544_106d_623f_b5e4),
+        (true, 8, 0x9ed5_9383_f8c4_8bb3),
+        (false, 1, 0x9b2b_6760_d363_a2a3),
+        (false, 3, 0x534e_ef25_cb29_70be),
+        (false, 8, 0xb0ca_7b05_6110_d21a),
+    ];
+    let mut got = Vec::new();
+    for &(degree_ordered_adjacency, ranks, _) in &golden {
+        let cfg = BfsConfig {
+            degree_ordered_adjacency,
+            compress_hub_rows: true,
+            hub_compress_min_degree: 16,
+            ..BfsConfig::threaded_small(2)
+        };
+        let shortcut = ClusterBuilder::new(&el, ranks, cfg).build().unwrap();
+        let (shuffled, _) = ClusterBuilder::new(&el, ranks, cfg).build_distributed().unwrap();
+        let a = persisted(&shortcut, &tmp.join("shortcut"));
+        assert_eq!(a.len(), ranks as usize + 1, "{ranks} partitions and a manifest");
+        assert!(a == persisted(&shuffled, &tmp.join("shuffled")), "the two builds differ");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (name, bytes) in &a {
+            fnv(&mut h, name.as_bytes());
+            fnv(&mut h, bytes);
+        }
+        got.push(h);
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+    for (&(ordered, ranks, want), &h) in golden.iter().zip(&got) {
+        assert_eq!(
+            h, want,
+            "ordered={ordered} ranks={ranks}: digest {h:#018x} differs from the pinned \
+             {want:#018x} — a row, the sidecar or a header moved (all six: {got:x?})"
+        );
+    }
 }

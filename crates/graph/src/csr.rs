@@ -2,14 +2,27 @@
 //!
 //! The paper stores the (symmetrized) adjacency matrix in CSR and partitions
 //! it by rows. This module builds a CSR from an edge list — either the whole
-//! graph or only the rows owned by one partition — with rayon-parallel
-//! counting sort. Neighbour lists are sorted, which the Bottom-Up traversal
-//! exploits (early exit on the first parent found is deterministic).
+//! graph or every partition's rows at once — the way GAP's `BuilderBase`
+//! does: count, prefix-sum, scatter, then sort each neighbourhood once,
+//! straight into its final [`RowOrder`]. Sorted rows make the Bottom-Up
+//! traversal's early exit (first parent found) deterministic.
 
 use crate::store::view::U64s;
-use crate::{EdgeList, Vid};
+use crate::{EdgeList, Partition1D, Vid};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
+
+/// The order a build lays every neighbour list out in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowOrder {
+    /// Ascending neighbour id.
+    ById,
+    /// Descending neighbour degree, ties by ascending id — the
+    /// Yasui-style Bottom-Up refinement (paper §7, ref \[25\]): scanning
+    /// likely parents (hubs) first lets the Bottom-Up early exit fire
+    /// sooner.
+    ByDegree,
+}
 
 /// CSR adjacency for a contiguous row range `[row_base, row_base + rows)`.
 ///
@@ -44,75 +57,89 @@ impl Csr {
     }
 
     /// Builds only the rows `[row_base, row_base + rows)` from an edge list,
-    /// i.e. the CSR partition owned by one rank under 1-D partitioning.
+    /// in ascending-id order.
     pub fn from_edge_list_rows(el: &EdgeList, row_base: Vid, rows: Vid) -> Self {
         assert!(row_base + rows <= el.num_vertices, "row range out of bounds");
-        let rows_usize = usize::try_from(rows).expect("row count exceeds address space");
-        let in_range = |x: Vid| x >= row_base && x < row_base + rows;
+        let rows = usize::try_from(rows).expect("row count exceeds address space");
+        let degrees = count_rows(row_base, rows, el.edges.iter().copied());
+        Self::fill_rows(row_base, el.num_vertices, &degrees, el.edges.iter().copied(), None)
+    }
 
-        // 1. Count degree per owned row (atomic histogram).
-        let counts: Vec<AtomicU64> = (0..rows_usize).map(|_| AtomicU64::new(0)).collect();
-        el.edges.par_iter().for_each(|&(u, v)| {
-            if in_range(u) {
-                counts[(u - row_base) as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            if u != v && in_range(v) {
-                counts[(v - row_base) as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        });
+    /// Builds every rank's rows under `part` in `order`, one rank per
+    /// task. `edges_of(r)` yields the edges rank `r` builds from — the
+    /// whole list or only the edges routed to it; an edge adds an entry
+    /// to each endpoint row in the rank's range.
+    ///
+    /// Two passes over each rank's input: a count (the row degrees,
+    /// prefix-summed into the final offsets) and a scatter straight into
+    /// the final targets; each row is then sorted once. Every rank is counted before any row is ordered, because a
+    /// neighbour's degree is its owner's row length. Sort keys are total
+    /// (equal keys are equal ids), so the bytes depend neither on scatter
+    /// order nor on the pool size.
+    pub fn build_partitioned<I>(
+        part: &Partition1D,
+        order: RowOrder,
+        edges_of: impl Fn(u32) -> I + Sync,
+    ) -> Vec<Csr>
+    where
+        I: Iterator<Item = (Vid, Vid)>,
+    {
+        let degrees: Vec<Vec<u64>> = (0..part.num_ranks())
+            .into_par_iter()
+            .map(|r| {
+                let (lo, hi) = part.range(r);
+                count_rows(lo, (hi - lo) as usize, edges_of(r))
+            })
+            .collect();
+        let positions = (order == RowOrder::ByDegree).then(|| degree_positions(&degrees));
+        (0..part.num_ranks())
+            .into_par_iter()
+            .map(|r| {
+                let (lo, n) = (part.range(r).0, part.num_vertices());
+                Self::fill_rows(lo, n, &degrees[r as usize], edges_of(r), positions.as_ref())
+            })
+            .collect()
+    }
 
-        // 2. Prefix sum -> offsets.
-        let mut offsets = Vec::with_capacity(rows_usize + 1);
-        let mut acc = 0u64;
+    /// Prefix sum of the counted `degrees`, scatter pass and row sort.
+    /// Rows sort by id, or, given `(pos, by_pos)` from
+    /// [`degree_positions`], by each neighbour's position: the scatter
+    /// writes `pos[v]` (one key gathered per entry), and `by_pos` maps
+    /// the sorted keys back.
+    fn fill_rows(
+        row_base: Vid,
+        num_vertices: Vid,
+        degrees: &[u64],
+        edges: impl Iterator<Item = (Vid, Vid)>,
+        positions: Option<&(Vec<Vid>, Vec<Vid>)>,
+    ) -> Self {
+        let rows = degrees.len();
+        let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        for c in &counts {
-            acc += c.load(Ordering::Relaxed);
-            offsets.push(acc);
-        }
-        let nnz = usize::try_from(acc).expect("nnz exceeds address space");
-
-        // 3. Scatter targets using the counts as per-row write cursors.
-        let cursors: Vec<AtomicU64> = offsets[..rows_usize]
-            .iter()
-            .map(|&o| AtomicU64::new(o))
-            .collect();
-        let targets: Vec<AtomicU64> = (0..nnz).map(|_| AtomicU64::new(0)).collect();
-        el.edges.par_iter().for_each(|&(u, v)| {
-            if in_range(u) {
-                let slot = cursors[(u - row_base) as usize].fetch_add(1, Ordering::Relaxed);
-                targets[slot as usize].store(v, Ordering::Relaxed);
-            }
-            if u != v && in_range(v) {
-                let slot = cursors[(v - row_base) as usize].fetch_add(1, Ordering::Relaxed);
-                targets[slot as usize].store(u, Ordering::Relaxed);
-            }
+        offsets.extend(degrees.iter().scan(0, |end, &d| {
+            *end += d;
+            Some(*end)
+        }));
+        let mut targets = vec![0; offsets[rows] as usize];
+        let key = |v: Vid| positions.map_or(v, |(pos, _)| pos[v as usize]);
+        // `offsets[i]` is row i's write cursor; once the row is full it
+        // holds the row's end, so shifting the ends up one slot restores
+        // the offsets.
+        for_each_entry(row_base, rows, edges, |i, nbr| {
+            targets[offsets[i] as usize] = key(nbr);
+            offsets[i] += 1;
         });
-        let mut targets: Vec<Vid> = targets
-            .into_iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-
-        // 4. Sort each row's neighbour list (deterministic layout).
-        {
-            let offs = &offsets;
-            // Split `targets` into per-row slices for parallel sorting.
-            let mut slices: Vec<&mut [Vid]> = Vec::with_capacity(rows_usize);
-            let mut rest: &mut [Vid] = &mut targets;
-            for i in 0..rows_usize {
-                let len = (offs[i + 1] - offs[i]) as usize;
-                let (head, tail) = rest.split_at_mut(len);
-                slices.push(head);
-                rest = tail;
+        offsets.copy_within(0..rows, 1);
+        offsets[0] = 0;
+        for w in offsets.windows(2) {
+            targets[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        if let Some((_, by_pos)) = positions {
+            for t in &mut targets {
+                *t = by_pos[*t as usize];
             }
-            slices.par_iter_mut().for_each(|s| s.sort_unstable());
         }
-
-        Self {
-            row_base,
-            num_vertices: el.num_vertices,
-            offsets: offsets.into(),
-            targets: targets.into(),
-        }
+        Self { row_base, num_vertices, offsets: offsets.into(), targets: targets.into() }
     }
 
     /// Assembles a CSR from raw storage views — the store-open seam.
@@ -202,33 +229,51 @@ impl Csr {
     pub fn is_mapped(&self) -> bool {
         self.offsets.is_mapped() && self.targets.is_mapped()
     }
+}
 
-    /// Reorders every neighbour list by **descending degree** of the
-    /// neighbour (ties by ascending id) — the Yasui-style Bottom-Up
-    /// refinement (paper §7, ref \[25\]): scanning likely parents (hubs)
-    /// first lets the Bottom-Up early exit fire sooner. `degree_of` must
-    /// return the global degree of any vertex id.
-    ///
-    /// # Panics
-    /// Panics on a store-mapped CSR: mapped sections are read-only.
-    /// Reorder before persisting — the store manifest records the
-    /// ordering, so a loaded partition never needs it again.
-    pub fn reorder_neighbors_by_degree(&mut self, degree_of: impl Fn(Vid) -> u64 + Sync) {
-        let rows = self.num_rows() as usize;
-        let offs: Vec<u64> = self.offsets.to_vec();
-        let mut slices: Vec<&mut [Vid]> = Vec::with_capacity(rows);
-        let mut rest: &mut [Vid] = self.targets.as_mut_slice();
-        for i in 0..rows {
-            let len = (offs[i + 1] - offs[i]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
+/// Calls `f(row, neighbour)` for every adjacency entry `edges` give the
+/// rows `[lo, lo + rows)`: both directions of an edge, one for a self
+/// loop, multi-edges with their multiplicity.
+fn for_each_entry(
+    lo: Vid,
+    rows: usize,
+    edges: impl Iterator<Item = (Vid, Vid)>,
+    mut f: impl FnMut(usize, Vid),
+) {
+    // Ids below `lo` wrap to huge offsets, so one compare tests the range.
+    edges.for_each(|(u, v)| {
+        let (ru, rv) = (u.wrapping_sub(lo), v.wrapping_sub(lo));
+        if ru < rows as Vid {
+            f(ru as usize, v);
         }
-        let deg = &degree_of;
-        slices.par_iter_mut().for_each(|s| {
-            s.sort_unstable_by(|&a, &b| deg(b).cmp(&deg(a)).then(a.cmp(&b)));
-        });
+        if rv < rows as Vid && u != v {
+            f(rv as usize, u);
+        }
+    });
+}
+
+/// `(pos, by_pos)` over every vertex, from every rank's counted
+/// `degrees` in rank order (ranks own consecutive id blocks, so together
+/// they index by id): `by_pos` lists the ids in [`RowOrder::ByDegree`]
+/// order — degree descending, id ascending — and `pos[v]` is `v`'s index
+/// in it.
+fn degree_positions(degrees: &[Vec<u64>]) -> (Vec<Vid>, Vec<Vid>) {
+    let degrees = degrees.concat();
+    let mut by_pos: Vec<Vid> = (0..degrees.len() as Vid).collect();
+    // Stable, so equal degrees keep ascending ids.
+    by_pos.sort_by_key(|&v| Reverse(degrees[v as usize]));
+    let mut pos = vec![0; degrees.len()];
+    for (i, &v) in by_pos.iter().enumerate() {
+        pos[v as usize] = i as Vid;
     }
+    (pos, by_pos)
+}
+
+/// Count pass: the degree of every row in `[lo, lo + rows)`.
+fn count_rows(lo: Vid, rows: usize, edges: impl Iterator<Item = (Vid, Vid)>) -> Vec<u64> {
+    let mut degrees = vec![0u64; rows];
+    for_each_entry(lo, rows, edges, |i, _| degrees[i] += 1);
+    degrees
 }
 
 #[cfg(test)]
@@ -301,18 +346,19 @@ mod tests {
     }
 
     #[test]
-    fn degree_reorder_puts_hubs_first() {
-        // 0 is the hub (degree 3); 1-2 edge makes 1 and 2 degree 2.
-        let el = EdgeList::new(4, vec![(0, 1), (0, 2), (0, 3), (1, 2)]);
-        let full = Csr::from_edge_list(&el);
-        let degs: Vec<u64> = (0..4).map(|v| full.degree(v)).collect();
-        let mut csr = Csr::from_edge_list(&el);
-        csr.reorder_neighbors_by_degree(|v| degs[v as usize]);
-        // 3's only neighbour is 0; 1's neighbours: 0 (deg 3) then 2 (deg 2).
-        assert_eq!(csr.neighbors(1), &[0, 2]);
-        assert_eq!(csr.neighbors(2), &[0, 1]);
+    fn degree_order_puts_hubs_first() {
+        // 0 is the hub (degree 3); 1-2 edge makes 1 and 2 degree 2. Ranks
+        // own {0, 1} and {2, 3}: 1's row needs 2's degree from rank 1.
+        let el = EdgeList::new(4, vec![(2, 1), (0, 3), (0, 2), (1, 0)]);
+        let edges = |_| el.edges.iter().copied();
+        let csrs = Csr::build_partitioned(&Partition1D::new(4, 2), RowOrder::ByDegree, edges);
+        assert_eq!(csrs[0].neighbors(1), &[0, 2]);
+        assert_eq!(csrs[1].neighbors(2), &[0, 1]);
         // Ascending id among equal degrees.
-        assert_eq!(csr.neighbors(0), &[1, 2, 3]);
+        assert_eq!(csrs[0].neighbors(0), &[1, 2, 3]);
+        let by_id = Csr::build_partitioned(&Partition1D::new(4, 2), RowOrder::ById, edges);
+        assert_eq!(by_id[0], Csr::from_edge_list_rows(&el, 0, 2));
+        assert_eq!(by_id[1], Csr::from_edge_list_rows(&el, 2, 2));
     }
 
     #[test]

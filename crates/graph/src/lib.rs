@@ -42,7 +42,7 @@ pub mod transform;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use compressed::{CodedIter, CompressedCsr};
-pub use csr::Csr;
+pub use csr::{Csr, RowOrder};
 pub use edge_list::EdgeList;
 pub use kronecker::{generate_kronecker, KroneckerConfig};
 pub use partition::Partition1D;

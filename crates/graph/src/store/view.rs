@@ -102,22 +102,6 @@ macro_rules! typed_view {
             pub fn is_mapped(&self) -> bool {
                 matches!(self, $name::Mapped(s) if s.region_is_mapped())
             }
-
-            /// Mutable access to owned storage.
-            ///
-            /// # Panics
-            /// Panics on a mapped view — store sections are read-only
-            /// by construction (`PROT_READ`); mutating passes must run
-            /// before persistence.
-            #[allow(dead_code)] // not every instantiation uses every accessor
-            pub fn as_mut_slice(&mut self) -> &mut [$elem] {
-                match self {
-                    $name::Owned(v) => v,
-                    $name::Mapped(_) => {
-                        panic!("cannot mutate a store-mapped section; mutate before persisting")
-                    }
-                }
-            }
         }
 
         impl Deref for $name {

@@ -101,6 +101,29 @@ impl Default for ServeConfig {
     }
 }
 
+/// Refuses a rank count the graph cannot be partitioned over: at least
+/// one rank, and no more ranks than vertices.
+fn check_ranks(field: &str, ranks: u32, el: &EdgeList) -> io::Result<()> {
+    if ranks == 0 || u64::from(ranks) > el.num_vertices {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{field}: {ranks} ranks for {} vertices", el.num_vertices),
+        ));
+    }
+    Ok(())
+}
+
+/// Refuses relay groups of no ranks.
+fn check_group_size(cfg: &ServeConfig) -> io::Result<()> {
+    if cfg.group_size == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "ServeConfig::group_size: relay groups need at least one rank",
+        ));
+    }
+    Ok(())
+}
+
 /// One entry of the slow-query log: a query whose admission-to-answer
 /// latency crossed [`ServeConfig::slow_query_micros`], with enough
 /// attribution to say *why* it was slow without replaying the trace.
@@ -243,8 +266,10 @@ impl Server {
     /// Loads `el` into an in-process cluster and starts serving on a
     /// fresh Unix-domain socket (TCP on non-Unix platforms).
     pub fn start(el: &EdgeList, cfg: ServeConfig) -> io::Result<Server> {
-        // The cluster is built on the caller's thread (parallel CSR
-        // construction) and moved into the worker.
+        check_ranks("ServeConfig::ranks", cfg.ranks, el)?;
+        check_group_size(&cfg)?;
+        // The cluster is built on the caller's thread (the partitioned
+        // CSR builder, one rank per pool task) and moved into the worker.
         let t0 = Instant::now();
         let cluster = AlgoCluster::new(el, cfg.ranks, cfg.group_size, cfg.messaging);
         Self::start_cluster(cluster, cfg, "serve.store_build_micros", t0.elapsed())
@@ -253,6 +278,8 @@ impl Server {
     /// Like [`Server::start`], but listening on an ephemeral loopback
     /// TCP port.
     pub fn start_tcp(el: &EdgeList, cfg: ServeConfig) -> io::Result<Server> {
+        check_ranks("ServeConfig::ranks", cfg.ranks, el)?;
+        check_group_size(&cfg)?;
         let t0 = Instant::now();
         let cluster = AlgoCluster::new(el, cfg.ranks, cfg.group_size, cfg.messaging);
         let micros = t0.elapsed();
@@ -280,6 +307,7 @@ impl Server {
         backend: StorageBackend,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
+        check_group_size(&cfg)?;
         let t0 = Instant::now();
         let cluster = AlgoCluster::from_store_dir(dir, backend, cfg.group_size, cfg.messaging)?;
         Self::start_cluster(cluster, cfg, "serve.store_map_micros", t0.elapsed())
@@ -288,6 +316,7 @@ impl Server {
     /// The build-once half: partitions `el` across `ranks` and persists
     /// the store directory [`Server::start_from_store`] restarts from.
     pub fn build_store(el: &EdgeList, ranks: u32, dir: &std::path::Path) -> io::Result<()> {
+        check_ranks("ranks", ranks, el)?;
         AlgoCluster::new(el, ranks, 1, Messaging::Direct).persist_store(dir)
     }
 

@@ -105,6 +105,53 @@ fn store_restarted_server_answers_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The error a bad config must end as: `InvalidInput`, naming the field.
+fn refused<T>(r: std::io::Result<T>, field: &str) {
+    let err = r.err().unwrap_or_else(|| panic!("a bad {field} was accepted"));
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains(field), "{err} does not name {field}");
+}
+
+#[test]
+fn zero_ranks_is_refused_not_a_panic() {
+    let el = graph();
+    let cfg = || ServeConfig { ranks: 0, ..ServeConfig::default() };
+    refused(Server::start(&el, cfg()), "ranks");
+    refused(Server::start_tcp(&el, cfg()), "ranks");
+    let dir = std::env::temp_dir().join(format!("sw_serve_zero_ranks_{}", std::process::id()));
+    refused(Server::build_store(&el, 0, &dir), "ranks");
+    assert!(!dir.exists(), "a refused build wrote nothing");
+}
+
+#[test]
+fn more_ranks_than_vertices_is_refused_not_a_panic() {
+    let el = EdgeList::new(3, vec![(0, 1), (1, 2)]);
+    let cfg = || ServeConfig { ranks: 4, ..ServeConfig::default() };
+    refused(Server::start(&el, cfg()), "ranks");
+    refused(Server::start_tcp(&el, cfg()), "ranks");
+    let dir = std::env::temp_dir().join(format!("sw_serve_many_ranks_{}", std::process::id()));
+    refused(Server::build_store(&el, 4, &dir), "ranks");
+}
+
+#[test]
+fn zero_group_size_is_refused_not_a_panic() {
+    let el = graph();
+    let cfg = || ServeConfig { group_size: 0, ..ServeConfig::default() };
+    refused(Server::start(&el, cfg()), "group_size");
+    refused(Server::start_tcp(&el, cfg()), "group_size");
+}
+
+#[test]
+fn zero_group_size_is_refused_on_a_store_restart_too() {
+    let el = graph();
+    let dir = std::env::temp_dir().join(format!("sw_serve_zero_group_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    Server::build_store(&el, 4, &dir).unwrap();
+    let cfg = ServeConfig { group_size: 0, ..ServeConfig::default() };
+    refused(Server::start_from_store(&dir, sw_graph::StorageBackend::Mapped, cfg), "group_size");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn expired_deadline_is_a_structured_timeout_not_a_hang() {
     let el = graph();
