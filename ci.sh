@@ -5,10 +5,13 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+# Every package's unit tests, integration tests, proptests and doctests —
+# the line above tests only the umbrella package.
+cargo test --workspace -q
 cargo clippy -- -D warnings
 
-# Benches must keep compiling (they link the kernel/reference seam and
-# the criterion shim; drift there otherwise surfaces only on demand).
+# Benches must keep compiling (they link the criterion shim and the
+# crates' public surface; drift there otherwise surfaces only on demand).
 cargo bench --no-run -q
 
 # Pool-size determinism matrix: the work-stealing pool behind the rayon
@@ -65,17 +68,14 @@ cargo doc --no-deps -q
 # fault-free oracle, unsurvivable ones must fail structurally.
 cargo test -q -p swbfs-core --test chaos
 
-# Trace check: replay the fixed-seed instrumented workload across every
-# layer and diff the virtual-work counter snapshot against the
-# committed BENCH_trace.json baseline. Any drift is a real accounting
-# or transport change (re-baseline intentionally with --write).
-cargo run --release -p sw-bench --bin tracecheck
-
-# Regression sentinel: the extended sw-insight snapshot (trace counters
-# + algorithm-kernel sections + mesh utilization + insight analysis +
-# flow-model deviation) against BENCH_insight.json, under per-key
-# tolerance bands (counts exact, timing-flavoured keys 50 permille).
-# Exits non-zero naming the offending keys on any drift.
+# Regression sentinel, the one counter gate: replay the fixed-seed
+# instrumented workload across every layer (BFS transports, channel
+# backend, algorithm kernels, netsim, chip, insight analysis, flow-model
+# deviation) and diff the virtual-work snapshot against BENCH_insight.json
+# under per-key tolerance bands (counts exact, timing-flavoured keys 50
+# permille). Exits non-zero naming the offending keys on any drift; any
+# drift is a real accounting or transport change (re-baseline
+# intentionally with --write).
 cargo run --release -p sw-bench --bin regress
 
 # Service gate: the query server's end-to-end battery (oracle
@@ -103,15 +103,16 @@ timeout 600 cargo run --release -q -p sw-bench --bin swstore
 #     families, drives load, polls the STATS endpoint, and validates
 #     the JSON and Prometheus renderings line-by-line.
 #  2. Zero-perturbation: the deterministic suites re-run with the live
-#     plane armed (SW_LIVE=1). Every assertion in golden_trace,
-#     engine_conformance, and tracecheck is bit-exactness against a
-#     disarmed baseline or committed snapshot, so any leak from the
-#     wall-clock plane into deterministic state fails right here.
+#     plane armed (SW_LIVE=1). Every assertion in golden_trace and
+#     engine_conformance is bit-exactness against a disarmed baseline,
+#     and regress holds every count exactly to its committed snapshot,
+#     so any leak from the wall-clock plane into deterministic state
+#     fails right here.
 timeout 600 cargo run --release -q -p sw-bench --bin swtop -- --selftest
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test golden_trace
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test socket_telemetry
-SW_LIVE=1 cargo run --release -p sw-bench --bin tracecheck
+SW_LIVE=1 cargo run --release -p sw-bench --bin regress
 
 # Wall-clock ledger gate: swperf (perf/, a package of its own) must keep
 # building against the crates' public surface and keep agreeing with

@@ -1,13 +1,15 @@
-//! Δ-stepping SSSP — the bucketed refinement of the Bellman–Ford kernel.
+//! Δ-stepping SSSP, the crate's one distributed shortest-path kernel.
 //!
-//! [`crate::sssp`] relaxes every improved vertex each round, which on
-//! weighted graphs re-relaxes long-distance vertices many times.
-//! Δ-stepping (Meyer & Sanders) processes vertices in distance buckets of
-//! width Δ: *light* edges (weight ≤ Δ) are relaxed repeatedly inside the
-//! current bucket until it stabilizes, *heavy* edges once when the bucket
-//! retires. Communication stays shuffle-shaped — `(target, candidate)`
-//! records to owners — so it slots into the same exchange machinery and
-//! benefits from the same relay batching.
+//! Relaxing every improved vertex each round (Bellman–Ford) re-relaxes
+//! long-distance vertices many times on weighted graphs. Δ-stepping
+//! (Meyer & Sanders) processes vertices in distance buckets of width Δ:
+//! *light* edges (weight ≤ Δ) are relaxed repeatedly inside the current
+//! bucket until it stabilizes, *heavy* edges once when the bucket
+//! retires. With Δ ≥ the largest weight every edge is light and the
+//! kernel degenerates to Bellman–Ford rounds. Communication stays
+//! shuffle-shaped — `(target, candidate)` records to owners — so it
+//! slots into the same exchange machinery and benefits from the same
+//! relay batching.
 
 use crate::runtime::{edge_weight, AlgoCluster};
 use swbfs_core::engine::Transport;
@@ -235,21 +237,54 @@ fn apply<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sssp::{sssp_distributed, sssp_oracle};
+    use crate::sssp::sssp_oracle;
     use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
     use swbfs_core::config::Messaging;
 
     #[test]
-    fn matches_dijkstra_and_bellman_ford() {
+    fn matches_dijkstra_for_every_bucket_width() {
+        // Δ = 20 and beyond is the largest weight: every edge is light,
+        // which is Bellman–Ford's round structure.
         let el = generate_kronecker(&KroneckerConfig::graph500(9, 4));
         let oracle = sssp_oracle(&el, 2, 20);
-        for delta in [1u64, 4, 8, 20] {
-            let mut c = AlgoCluster::new(&el, 5, 2, Messaging::Relay);
-            let got = sssp_delta_stepping(&mut c, 2, 20, delta);
-            assert_eq!(got, oracle, "delta = {delta}");
+        for ranks in [1u32, 4, 5, 6] {
+            for delta in [1u64, 4, 8, 20, 1000] {
+                let mut c = AlgoCluster::new(&el, ranks, 2, Messaging::Relay);
+                let got = sssp_delta_stepping(&mut c, 2, 20, delta);
+                assert_eq!(got, oracle, "ranks {ranks}, delta {delta}");
+            }
         }
-        let mut c = AlgoCluster::new(&el, 5, 2, Messaging::Relay);
-        assert_eq!(sssp_distributed(&mut c, 2, 20), oracle);
+    }
+
+    #[test]
+    fn unit_weights_reduce_to_bfs_levels() {
+        let el = generate_kronecker(&KroneckerConfig::graph500(8, 9));
+        let mut c = AlgoCluster::new(&el, 4, 2, Messaging::Relay);
+        let d = sssp_delta_stepping(&mut c, 0, 1, 1);
+        let bfs = swbfs_core::baseline::sequential_bfs_levels(&el, 0);
+        for (dd, lv) in d.iter().zip(bfs.iter()) {
+            match lv {
+                Some(l) => assert_eq!(*dd, *l as u64),
+                None => assert_eq!(*dd, INF),
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_path_picks_cheaper_detour() {
+        // Triangle 0-1-2: whichever of the direct edge 0-2 and the detour
+        // through 1 the synthetic weights make cheaper, Δ-stepping must
+        // find it, with the detour's edges light or heavy.
+        let el = EdgeList::new(3, vec![(0, 1), (1, 2), (0, 2)]);
+        let oracle = sssp_oracle(&el, 0, 100);
+        for delta in [1u64, 10, 100] {
+            let mut c = AlgoCluster::new(&el, 3, 2, Messaging::Direct);
+            assert_eq!(
+                sssp_delta_stepping(&mut c, 0, 100, delta),
+                oracle,
+                "delta {delta}"
+            );
+        }
     }
 
     #[test]
@@ -266,6 +301,7 @@ mod tests {
         let el = EdgeList::new(4, vec![(0, 1)]);
         let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Relay);
         let d = sssp_delta_stepping(&mut c, 0, 5, 3);
+        assert_eq!(d[0], 0);
         assert_eq!(d[2], INF);
         assert_eq!(d[3], INF);
     }

@@ -13,8 +13,9 @@
 //! generate → exchange → apply structure as the BFS:
 //!
 //! * [`wcc`] — label propagation to the minimum component id;
-//! * [`sssp`] — level-synchronous relaxation with deterministic synthetic
-//!   edge weights;
+//! * [`delta_stepping`] — SSSP in distance buckets of width Δ over
+//!   deterministic synthetic edge weights ([`sssp`] holds its Dijkstra
+//!   oracle);
 //! * [`pagerank`] — damped power iteration with shuffled contributions;
 //! * [`kcore`] — iterative peeling with remote degree-decrement records;
 //! * [`msbfs`] — bit-parallel multi-source BFS (up to 64 traversals per
@@ -37,5 +38,4 @@ pub use kcore::kcore_distributed;
 pub use msbfs::msbfs_distributed;
 pub use pagerank::pagerank_distributed;
 pub use runtime::AlgoCluster;
-pub use sssp::sssp_distributed;
 pub use wcc::wcc_distributed;

@@ -1,114 +1,17 @@
-//! Single-Source Shortest Paths by distributed level-synchronous
-//! relaxation (Bellman–Ford over the shuffle framework).
+//! Single-Source Shortest Paths: the shared unreachable marker and the
+//! sequential Dijkstra oracle.
 //!
+//! The distributed kernel is Δ-stepping ([`crate::delta_stepping`]).
 //! Weights are synthetic but deterministic ([`crate::runtime::edge_weight`]),
-//! recomputable from the endpoints, so no weighted input format is needed.
-//! Each round, vertices whose tentative distance improved relax their
-//! edges, shuffling `(neighbor, candidate_distance)` records to owners —
-//! the Forward Generator / Handler shape with a different reduction
-//! (minimum instead of first-wins).
+//! recomputable from the endpoints, so no weighted input format is needed
+//! and the oracle below sees exactly the weights the kernel relaxes.
 
-use crate::runtime::{edge_weight, AlgoCluster};
+use crate::runtime::edge_weight;
 use std::collections::BinaryHeap;
 use sw_graph::{Csr, EdgeList, Vid};
-use swbfs_core::engine::Transport;
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
 
 /// Unreachable marker.
 pub const INF: u64 = u64::MAX;
-
-/// Runs distributed SSSP from `root` with weights in `1..=max_weight`;
-/// returns per-vertex distances (`INF` when unreachable).
-pub fn sssp_distributed<T: Transport>(
-    cluster: &mut AlgoCluster<T>,
-    root: Vid,
-    max_weight: u64,
-) -> Vec<u64> {
-    let ranks = cluster.num_ranks() as usize;
-    let n = cluster.num_vertices() as usize;
-
-    let mut dist: Vec<Vec<u64>> = (0..ranks)
-        .map(|r| vec![INF; cluster.part.owned_count(r as u32) as usize])
-        .collect();
-    let mut dirty: Vec<Vec<bool>> = dist.iter().map(|d| vec![false; d.len()]).collect();
-    {
-        let r = cluster.part.owner(root) as usize;
-        let l = cluster.part.to_local(root) as usize;
-        dist[r][l] = 0;
-        dirty[r][l] = true;
-    }
-
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
-    let mut round = 0u32;
-    loop {
-        cluster.set_round(round);
-        let mut out = cluster.lend_outboxes();
-        let mut any = false;
-        for r in 0..ranks {
-            let t0 = ins::span_begin(tr);
-            let mut produced = 0u64;
-            let csr = &cluster.csrs[r];
-            let (start, _) = cluster.part.range(r as u32);
-            for i in 0..dist[r].len() {
-                if !std::mem::replace(&mut dirty[r][i], false) {
-                    continue;
-                }
-                any = true;
-                let du = dist[r][i];
-                let u = start + i as Vid;
-                for &v in csr.neighbors_local(i) {
-                    produced += 1;
-                    let cand = du + edge_weight(u, v, max_weight);
-                    let owner = cluster.part.owner(v) as usize;
-                    if owner == r {
-                        let vl = cluster.part.to_local(v) as usize;
-                        if cand < dist[r][vl] {
-                            dist[r][vl] = cand;
-                            dirty[r][vl] = true;
-                        }
-                    } else {
-                        out[r].push(owner as u32, EdgeRec { u: v, v: cand });
-                    }
-                }
-            }
-            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-        }
-        if !any {
-            break;
-        }
-        let inboxes = cluster.exchange_round(out);
-        for (r, inbox) in inboxes.iter().enumerate() {
-            let t0 = ins::span_begin(tr);
-            for rec in inbox {
-                let vl = cluster.part.to_local(rec.u) as usize;
-                if rec.v < dist[r][vl] {
-                    dist[r][vl] = rec.v;
-                    dirty[r][vl] = true;
-                }
-            }
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_HANDLE,
-                ins::CAT_COMPUTE,
-                round,
-                t0,
-                inbox.len() as u64,
-            );
-        }
-        cluster.recycle_inboxes(inboxes);
-        round += 1;
-    }
-
-    let mut result = vec![INF; n];
-    for (r, d) in dist.into_iter().enumerate() {
-        let (s, _) = cluster.part.range(r as u32);
-        result[s as usize..s as usize + d.len()].copy_from_slice(&d);
-    }
-    result
-}
 
 /// Single-node Dijkstra oracle over the same synthetic weights.
 pub fn sssp_oracle(el: &EdgeList, root: Vid, max_weight: u64) -> Vec<u64> {
@@ -131,57 +34,4 @@ pub fn sssp_oracle(el: &EdgeList, root: Vid, max_weight: u64) -> Vec<u64> {
         }
     }
     dist
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sw_graph::{generate_kronecker, KroneckerConfig};
-    use swbfs_core::config::Messaging;
-
-    #[test]
-    fn matches_dijkstra_on_kronecker() {
-        let el = generate_kronecker(&KroneckerConfig::graph500(9, 5));
-        let oracle = sssp_oracle(&el, 3, 10);
-        for ranks in [1u32, 4, 6] {
-            let mut c = AlgoCluster::new(&el, ranks, 3, Messaging::Relay);
-            assert_eq!(sssp_distributed(&mut c, 3, 10), oracle, "ranks {ranks}");
-        }
-    }
-
-    #[test]
-    fn unit_weights_reduce_to_bfs_levels() {
-        let el = generate_kronecker(&KroneckerConfig::graph500(8, 9));
-        let mut c = AlgoCluster::new(&el, 4, 2, Messaging::Relay);
-        let d = sssp_distributed(&mut c, 0, 1);
-        let bfs = swbfs_core::baseline::sequential_bfs_levels(&el, 0);
-        for (dd, lv) in d.iter().zip(bfs.iter()) {
-            match lv {
-                Some(l) => assert_eq!(*dd, *l as u64),
-                None => assert_eq!(*dd, INF),
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_path_picks_cheaper_detour() {
-        // Triangle 0-1-2 plus long edge 0-2: with adversarial weights the
-        // two-hop path can beat the direct edge; verify against Dijkstra on
-        // a fixed tiny graph (whatever the synthetic weights turn out to
-        // be, distributed must equal oracle).
-        let el = EdgeList::new(3, vec![(0, 1), (1, 2), (0, 2)]);
-        let oracle = sssp_oracle(&el, 0, 100);
-        let mut c = AlgoCluster::new(&el, 3, 2, Messaging::Direct);
-        assert_eq!(sssp_distributed(&mut c, 0, 100), oracle);
-    }
-
-    #[test]
-    fn unreachable_stays_inf() {
-        let el = EdgeList::new(4, vec![(0, 1)]);
-        let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Relay);
-        let d = sssp_distributed(&mut c, 0, 5);
-        assert_eq!(d[2], INF);
-        assert_eq!(d[3], INF);
-        assert_eq!(d[0], 0);
-    }
 }

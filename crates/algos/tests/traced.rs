@@ -1,7 +1,7 @@
 //! Observability guarantees of the instrumented algorithm kernels:
 //!
 //! 1. Every kernel flattens its per-phase exchange statistics through
-//!    the canonical `absorb_exchange` merge, so all six report the
+//!    the canonical `absorb_exchange` merge, so all five report the
 //!    exact counter key set the BFS backends report.
 //! 2. A virtual-work trace of a fixed-seed kernel run is
 //!    bit-reproducible and (faults off) transport-invariant: Direct and
@@ -16,7 +16,6 @@ use sw_algos::delta_stepping::sssp_delta_stepping;
 use sw_algos::kcore::kcore_distributed;
 use sw_algos::pagerank::pagerank_distributed;
 use sw_algos::runtime::AlgoCluster;
-use sw_algos::sssp::sssp_distributed;
 use sw_algos::wcc::wcc_distributed;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 use sw_trace::{analyze, check_syntax, ClockDomain, CounterSet, MachineContext, Tracer};
@@ -42,7 +41,7 @@ fn run_kernel(name: &str, cluster: &mut AlgoCluster) {
             pagerank_distributed(cluster, 5);
         }
         "sssp" => {
-            sssp_distributed(cluster, 1, 10);
+            sssp_delta_stepping(cluster, 1, 10, 4);
         }
         "wcc" => {
             wcc_distributed(cluster);
@@ -53,14 +52,11 @@ fn run_kernel(name: &str, cluster: &mut AlgoCluster) {
         "betweenness" => {
             betweenness_distributed(cluster, &[1, 17]);
         }
-        "delta" => {
-            sssp_delta_stepping(cluster, 1, 10, 4);
-        }
         other => panic!("unknown kernel {other}"),
     }
 }
 
-const KERNELS: [&str; 6] = ["pagerank", "sssp", "wcc", "kcore", "betweenness", "delta"];
+const KERNELS: [&str; 5] = ["pagerank", "sssp", "wcc", "kcore", "betweenness"];
 
 #[test]
 fn kernels_report_canonical_exchange_counters() {
@@ -110,7 +106,7 @@ fn insight_analyzes_kernel_traces() {
         let mut c = AlgoCluster::new(&el, ranks, 3, Messaging::Relay);
         let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, ranks as usize, 1 << 14);
         c.set_tracer(Some(tracer.clone()));
-        sssp_distributed(&mut c, 0, 10);
+        sssp_delta_stepping(&mut c, 0, 10, 4);
         let rep = tracer.report();
         let ctx = MachineContext::new().with_group_size(3);
         analyze(&rep, &ctx)

@@ -16,8 +16,13 @@ fn main() {
 
     eprintln!("Graph500: scale {scale}, {ranks} ranks, {roots} roots, seed {seed}");
     let spec = Graph500Spec::quick(scale, seed, roots);
-    let res = run_benchmark(&spec, ranks, BfsConfig::threaded_small((ranks / 4).max(1)))
-        .expect("benchmark failed");
+    let res = match run_benchmark(&spec, ranks, BfsConfig::threaded_small((ranks / 4).max(1))) {
+        Ok(res) => res,
+        Err(e) => {
+            eprintln!("graph500_host: {e}");
+            std::process::exit(1);
+        }
+    };
     print!("{}", format_report(&res));
     eprintln!(
         "\nall {} parent trees passed the five validation rules",

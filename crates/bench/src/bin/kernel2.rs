@@ -16,7 +16,13 @@ fn main() {
 
     eprintln!("kernel 2: scale {scale}, {ranks} ranks, {roots} roots, weights 1..={max_w}");
     let spec = Graph500Spec::quick(scale, 3, roots);
-    let res = run_kernel2(&spec, ranks, (ranks / 4).max(1), max_w).expect("kernel 2");
+    let res = match run_kernel2(&spec, ranks, (ranks / 4).max(1), max_w) {
+        Ok(res) => res,
+        Err(e) => {
+            eprintln!("kernel2: {e}");
+            std::process::exit(1);
+        }
+    };
 
     println!("\nGraph500 kernel 2 (SSSP) on the threaded framework:\n");
     let rows: Vec<Vec<String>> = res

@@ -18,9 +18,9 @@
 //! `--band exchange.=100` widens every key containing `exchange.` to
 //! 100‰; a bare `--band 20` replaces the default band for unmatched
 //! keys. `--report` additionally prints the rendered insight report
-//! for the Relay BFS trace. Like `tracecheck`, `--write` refuses to
-//! overwrite a committed baseline from a dirty worktree unless
-//! `--force` is given.
+//! for the Relay BFS trace. `--write` refuses to overwrite a committed
+//! baseline from a dirty worktree unless `--force` is given, so
+//! re-baselines stay attributable to a commit.
 
 use std::fs;
 use std::process::ExitCode;

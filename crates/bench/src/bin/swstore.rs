@@ -16,7 +16,7 @@
 //!   plain store; a cold server and a store-restarted server answer a
 //!   mixed query battery and every answer must agree bit for bit.
 //! * **Baselines** — the committed counter snapshots
-//!   (`BENCH_trace.json`, `BENCH_insight.json`, `BENCH_service.json`)
+//!   (`BENCH_insight.json`, `BENCH_service.json`)
 //!   must carry the `store.*` keys and carry them at **zero**: their
 //!   workloads are cold-path, so a nonzero value would mean a store
 //!   open leaked into a workload that never restarts — or a baseline
@@ -237,7 +237,8 @@ fn query(
 /// carry them at zero, since their workloads never restart from a store.
 fn baseline_axis() -> Result<(), String> {
     let mut checked = 0usize;
-    for file in ["BENCH_trace.json", "BENCH_insight.json", "BENCH_service.json"] {
+    let files = ["BENCH_insight.json", "BENCH_service.json"];
+    for file in files {
         let text = std::fs::read_to_string(file)
             .map_err(|e| format!("{file}: {e} (run from the repo root)"))?;
         let kv = parse_flat_u64(&text).map_err(|e| format!("{file}: {e}"))?;
@@ -255,7 +256,10 @@ fn baseline_axis() -> Result<(), String> {
         }
         checked += store.len();
     }
-    println!("baseline axis: {checked} store.* keys present across 3 snapshots, all zero");
+    println!(
+        "baseline axis: {checked} store.* keys present across {} snapshots, all zero",
+        files.len()
+    );
     Ok(())
 }
 

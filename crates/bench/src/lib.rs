@@ -17,8 +17,13 @@
 //!
 //! Criterion benches (`cargo bench`) measure the host-side performance of
 //! the substrate components (generator, CSR build, shuffle engine,
-//! exchange transports, end-to-end threaded BFS including the
-//! direction-optimization and hub ablations).
+//! exchange transports, fault overhead, end-to-end BFS including the
+//! direction-optimization and hub ablations, the cost models). The
+//! wall-clock ledger with per-layer probes (kernels, arena exchange,
+//! codecs, socket fabric, tracing) is `perf/` (`swperf`).
+//!
+//! `regress` is the one counter gate: it diffs the fixed-seed snapshot
+//! ([`snapshot::collect_insight`]) against `BENCH_insight.json`.
 
 pub mod snapshot;
 

@@ -1,13 +1,13 @@
-//! Shared deterministic metrics snapshots and tolerance-band diffing
-//! for the regression tooling (`tracecheck`, `regress`).
+//! Deterministic metrics snapshots and tolerance-band diffing for the
+//! `regress` gate.
 //!
 //! The workload is fixed-seed and every collected value derives from
 //! virtual work (records, edges, model nanoseconds) — never wall
 //! clocks — so a snapshot is reproducible on a given platform and any
 //! drift is a real behavioural change. Two snapshot depths exist:
 //!
-//! * [`collect_trace`] — the PR-3 `tracecheck` snapshot: both BFS
-//!   transports, the channel backend, netsim tier occupancy, chip
+//! * [`collect_trace`] — the traversal and machine layers: both BFS
+//!   messaging modes, the channel backend, netsim tier occupancy, chip
 //!   counters;
 //! * [`collect_insight`] — everything above plus the instrumented
 //!   algorithm kernels, the sw-insight analysis counters, and the
@@ -66,9 +66,9 @@ pub fn netsim_phase() -> (NetworkConfig, Vec<SimMessage>) {
     (net, msgs)
 }
 
-/// Collects the PR-3 `tracecheck` snapshot. Returns the counters plus
-/// the virtual-work Relay trace report (for `--table` rendering and
-/// insight analysis) — collecting it here keeps the expensive BFS runs
+/// Collects the traversal and machine layers of the snapshot. Returns
+/// the counters plus the virtual-work Relay trace report (for insight
+/// analysis) — collecting it here keeps the expensive BFS runs
 /// single-pass.
 pub fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
     let mut combined = CounterSet::new();
@@ -122,7 +122,7 @@ pub fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
     arch_metrics::publish_cycle_report(&mut combined, &rep);
     arch_metrics::publish_dma(&mut combined, &DmaEngine::new(chip));
     let mut spm = Spm::new(CpeId::new(0, 0), 64 * 1024);
-    spm.alloc("tracecheck staging", 48 * 1024).expect("spm alloc");
+    spm.alloc("snapshot staging", 48 * 1024).expect("spm alloc");
     arch_metrics::publish_spm(&mut combined, &spm);
 
     (combined, relay_report.expect("relay pass always runs"))
@@ -384,8 +384,8 @@ pub fn diff_snapshot(
     rep
 }
 
-/// Baseline-overwrite guard shared by `tracecheck --write` and
-/// `regress --write`: refuses to rewrite a committed baseline from a
+/// Baseline-overwrite guard of `regress --write` and `svcbench
+/// --write`: refuses to rewrite a committed baseline from a
 /// dirty git worktree (the rewrite would be unattributable) unless
 /// forced. When git is unavailable the guard warns and allows the
 /// write.

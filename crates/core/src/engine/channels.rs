@@ -1,10 +1,9 @@
 //! The channel transport: records genuinely travel between OS threads
 //! over crossbeam channels.
 //!
-//! This is the fabric the original `ChannelCluster` backend used. The
-//! SPMD scaffolding it duplicated — the redundant per-rank level loop,
-//! stat all-reduce broadcasts, hub packet exchange — dissolved into the
-//! engine; what remains is exactly the transport duty: one `Records`
+//! The SPMD scaffolding a channel backend would duplicate — a per-rank
+//! level loop, stat all-reduce broadcasts, hub packet exchange — lives
+//! in the engine; this transport does only the fabric's duty: one `Records`
 //! message from every rank to every peer per phase (empty ones are the
 //! paper's termination indicators), moved over an MPI-like
 //! point-to-point mesh by one thread per rank, with the per-rank wire

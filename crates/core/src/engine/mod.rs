@@ -12,10 +12,10 @@
 //! [`crate::instrument::absorb_exchange`] counter-merge path. The
 //! fabric-specific residue — how one phase's records physically move —
 //! lives behind the [`Transport`] trait, implemented by [`SharedMem`]
-//! (the pooled-arena fabric of the original `ThreadedCluster`) and
-//! [`Channels`] (the crossbeam mesh of the original `ChannelCluster`).
+//! (the pooled arena), [`Channels`] (a crossbeam mesh between OS
+//! threads) and, on Unix, `SocketTransport` (one process per rank).
 //!
-//! Construction goes through [`ClusterBuilder`]:
+//! [`ClusterBuilder`] is the only way to construct an engine:
 //!
 //! ```
 //! use swbfs_core::engine::{Channels, ClusterBuilder};
@@ -202,9 +202,13 @@ impl<'a, T: Transport> ClusterBuilder<'a, T> {
     /// and sets the transport up for the job size.
     pub fn build(self) -> Result<SuperstepEngine<T>, ExecError> {
         let mut engine = match self.source {
-            Source::Edges(el) => {
-                SuperstepEngine::with_transport(el, self.num_ranks, self.cfg, self.transport)?
-            }
+            Source::Edges(el) => SuperstepEngine::from_rows(
+                el,
+                self.num_ranks,
+                self.cfg,
+                self.transport,
+                |part, _, order| Csr::build_partitioned(part, order, |_| el.edges.iter().copied()),
+            )?,
             Source::Store { dir, backend } => {
                 SuperstepEngine::from_store_with_transport(&dir, backend, self.cfg, self.transport)?
             }
@@ -285,49 +289,7 @@ pub struct SuperstepEngine<T: Transport> {
     pub(crate) use_legacy_exchange: bool,
 }
 
-impl SuperstepEngine<SharedMem> {
-    /// Shared-memory engine over `el` — the constructor the deprecated
-    /// `ThreadedCluster` facade forwards to.
-    pub fn new(el: &EdgeList, num_ranks: u32, cfg: BfsConfig) -> Result<Self, ExecError> {
-        ClusterBuilder::new(el, num_ranks, cfg).build()
-    }
-
-    /// [`Self::new`] through the distributed construction path; also
-    /// returns the construction traffic.
-    pub fn new_distributed(
-        el: &EdgeList,
-        num_ranks: u32,
-        cfg: BfsConfig,
-    ) -> Result<(Self, ExchangeStats), ExecError> {
-        ClusterBuilder::new(el, num_ranks, cfg).build_distributed()
-    }
-}
-
-impl SuperstepEngine<Channels> {
-    /// Channel-fabric engine over `el` — the constructor the deprecated
-    /// `ChannelCluster` facade forwards to.
-    pub fn new(el: &EdgeList, num_ranks: u32, cfg: BfsConfig) -> Result<Self, ExecError> {
-        ClusterBuilder::new(el, num_ranks, cfg)
-            .transport(Channels::new())
-            .build()
-    }
-}
-
 impl<T: Transport> SuperstepEngine<T> {
-    /// Partitions `el` over `num_ranks` ranks, builds all per-rank state
-    /// including the distributed hub selection, and sets `transport` up
-    /// for the job size.
-    pub fn with_transport(
-        el: &EdgeList,
-        num_ranks: u32,
-        cfg: BfsConfig,
-        transport: T,
-    ) -> Result<Self, ExecError> {
-        Self::from_rows(el, num_ranks, cfg, transport, |part, _, order| {
-            Csr::build_partitioned(part, order, |_| el.edges.iter().copied())
-        })
-    }
-
     /// The one edge-list construction path: `rows` makes every rank's
     /// CSR in the configured row order (shortcut build or distributed
     /// shuffle), prepared exactly once here — the coded sidecar, then
@@ -398,7 +360,7 @@ impl<T: Transport> SuperstepEngine<T> {
     /// hub threshold), a partition whose header disagrees with the
     /// manifest, and any file the store layer's checksum/coherence
     /// verification rejects.
-    pub fn from_store_with_transport(
+    fn from_store_with_transport(
         dir: &Path,
         backend: StorageBackend,
         cfg: BfsConfig,
@@ -701,13 +663,6 @@ impl<T: Transport> SuperstepEngine<T> {
         self.tracer = tracer;
     }
 
-    /// Builder form of [`Self::set_tracer`].
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.set_tracer(Some(tracer));
-        self
-    }
-
     /// Arms (or disarms, with `None`) a deterministic fault schedule.
     /// Every subsequent [`Self::run`] replays the schedule from phase 0
     /// with a fresh session, so faulty runs are as repeatable as clean
@@ -715,13 +670,6 @@ impl<T: Transport> SuperstepEngine<T> {
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan.clone().map(FaultSession::new);
         self.fault_plan = plan;
-    }
-
-    /// Builder form of [`Self::set_fault_plan`].
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(Some(plan));
-        self
     }
 
     /// Fault-layer telemetry for the most recent [`Self::run`]:
@@ -1125,5 +1073,31 @@ fn close_level(r: &mut RankState) -> NextFrontier {
 impl<T: Transport> Drop for SuperstepEngine<T> {
     fn drop(&mut self) {
         self.transport.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ClusterBuilder;
+    use crate::config::{BfsConfig, Messaging};
+    use sw_graph::{generate_kronecker, KroneckerConfig};
+
+    /// Acceptance gate for the pooled exchange: at Graph500 scale 16 the
+    /// arena pipeline must produce *bit-identical* parent maps (and level
+    /// stats) to the seed's nested-Vec exchange, on both messaging modes.
+    #[test]
+    fn arena_parents_bit_identical_to_legacy_at_scale_16() {
+        let el = generate_kronecker(&KroneckerConfig::graph500(16, 42));
+        for msg in [Messaging::Direct, Messaging::Relay] {
+            let cfg = BfsConfig::threaded_small(4).with_messaging(msg);
+            let mut pooled = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
+            let mut legacy = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
+            legacy.use_legacy_exchange = true;
+            let root = (0..512).max_by_key(|&v| pooled.degree_of(v)).unwrap();
+            let op = pooled.run(root).unwrap();
+            let ol = legacy.run(root).unwrap();
+            assert_eq!(op.parents, ol.parents, "{msg:?} parent maps diverge");
+            assert_eq!(op.levels, ol.levels, "{msg:?} level stats diverge");
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! The shared-memory transport: ranks as data, records through the
 //! pooled [`ExchangeArena`].
 //!
-//! This is the fabric the original `ThreadedCluster` backend used —
-//! every simulated node is a slot in a rank vector, phases run in
+//! Every simulated node is a slot in a rank vector, phases run in
 //! parallel under rayon, and records move through the arena's two-pass
 //! counting-sort pipeline with slot-stable buffer recycling (zero
 //! allocations in steady state). It is the default transport of

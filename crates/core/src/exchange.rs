@@ -24,7 +24,7 @@
 //! nested per-destination vectors; long-lived clusters hold their own
 //! arena and call it directly so every buffer is recycled across levels
 //! and roots. The seed's literal allocate-classify-push implementation
-//! survives in [`legacy`] as a differential oracle and bench baseline.
+//! survives in [`legacy`] as a differential oracle.
 
 use crate::arena::ExchangeArena;
 use crate::compress::compressed_size;
@@ -236,8 +236,8 @@ pub(crate) fn group_bounds(layout: &GroupLayout, group: u32) -> (u32, u32) {
 }
 
 /// The seed's allocate-classify-push exchange, kept verbatim as the
-/// differential oracle for the pooled pipeline (and as the "before" side
-/// of the exchange benchmark). Not part of the public API surface.
+/// differential oracle for the pooled pipeline. Not part of the public
+/// API surface.
 #[doc(hidden)]
 pub mod legacy {
     use super::*;

@@ -20,8 +20,7 @@
 //!   real rank; messages really move over a pluggable [`Transport`] fabric
 //!   ([`SharedMem`] pooled arena, or [`Channels`] OS threads + crossbeam
 //!   mesh); results validate under Graph500 rules. Ground truth at up to a
-//!   few hundred ranks. [`threaded`] and [`channels`] are its deprecated
-//!   per-transport facades.
+//!   few hundred ranks. [`ClusterBuilder`] is the one way to build it.
 //! * [`modeled`] — per-level traffic statistics (measured by the engine,
 //!   [`traffic`]) are replayed through the chip and network cost
 //!   models at up to the full 40,960-node machine, reproducing Figures 11
@@ -34,7 +33,6 @@
 pub mod arena;
 pub mod baseline;
 pub mod baseline2d;
-pub mod channels;
 pub mod compress;
 pub mod config;
 pub mod construction;
@@ -53,7 +51,6 @@ pub mod policy;
 pub mod rank;
 pub mod result;
 pub mod shuffling;
-pub mod threaded;
 pub mod traffic;
 
 pub use config::{BfsConfig, Messaging, Processing};
@@ -63,8 +60,6 @@ pub use faults::{FaultKind, FaultPlan, FaultSession, InjectionEvent, RetryPolicy
 pub use instrument::{absorb_exchange, absorb_store, exchange_view, StoreStats};
 pub use modeled::{ModelOutcome, ModeledCluster};
 pub use result::{BfsOutput, LevelStats};
-pub use channels::ChannelCluster;
-pub use threaded::ThreadedCluster;
 pub use traffic::LevelProfile;
 
 /// Sentinel for "no parent assigned yet".

@@ -4,14 +4,11 @@
 //! before the word-parallel rewrite: the Backward Generator tests one
 //! visited bit per vertex, the Forward Generator claims in raw scan
 //! order with no target blocking, and neither touches the byte-coded
-//! sidecar. They remain wired in for two reasons:
-//!
-//! * **differential oracle** — `tests/kernel_parity.rs` runs whole BFS
-//!   executions through both kernel sets and asserts bit-identical
-//!   parents, levels, and statistics (word counters normalized), which
-//!   is the contract the rewrite is held to;
-//! * **bench baseline** — the `kernels` criterion bench measures the
-//!   word-parallel sweeps against these loops on dense frontiers.
+//! sidecar. They remain wired in as the **differential oracle**:
+//! `tests/kernel_parity.rs` runs whole BFS executions through both
+//! kernel sets and asserts bit-identical parents, levels, and
+//! statistics (word counters normalized), which is the contract the
+//! rewrite is held to.
 //!
 //! Selected at run time via
 //! [`BfsConfig::reference_kernels`](crate::config::BfsConfig); never

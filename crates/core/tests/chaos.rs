@@ -19,7 +19,6 @@
 
 use swbfs_core::config::{BfsConfig, Messaging};
 use swbfs_core::engine::{ClusterBuilder, SocketTransport};
-use swbfs_core::threaded::ThreadedCluster;
 use swbfs_core::{ExchangeError, ExecError, FaultPlan};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 
@@ -74,7 +73,7 @@ fn fifty_survivable_schedules_are_bit_identical_at_scale_14() {
         if compress {
             cfg = cfg.with_compression();
         }
-        let mut cluster = ThreadedCluster::new(&el, 8, cfg).unwrap();
+        let mut cluster = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
         let root = splitmix(&mut state) % el.num_vertices;
         let oracle = cluster.run(root).unwrap();
         // 13 schedules per configuration = 52 total.
@@ -106,7 +105,7 @@ fn survivable_schedules_are_bit_identical_at_scale_16() {
     let mut state = 0xBEEF16u64;
     for mode in [Messaging::Direct, Messaging::Relay] {
         let cfg = BfsConfig::threaded_small(4).with_messaging(mode);
-        let mut cluster = ThreadedCluster::new(&el, 8, cfg).unwrap();
+        let mut cluster = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
         let root = splitmix(&mut state) % el.num_vertices;
         let oracle = cluster.run(root).unwrap();
         for _ in 0..3 {
@@ -126,7 +125,7 @@ fn survivable_schedules_are_bit_identical_at_scale_16() {
 fn degrading_schedules_keep_the_answers_identical() {
     let el = scale14();
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Relay);
-    let mut cluster = ThreadedCluster::new(&el, 8, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
     let root = 3u64;
     let oracle = cluster.run(root).unwrap();
     for relay in [1u32, 5] {
@@ -151,7 +150,7 @@ fn degrading_schedules_keep_the_answers_identical() {
 fn unsurvivable_schedules_fail_with_structured_errors() {
     let el = scale14();
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let mut cluster = ThreadedCluster::new(&el, 8, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
     let root = 1u64;
     let oracle = cluster.run(root).unwrap();
 
@@ -167,7 +166,7 @@ fn unsurvivable_schedules_fail_with_structured_errors() {
     // A delay storm beyond the per-level simulated-time budget.
     let mut tight = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
     tight.retry.level_timeout_ns = 50_000;
-    let mut stormy = ThreadedCluster::new(&el, 8, tight).unwrap();
+    let mut stormy = ClusterBuilder::new(&el, 8, tight).build().unwrap();
     stormy.set_fault_plan(Some(FaultPlan {
         delay_permille: 1000,
         delay_ns: 10_000,
@@ -182,7 +181,7 @@ fn unsurvivable_schedules_fail_with_structured_errors() {
     // A dead relay with the fallback switched off exhausts its budget.
     let mut rigid = BfsConfig::threaded_small(4).with_messaging(Messaging::Relay);
     rigid.retry.fallback_direct = false;
-    let mut relayed = ThreadedCluster::new(&el, 8, rigid).unwrap();
+    let mut relayed = ClusterBuilder::new(&el, 8, rigid).build().unwrap();
     relayed.set_fault_plan(Some(FaultPlan::quiet(31).with_dead_relay(1)));
     match relayed.run(root) {
         Err(ExecError::Exchange(ExchangeError::RetriesExhausted { .. })) => {}
@@ -210,7 +209,11 @@ fn socket_survivable_schedules_are_bit_identical_to_the_oracle() {
             cfg = cfg.with_compression();
         }
         let root = splitmix(&mut state) % el.num_vertices;
-        let oracle = ThreadedCluster::new(&el, 8, cfg).unwrap().run(root).unwrap();
+        let oracle = ClusterBuilder::new(&el, 8, cfg)
+            .build()
+            .unwrap()
+            .run(root)
+            .unwrap();
         let mut engine = ClusterBuilder::new(&el, 8, cfg)
             .transport(socket_unix())
             .build()
@@ -289,8 +292,14 @@ fn failing_runs_replay_identically() {
     let el = scale14();
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
     let plan = FaultPlan::quiet(47).with_dead_link(0, 3);
-    let mut a = ThreadedCluster::new(&el, 8, cfg).unwrap().with_fault_plan(plan.clone());
-    let mut b = ThreadedCluster::new(&el, 8, cfg).unwrap().with_fault_plan(plan);
+    let mut a = ClusterBuilder::new(&el, 8, cfg)
+        .fault_plan(plan.clone())
+        .build()
+        .unwrap();
+    let mut b = ClusterBuilder::new(&el, 8, cfg)
+        .fault_plan(plan)
+        .build()
+        .unwrap();
     let ea = a.run(5).unwrap_err();
     let eb = b.run(5).unwrap_err();
     assert_eq!(format!("{ea}"), format!("{eb}"));

@@ -15,9 +15,8 @@
 //!    bit-identical to the fault-free oracle and replays the same
 //!    injection trace run after run.
 //! 4. **Complete surface** — the whole telemetry/accessor API works for
-//!    every transport (the facade-era drift where `ChannelCluster`
-//!    lacked `pool_counters`/`injection_trace`/`is_degraded` cannot
-//!    recur).
+//!    every transport (no fabric can lack `pool_counters`,
+//!    `injection_trace` or `is_degraded`).
 
 use swbfs_core::baseline::sequential_bfs_levels;
 use swbfs_core::engine::{

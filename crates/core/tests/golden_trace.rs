@@ -14,7 +14,7 @@
 //! 4. A tracer with a tiny ring **drops instead of blocking** and the
 //!    truncated trace still exports well-formed Chrome JSON.
 
-use swbfs_core::{BfsConfig, ChannelCluster, FaultPlan, Messaging, ThreadedCluster};
+use swbfs_core::{BfsConfig, Channels, ClusterBuilder, FaultPlan, Messaging};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 use sw_trace::{check_syntax, ClockDomain, Tracer};
 
@@ -30,7 +30,7 @@ fn virtual_trace_is_bit_reproducible_and_transport_invariant() {
 
     let run_traced = |messaging: Messaging| {
         let cfg = BfsConfig::threaded_small(4).with_messaging(messaging);
-        let mut cluster = ThreadedCluster::new(&el, ranks, cfg).unwrap();
+        let mut cluster = ClusterBuilder::new(&el, ranks, cfg).build().unwrap();
         let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, ranks as usize, 1 << 14);
         cluster.set_tracer(Some(tracer.clone()));
         let out = cluster.run(root).unwrap();
@@ -56,7 +56,7 @@ fn virtual_trace_is_bit_reproducible_and_transport_invariant() {
 fn trace_survives_cluster_reuse_identically() {
     let el = graph(11, 6);
     let cfg = BfsConfig::threaded_small(3);
-    let mut cluster = ThreadedCluster::new(&el, 5, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 5, cfg).build().unwrap();
     let mut exports = Vec::new();
     for _ in 0..2 {
         let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, 5, 1 << 12);
@@ -81,8 +81,11 @@ fn backends_report_identical_counter_sets_on_identical_traffic() {
     // this is the regime where both backends move byte-identical wire
     // traffic.
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let mut threaded = ThreadedCluster::new(&el, 6, cfg).unwrap();
-    let mut channels = ChannelCluster::new(&el, 6, cfg).unwrap();
+    let mut threaded = ClusterBuilder::new(&el, 6, cfg).build().unwrap();
+    let mut channels = ClusterBuilder::new(&el, 6, cfg)
+        .transport(Channels::new())
+        .build()
+        .unwrap();
     for root in [0u64, 77] {
         let a = threaded.run(root).unwrap();
         let b = channels.run(root).unwrap();
@@ -110,12 +113,15 @@ fn backends_count_identical_fault_telemetry() {
     let el = graph(11, 8);
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
     let plan = FaultPlan::lossy(0xBADD);
-    let mut threaded = ThreadedCluster::new(&el, 4, cfg)
-        .unwrap()
-        .with_fault_plan(plan.clone());
-    let mut channels = ChannelCluster::new(&el, 4, cfg)
-        .unwrap()
-        .with_fault_plan(plan);
+    let mut threaded = ClusterBuilder::new(&el, 4, cfg)
+        .fault_plan(plan.clone())
+        .build()
+        .unwrap();
+    let mut channels = ClusterBuilder::new(&el, 4, cfg)
+        .transport(Channels::new())
+        .fault_plan(plan)
+        .build()
+        .unwrap();
     let a = threaded.run(3).unwrap();
     let b = channels.run(3).unwrap();
     assert_eq!(a.parents, b.parents, "survivable faults change nothing");
@@ -134,7 +140,7 @@ fn backends_count_identical_fault_telemetry() {
 fn tiny_ring_drops_events_without_blocking() {
     let el = graph(12, 8);
     let cfg = BfsConfig::threaded_small(4);
-    let mut cluster = ThreadedCluster::new(&el, 6, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 6, cfg).build().unwrap();
     // 8 events per lane is far less than a scale-12 BFS records.
     let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, 6, 8);
     cluster.set_tracer(Some(tracer.clone()));
@@ -156,7 +162,7 @@ fn tiny_ring_drops_events_without_blocking() {
 fn wall_trace_smoke() {
     let el = graph(10, 4);
     let cfg = BfsConfig::threaded_small(2);
-    let mut cluster = ThreadedCluster::new(&el, 4, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 4, cfg).build().unwrap();
     let tracer = Tracer::for_ranks(ClockDomain::Wall, 4, 1 << 12);
     cluster.set_tracer(Some(tracer.clone()));
     cluster.run(5).unwrap();
@@ -186,7 +192,7 @@ fn armed_live_plane_never_perturbs_deterministic_state() {
     let el = graph(12, 8);
     let run = || {
         let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-        let mut cluster = ThreadedCluster::new(&el, 6, cfg).unwrap();
+        let mut cluster = ClusterBuilder::new(&el, 6, cfg).build().unwrap();
         let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, 6, 1 << 14);
         cluster.set_tracer(Some(tracer.clone()));
         let out = cluster.run(1).unwrap();

@@ -14,7 +14,7 @@ use sw_net::{flow_prediction, simulate_phase, NetworkConfig, SimMessage};
 use sw_trace::analyze::attribution::Bottleneck;
 use sw_trace::analyze::deviation;
 use sw_trace::{analyze, check_syntax, ClockDomain, CounterSet, MachineContext, Tracer};
-use swbfs_core::{BfsConfig, FaultPlan, Messaging, ThreadedCluster};
+use swbfs_core::{BfsConfig, ClusterBuilder, FaultPlan, Messaging};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 
 fn graph(scale: u32, seed: u64) -> EdgeList {
@@ -45,7 +45,7 @@ fn insight_report_is_byte_identical_across_runs_and_transports() {
 
     let run_insight = |messaging: Messaging| {
         let cfg = BfsConfig::threaded_small(4).with_messaging(messaging);
-        let mut cluster = ThreadedCluster::new(&el, ranks, cfg).unwrap();
+        let mut cluster = ClusterBuilder::new(&el, ranks, cfg).build().unwrap();
         let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, ranks as usize, 1 << 14);
         cluster.set_tracer(Some(tracer.clone()));
         cluster.run(1).unwrap();
@@ -74,7 +74,7 @@ fn insight_report_is_byte_identical_across_runs_and_transports() {
 fn insight_counters_export_deterministically() {
     let el = graph(12, 5);
     let cfg = BfsConfig::threaded_small(3);
-    let mut cluster = ThreadedCluster::new(&el, 6, cfg).unwrap();
+    let mut cluster = ClusterBuilder::new(&el, 6, cfg).build().unwrap();
     let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, 6, 1 << 13);
     cluster.set_tracer(Some(tracer.clone()));
     cluster.run(0).unwrap();
@@ -95,9 +95,10 @@ fn insight_counters_export_deterministically() {
 fn degrading_run_is_retry_bound_at_degraded_levels() {
     let el = graph(12, 8);
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Relay);
-    let mut cluster = ThreadedCluster::new(&el, 6, cfg)
-        .unwrap()
-        .with_fault_plan(FaultPlan::quiet(3).with_dead_relay(2));
+    let mut cluster = ClusterBuilder::new(&el, 6, cfg)
+        .fault_plan(FaultPlan::quiet(3).with_dead_relay(2))
+        .build()
+        .unwrap();
     let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, 6, 1 << 14);
     cluster.set_tracer(Some(tracer.clone()));
     cluster.run(3).unwrap();

@@ -13,7 +13,6 @@
 
 use swbfs_core::config::{BfsConfig, Messaging};
 use swbfs_core::engine::{ClusterBuilder, SocketTransport};
-use swbfs_core::threaded::ThreadedCluster;
 use swbfs_core::{ExchangeError, ExecError, FaultPlan};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 
@@ -34,7 +33,11 @@ fn scale14() -> EdgeList {
 fn killing_a_rank_mid_level_fails_structurally_and_reaps_everyone() {
     let el = scale14();
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let oracle = ThreadedCluster::new(&el, 8, cfg).unwrap().run(1).unwrap();
+    let oracle = ClusterBuilder::new(&el, 8, cfg)
+        .build()
+        .unwrap()
+        .run(1)
+        .unwrap();
 
     let mut engine = ClusterBuilder::new(&el, 8, cfg)
         .transport(socket_unix().kill_rank_at_phase(2, 3))
@@ -82,7 +85,11 @@ fn torn_frames_are_redelivered_not_regenerated() {
     let cfg = BfsConfig::threaded_small(4)
         .with_messaging(Messaging::Direct)
         .with_compression();
-    let oracle = ThreadedCluster::new(&el, 8, cfg).unwrap().run(9).unwrap();
+    let oracle = ClusterBuilder::new(&el, 8, cfg)
+        .build()
+        .unwrap()
+        .run(9)
+        .unwrap();
 
     let plan = FaultPlan {
         truncate_permille: 350,

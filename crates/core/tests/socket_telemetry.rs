@@ -9,7 +9,6 @@
 
 use swbfs_core::config::{BfsConfig, Messaging};
 use swbfs_core::engine::{ClusterBuilder, RankTelemetry, SocketTransport};
-use swbfs_core::threaded::ThreadedCluster;
 use swbfs_core::FaultPlan;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 use sw_trace::live;
@@ -30,7 +29,11 @@ fn check_fabric_telemetry(make: fn() -> SocketTransport) {
     let el = scale12();
     let ranks = 6u32;
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let oracle = ThreadedCluster::new(&el, ranks, cfg).unwrap().run(1).unwrap();
+    let oracle = ClusterBuilder::new(&el, ranks, cfg)
+        .build()
+        .unwrap()
+        .run(1)
+        .unwrap();
 
     let mut engine = ClusterBuilder::new(&el, ranks, cfg)
         .transport(make())
@@ -141,7 +144,13 @@ fn armed_plane_receives_per_rank_fabric_metrics() {
 fn check_no_phase_waits_out_a_poll_timeout(make: fn() -> SocketTransport) {
     let el = scale12();
     let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let oracle = |root| ThreadedCluster::new(&el, 6, cfg).unwrap().run(root).unwrap();
+    let oracle = |root| {
+        ClusterBuilder::new(&el, 6, cfg)
+            .build()
+            .unwrap()
+            .run(root)
+            .unwrap()
+    };
     let mut engine = ClusterBuilder::new(&el, 6, cfg).transport(make()).build().unwrap();
     let assert_no_stall = |fabric: &SocketTransport, what: &str| {
         for (r, t) in fabric.rank_telemetry().iter().enumerate() {

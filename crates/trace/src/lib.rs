@@ -18,10 +18,10 @@
 //!   Writers claim a slot with one `fetch_add` and never block; on
 //!   overflow the event is counted in `dropped_events` and discarded.
 //!   At run end the lanes merge into a [`TraceReport`].
-//! * **Exporters** ([`TraceReport`]) — Chrome `trace_event` JSON (open
-//!   in `chrome://tracing` / Perfetto; one lane per rank), a flat
-//!   metrics snapshot (JSON object, stable key order), and a terminal
-//!   per-level time-breakdown table in the style of the paper's Fig. 9.
+//! * **Exporters** ([`TraceReport`]) — the report's own JSON, Chrome
+//!   `trace_event` JSON (open in `chrome://tracing` / Perfetto; one
+//!   lane per rank), and a flat metrics snapshot (JSON object, stable
+//!   key order).
 //!
 //! Counters live in a [`Registry`] of atomic cells or in plain
 //! [`CounterSet`] maps; both merge deterministically (`max_*`-named

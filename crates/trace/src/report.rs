@@ -9,7 +9,6 @@
 use crate::json::{escape, us_from_ns};
 use crate::metrics::CounterSet;
 use crate::tracer::{ClockDomain, EventKind, TraceEvent, NO_LEVEL};
-use std::collections::BTreeMap;
 
 /// One lane's (rank's) recorded events, in claim order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,75 +148,6 @@ impl TraceReport {
         s.push('\n');
         s
     }
-
-    /// Sums span durations per (BFS level, phase name) across all
-    /// lanes. Spans with [`NO_LEVEL`] are excluded.
-    pub fn level_breakdown(&self) -> BTreeMap<u32, BTreeMap<&'static str, u64>> {
-        let mut out: BTreeMap<u32, BTreeMap<&'static str, u64>> = BTreeMap::new();
-        for lane in &self.lanes {
-            for ev in &lane.events {
-                if ev.kind == EventKind::Span && ev.level != NO_LEVEL {
-                    *out.entry(ev.level).or_default().entry(ev.name).or_insert(0) +=
-                        ev.dur_ns;
-                }
-            }
-        }
-        out
-    }
-
-    /// A terminal per-level time-breakdown table in the style of the
-    /// paper's Fig. 9: one row per BFS level, one column per phase,
-    /// units from the clock domain (ns or work units).
-    pub fn level_table(&self) -> String {
-        let breakdown = self.level_breakdown();
-        let mut phases: Vec<&'static str> = Vec::new();
-        for row in breakdown.values() {
-            for &p in row.keys() {
-                if !phases.contains(&p) {
-                    phases.push(p);
-                }
-            }
-        }
-        phases.sort_unstable();
-        let unit = if self.domain == ClockDomain::Wall {
-            "ns"
-        } else {
-            "units"
-        };
-        let mut widths: Vec<usize> = phases.iter().map(|p| p.len().max(8)).collect();
-        for row in breakdown.values() {
-            for (i, p) in phases.iter().enumerate() {
-                let w = row.get(p).copied().unwrap_or(0).to_string().len();
-                widths[i] = widths[i].max(w);
-            }
-        }
-        let mut out = format!(
-            "per-level breakdown ({}, {unit})\n",
-            self.domain.as_str()
-        );
-        out.push_str("level");
-        for (i, p) in phases.iter().enumerate() {
-            out.push_str(&format!("  {:>w$}", p, w = widths[i]));
-        }
-        out.push_str("     total\n");
-        for (level, row) in &breakdown {
-            out.push_str(&format!("{level:>5}"));
-            let mut total = 0u64;
-            for (i, p) in phases.iter().enumerate() {
-                let v = row.get(p).copied().unwrap_or(0);
-                total += v;
-                out.push_str(&format!("  {v:>w$}", w = widths[i]));
-            }
-            out.push_str(&format!("  {total:>8}\n"));
-        }
-        if self.total_dropped() > 0 {
-            out.push_str(&format!(
-                "(truncated: {} events dropped on ring overflow)\n",
-                self.total_dropped()
-            ));
-        }
-        out
-    }
 }
 
 fn event_json(ev: &TraceEvent) -> String {
@@ -294,19 +224,6 @@ mod tests {
     fn virtual_report_is_byte_deterministic() {
         assert_eq!(sample().to_json(), sample().to_json());
         assert_eq!(sample().chrome_trace_json(), sample().chrome_trace_json());
-    }
-
-    #[test]
-    fn level_breakdown_sums_across_lanes() {
-        let b = sample().level_breakdown();
-        assert_eq!(b[&0]["gen"], 18, "rank0 + rank1");
-        assert_eq!(b[&0]["deliver"], 4);
-        assert_eq!(b[&1]["gen"], 3);
-        assert_eq!(b[&1]["level"], 25);
-        let table = sample().level_table();
-        assert!(table.contains("level"));
-        assert!(table.contains("gen"));
-        assert!(table.contains("virtual-work"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example protein_reachability`
 
 use swbfs::algos::sssp::INF;
-use swbfs::algos::{kcore_distributed, sssp_distributed, AlgoCluster};
+use swbfs::algos::{kcore_distributed, sssp_delta_stepping, AlgoCluster};
 use swbfs::bfs::config::Messaging;
 use swbfs::bfs::{BfsConfig, ClusterBuilder};
 use swbfs::graph::kronecker::{generate_kronecker, KroneckerConfig};
@@ -69,7 +69,7 @@ fn main() {
 
     // Minimum-cost pathways: weight = synthetic interaction confidence.
     let mut cluster = AlgoCluster::new(&el, 6, 3, Messaging::Relay);
-    let dist = sssp_distributed(&mut cluster, query, 100);
+    let dist = sssp_delta_stepping(&mut cluster, query, 100, 20);
     let reachable: Vec<u64> = dist.iter().copied().filter(|&d| d != INF).collect();
     let max_cost = reachable.iter().max().unwrap();
     let mean_cost: f64 =

@@ -2,10 +2,9 @@
 //! and with each other on the same graph — reachability, distance bounds,
 //! core nesting, probability mass.
 
-use swbfs::algos::sssp::INF;
+use swbfs::algos::sssp::{sssp_oracle, INF};
 use swbfs::algos::{
-    kcore_distributed, pagerank_distributed, sssp_delta_stepping, sssp_distributed,
-    wcc_distributed, AlgoCluster,
+    kcore_distributed, pagerank_distributed, sssp_delta_stepping, wcc_distributed, AlgoCluster,
 };
 use swbfs::bfs::baseline::sequential_bfs_levels;
 use swbfs::bfs::config::Messaging;
@@ -44,7 +43,7 @@ fn sssp_distance_sandwiched_by_hops() {
     let el = graph();
     let w = 10u64;
     let mut c = AlgoCluster::new(&el, 5, 2, Messaging::Relay);
-    let dist = sssp_distributed(&mut c, 7, w);
+    let dist = sssp_delta_stepping(&mut c, 7, w, 4);
     let hops = sequential_bfs_levels(&el, 7);
     for v in 0..el.num_vertices as usize {
         match hops[v] {
@@ -62,13 +61,15 @@ fn sssp_distance_sandwiched_by_hops() {
 }
 
 #[test]
-fn delta_stepping_and_bellman_ford_identical() {
+fn delta_stepping_matches_dijkstra() {
+    // Two cluster shapes, a light-heavy split and an all-light one
+    // (Δ ≥ the largest weight, Bellman–Ford's rounds).
     let el = graph();
+    let oracle = sssp_oracle(&el, 3, 50);
     let mut a = AlgoCluster::new(&el, 4, 2, Messaging::Relay);
     let mut b = AlgoCluster::new(&el, 7, 3, Messaging::Direct);
-    let d1 = sssp_distributed(&mut a, 3, 50);
-    let d2 = sssp_delta_stepping(&mut b, 3, 50, 12);
-    assert_eq!(d1, d2);
+    assert_eq!(sssp_delta_stepping(&mut a, 3, 50, 50), oracle);
+    assert_eq!(sssp_delta_stepping(&mut b, 3, 50, 12), oracle);
 }
 
 #[test]
@@ -117,7 +118,7 @@ fn all_kernels_insensitive_to_transport_and_rank_count() {
         let mut c = AlgoCluster::new(&el, ranks, 2, m);
         let wcc = wcc_distributed(&mut c);
         let mut c = AlgoCluster::new(&el, ranks, 2, m);
-        let sssp = sssp_distributed(&mut c, 1, 9);
+        let sssp = sssp_delta_stepping(&mut c, 1, 9, 3);
         let mut c = AlgoCluster::new(&el, ranks, 2, m);
         let core = kcore_distributed(&mut c, 4);
         (wcc, sssp, core)
