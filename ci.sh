@@ -15,18 +15,22 @@ cargo clippy -- -D warnings
 cargo bench --no-run -q
 
 # Pool-size determinism matrix: the work-stealing pool behind the rayon
-# shim must be invisible in outputs. Conformance + kernel parity + chaos
-# + order-freedom run sequentially (SW_POOL_THREADS=1, the default) and
-# on a 4-worker pool; every assertion in those suites is bit-exactness,
-# so any scheduling-dependent result fails the matrix. A level's
-# close-out (advance_level, n_f, m_f) runs inside the last parallel rank
-# pass, so the golden digests and the single-build comparison run on
-# both pool sizes too. The partitioned CSR builder runs one rank per
-# pool task: its oracle proptest and the partition-file pin
-# (single_build) must hold on both.
+# shim must be invisible in outputs. Conformance + kernel parity + the
+# seed-exchange oracle + chaos + order-freedom run sequentially
+# (SW_POOL_THREADS=1, the default) and on a 4-worker pool; every
+# assertion in those suites is bit-exactness, so any scheduling-dependent
+# result fails the matrix. Both oracles live with the tests: the seed
+# kernels are the in-crate module behind `--lib kernel_parity`, the seed
+# exchange a test fabric in exchange_equivalence. A level's close-out
+# (advance_level, n_f, m_f) runs inside the last parallel rank pass, so
+# the golden digests and the single-build comparison run on both pool
+# sizes too. The partitioned CSR builder runs one rank per pool task:
+# its oracle proptest and the partition-file pin (single_build) must
+# hold on both.
 for threads in 1 4; do
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test engine_conformance
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test kernel_parity
+  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --lib kernel_parity
+  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test exchange_equivalence
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test chaos
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test order_free
   SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test golden_levels
@@ -68,35 +72,28 @@ cargo doc --no-deps -q
 # fault-free oracle, unsurvivable ones must fail structurally.
 cargo test -q -p swbfs-core --test chaos
 
-# Regression sentinel, the one counter gate: replay the fixed-seed
-# instrumented workload across every layer (BFS transports, channel
-# backend, algorithm kernels, netsim, chip, insight analysis, flow-model
-# deviation) and diff the virtual-work snapshot against BENCH_insight.json
-# under per-key tolerance bands (counts exact, timing-flavoured keys 50
-# permille). Exits non-zero naming the offending keys on any drift; any
-# drift is a real accounting or transport change (re-baseline
-# intentionally with --write).
-cargo run --release -p sw-bench --bin regress
-
-# Service gate: the query server's end-to-end battery (oracle
-# correctness, structured deadlines, BUSY shedding and recovery, clean
-# shutdown), then svcbench — which gates the MS-BFS batch-64 speedup,
-# asserts zero shed under light load, and diffs the deterministic
-# serve.* counter snapshot against BENCH_service.json (svc.* timing
-# keys get a wide 20x band; re-baseline with --write).
+# Service battery: the query server's end-to-end tests (oracle
+# correctness, zero shed under sequential load, structured deadlines,
+# BUSY shedding and recovery, clean shutdown, the STATS endpoint).
 timeout 600 cargo test -q -p sw-serve
-timeout 600 cargo run --release -q -p sw-bench --bin svcbench
 
-# Store gate: build-once/serve-forever. swstore cold-builds a scale-16
-# instance, persists the partition files, restarts through both storage
-# backends, and hard-gates on (a) bit-identical BFS results and
-# deterministic counters after restart, (b) the mmap path copying zero
-# adjacency bytes, (c) a store-restarted sw-serve answering a mixed
-# query battery identically to a cold-built server, and (d) the
-# committed BENCH_*.json snapshots carrying the store.* keys at zero —
-# so a store re-baseline can only ever be additive (new store.* keys;
-# the sentinels above pin every pre-existing counter exactly).
-timeout 600 cargo run --release -q -p sw-bench --bin swstore
+# The one counter gate (swgate), three gates in one binary:
+#  * insight: replay the fixed-seed instrumented workload across every
+#    layer (BFS transports, channel backend, algorithm kernels, netsim,
+#    chip, insight analysis, flow-model deviation) and diff it against
+#    BENCH_insight.json (counts exact, *_ns/*_mbps/*permille keys 50
+#    permille);
+#  * service: MS-BFS batch 64 at least 4x faster than batch 1, and the
+#    exact kernel.batch* and serve.* counters of a staged query sequence
+#    against BENCH_service.json;
+#  * store: a scale-16 instance persisted and restarted through both
+#    storage backends answers bit-identically with matching counters,
+#    the mmap path copies zero adjacency bytes, a store-restarted
+#    sw-serve answers a mixed battery like a cold-built one, and both
+#    baselines carry the store.* keys at zero.
+# Exits non-zero naming the offending keys or check; any drift is a real
+# accounting or behaviour change (re-baseline intentionally with --write).
+timeout 600 cargo run --release -q -p sw-bench --bin swgate
 
 # Live-telemetry gate. Two halves:
 #  1. swtop --selftest starts in-process servers on both listener
@@ -105,14 +102,14 @@ timeout 600 cargo run --release -q -p sw-bench --bin swstore
 #  2. Zero-perturbation: the deterministic suites re-run with the live
 #     plane armed (SW_LIVE=1). Every assertion in golden_trace and
 #     engine_conformance is bit-exactness against a disarmed baseline,
-#     and regress holds every count exactly to its committed snapshot,
-#     so any leak from the wall-clock plane into deterministic state
-#     fails right here.
+#     and swgate holds every count of both snapshots exactly and re-runs
+#     the store's restart checks, so any leak from the wall-clock plane
+#     into deterministic state fails right here.
 timeout 600 cargo run --release -q -p sw-bench --bin swtop -- --selftest
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test golden_trace
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
 SW_LIVE=1 timeout 600 cargo test -q -p swbfs-core --test socket_telemetry
-SW_LIVE=1 cargo run --release -p sw-bench --bin regress
+SW_LIVE=1 timeout 600 cargo run --release -q -p sw-bench --bin swgate
 
 # Wall-clock ledger gate: swperf (perf/, a package of its own) must keep
 # building against the crates' public surface and keep agreeing with

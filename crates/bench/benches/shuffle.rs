@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sw_arch::{ChipConfig, ShuffleEngine, ShuffleLayout};
 use sw_net::GroupLayout;
 use swbfs_core::exchange::{exchange_direct, exchange_relay, Codec};
-use swbfs_core::messages::{decode_batch, encode_batch, EdgeRec};
+use swbfs_core::messages::{encode_batch, try_decode_batch, EdgeRec};
 
 fn bench_shuffle_engine(c: &mut Criterion) {
     let engine = ShuffleEngine::new(ChipConfig::sw26010(), ShuffleLayout::paper_default()).unwrap();
@@ -67,9 +67,7 @@ fn bench_framing(c: &mut Criterion) {
     g.throughput(Throughput::Elements(recs.len() as u64));
     g.bench_function("encode_10k", |b| b.iter(|| encode_batch(&recs)));
     let frame = encode_batch(&recs);
-    g.bench_function("decode_10k", |b| {
-        b.iter(|| decode_batch(frame.clone()))
-    });
+    g.bench_function("decode_10k", |b| b.iter(|| try_decode_batch(&frame)));
     g.finish();
 }
 

@@ -22,8 +22,9 @@
 //! wall-clock ledger with per-layer probes (kernels, arena exchange,
 //! codecs, socket fabric, tracing) is `perf/` (`swperf`).
 //!
-//! `regress` is the one counter gate: it diffs the fixed-seed snapshot
-//! ([`snapshot::collect_insight`]) against `BENCH_insight.json`.
+//! `swgate` is the one counter gate ([`snapshot`]): it diffs the
+//! fixed-seed insight and service snapshots against `BENCH_insight.json`
+//! and `BENCH_service.json` and runs the store's restart checks.
 
 pub mod snapshot;
 

@@ -1,24 +1,38 @@
-//! Deterministic metrics snapshots and tolerance-band diffing for the
-//! `regress` gate.
+//! The one counter gate behind `swgate`: deterministic metrics
+//! snapshots, their tolerance-band diff against the committed baselines,
+//! and the hard checks of the query service and the store.
 //!
-//! The workload is fixed-seed and every collected value derives from
-//! virtual work (records, edges, model nanoseconds) — never wall
+//! Every collected value derives from virtual work (records, edges,
+//! model nanoseconds, sweep rounds, service decisions) — never wall
 //! clocks — so a snapshot is reproducible on a given platform and any
-//! drift is a real behavioural change. Two snapshot depths exist:
+//! drift is a real behavioural change. Three gates share one baseline
+//! read / diff / guarded write ([`check_baseline`]), one band policy
+//! ([`ToleranceBands::standard`]) and one root picker ([`pick_roots`]):
 //!
-//! * [`collect_trace`] — the traversal and machine layers: both BFS
-//!   messaging modes, the channel backend, netsim tier occupancy, chip
-//!   counters;
-//! * [`collect_insight`] — everything above plus the instrumented
-//!   algorithm kernels, the sw-insight analysis counters, and the
-//!   flow-model prediction with its model-vs-measured deviation rows.
+//! * [`insight_gate`] — [`collect_insight`]: the traversal and machine
+//!   layers (both BFS messaging modes, the channel backend, netsim tier
+//!   occupancy, chip counters), the instrumented algorithm kernels, the
+//!   sw-insight analysis counters, and the flow-model prediction with
+//!   its model-vs-measured deviation rows, against `BENCH_insight.json`;
+//! * [`service_gate`] — the MS-BFS batching payoff (batch 64 at least
+//!   4× faster than batch 1; the sweep counts exact) and the `serve.*`
+//!   counters of a fixed staged query sequence, against
+//!   `BENCH_service.json`;
+//! * [`store_gate`] — build once, serve forever: engine and service
+//!   restarts from persisted stores answer bit-identically, the mmap
+//!   path copies nothing, and both baselines carry `store.*` at zero.
 //!
-//! Diffing is per-key with tolerance bands in permille
-//! ([`ToleranceBands`]): timing-flavoured keys (`*_ns`, `*_mbps`,
-//! `*permille`) get slack for float truncation across platforms, pure
-//! counts must match exactly. Mismatches render as a keyed unified
-//! diff ([`DiffReport::unified_diff`]) so a failing CI log shows
-//! old/new value pairs, not just key names.
+//! Mismatches render as a keyed unified diff
+//! ([`DiffReport::unified_diff`]) so a failing CI log shows old/new
+//! value pairs, not just key names.
+
+mod service;
+mod store;
+
+pub use service::service_gate;
+pub use store::store_gate;
+
+use std::fs;
 
 use sw_algos::pagerank::pagerank_distributed;
 use sw_algos::runtime::AlgoCluster;
@@ -27,11 +41,12 @@ use sw_arch::{metrics as arch_metrics, ChipConfig, CpeId, CycleSim, DmaEngine, S
 use sw_graph::{generate_kronecker, KroneckerConfig};
 use sw_net::{flow_prediction, simulate_phase, NetworkConfig, SimMessage};
 use sw_trace::analyze::deviation;
+use sw_trace::json::parse_flat_u64;
 use sw_trace::report::TraceReport;
 use sw_trace::{analyze, ClockDomain, CounterSet, MachineContext, Tracer};
 use swbfs_core::{BfsConfig, Channels, ClusterBuilder, Messaging};
 
-/// The fixed-seed workload parameters shared by every snapshot binary.
+/// The fixed-seed workload of the insight snapshot.
 #[derive(Clone, Copy, Debug)]
 pub struct Workload {
     /// Kronecker scale of the BFS graph.
@@ -52,9 +67,9 @@ impl Default for Workload {
     }
 }
 
-/// The fixed netsim phase every snapshot simulates (512 nodes, mixed
+/// The fixed netsim phase the snapshot simulates (512 nodes, mixed
 /// intra/cross traffic).
-pub fn netsim_phase() -> (NetworkConfig, Vec<SimMessage>) {
+fn netsim_phase() -> (NetworkConfig, Vec<SimMessage>) {
     let net = NetworkConfig::taihulight(512);
     let msgs = (0..256u32)
         .map(|i| SimMessage {
@@ -70,7 +85,7 @@ pub fn netsim_phase() -> (NetworkConfig, Vec<SimMessage>) {
 /// the counters plus the virtual-work Relay trace report (for insight
 /// analysis) — collecting it here keeps the expensive BFS runs
 /// single-pass.
-pub fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
+fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
     let mut combined = CounterSet::new();
     let el = generate_kronecker(&KroneckerConfig::graph500(w.scale, w.seed));
     let root = 1u64;
@@ -193,52 +208,30 @@ fn fn_pagerank(c: &mut AlgoCluster) {
     pagerank_distributed(c, 5);
 }
 
-/// Per-key tolerance bands, in permille of the baseline value.
-/// The first matching substring rule wins; unmatched keys use the
-/// default band.
+/// Per-key tolerance bands, in permille of the baseline value: the
+/// first matching substring rule wins; a key no rule matches must be
+/// exact.
 #[derive(Clone, Debug)]
 pub struct ToleranceBands {
-    rules: Vec<(String, u64)>,
-    /// Band for keys no rule matches.
-    pub default_permille: u64,
+    rules: Vec<(&'static str, u64)>,
 }
 
 impl ToleranceBands {
-    /// Every key must match exactly.
-    pub fn exact() -> Self {
-        Self {
-            rules: Vec::new(),
-            default_permille: 0,
-        }
-    }
-
     /// The committed-baseline policy: timing-flavoured keys (model
     /// nanoseconds, rates, permille ratios) tolerate 50‰ of float
     /// truncation skew across platforms; pure counts must be exact.
     pub fn standard() -> Self {
         Self {
-            rules: vec![
-                ("_ns".into(), 50),
-                ("_mbps".into(), 50),
-                ("permille".into(), 50),
-            ],
-            default_permille: 0,
+            rules: vec![("_ns", 50), ("_mbps", 50), ("permille", 50)],
         }
-    }
-
-    /// Adds a substring rule (takes precedence over earlier rules).
-    pub fn with_rule(mut self, pattern: &str, permille: u64) -> Self {
-        self.rules.insert(0, (pattern.to_string(), permille));
-        self
     }
 
     /// The band for `key`.
     pub fn band_for(&self, key: &str) -> u64 {
         self.rules
             .iter()
-            .find(|(p, _)| key.contains(p.as_str()))
-            .map(|&(_, b)| b)
-            .unwrap_or(self.default_permille)
+            .find(|(p, _)| key.contains(p))
+            .map_or(0, |&(_, b)| b)
     }
 }
 
@@ -384,12 +377,10 @@ pub fn diff_snapshot(
     rep
 }
 
-/// Baseline-overwrite guard of `regress --write` and `svcbench
-/// --write`: refuses to rewrite a committed baseline from a
-/// dirty git worktree (the rewrite would be unattributable) unless
-/// forced. When git is unavailable the guard warns and allows the
-/// write.
-pub fn guard_baseline_overwrite(path: &str, force: bool) -> Result<(), String> {
+/// Refuses to rewrite a committed baseline from a dirty git worktree
+/// (the rewrite would be unattributable) unless forced. When git is
+/// unavailable the guard warns and allows the write.
+fn guard_baseline_overwrite(path: &str, force: bool) -> Result<(), String> {
     if force || !std::path::Path::new(path).exists() {
         return Ok(());
     }
@@ -416,6 +407,69 @@ pub fn guard_baseline_overwrite(path: &str, force: bool) -> Result<(), String> {
     }
 }
 
+/// The one baseline step every gate ends in. With `write`, stores
+/// `current` at `path` (guarded by the dirty-worktree check unless
+/// `force`); otherwise diffs it against the committed file under
+/// [`ToleranceBands::standard`], printing the keyed unified diff of any
+/// failure. Returns the summary line.
+pub fn check_baseline(
+    path: &str,
+    current: &CounterSet,
+    write: bool,
+    force: bool,
+) -> Result<String, String> {
+    if write {
+        guard_baseline_overwrite(path, force)?;
+        fs::write(path, current.to_json() + "\n").map_err(|e| format!("write {path}: {e}"))?;
+        return Ok(format!("wrote {} counters to {path}", current.len()));
+    }
+    let text = fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {path} ({e}); generate one with --write"))?;
+    let baseline = parse_flat_u64(&text).map_err(|e| format!("malformed baseline {path}: {e}"))?;
+    let diff = diff_snapshot(&baseline, current, &ToleranceBands::standard());
+    if diff.failures() > 0 {
+        print!("{}", diff.unified_diff(path));
+        return Err(format!(
+            "{} regression(s) over {} checked counters of {path}: {}",
+            diff.failures(),
+            diff.checked,
+            diff.offending_keys().join(", ")
+        ));
+    }
+    Ok(format!(
+        "{} counters within tolerance of {path}",
+        diff.checked
+    ))
+}
+
+/// The insight gate: the fixed-seed snapshot against
+/// `BENCH_insight.json`.
+pub fn insight_gate(write: bool, force: bool) -> Result<String, String> {
+    check_baseline(
+        "BENCH_insight.json",
+        &collect_insight(&Workload::default()),
+        write,
+        force,
+    )
+}
+
+/// `count` distinct roots in `0..n`, spread over the id space by a
+/// fixed LCG stream: the same roots on every run.
+pub fn pick_roots(n: u64, count: usize) -> Vec<u64> {
+    let mut roots = Vec::with_capacity(count);
+    let mut x = 0x243F_6A88_85A3_08D3u64;
+    while roots.len() < count {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = x % n;
+        if !roots.contains(&r) {
+            roots.push(r);
+        }
+    }
+    roots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,15 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn bands_match_by_substring_first_rule_wins() {
+    fn bands_match_by_substring() {
         let b = ToleranceBands::standard();
         assert_eq!(b.band_for("net.makespan_ns"), 50);
         assert_eq!(b.band_for("arch.dma.cluster_peak_mbps"), 50);
         assert_eq!(b.band_for("insight.parallelism_permille"), 50);
         assert_eq!(b.band_for("exchange.messages"), 0);
-        let custom = b.with_rule("exchange.", 100);
-        assert_eq!(custom.band_for("exchange.messages"), 100);
-        assert_eq!(custom.band_for("relay.exchange.bytes_ns_x"), 100, "first rule wins");
+        assert_eq!(b.band_for("serve.max_roots_per_batch"), 0);
+        assert_eq!(b.band_for("kernel.batch64.rounds"), 0);
     }
 
     #[test]
@@ -447,8 +500,9 @@ mod tests {
             ("b.busy_ns".to_string(), 1000),
             ("c.gone".to_string(), 5),
         ];
+        let bands = ToleranceBands::standard();
         let current = cs(&[("a.count", 100), ("b.busy_ns", 1030), ("d.new", 7)]);
-        let rep = diff_snapshot(&baseline, &current, &ToleranceBands::standard());
+        let rep = diff_snapshot(&baseline, &current, &bands);
         assert_eq!(rep.checked, 2);
         let kinds: Vec<(&str, DiffKind)> = rep
             .rows
@@ -461,26 +515,48 @@ mod tests {
             "30\u{2030} drift on a _ns key is inside the 50\u{2030} band"
         );
 
-        let strict = diff_snapshot(&baseline, &current, &ToleranceBands::exact());
-        assert!(strict
-            .rows
-            .iter()
-            .any(|r| r.key == "b.busy_ns" && r.kind == DiffKind::Drift));
+        let past_band = cs(&[("a.count", 101), ("b.busy_ns", 1060), ("c.gone", 5)]);
+        let rep = diff_snapshot(&baseline, &past_band, &bands);
+        let drifted: Vec<&str> = rep.offending_keys();
+        assert_eq!(
+            drifted,
+            vec!["a.count", "b.busy_ns"],
+            "counts exact, 60\u{2030} > 50\u{2030}"
+        );
+        assert!(rep.rows.iter().all(|r| r.kind == DiffKind::Drift));
     }
 
     #[test]
     fn unified_diff_names_values_and_bands() {
         let baseline = vec![("x.count".to_string(), 10u64)];
-        let current = cs(&[("x.count", 12)]);
-        let rep = diff_snapshot(&baseline, &current, &ToleranceBands::exact());
+        let bands = ToleranceBands::standard();
+        let rep = diff_snapshot(&baseline, &cs(&[("x.count", 12)]), &bands);
         let d = rep.unified_diff("BENCH_test.json");
         assert!(d.contains("--- BENCH_test.json"));
         assert!(d.contains("@@ x.count @@"));
         assert!(d.contains("-x.count: 10"));
         assert!(d.contains("+x.count: 12"));
         assert!(d.contains("200\u{2030}"));
-        let clean = diff_snapshot(&baseline, &cs(&[("x.count", 10)]), &ToleranceBands::exact());
+        let clean = diff_snapshot(&baseline, &cs(&[("x.count", 10)]), &bands);
         assert_eq!(clean.unified_diff("b"), "", "no failures, no diff");
+    }
+
+    #[test]
+    fn baseline_write_then_check_round_trips_and_catches_drift() {
+        let dir = std::env::temp_dir().join(format!("swgate_baseline_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let path = path.to_str().unwrap();
+        let snap = cs(&[("serve.queries", 124), ("net.makespan_ns", 1000)]);
+        let wrote = check_baseline(path, &snap, true, false).unwrap();
+        assert!(wrote.starts_with("wrote 2 counters"), "{wrote}");
+        assert!(check_baseline(path, &snap, false, false).is_ok());
+        let drifted = cs(&[("serve.queries", 125), ("net.makespan_ns", 1000)]);
+        let err = check_baseline(path, &drifted, false, false).unwrap_err();
+        assert!(err.contains("serve.queries"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+        let missing = check_baseline(path, &snap, false, false).unwrap_err();
+        assert!(missing.contains("generate one with --write"), "{missing}");
     }
 
     #[test]

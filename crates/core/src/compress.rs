@@ -29,22 +29,6 @@ fn put_varint(buf: &mut BytesMut, mut x: u64) {
     }
 }
 
-/// Reads a LEB128 varint; advances `pos`.
-fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut x = 0u64;
-    let mut shift = 0;
-    loop {
-        let byte = buf[*pos];
-        *pos += 1;
-        x |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return x;
-        }
-        shift += 7;
-        assert!(shift < 64, "varint too long");
-    }
-}
-
 /// Bytes a varint of `x` occupies.
 fn varint_len(x: u64) -> u64 {
     (64 - x.max(1).leading_zeros() as u64).div_ceil(7)
@@ -86,38 +70,17 @@ pub fn encode_compressed(records: &[EdgeRec]) -> Bytes {
     buf.freeze()
 }
 
-/// Decompresses a batch produced by [`encode_compressed`].
-///
-/// # Panics
-/// Panics on malformed frames (truncated or trailing bytes).
-pub fn decode_compressed(buf: &[u8]) -> Vec<EdgeRec> {
-    let mut pos = 0;
-    let n = get_varint(buf, &mut pos) as usize;
-    let mut out = Vec::with_capacity(n);
-    let (mut pu, mut pv) = (0i64, 0i64);
-    for _ in 0..n {
-        pu += unzigzag(get_varint(buf, &mut pos));
-        pv += unzigzag(get_varint(buf, &mut pos));
-        out.push(EdgeRec {
-            u: pu as Vid,
-            v: pv as Vid,
-        });
-    }
-    assert_eq!(pos, buf.len(), "trailing bytes in compressed frame");
-    out
-}
-
-/// Checked [`decode_compressed`] for payloads that crossed a real wire
-/// (the socket transport): malformed frames come back as a static
-/// description instead of a panic, so the transport can surface them as
-/// `ExchangeError::Protocol`.
+/// Decompresses a batch produced by [`encode_compressed`]. Payloads
+/// cross real wires (the socket transport), so malformed frames come
+/// back as a static description instead of a panic, and the transport
+/// surfaces them as `ExchangeError::Protocol`.
 pub fn try_decode_compressed(buf: &[u8]) -> Result<Vec<EdgeRec>, &'static str> {
     let mut pos = 0;
     let n = try_get_varint(buf, &mut pos)? as usize;
-    if n > buf.len().saturating_mul(8) {
-        // A varint byte encodes at least one record's worth of deltas
-        // every 16 bytes at most; a count wildly past the buffer is
-        // corruption, not a batch worth allocating for.
+    // Every record is two varints, at least two bytes, after a count of
+    // at least one: a larger count is corruption, refused before it
+    // sizes an allocation.
+    if n > buf.len().saturating_sub(1) / 2 {
         return Err("compressed batch count exceeds frame bytes");
     }
     let mut out = Vec::with_capacity(n);
@@ -136,8 +99,8 @@ pub fn try_decode_compressed(buf: &[u8]) -> Result<Vec<EdgeRec>, &'static str> {
     Ok(out)
 }
 
-/// Checked [`get_varint`]: truncation and over-long encodings are
-/// errors, not panics.
+/// Reads a LEB128 varint and advances `pos`; truncation and over-long
+/// encodings are errors, not panics.
 fn try_get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
     let mut x = 0u64;
     let mut shift = 0;
@@ -186,7 +149,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let r = recs();
-        assert_eq!(decode_compressed(&encode_compressed(&r)), r);
+        assert_eq!(try_decode_compressed(&encode_compressed(&r)).unwrap(), r);
     }
 
     #[test]
@@ -199,7 +162,7 @@ mod tests {
     fn empty_batch() {
         let enc = encode_compressed(&[]);
         assert_eq!(enc.len(), 1);
-        assert!(decode_compressed(&enc).is_empty());
+        assert!(try_decode_compressed(&enc).unwrap().is_empty());
         assert_eq!(compressed_size(&[]), 1);
     }
 
@@ -211,11 +174,39 @@ mod tests {
         assert!(try_decode_compressed(&enc[..enc.len() - 1]).is_err());
         let mut grown = enc.to_vec();
         grown.push(0);
-        assert!(try_decode_compressed(&grown).is_err());
+        assert_eq!(
+            try_decode_compressed(&grown),
+            Err("trailing bytes in compressed frame")
+        );
         // A count announcing far more records than the frame could hold
         // must be rejected before allocating.
         assert!(try_decode_compressed(&[0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).is_err());
+        // A varint with no terminating byte.
+        assert_eq!(
+            try_decode_compressed(&[0x80]),
+            Err("compressed frame truncated")
+        );
         assert_eq!(try_decode_compressed(&encode_compressed(&[])).unwrap(), Vec::new());
+    }
+
+    /// Every record costs at least two bytes, so a count of len/2 + 1
+    /// cannot fit its frame: it is refused as such before it sizes an
+    /// allocation, not read until the bytes run out.
+    #[test]
+    fn count_past_two_bytes_per_record_is_refused() {
+        for len in [2usize, 3, 10, 11, 100] {
+            let mut frame = vec![0u8; len];
+            frame[0] = (len / 2 + 1) as u8;
+            assert_eq!(
+                try_decode_compressed(&frame),
+                Err("compressed batch count exceeds frame bytes"),
+                "{len}-byte frame"
+            );
+        }
+        // The densest legal frame, two bytes per record, passes.
+        let mut fits = vec![0u8; 11];
+        fits[0] = 5;
+        assert_eq!(try_decode_compressed(&fits), Ok(vec![EdgeRec { u: 0, v: 0 }; 5]));
     }
 
     #[test]
@@ -231,7 +222,7 @@ mod tests {
         let compressed = compressed_size(&records);
         let ratio = fixed as f64 / compressed as f64;
         assert!(ratio > 3.0, "compression ratio only {ratio:.2}");
-        assert_eq!(decode_compressed(&encode_compressed(&records)), records);
+        assert_eq!(try_decode_compressed(&encode_compressed(&records)).unwrap(), records);
     }
 
     #[test]
@@ -247,7 +238,7 @@ mod tests {
         let fixed = records.len() as u64 * EdgeRec::WIRE_BYTES as u64;
         let compressed = compressed_size(&records);
         assert!(compressed < fixed, "{compressed} !< {fixed}");
-        assert_eq!(decode_compressed(&encode_compressed(&records)), records);
+        assert_eq!(try_decode_compressed(&encode_compressed(&records)).unwrap(), records);
     }
 
     #[test]
@@ -257,13 +248,13 @@ mod tests {
         let n1 = encode_compressed_into(&r, &mut buf);
         assert_eq!(n1, buf.len());
         assert_eq!(&buf[..], &encode_compressed(&r)[..]);
-        assert_eq!(decode_compressed(&buf), r);
+        assert_eq!(try_decode_compressed(&buf).unwrap(), r);
         let cap = buf.capacity();
         buf.clear();
         let n2 = encode_compressed_into(&r, &mut buf);
         assert_eq!(n1, n2);
         assert_eq!(buf.capacity(), cap, "pooled buffer re-grew");
-        assert_eq!(decode_compressed(&buf), r);
+        assert_eq!(try_decode_compressed(&buf).unwrap(), r);
     }
 
     #[test]
@@ -273,7 +264,8 @@ mod tests {
             put_varint(&mut b, x);
             assert_eq!(b.len() as u64, varint_len(x), "len for {x}");
             let mut pos = 0;
-            assert_eq!(get_varint(&b, &mut pos), x);
+            assert_eq!(try_get_varint(&b, &mut pos), Ok(x));
+            assert_eq!(pos, b.len());
         }
     }
 
@@ -282,13 +274,5 @@ mod tests {
         for d in [0i64, 1, -1, 63, -64, i64::MAX / 2, i64::MIN / 2] {
             assert_eq!(unzigzag(zigzag(d)), d);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "trailing bytes")]
-    fn trailing_garbage_rejected() {
-        let mut enc = encode_compressed(&recs()).to_vec();
-        enc.push(0);
-        decode_compressed(&enc);
     }
 }

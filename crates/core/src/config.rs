@@ -69,11 +69,6 @@ pub struct BfsConfig {
     /// Degree threshold for [`compress_hub_rows`](Self::compress_hub_rows):
     /// rows with at least this many neighbours get a coded copy.
     pub hub_compress_min_degree: u64,
-    /// Run the preserved pre-word-parallel generator kernels
-    /// ([`crate::modules::reference`]) instead of the word-parallel ones —
-    /// the differential-testing and benchmarking baseline, never a
-    /// production setting.
-    pub reference_kernels: bool,
 }
 
 impl Default for BfsConfig {
@@ -102,7 +97,6 @@ impl BfsConfig {
             retry: crate::faults::RetryPolicy::default(),
             compress_hub_rows: false,
             hub_compress_min_degree: 64,
-            reference_kernels: false,
         }
     }
 

@@ -283,10 +283,11 @@ pub struct SuperstepEngine<T: Transport> {
     tracer: Option<Tracer>,
     fault_plan: Option<FaultPlan>,
     faults: Option<FaultSession>,
-    /// Tests flip this to route records through the seed's nested-Vec
-    /// exchange, the differential oracle for the pooled-arena path.
+    /// Tests flip this to run the seed generators
+    /// ([`crate::modules::reference`]), the differential oracle for the
+    /// word-parallel ones.
     #[cfg(test)]
-    pub(crate) use_legacy_exchange: bool,
+    pub(crate) reference_kernels: bool,
 }
 
 impl<T: Transport> SuperstepEngine<T> {
@@ -520,7 +521,7 @@ impl<T: Transport> SuperstepEngine<T> {
             fault_plan: None,
             faults: None,
             #[cfg(test)]
-            use_legacy_exchange: false,
+            reference_kernels: false,
         }
     }
 
@@ -823,7 +824,12 @@ impl<T: Transport> SuperstepEngine<T> {
         let trace = self.tracer.clone();
         let trace = trace.as_ref();
         let lvl = ls.level;
-        let reference = self.cfg.reference_kernels;
+        #[cfg(test)]
+        let forward_generator = if self.reference_kernels {
+            crate::modules::reference::forward_generator
+        } else {
+            forward_generator
+        };
         let h = &self.hubs;
         let mut outs = self.transport.lend_outboxes();
         let gen: Vec<ModuleStats> = self
@@ -832,11 +838,7 @@ impl<T: Transport> SuperstepEngine<T> {
             .zip(outs.par_iter_mut())
             .map(|(r, out)| {
                 let t0 = ins::span_begin(trace);
-                let st = if reference {
-                    crate::modules::reference::forward_generator(r, h, out)
-                } else {
-                    forward_generator(r, h, out)
-                };
+                let st = forward_generator(r, h, out);
                 ins::span_end(trace, r.rank as usize, ins::SPAN_GEN, ins::CAT_COMPUTE, lvl, t0, st.records_out);
                 st
             })
@@ -861,7 +863,12 @@ impl<T: Transport> SuperstepEngine<T> {
         let trace = self.tracer.clone();
         let trace = trace.as_ref();
         let lvl = ls.level;
-        let reference = self.cfg.reference_kernels;
+        #[cfg(test)]
+        let backward_generator = if self.reference_kernels {
+            crate::modules::reference::backward_generator
+        } else {
+            backward_generator
+        };
         let h = &self.hubs;
         let mut outs = self.transport.lend_outboxes();
         let gen: Vec<ModuleStats> = self
@@ -870,11 +877,7 @@ impl<T: Transport> SuperstepEngine<T> {
             .zip(outs.par_iter_mut())
             .map(|(r, out)| {
                 let t0 = ins::span_begin(trace);
-                let st = if reference {
-                    crate::modules::reference::backward_generator(r, h, out)
-                } else {
-                    backward_generator(r, h, out)
-                };
+                let st = backward_generator(r, h, out);
                 ins::span_end(trace, r.rank as usize, ins::SPAN_GEN, ins::CAT_COMPUTE, lvl, t0, st.records_out);
                 st
             })
@@ -940,33 +943,18 @@ impl<T: Transport> SuperstepEngine<T> {
         next
     }
 
-    /// Runs one record exchange through the transport — or, when a test
-    /// has requested the oracle, through the seed's nested-Vec path —
-    /// and folds the transport stats into `ls`. Inboxes come back in
-    /// whatever order the fabric delivers: no handler depends on it (the
-    /// Forward Handler claims min-parent, the Backward Handler sorts its
-    /// replies). With an armed fault
-    /// session the exchange runs the injection/retry/degradation
-    /// pipeline; an unsurvivable schedule surfaces as a structured error
-    /// here.
+    /// Runs one record exchange through the transport and folds the
+    /// transport stats into `ls`. Inboxes come back in whatever order the
+    /// fabric delivers: no handler depends on it (the Forward Handler
+    /// claims min-parent, the Backward Handler sorts its replies). With
+    /// an armed fault session the exchange runs the
+    /// injection/retry/degradation pipeline; an unsurvivable schedule
+    /// surfaces as a structured error here.
     fn run_exchange(
         &mut self,
         out: Vec<Outboxes>,
         ls: &mut LevelStats,
     ) -> Result<Vec<Vec<EdgeRec>>, ExecError> {
-        #[cfg(test)]
-        if self.use_legacy_exchange {
-            let nested: Vec<Vec<Vec<EdgeRec>>> =
-                out.into_iter().map(|o| o.into_inner()).collect();
-            let (inboxes, xs) = crate::exchange::legacy::exchange(
-                self.cfg.messaging,
-                nested,
-                &self.layout,
-                self.cfg.codec(),
-            );
-            self.absorb_exchange(ls, &xs);
-            return Ok(inboxes);
-        }
         // Wall-clock leg of the observability split: when the live
         // plane is armed, each exchange also lands in a log2-bucketed
         // latency histogram. The timer wraps the deterministic work but
@@ -1073,31 +1061,5 @@ fn close_level(r: &mut RankState) -> NextFrontier {
 impl<T: Transport> Drop for SuperstepEngine<T> {
     fn drop(&mut self) {
         self.transport.teardown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::ClusterBuilder;
-    use crate::config::{BfsConfig, Messaging};
-    use sw_graph::{generate_kronecker, KroneckerConfig};
-
-    /// Acceptance gate for the pooled exchange: at Graph500 scale 16 the
-    /// arena pipeline must produce *bit-identical* parent maps (and level
-    /// stats) to the seed's nested-Vec exchange, on both messaging modes.
-    #[test]
-    fn arena_parents_bit_identical_to_legacy_at_scale_16() {
-        let el = generate_kronecker(&KroneckerConfig::graph500(16, 42));
-        for msg in [Messaging::Direct, Messaging::Relay] {
-            let cfg = BfsConfig::threaded_small(4).with_messaging(msg);
-            let mut pooled = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
-            let mut legacy = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
-            legacy.use_legacy_exchange = true;
-            let root = (0..512).max_by_key(|&v| pooled.degree_of(v)).unwrap();
-            let op = pooled.run(root).unwrap();
-            let ol = legacy.run(root).unwrap();
-            assert_eq!(op.parents, ol.parents, "{msg:?} parent maps diverge");
-            assert_eq!(op.levels, ol.levels, "{msg:?} level stats diverge");
-        }
     }
 }

@@ -24,7 +24,7 @@
 //! nested per-destination vectors; long-lived clusters hold their own
 //! arena and call it directly so every buffer is recycled across levels
 //! and roots. The seed's literal allocate-classify-push implementation
-//! survives in [`legacy`] as a differential oracle.
+//! is the differential oracle in `tests/exchange_equivalence.rs`.
 
 use crate::arena::ExchangeArena;
 use crate::compress::compressed_size;
@@ -230,179 +230,6 @@ pub fn exchange_relay(
     exchange(Messaging::Relay, out, layout, codec)
 }
 
-pub(crate) fn group_bounds(layout: &GroupLayout, group: u32) -> (u32, u32) {
-    let start = group * layout.group_size();
-    (start, start + layout.group_size_of(group))
-}
-
-/// The seed's allocate-classify-push exchange, kept verbatim as the
-/// differential oracle for the pooled pipeline. Not part of the public
-/// API surface.
-#[doc(hidden)]
-pub mod legacy {
-    use super::*;
-
-    /// Legacy dispatch over [`exchange_direct`]/[`exchange_relay`].
-    pub fn exchange(
-        mode: Messaging,
-        out: Vec<Vec<Vec<EdgeRec>>>,
-        layout: &GroupLayout,
-        codec: Codec,
-    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-        match mode {
-            Messaging::Direct => exchange_direct(out, layout, codec),
-            Messaging::Relay => exchange_relay(out, layout, codec),
-        }
-    }
-
-    /// Direct point-to-point delivery, seed implementation.
-    pub fn exchange_direct(
-        out: Vec<Vec<Vec<EdgeRec>>>,
-        layout: &GroupLayout,
-        codec: Codec,
-    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-        let ranks = out.len();
-        let mut stats = ExchangeStats::default();
-        let mut inbox: Vec<Vec<EdgeRec>> = vec![Vec::new(); ranks];
-        for (s, boxes) in out.iter().enumerate() {
-            let mut send_msgs = 0u64;
-            let mut send_bytes = 0u64;
-            for (d, recs) in boxes.iter().enumerate() {
-                if d == s {
-                    // Self-records are a module bug; generators claim locally.
-                    debug_assert!(recs.is_empty(), "self-addressed records");
-                    continue;
-                }
-                let payload = codec.payload_bytes(recs);
-                let msgs = msgs_for(payload);
-                let bytes = payload + msgs * MSG_HEADER_BYTES;
-                send_msgs += msgs;
-                send_bytes += bytes;
-                stats.record_hops += recs.len() as u64;
-                if layout.group_of(s as u32) != layout.group_of(d as u32) {
-                    stats.inter_group_bytes += bytes;
-                }
-                inbox[d].extend_from_slice(recs);
-            }
-            stats.messages += send_msgs;
-            stats.bytes += send_bytes;
-            stats.max_send_msgs_per_rank = stats.max_send_msgs_per_rank.max(send_msgs);
-            stats.max_send_bytes_per_rank = stats.max_send_bytes_per_rank.max(send_bytes);
-        }
-        (inbox, stats)
-    }
-
-    /// Two-stage relayed delivery with group batching, seed implementation.
-    pub fn exchange_relay(
-        out: Vec<Vec<Vec<EdgeRec>>>,
-        layout: &GroupLayout,
-        codec: Codec,
-    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-        let ranks = out.len();
-        let groups = layout.num_groups() as usize;
-        let mut stats = ExchangeStats::default();
-
-        // Per-rank send accounting, accumulated over both stages.
-        let mut send_msgs = vec![0u64; ranks];
-        let mut send_bytes = vec![0u64; ranks];
-
-        // Stage 1: source → relay (batched per destination group), or direct
-        // delivery within the source's own group.
-        // relay_inbox[r] holds (final_dest, rec) streams, in source order.
-        let mut relay_inbox: Vec<Vec<(u32, EdgeRec)>> = vec![Vec::new(); ranks];
-        let mut inbox: Vec<Vec<EdgeRec>> = vec![Vec::new(); ranks];
-
-        for (s, boxes) in out.iter().enumerate() {
-            let s = s as u32;
-            let my_group = layout.group_of(s);
-            // Batch records per destination group.
-            let mut per_group: Vec<Vec<(u32, EdgeRec)>> = vec![Vec::new(); groups];
-            for (d, recs) in boxes.iter().enumerate() {
-                let d = d as u32;
-                if d == s {
-                    debug_assert!(recs.is_empty(), "self-addressed records");
-                    continue;
-                }
-                for &r in recs {
-                    per_group[layout.group_of(d) as usize].push((d, r));
-                }
-            }
-            // Own group: deliver directly to each group-mate (one message per
-            // mate, termination included).
-            let (gs, ge) = group_bounds(layout, my_group);
-            for d in gs..ge {
-                if d == s {
-                    continue;
-                }
-                let recs: Vec<EdgeRec> = per_group[my_group as usize]
-                    .iter()
-                    .filter(|(dest, _)| *dest == d)
-                    .map(|&(_, r)| r)
-                    .collect();
-                let payload = codec.payload_bytes(&recs);
-                let msgs = msgs_for(payload);
-                let bytes = payload + msgs * MSG_HEADER_BYTES;
-                send_msgs[s as usize] += msgs;
-                send_bytes[s as usize] += bytes;
-                stats.record_hops += recs.len() as u64;
-                inbox[d as usize].extend(recs);
-            }
-            // Remote groups: one batched message to the group's relay node.
-            for g in 0..groups as u32 {
-                if g == my_group {
-                    continue;
-                }
-                let batch = &per_group[g as usize];
-                let relay = layout.node_at(g, layout.index_of(s));
-                let batch_recs: Vec<EdgeRec> = batch.iter().map(|&(_, r)| r).collect();
-                let payload = codec.payload_bytes(&batch_recs);
-                let msgs = msgs_for(payload);
-                let bytes = payload + msgs * MSG_HEADER_BYTES;
-                send_msgs[s as usize] += msgs;
-                send_bytes[s as usize] += bytes;
-                stats.record_hops += batch.len() as u64;
-                stats.inter_group_bytes += bytes;
-                relay_inbox[relay as usize].extend(batch.iter().copied());
-            }
-        }
-
-        // Stage 2: the Relay module — re-bucket by final destination and
-        // forward inside the group.
-        for (r, stream) in relay_inbox.iter().enumerate() {
-            let r = r as u32;
-            let my_group = layout.group_of(r);
-            let (gs, ge) = group_bounds(layout, my_group);
-            for d in gs..ge {
-                let recs: Vec<EdgeRec> = stream
-                    .iter()
-                    .filter(|(dest, _)| *dest == d)
-                    .map(|(_, rec)| *rec)
-                    .collect();
-                if d == r {
-                    // Records whose final destination is the relay itself.
-                    inbox[d as usize].extend(recs);
-                    continue;
-                }
-                let payload = codec.payload_bytes(&recs);
-                let msgs = msgs_for(payload);
-                let bytes = payload + msgs * MSG_HEADER_BYTES;
-                send_msgs[r as usize] += msgs;
-                send_bytes[r as usize] += bytes;
-                stats.record_hops += recs.len() as u64;
-                inbox[d as usize].extend(recs);
-            }
-        }
-
-        for s in 0..ranks {
-            stats.messages += send_msgs[s];
-            stats.bytes += send_bytes[s];
-            stats.max_send_msgs_per_rank = stats.max_send_msgs_per_rank.max(send_msgs[s]);
-            stats.max_send_bytes_per_rank = stats.max_send_bytes_per_rank.max(send_bytes[s]);
-        }
-        (inbox, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,31 +407,6 @@ mod tests {
         // Every destination got exactly the records addressed to it.
         for (d, b) in di.iter().enumerate() {
             assert!(b.iter().all(|r| r.v == d as u64));
-        }
-    }
-
-    /// The pooled pipeline must reproduce the seed implementation
-    /// bit-for-bit: same inbox contents *in the same order*, same wire
-    /// stats — across both transports, uneven trailing groups included.
-    #[test]
-    fn arena_matches_legacy_exactly() {
-        for &(ranks, group) in &[(8usize, 4u32), (12, 5), (16, 4), (9, 3), (7, 7), (5, 2)] {
-            let layout = GroupLayout::new(ranks as u32, group);
-            for seed in 0..4 {
-                for &codec in &[Codec::Fixed(16), Codec::Compressed] {
-                    let (di, ds) = exchange_direct(random_out(ranks, seed), &layout, codec);
-                    let (ldi, lds) =
-                        legacy::exchange_direct(random_out(ranks, seed), &layout, codec);
-                    assert_eq!(di, ldi, "direct inbox order r={ranks} g={group} s={seed}");
-                    assert_eq!(ds.wire(), lds.wire(), "direct stats r={ranks} g={group}");
-
-                    let (ri, rs) = exchange_relay(random_out(ranks, seed), &layout, codec);
-                    let (lri, lrs) =
-                        legacy::exchange_relay(random_out(ranks, seed), &layout, codec);
-                    assert_eq!(ri, lri, "relay inbox order r={ranks} g={group} s={seed}");
-                    assert_eq!(rs.wire(), lrs.wire(), "relay stats r={ranks} g={group}");
-                }
-            }
         }
     }
 }

@@ -67,7 +67,8 @@ impl HubState {
         }
     }
 
-    /// Hub index of `v`, if it is a hub (the reference kernels' lookup).
+    /// Hub index of `v`, if it is a hub (the seed kernels' lookup; the
+    /// generators read the vertex-indexed views instead).
     #[inline]
     pub fn hub_index(&self, v: Vid) -> Option<u32> {
         self.set.hub_index(v)

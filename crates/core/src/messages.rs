@@ -6,11 +6,10 @@
 //! * a **backward** record `(u, v)` — "unvisited v asks u's owner whether
 //!   u is in the current frontier".
 //!
-//! Records are fixed-size and batched; [`encode_batch`]/[`decode_batch`]
-//! give the byte-level framing the relay stage shuffles (using `bytes` for
-//! zero-copy splitting on the receive side).
+//! Records are fixed-size and batched; [`encode_batch`]/[`try_decode_batch`]
+//! give the byte-level framing the relay stage shuffles.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use sw_graph::Vid;
 
 /// One edge record on the wire. Used for both forward claims and backward
@@ -40,30 +39,10 @@ pub fn encode_batch(records: &[EdgeRec]) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a batch produced by [`encode_batch`].
-///
-/// # Panics
-/// Panics on a malformed frame (truncated or over-long).
-pub fn decode_batch(mut buf: Bytes) -> Vec<EdgeRec> {
-    assert!(buf.len() >= 8, "frame shorter than its header");
-    let n = buf.get_u64_le() as usize;
-    assert_eq!(
-        buf.len(),
-        n * EdgeRec::WIRE_BYTES,
-        "frame length disagrees with record count"
-    );
-    (0..n)
-        .map(|_| EdgeRec {
-            u: buf.get_u64_le(),
-            v: buf.get_u64_le(),
-        })
-        .collect()
-}
-
-/// Checked [`decode_batch`] over a borrowed slice, for payloads that
-/// arrived over a real socket: malformed framing is a static
-/// description (mapped by the transport to `ExchangeError::Protocol`),
-/// never a panic and never a partial batch.
+/// Deserializes a batch produced by [`encode_batch`] from a borrowed
+/// slice. Payloads arrive over real sockets, so malformed framing is a
+/// static description (mapped by the transport to
+/// `ExchangeError::Protocol`), never a panic and never a partial batch.
 pub fn try_decode_batch(buf: &[u8]) -> Result<Vec<EdgeRec>, &'static str> {
     if buf.len() < 8 {
         return Err("record frame shorter than its count header");
@@ -94,22 +73,13 @@ mod tests {
         ];
         let bytes = encode_batch(&recs);
         assert_eq!(bytes.len(), 8 + 2 * 16);
-        assert_eq!(decode_batch(bytes), recs);
+        assert_eq!(try_decode_batch(&bytes).unwrap(), recs);
     }
 
     #[test]
     fn empty_batch() {
         let bytes = encode_batch(&[]);
-        assert_eq!(decode_batch(bytes), Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees")]
-    fn truncated_frame_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u64_le(5);
-        b.put_u64_le(1);
-        decode_batch(b.freeze());
+        assert_eq!(try_decode_batch(&bytes).unwrap(), Vec::new());
     }
 
     #[test]
@@ -122,7 +92,14 @@ mod tests {
         let mut grown = bytes.to_vec();
         grown.push(0);
         assert!(try_decode_batch(&grown).is_err());
-        assert_eq!(try_decode_batch(&encode_batch(&[])).unwrap(), Vec::new());
+        // A count of 5 over one record's worth of body.
+        let mut short = BytesMut::new();
+        short.put_u64_le(5);
+        short.put_u64_le(1);
+        assert_eq!(
+            try_decode_batch(&short),
+            Err("record frame length disagrees with its count")
+        );
     }
 
     #[test]

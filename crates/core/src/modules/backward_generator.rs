@@ -16,10 +16,11 @@
 //! fully-settled block of 64 vertices costs a single compare, and set
 //! bits are enumerated with `trailing_zeros` — ascending local index,
 //! exactly the order the scalar loop used, so parents are bit-identical
-//! to [`reference::backward_generator`](super::reference). Rows with a
-//! byte-coded copy ([`RankState::adjacency`]) decode through the varint
-//! stream instead of the plain slice; the early-exit `break` then also
-//! stops the decoder, and only the bytes actually pulled are charged.
+//! to the seed kernel, which the unit tests keep as their oracle.
+//! Rows with a byte-coded copy ([`RankState::adjacency`]) decode
+//! through the varint stream instead of the plain slice; the early-exit
+//! `break` then also stops the decoder, and only the bytes actually
+//! pulled are charged.
 //! A plain row is tested first through [`RankState::head`], a dense
 //! column of first neighbours read in the sweep's own order — under
 //! degree order the likeliest parent — and the row itself is loaded only

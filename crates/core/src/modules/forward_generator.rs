@@ -9,8 +9,8 @@
 //! hopping across the whole owned range. Every claim goes through
 //! [`RankState::claim_min`], so each contest's winner is its smallest
 //! parent whatever order the claims are applied in: parents stay
-//! bit-identical to [`reference::forward_generator`](super::reference).
-//! Remote records are pushed during the scan, in scan order.
+//! bit-identical to the seed kernel, which the unit tests keep as their
+//! oracle. Remote records are pushed during the scan, in scan order.
 //!
 //! The frontier is enumerated in ascending order: a dense one swept
 //! word-parallel over its bitmap (zero words skipped with one compare),

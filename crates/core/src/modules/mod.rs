@@ -12,7 +12,8 @@ mod backward_generator;
 mod backward_handler;
 mod forward_generator;
 mod forward_handler;
-pub mod reference;
+#[cfg(test)]
+pub(crate) mod reference;
 
 pub use backward_generator::backward_generator;
 pub use backward_handler::backward_handler;

@@ -4,16 +4,13 @@
 //! before the word-parallel rewrite: the Backward Generator tests one
 //! visited bit per vertex, the Forward Generator claims in raw scan
 //! order with no target blocking, and neither touches the byte-coded
-//! sidecar. They remain wired in as the **differential oracle**:
-//! `tests/kernel_parity.rs` runs whole BFS executions through both
-//! kernel sets and asserts bit-identical parents, levels, and
-//! statistics (word counters normalized), which is the contract the
-//! rewrite is held to.
-//!
-//! Selected at run time via
-//! [`BfsConfig::reference_kernels`](crate::config::BfsConfig); never
-//! the default. Do not "improve" these — their value is that they stay
-//! exactly what the seed shipped.
+//! sidecar. They are the **differential oracle** and compile only in
+//! test builds: the engine's `#[cfg(test)]` field `reference_kernels`
+//! swaps them in, and [`kernel_parity`] runs whole BFS executions
+//! through both kernel sets and asserts bit-identical parents, levels,
+//! and statistics (word counters normalized), which is the contract the
+//! rewrite is held to. Do not "improve" these — their value is that
+//! they stay exactly what the seed shipped.
 
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
@@ -104,4 +101,185 @@ pub fn backward_generator(
         }
     }
     stats
+}
+
+/// Differential testing of the word-parallel kernels against the seed
+/// kernels above.
+///
+/// The word-parallel rewrite (word-at-a-time frontier/visited sweeps,
+/// cache-blocked forward claims, byte-coded hub rows) promises
+/// **bit-identical** BFS trees: parents, level maps, and every
+/// traversal statistic except the `kernel.*` observability fields,
+/// which only the new kernels report. These tests run whole BFS
+/// executions through both kernel sets — across transports, messaging
+/// modes, fault schedules, and hub-row compression — and hold the
+/// rewrite to that contract.
+mod kernel_parity {
+    use crate::config::{BfsConfig, Messaging};
+    use crate::engine::{Channels, ClusterBuilder, SharedMem, SuperstepEngine, Transport};
+    use crate::faults::FaultPlan;
+    use crate::result::{BfsOutput, LevelStats};
+    use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, Vid};
+
+    fn graph(scale: u32, seed: u64) -> EdgeList {
+        generate_kronecker(&KroneckerConfig::graph500(scale, seed))
+    }
+
+    fn good_root<T: Transport>(engine: &SuperstepEngine<T>) -> Vid {
+        (0..512.min(engine.num_vertices()))
+            .max_by_key(|&v| engine.degree_of(v))
+            .unwrap()
+    }
+
+    /// The reference kernels predate the `kernel.*` observability
+    /// fields, so those are zeroed on both sides before comparing level
+    /// stats.
+    fn normalized(levels: &[LevelStats]) -> Vec<LevelStats> {
+        levels
+            .iter()
+            .map(|&ls| LevelStats {
+                words_scanned: 0,
+                words_skipped: 0,
+                bytes_decoded: 0,
+                ..ls
+            })
+            .collect()
+    }
+
+    fn assert_outputs_match(word: &BfsOutput, reference: &BfsOutput, label: &str) {
+        assert_eq!(word.parents, reference.parents, "{label}: parents diverged");
+        assert_eq!(
+            normalized(&word.levels),
+            normalized(&reference.levels),
+            "{label}: level statistics diverged"
+        );
+    }
+
+    /// One word-vs-reference comparison: identical graph, root,
+    /// transport, and configuration except the kernel selector (and,
+    /// optionally, hub-row compression on the word side — coded rows
+    /// must decode to the same traversal).
+    fn compare<T: Transport>(
+        el: &EdgeList,
+        ranks: u32,
+        cfg: BfsConfig,
+        make: fn() -> T,
+        fault_plan: Option<FaultPlan>,
+        label: &str,
+    ) {
+        let build = |cfg: BfsConfig| {
+            let mut b = ClusterBuilder::new(el, ranks, cfg).transport(make());
+            if let Some(p) = &fault_plan {
+                b = b.fault_plan(p.clone());
+            }
+            b.build().expect("kernel-parity build")
+        };
+        let mut word = build(cfg);
+        let mut reference = build(BfsConfig {
+            compress_hub_rows: false,
+            ..cfg
+        });
+        reference.reference_kernels = true;
+        let root = good_root(&word);
+        let out_w = word.run(root).unwrap();
+        let out_r = reference.run(root).unwrap();
+        assert_outputs_match(&out_w, &out_r, label);
+        if fault_plan.is_some() {
+            assert_eq!(
+                word.injection_trace(),
+                reference.injection_trace(),
+                "{label}: identical traffic must draw identical injections"
+            );
+        }
+        if cfg.compress_hub_rows {
+            assert!(
+                word.metrics().get("kernel.rows_compressed") > 0,
+                "{label}: compression armed but no rows coded"
+            );
+            assert!(
+                out_w.levels.iter().any(|ls| ls.bytes_decoded > 0),
+                "{label}: coded rows never decoded"
+            );
+        }
+        assert!(
+            out_w.levels.iter().any(|ls| ls.words_scanned > 0),
+            "{label}: word sweeps never engaged"
+        );
+    }
+
+    /// Scale 14, one transport × both messaging modes × faults on/off ×
+    /// hub-row compression on/off.
+    fn scale_14_full_matrix<T: Transport>(name: &str, make: fn() -> T) {
+        let el = graph(14, 21);
+        for messaging in [Messaging::Direct, Messaging::Relay] {
+            for faults in [None, Some(FaultPlan::lossy(23))] {
+                for compress in [false, true] {
+                    let cfg = BfsConfig {
+                        compress_hub_rows: compress,
+                        hub_compress_min_degree: 32,
+                        ..BfsConfig::threaded_small(4).with_messaging(messaging)
+                    };
+                    let label = format!(
+                        "{name}/{messaging:?}/faults={}/compress={compress}",
+                        faults.is_some()
+                    );
+                    compare(&el, 8, cfg, make, faults.clone(), &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scale_14_full_matrix_shared_mem() {
+        scale_14_full_matrix("shared_mem", SharedMem::new);
+    }
+
+    #[test]
+    fn scale_14_full_matrix_channels() {
+        scale_14_full_matrix("channels", Channels::new);
+    }
+
+    /// Scale 16 spot check: the acceptance scale, one heavier run per
+    /// transport with compression armed at the paper-ish threshold.
+    #[test]
+    fn scale_16_spot_check() {
+        let el = graph(16, 42);
+        let cfg = BfsConfig {
+            compress_hub_rows: true,
+            hub_compress_min_degree: 64,
+            ..BfsConfig::threaded_small(4)
+        };
+        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/scale16");
+        compare(&el, 8, cfg, Channels::new, None, "channels/scale16");
+    }
+
+    /// The degree-ordered adjacency refinement reorders neighbour lists
+    /// before sealing; coded rows must snapshot the reordered rows and
+    /// the two kernel sets must still agree.
+    #[test]
+    fn degree_ordered_adjacency_agrees() {
+        let el = graph(13, 7);
+        let cfg = BfsConfig {
+            degree_ordered_adjacency: true,
+            compress_hub_rows: true,
+            hub_compress_min_degree: 16,
+            ..BfsConfig::threaded_small(4)
+        };
+        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/degree_ordered");
+    }
+
+    /// Forced Top-Down (no Bottom-Up levels at all) exercises the
+    /// cache-blocked forward path on every level, dense frontiers
+    /// included.
+    #[test]
+    fn forced_top_down_agrees() {
+        let el = graph(13, 11);
+        let cfg = BfsConfig {
+            force_top_down: true,
+            compress_hub_rows: true,
+            hub_compress_min_degree: 16,
+            ..BfsConfig::threaded_small(4)
+        };
+        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/force_td");
+    }
 }

@@ -3,9 +3,8 @@
 //!
 //! Every counter is a pure count of service decisions (no wall-clock
 //! flavoured values), so a fixed admitted query sequence yields a
-//! bit-identical counter set — which is what lets `svcbench`
-//! snapshot-check the service against `BENCH_service.json` with exact
-//! tolerance, regress-sentinel style.
+//! bit-identical counter set — which is what lets `swgate` hold the
+//! service to `BENCH_service.json` exactly.
 
 /// Queries dequeued by the worker (admitted, whatever their outcome).
 pub const QUERIES: &str = "serve.queries";

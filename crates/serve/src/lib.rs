@@ -24,9 +24,8 @@
 //!   are answered without touching the kernel at all.
 //!
 //! Every stage reports through the `serve.*` counter namespace (and
-//! optional per-query/per-sweep spans) via `sw-trace`, and `svcbench`
-//! snapshot-checks those counters against `BENCH_service.json` the
-//! same way `regress` guards `BENCH_insight.json`.
+//! optional per-query/per-sweep spans) via `sw-trace`, and `swgate`
+//! (`sw-bench`) holds those counters exactly to `BENCH_service.json`.
 //!
 //! ```no_run
 //! use sw_graph::{generate_kronecker, KroneckerConfig};

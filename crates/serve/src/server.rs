@@ -70,7 +70,7 @@ pub struct ServeConfig {
     /// Hot-root level arrays kept resident (0 disables the cache).
     pub cache_capacity: usize,
     /// Start with the worker paused — queries queue (and shed) but are
-    /// not answered until [`Server::resume`]. Lets tests and `svcbench`
+    /// not answered until [`Server::resume`]. Lets tests and `swgate`
     /// stage a whole burst into one deterministic cycle.
     pub start_paused: bool,
     /// Artificial pre-sweep delay per cycle, a test hook for exercising
@@ -433,8 +433,7 @@ impl Server {
     }
 
     /// The server's live telemetry plane — the same registry the
-    /// STATS endpoint exports. Useful for in-process consumers
-    /// (svcbench reads its latency quantiles here).
+    /// STATS endpoint exports, for in-process consumers.
     pub fn live(&self) -> Arc<LivePlane> {
         Arc::clone(&self.shared.live)
     }

@@ -9,6 +9,7 @@ use sw_algos::msbfs::bfs_levels_oracle;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 use sw_net::framing::{QueryOp, QueryStatus, ResultFrame};
 use sw_serve::{Client, Response, ServeConfig, Server};
+use sw_trace::CounterSet;
 
 fn graph() -> EdgeList {
     generate_kronecker(&KroneckerConfig::graph500(10, 77))
@@ -52,6 +53,10 @@ fn light_load_answers_match_oracle_with_zero_shed() {
     assert_eq!(m.get("serve.queries"), 3 * roots.len() as u64);
     assert_eq!(m.get("serve.results_ok"), 3 * roots.len() as u64);
     assert!(m.get("serve.cache_hits") > 0, "repeat roots must hit the cache");
+    // The server's latency histogram holds one sample per answer, swept
+    // or cached, whatever the op.
+    let live = CounterSet::from_json(&client.stats_json().unwrap()).unwrap();
+    assert_eq!(live.get("live.serve.latency_micros.count"), 3 * roots.len() as u64);
     server.shutdown();
 }
 

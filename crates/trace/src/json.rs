@@ -50,7 +50,7 @@ pub fn check_syntax(s: &str) -> Result<(), String> {
 
 /// Parses a flat JSON object of `"key": <unsigned integer>` pairs —
 /// the metrics-snapshot format [`crate::CounterSet::to_json`] writes
-/// and the `regress` and `svcbench` baselines are stored in. Nested values, floats and
+/// and the `swgate` baselines are stored in. Nested values, floats and
 /// non-numeric values are rejected.
 pub fn parse_flat_u64(s: &str) -> Result<Vec<(String, u64)>, String> {
     let b = s.as_bytes();

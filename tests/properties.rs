@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use swbfs::arch::{CpeId, Mesh};
 use swbfs::bfs::baseline::sequential_bfs_levels;
 use swbfs::bfs::baseline2d::bfs_2d;
-use swbfs::bfs::compress::{compressed_size, decode_compressed, encode_compressed};
+use swbfs::bfs::compress::{compressed_size, encode_compressed, try_decode_compressed};
 use swbfs::bfs::exchange::{exchange_direct, exchange_relay, Codec};
 use swbfs::bfs::messages::EdgeRec;
 use swbfs::bfs::{BfsConfig, ClusterBuilder, Messaging};
@@ -188,7 +188,7 @@ proptest! {
             .collect();
         let enc = encode_compressed(&records);
         prop_assert_eq!(enc.len() as u64, compressed_size(&records));
-        prop_assert_eq!(decode_compressed(&enc), records);
+        prop_assert_eq!(try_decode_compressed(&enc), Ok(records));
     }
 
     /// The 2-D-partitioned BFS computes the same hop distances as the
