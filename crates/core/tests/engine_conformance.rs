@@ -22,8 +22,10 @@ use swbfs_core::baseline::sequential_bfs_levels;
 use swbfs_core::engine::{
     Channels, ClusterBuilder, SharedMem, SocketTransport, SuperstepEngine, Transport,
 };
+use swbfs_core::faults::InjectionEvent;
 use swbfs_core::{BfsConfig, FaultPlan, Messaging};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, StorageBackend, Vid};
+use sw_trace::CounterSet;
 
 /// The socket fabric over Unix-domain sockets, pinned to the rank
 /// daemon Cargo built alongside this test binary.
@@ -414,6 +416,70 @@ fn transports_agree_with_each_other_on_identical_traffic() {
             sock.metrics().section(section),
             "{section}* values diverge between shared-mem and socket"
         );
+    }
+}
+
+/// What one faulty run leaves behind: parents, injection trace, the
+/// `faults.*` and `exchange.*` sections, and the degradation flag.
+type FaultyRun = (Vec<Vid>, Vec<InjectionEvent>, CounterSet, CounterSet, bool);
+
+fn faulty_run<T: Transport>(
+    el: &EdgeList,
+    cfg: BfsConfig,
+    plan: &FaultPlan,
+    make: fn() -> T,
+) -> FaultyRun {
+    let mut e = ClusterBuilder::new(el, 6, cfg)
+        .transport(make())
+        .fault_plan(plan.clone())
+        .build()
+        .expect("fault-parity build");
+    let name = e.transport().name();
+    let root = good_root(&e);
+    let out = e.run(root).unwrap_or_else(|err| panic!("{name}: {err}"));
+    (
+        out.parents,
+        e.injection_trace().to_vec(),
+        e.metrics().section("faults."),
+        e.metrics().section("exchange."),
+        e.is_degraded(),
+    )
+}
+
+/// Cross-fabric parity under faults: every fabric takes its verdict from
+/// the same deterministic pass over the same Direct message set, so one
+/// fault plan must leave identical parents, identical injection traces
+/// and identical `faults.*`/`exchange.*` values on all three — under
+/// lossy schedules on both codecs, and under a corrupt link that forces
+/// the compression fallback mid-run.
+#[test]
+fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
+    let el = graph(12, 31);
+    let direct = BfsConfig::threaded_small(3).with_messaging(Messaging::Direct);
+    let cases = [
+        ("lossy/fixed", direct, FaultPlan::lossy(41)),
+        ("lossy/varint", direct.with_compression(), FaultPlan::lossy(43)),
+        (
+            "corrupt/varint",
+            direct.with_compression(),
+            FaultPlan::lossy(47).with_corrupt_link(1, 4).dead_from(2),
+        ),
+    ];
+    for (case, cfg, plan) in cases {
+        let shm = faulty_run(&el, cfg, &plan, SharedMem::new);
+        assert!(!shm.1.is_empty(), "{case}: the plan never fired");
+        assert_eq!(shm.4, case.starts_with("corrupt"), "{case}: wrong degradation state");
+        let others = [
+            ("channels", faulty_run(&el, cfg, &plan, Channels::new)),
+            ("socket-unix", faulty_run(&el, cfg, &plan, socket_unix)),
+        ];
+        for (other, got) in others {
+            assert_eq!(got.0, shm.0, "{case}: {other} parents diverge from shared-mem");
+            assert_eq!(got.1, shm.1, "{case}: {other} injection trace diverges");
+            assert_eq!(got.2, shm.2, "{case}: {other} faults.* diverge");
+            assert_eq!(got.3, shm.3, "{case}: {other} exchange.* diverge");
+            assert_eq!(got.4, shm.4, "{case}: {other} degradation state diverges");
+        }
     }
 }
 
