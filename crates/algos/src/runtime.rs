@@ -1,11 +1,14 @@
 //! Shared distributed scaffolding for the non-BFS kernels: 1-D partitioned
 //! CSRs plus the BFS's record exchange, over any [`Transport`].
+//!
+//! Store directories open and persist through `sw_graph`'s one reader
+//! and writer ([`StoreDir`]), the same as the BFS engine's; the cluster
+//! keeps only its own policy on top — it refuses degree-ordered stores.
 
 use rayon::prelude::*;
 use std::path::Path;
-use sw_graph::store::{partition_path, PartitionMeta};
 use sw_graph::{
-    Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreManifest, Vid,
+    Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreDir, StoreManifest, Vid,
 };
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer};
@@ -100,11 +103,13 @@ impl<T: Transport> AlgoCluster<T> {
 
     /// [`AlgoCluster::from_store_dir`] over an explicit message fabric.
     ///
-    /// The analytics kernels traverse the plain CSR only, so any store
-    /// opens — including one persisted by the BFS engine with a hub
-    /// sidecar — but a degree-reordered store is refused: neighbour
-    /// order changes floating-point summation order in PageRank and
-    /// betweenness, and these kernels have no reorder-aware oracle.
+    /// The directory opens through the one reader ([`StoreDir::open`]:
+    /// manifest, partition headers, checksums). The analytics kernels
+    /// traverse the plain CSR only, so any such store opens — including
+    /// one persisted by the BFS engine with a hub sidecar — but a
+    /// degree-reordered store is refused: neighbour order changes
+    /// floating-point summation order in PageRank and betweenness, and
+    /// these kernels have no reorder-aware oracle.
     pub fn from_store_with_transport(
         dir: &Path,
         backend: StorageBackend,
@@ -112,54 +117,26 @@ impl<T: Transport> AlgoCluster<T> {
         messaging: Messaging,
         mut transport: T,
     ) -> std::io::Result<Self> {
-        let corrupt =
-            |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-        let manifest = StoreManifest::read(dir)?;
+        let store = StoreDir::open(dir, backend)?;
+        let manifest = store.manifest;
         if manifest.degree_ordered {
-            return Err(corrupt(format!(
-                "store {} holds a degree-reordered adjacency; the analytics kernels \
-                 need the natural neighbour order — rebuild the store without reordering",
-                dir.display()
-            )));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "store {} holds a degree-reordered adjacency; the analytics kernels \
+                     need the natural neighbour order — rebuild the store without reordering",
+                    dir.display()
+                ),
+            ));
         }
         let ranks = manifest.num_ranks;
-        if ranks == 0 || manifest.num_vertices < ranks as u64 {
-            return Err(corrupt(format!(
-                "store {}: {} ranks for {} vertices",
-                dir.display(),
-                ranks,
-                manifest.num_vertices
-            )));
-        }
-        let part = Partition1D::new(manifest.num_vertices, ranks);
-        let mut store_stats = ins::StoreStats::default();
-        let mut csrs = Vec::with_capacity(ranks as usize);
-        for r in 0..ranks {
-            let path = partition_path(dir, r as usize);
-            let store = GraphStore::open(&path, backend)?;
-            let h = store.header();
-            let (lo, hi) = part.range(r);
-            if h.rank != r
-                || h.num_ranks != ranks
-                || h.num_vertices != manifest.num_vertices
-                || h.row_base != lo
-                || h.rows != hi - lo
-            {
-                return Err(corrupt(format!(
-                    "{}: partition header disagrees with the manifest",
-                    path.display()
-                )));
-            }
-            store_stats.absorb_open(store.stats());
-            csrs.push(store.csr());
-        }
         transport.setup(ranks as usize);
         let mut metrics = CounterSet::new();
-        ins::absorb_store(&mut metrics, &store_stats);
+        ins::absorb_store(&mut metrics, &ins::StoreStats::opened(store.stats, store.parts.len()));
         Ok(Self {
-            part,
+            part: Partition1D::new(manifest.num_vertices, ranks),
             layout: GroupLayout::new(ranks, group_size.min(ranks)),
-            csrs,
+            csrs: store.parts.iter().map(GraphStore::csr).collect(),
             messaging,
             stats: ExchangeStats::default(),
             transport,
@@ -170,30 +147,20 @@ impl<T: Transport> AlgoCluster<T> {
         })
     }
 
-    /// Persists every partition plus the manifest under `dir` (created
-    /// if absent): a plain store — natural neighbour order, no sidecar —
-    /// which is exactly what [`Self::from_store_with_transport`] accepts.
+    /// Persists every partition plus the manifest under `dir` through
+    /// the one writer ([`StoreDir::persist`]): a plain store — natural
+    /// neighbour order, no sidecar — which is exactly what
+    /// [`Self::from_store_with_transport`] accepts.
     pub fn persist_store(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for (r, csr) in self.csrs.iter().enumerate() {
-            let meta = PartitionMeta {
-                rank: r as u32,
-                num_ranks: self.part.num_ranks(),
-                input_edges: self.input_edges,
-                degree_ordered: false,
-                hub_min_degree: 0,
-            };
-            GraphStore::persist(dir, csr, None, &meta)?;
-        }
-        StoreManifest {
+        let manifest = StoreManifest {
             num_vertices: self.part.num_vertices(),
             num_ranks: self.part.num_ranks(),
             input_edges: self.input_edges,
             degree_ordered: false,
             compressed: false,
             hub_min_degree: 0,
-        }
-        .write(dir)
+        };
+        StoreDir::persist(dir, &manifest, self.csrs.iter().map(|c| (c, None)))
     }
 
     /// Arms (or disarms) span/counter recording. Also arms the
@@ -294,7 +261,37 @@ pub fn edge_weight(u: Vid, v: Vid, max_weight: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swbfs_core::engine::Channels;
+    use sw_graph::store::partition_path;
+    use sw_graph::{generate_kronecker, KroneckerConfig};
+    use swbfs_core::engine::{Channels, ClusterBuilder};
+    use swbfs_core::BfsConfig;
+
+    /// A plain store with the engine's degree-ordered partition of the
+    /// same graph and ranks copied over rank 0 must not open: every
+    /// partition's flags are checked against the manifest, so the
+    /// kernels never sum over a reordered neighbour list.
+    #[test]
+    fn mixed_store_with_a_degree_ordered_partition_is_refused() {
+        let el = generate_kronecker(&KroneckerConfig::graph500(10, 3));
+        let base = std::env::temp_dir().join(format!("swalgo_mixed_{}", std::process::id()));
+        let (plain, ordered) = (base.join("plain"), base.join("ordered"));
+        std::fs::remove_dir_all(&base).ok();
+        AlgoCluster::new(&el, 4, 2, Messaging::Relay).persist_store(&plain).unwrap();
+        let cfg = BfsConfig {
+            degree_ordered_adjacency: true,
+            compress_hub_rows: false,
+            ..BfsConfig::threaded_small(2)
+        };
+        let engine = ClusterBuilder::new(&el, 4, cfg).build().unwrap();
+        engine.persist_store(&ordered).unwrap();
+        std::fs::copy(partition_path(&ordered, 0), partition_path(&plain, 0)).unwrap();
+        let err = AlgoCluster::from_store_dir(&plain, StorageBackend::Mapped, 2, Messaging::Relay)
+            .err()
+            .expect("a mixed store must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("disagrees with the manifest"), "{err}");
+        std::fs::remove_dir_all(&base).ok();
+    }
 
     #[test]
     fn cluster_partitions_cover_graph() {

@@ -1,7 +1,7 @@
 //! Counter exports for the chip simulator under the `arch.` namespace.
 //!
 //! The simulator's report structs ([`CycleReport`],
-//! [`ShuffleReport`](crate::shuffle::ShuffleReport), [`Spm`]) stay the
+//! [`ShuffleReport`], [`Spm`]) stay the
 //! public API; this module maps them onto [`sw_trace::CounterSet`] keys
 //! so modeled runs land in the same metrics snapshot as the BFS
 //! backends' `exchange.*`/`faults.*` counters. Fractional quantities

@@ -5,8 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sw_arch::{ChipConfig, ShuffleEngine, ShuffleLayout};
 use sw_net::GroupLayout;
-use swbfs_core::exchange::{exchange_direct, exchange_relay, Codec};
+use swbfs_core::arena::ExchangeArena;
+use swbfs_core::config::Messaging;
+use swbfs_core::exchange::Codec;
 use swbfs_core::messages::{encode_batch, try_decode_batch, EdgeRec};
+use swbfs_core::modules::Outboxes;
 
 fn bench_shuffle_engine(c: &mut Criterion) {
     let engine = ShuffleEngine::new(ChipConfig::sw26010(), ShuffleLayout::paper_default()).unwrap();
@@ -22,27 +25,21 @@ fn bench_shuffle_engine(c: &mut Criterion) {
     g.finish();
 }
 
-fn all_to_all(ranks: usize, per_pair: usize) -> Vec<Vec<Vec<EdgeRec>>> {
+fn all_to_all(ranks: usize, per_pair: usize) -> Vec<Outboxes> {
     (0..ranks)
         .map(|s| {
-            (0..ranks)
-                .map(|d| {
-                    if s == d {
-                        vec![]
-                    } else {
-                        (0..per_pair)
-                            .map(|i| EdgeRec {
-                                u: i as u64,
-                                v: d as u64,
-                            })
-                            .collect()
-                    }
-                })
-                .collect()
+            let mut o = Outboxes::new(ranks);
+            for d in (0..ranks).filter(|&d| d != s) {
+                for i in 0..per_pair {
+                    o.push(d as u32, EdgeRec { u: i as u64, v: d as u64 });
+                }
+            }
+            o
         })
         .collect()
 }
 
+/// One exchange through a fresh (cold) arena per iteration.
 fn bench_exchange(c: &mut Criterion) {
     let ranks = 32;
     let layout = GroupLayout::new(ranks as u32, 8);
@@ -50,12 +47,11 @@ fn bench_exchange(c: &mut Criterion) {
     let records: u64 = (ranks * (ranks - 1) * 64) as u64;
     let mut g = c.benchmark_group("exchange");
     g.throughput(Throughput::Elements(records));
-    g.bench_function("direct_32ranks", |b| {
-        b.iter(|| exchange_direct(out.clone(), &layout, Codec::Fixed(8)));
-    });
-    g.bench_function("relay_32ranks", |b| {
-        b.iter(|| exchange_relay(out.clone(), &layout, Codec::Fixed(8)));
-    });
+    for (name, mode) in [("direct_32ranks", Messaging::Direct), ("relay_32ranks", Messaging::Relay)] {
+        g.bench_function(name, |b| {
+            b.iter(|| ExchangeArena::new(ranks).exchange(mode, out.clone(), &layout, Codec::Fixed(8)));
+        });
+    }
     g.finish();
 }
 

@@ -24,11 +24,17 @@
 //! checked out per level and recycled across levels and BFS roots.
 //! [`ExchangeStats::pool_allocs`] counts the pooled acquisitions that
 //! had to touch the heap; in steady state (second root onward) it is 0.
+//!
+//! Under an armed fault session [`ExchangeArena::exchange_faulty`]
+//! buckets once, hands the bucket counts to the session's one
+//! [`verdict`](FaultSession::verdict) — which decides the messages, their
+//! order and the degradations for every fabric — and assembles once
+//! under the winning (mode, codec).
 
 use crate::config::Messaging;
 use crate::error::ExchangeError;
-use crate::exchange::{msgs_for, Codec, ExchangeStats, MSG_HEADER_BYTES};
-use crate::faults::{FaultSession, MsgDesc, RetryPolicy};
+use crate::exchange::{group_bounds, msgs_for, Codec, ExchangeStats, MSG_HEADER_BYTES};
+use crate::faults::{FaultSession, RetryPolicy};
 use crate::instrument as ins;
 use crate::messages::EdgeRec;
 use crate::modules::Outboxes;
@@ -162,14 +168,10 @@ impl ExchangeArena {
         (inboxes, stats)
     }
 
-    /// [`Self::exchange`] with an armed fault session: the phase's
-    /// message set is enumerated and pushed through the session's
-    /// deterministic injection/retry simulation *before* the inboxes are
-    /// assembled. If a delivery pass fails, the level degrades (relay→
-    /// direct fallback, compression disable) and is re-delivered
-    /// idempotently from the already-bucketed `sorted` buffers — no
-    /// re-allocation, no re-bucketing — until it succeeds or every
-    /// degradation is exhausted.
+    /// [`Self::exchange`] with an armed fault session: the records are
+    /// bucketed once, the session's [`FaultSession::verdict`] picks the
+    /// surviving variant over the bucket counts, and the inboxes are
+    /// assembled once under it — no re-allocation, no re-bucketing.
     ///
     /// Stats are returned on both success and failure (the fault
     /// counters of a failed phase are part of the record); wire-traffic
@@ -187,72 +189,29 @@ impl ExchangeArena {
         session: &mut FaultSession,
     ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
         let (allocs, reused) = self.bucket_pass(out);
-        let mut stats = ExchangeStats {
-            pool_allocs: allocs,
-            pool_reused_bytes: reused,
-            ..ExchangeStats::default()
+        let ranks = self.ranks;
+        let count = |s: usize, d: usize| {
+            bucket(&self.sorted[s], &self.ends[s * ranks..(s + 1) * ranks], d).len() as u64
         };
-
-        loop {
-            let eff_mode = if session.forced_direct() {
-                Messaging::Direct
-            } else {
-                mode
-            };
-            let eff_codec = if session.compression_disabled() {
-                plain_codec
-            } else {
-                codec
-            };
-            let compressed = eff_codec == Codec::Compressed;
-            let msgs = self.fault_messages(eff_mode, layout);
-            let report = session.deliver_phase(&msgs, policy, compressed);
-            if let Some(t) = &self.trace {
-                // Fault-layer instants land on the run lane (last lane
-                // under the for_ranks convention); absent in clean runs.
-                let lane = t.num_lanes().saturating_sub(1);
-                if report.retries > 0 {
-                    t.instant(lane, ins::INSTANT_RETRY, ins::CAT_FAULT, self.trace_level, report.retries);
-                }
-                if report.faults_injected > 0 {
-                    t.instant(lane, ins::INSTANT_FAULT, ins::CAT_FAULT, self.trace_level, report.faults_injected);
-                }
-            }
-            stats.retries += report.retries;
-            stats.faults_injected += report.faults_injected;
-            match report.error {
-                None => {
-                    let (inboxes, wire) = self.deliver(eff_mode, layout, eff_codec);
-                    stats.absorb(&wire);
-                    session.end_phase();
-                    return (Ok(inboxes), stats);
-                }
-                Some(err) => {
-                    // Graceful degradation, cheapest repair first: a
-                    // truncation-dominated failure under compression is
-                    // cured by fixed framing; otherwise route around the
-                    // relay stage. Each engages at most once (sticky),
-                    // so the loop terminates.
-                    if policy.compression_fallback
-                        && compressed
-                        && report.truncations > 0
-                        && !session.compression_disabled()
-                    {
-                        session.degrade_compression();
-                        continue;
-                    }
-                    if policy.fallback_direct
-                        && eff_mode == Messaging::Relay
-                        && !session.forced_direct()
-                    {
-                        session.degrade_to_direct();
-                        continue;
-                    }
-                    session.end_phase();
-                    return (Err(err), stats);
-                }
-            }
-        }
+        let (verdict, mut stats) = session.verdict(
+            mode,
+            layout,
+            count,
+            codec,
+            plain_codec,
+            policy,
+            self.trace.as_ref(),
+            self.trace_level,
+        );
+        stats.pool_allocs += allocs;
+        stats.pool_reused_bytes += reused;
+        let result = verdict.map(|(mode, codec)| {
+            let (inboxes, wire) = self.deliver(mode, layout, codec);
+            stats.absorb(&wire);
+            inboxes
+        });
+        session.end_phase();
+        (result, stats)
     }
 
     /// Pass 1 — count, prefix-sum, scatter, per source rank. Each
@@ -307,8 +266,8 @@ impl ExchangeArena {
     }
 
     /// Stats + assembly over the already-bucketed `sorted`/`ends`
-    /// buffers. Idempotent — `exchange_faulty` re-invokes it after a
-    /// degradation without re-bucketing.
+    /// buffers — the one delivery step of [`Self::exchange`] and
+    /// [`Self::exchange_faulty`]'s surviving variant.
     fn deliver(
         &mut self,
         mode: Messaging,
@@ -411,103 +370,6 @@ impl ExchangeArena {
         }
         (inboxes, stats)
     }
-
-    /// Enumerates the phase's logical transfers over the bucketed
-    /// `sorted`/`ends` buffers, in the deterministic order the fault
-    /// layer simulates them: Direct is every ordered `(s, d)` pair
-    /// (termination indicators included — empty pairs still send);
-    /// Relay is stage 1 per source (group-mate deliveries then remote-
-    /// group batches to the relay in the source's column), followed by
-    /// stage 2 per relay (forwards to its group mates). Relay-duty
-    /// messages carry their relay's id so a dead-relay fault can single
-    /// them out.
-    pub fn fault_messages(&self, mode: Messaging, layout: &GroupLayout) -> Vec<MsgDesc> {
-        let ranks = self.ranks;
-        debug_assert!(layout.nodes() as usize == ranks, "layout/job mismatch");
-        let row = |s: usize| -> (&[EdgeRec], &[usize]) {
-            (&self.sorted[s], &self.ends[s * ranks..(s + 1) * ranks])
-        };
-        let mut msgs = Vec::new();
-        match mode {
-            Messaging::Direct => {
-                for s in 0..ranks {
-                    let (b, e) = row(s);
-                    for d in 0..ranks {
-                        if d == s {
-                            continue;
-                        }
-                        msgs.push(MsgDesc {
-                            src: s as u32,
-                            dst: d as u32,
-                            records: bucket(b, e, d).len() as u64,
-                            relay: None,
-                        });
-                    }
-                }
-            }
-            Messaging::Relay => {
-                // Stage 1: sources ascending.
-                for s in 0..ranks {
-                    let (b, e) = row(s);
-                    let my_group = layout.group_of(s as u32);
-                    let (gs, ge) = group_bounds(layout, my_group);
-                    for d in gs..ge {
-                        if d as usize == s {
-                            continue;
-                        }
-                        msgs.push(MsgDesc {
-                            src: s as u32,
-                            dst: d,
-                            records: bucket(b, e, d as usize).len() as u64,
-                            relay: None,
-                        });
-                    }
-                    for g in 0..layout.num_groups() {
-                        if g == my_group {
-                            continue;
-                        }
-                        let relay = layout.node_at(g, layout.index_of(s as u32));
-                        msgs.push(MsgDesc {
-                            src: s as u32,
-                            dst: relay,
-                            records: group_slice(b, e, layout, g).len() as u64,
-                            relay: Some(relay),
-                        });
-                    }
-                }
-                // Stage 2: relays ascending, group-mate destinations
-                // ascending (mirrors `assemble_relay`'s walk).
-                for r in 0..ranks {
-                    let gr = layout.group_of(r as u32);
-                    let (gs, ge) = group_bounds(layout, gr);
-                    let size_gr = ge - gs;
-                    let col = layout.index_of(r as u32);
-                    for d in gs..ge {
-                        if d as usize == r {
-                            continue;
-                        }
-                        let mut records = 0u64;
-                        for s in 0..ranks {
-                            if layout.group_of(s as u32) == gr {
-                                continue;
-                            }
-                            if layout.index_of(s as u32) % size_gr == col {
-                                let (b, e) = row(s);
-                                records += bucket(b, e, d as usize).len() as u64;
-                            }
-                        }
-                        msgs.push(MsgDesc {
-                            src: r as u32,
-                            dst: d,
-                            records,
-                            relay: Some(r as u32),
-                        });
-                    }
-                }
-            }
-        }
-        msgs
-    }
 }
 
 /// Counting sort of one source's flat outbox stream into `sorted_s`,
@@ -569,11 +431,6 @@ fn group_slice<'a>(
     let (gs, ge) = group_bounds(layout, group);
     let start = if gs == 0 { 0 } else { ends_row[gs as usize - 1] };
     &sorted_s[start..ends_row[ge as usize - 1]]
-}
-
-fn group_bounds(layout: &GroupLayout, group: u32) -> (u32, u32) {
-    let start = group * layout.group_size();
-    (start, start + layout.group_size_of(group))
 }
 
 /// Direct-mode traffic accounting for one source: one message (at least

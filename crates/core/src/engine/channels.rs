@@ -11,19 +11,18 @@
 //! report identical `exchange.*` counters on identical traffic.
 //!
 //! The mesh is point-to-point regardless of the configured
-//! [`Messaging`] mode (there is no relay stage to batch through), so
-//! the only in-phase degradation available under faults is disabling
-//! compression. Fault schedules are replayed centrally against the
-//! engine-owned [`FaultSession`]; injection decisions are pure
-//! functions of `(seed, phase, variant, src, dst, attempt)`, so the
-//! centralized replay reaches the verdicts the per-rank replay of the
-//! old backend reached, message for message.
+//! [`Messaging`] mode (there is no relay stage to batch through). Under
+//! faults the fabric takes the engine-owned [`FaultSession`]'s one
+//! [`verdict`](FaultSession::verdict) over Direct traffic — so disabling
+//! compression is the only degradation that can engage — and moves the
+//! records once, under the winning codec, through the same delivery
+//! step as a clean exchange.
 
 use super::transport::Transport;
 use crate::config::Messaging;
 use crate::error::ExchangeError;
-use crate::exchange::{direct_wire_stats, Codec, ExchangeStats};
-use crate::faults::{FaultSession, MsgDesc, RetryPolicy};
+use crate::exchange::{direct_wire_stats, drain_boxes, Codec, ExchangeStats};
+use crate::faults::{FaultSession, RetryPolicy};
 use crate::instrument as ins;
 use crate::messages::EdgeRec;
 use crate::modules::Outboxes;
@@ -43,6 +42,18 @@ impl Channels {
     /// A transport ready for [`Transport::setup`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The one delivery step of both exchange paths: the point-to-point
+    /// wire arithmetic, then the records moved under `codec`.
+    fn deliver(
+        &self,
+        boxes: Vec<Vec<Vec<EdgeRec>>>,
+        layout: &GroupLayout,
+        codec: Codec,
+    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
+        let stats = direct_wire_stats(&boxes, layout, codec);
+        (self.move_records(boxes), stats)
     }
 
     /// Moves the records: one scoped thread per rank sends its boxes to
@@ -125,10 +136,7 @@ impl Transport for Channels {
         layout: &GroupLayout,
         codec: Codec,
     ) -> Result<(Vec<Vec<EdgeRec>>, ExchangeStats), ExchangeError> {
-        let boxes: Vec<Vec<Vec<EdgeRec>>> =
-            out.into_iter().map(|mut o| o.drain_into_boxes()).collect();
-        let stats = direct_wire_stats(&boxes, layout, codec);
-        Ok((self.move_records(boxes), stats))
+        Ok(self.deliver(drain_boxes(out), layout, codec))
     }
 
     fn exchange_faulty(
@@ -141,70 +149,26 @@ impl Transport for Channels {
         policy: &RetryPolicy,
         session: &mut FaultSession,
     ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
-        let boxes: Vec<Vec<Vec<EdgeRec>>> =
-            out.into_iter().map(|mut o| o.drain_into_boxes()).collect();
-        // The message set is fixed (point-to-point, every ordered pair,
-        // empty boxes still send a termination indicator), in the same
-        // deterministic order the arena enumerates Direct transfers.
-        let mut msgs = Vec::new();
-        for (s, bs) in boxes.iter().enumerate() {
-            for (d, recs) in bs.iter().enumerate() {
-                if d != s {
-                    msgs.push(MsgDesc {
-                        src: s as u32,
-                        dst: d as u32,
-                        records: recs.len() as u64,
-                        relay: None,
-                    });
-                }
-            }
-        }
-
-        let mut stats = ExchangeStats::default();
-        loop {
-            let eff_codec = if session.compression_disabled() {
-                plain
-            } else {
-                codec
-            };
-            let compressed = eff_codec == Codec::Compressed;
-            let report = session.deliver_phase(&msgs, policy, compressed);
-            if let Some(t) = &self.tracer {
-                let lane = t.num_lanes().saturating_sub(1);
-                if report.retries > 0 {
-                    t.instant(lane, ins::INSTANT_RETRY, ins::CAT_FAULT, self.level, report.retries);
-                }
-                if report.faults_injected > 0 {
-                    t.instant(lane, ins::INSTANT_FAULT, ins::CAT_FAULT, self.level, report.faults_injected);
-                }
-            }
-            stats.retries += report.retries;
-            stats.faults_injected += report.faults_injected;
-            match report.error {
-                None => {
-                    let wire = direct_wire_stats(&boxes, layout, eff_codec);
-                    stats.absorb(&wire);
-                    let inboxes = self.move_records(boxes);
-                    session.end_phase();
-                    return (Ok(inboxes), stats);
-                }
-                Some(err) => {
-                    // The only repair on a relay-less mesh: a
-                    // truncation-dominated failure under compression is
-                    // cured by fixed framing (sticky, engages once).
-                    if policy.compression_fallback
-                        && compressed
-                        && report.truncations > 0
-                        && !session.compression_disabled()
-                    {
-                        session.degrade_compression();
-                        continue;
-                    }
-                    session.end_phase();
-                    return (Err(err), stats);
-                }
-            }
-        }
+        let boxes = drain_boxes(out);
+        // The mesh has no relay stage to fall back from: the verdict is
+        // taken over Direct traffic.
+        let (verdict, mut stats) = session.verdict(
+            Messaging::Direct,
+            layout,
+            |s, d| boxes[s][d].len() as u64,
+            codec,
+            plain,
+            policy,
+            self.tracer.as_ref(),
+            self.level,
+        );
+        let result = verdict.map(|(_, codec)| {
+            let (inboxes, wire) = self.deliver(boxes, layout, codec);
+            stats.absorb(&wire);
+            inboxes
+        });
+        session.end_phase();
+        (result, stats)
     }
 
     fn recycle_inboxes(&mut self, _inboxes: Vec<Vec<EdgeRec>>) {}

@@ -70,9 +70,8 @@ use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use sw_arch::ChipConfig;
 use sw_graph::hub::HubSet;
-use sw_graph::store::{partition_path, PartitionMeta};
 use sw_graph::{
-    Bitmap, Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreManifest, Vid,
+    Bitmap, Csr, EdgeList, Partition1D, RowOrder, StorageBackend, StoreDir, StoreManifest, Vid,
 };
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer, NO_LEVEL};
@@ -331,21 +330,17 @@ impl<T: Transport> SuperstepEngine<T> {
 
         // Byte-coded sidecar for high-degree rows, coded from the rows in
         // their final order.
-        let rows_compressed: u64 = if cfg.compress_hub_rows {
-            ranks
-                .par_iter_mut()
-                .map(|r| r.seal_adjacency(cfg.hub_compress_min_degree))
-                .sum()
-        } else {
-            0
-        };
+        if cfg.compress_hub_rows {
+            ranks.par_iter_mut().for_each(|r| {
+                r.seal_adjacency(cfg.hub_compress_min_degree);
+            });
+        }
 
         let engine = Self::assemble(
             cfg,
             part,
             layout,
             ranks,
-            rows_compressed,
             el.len() as u64,
             ins::StoreStats::default(),
             transport,
@@ -354,23 +349,23 @@ impl<T: Transport> SuperstepEngine<T> {
         Ok(engine)
     }
 
-    /// Opens every partition of a persisted store directory and builds
-    /// the engine over zero-copy views — the restart path of
-    /// build-once/serve-forever. Refuses a manifest that disagrees with
-    /// `cfg` about the sealed preparation (degree order, sidecar,
-    /// hub threshold), a partition whose header disagrees with the
-    /// manifest, and any file the store layer's checksum/coherence
-    /// verification rejects.
+    /// Opens a persisted store directory through the one reader
+    /// ([`StoreDir::open`]: manifest, partition headers, checksums) and
+    /// builds the engine over zero-copy views — the restart path of
+    /// build-once/serve-forever. Its own policy on top: sealed means
+    /// sealed — a manifest that disagrees with `cfg` about the persisted
+    /// preparation (degree order, sidecar, hub threshold) is refused.
     fn from_store_with_transport(
         dir: &Path,
         backend: StorageBackend,
         cfg: BfsConfig,
         transport: T,
     ) -> Result<Self, ExecError> {
-        let manifest = StoreManifest::read(dir).map_err(|e| {
-            ExecError::BadSetup(format!("store manifest in {}: {e}", dir.display()))
-        })?;
         cfg.validate().map_err(ExecError::BadSetup)?;
+        let live_t0 = sw_trace::live::armed().then(std::time::Instant::now);
+        let store = StoreDir::open(dir, backend)
+            .map_err(|e| ExecError::BadSetup(format!("store {}: {e}", dir.display())))?;
+        let manifest = store.manifest;
         if cfg.degree_ordered_adjacency != manifest.degree_ordered
             || cfg.compress_hub_rows != manifest.compressed
             || (manifest.compressed && cfg.hub_compress_min_degree != manifest.hub_min_degree)
@@ -389,66 +384,21 @@ impl<T: Transport> SuperstepEngine<T> {
             )));
         }
         let num_ranks = manifest.num_ranks;
-        if num_ranks == 0 {
-            return Err(ExecError::BadSetup("store manifest: zero ranks".into()));
-        }
-        if manifest.num_vertices < num_ranks as u64 {
-            return Err(ExecError::BadSetup(format!(
-                "{} ranks for {} vertices",
-                num_ranks, manifest.num_vertices
-            )));
-        }
-        let live_t0 = sw_trace::live::armed().then(std::time::Instant::now);
         let part = Partition1D::new(manifest.num_vertices, num_ranks);
         let layout = GroupLayout::new(num_ranks, cfg.group_size.min(num_ranks));
         check_chip_feasibility(&cfg, &ChipConfig::sw26010(), &layout)?;
 
-        let mut store_stats = ins::StoreStats::default();
-        let mut ranks = Vec::with_capacity(num_ranks as usize);
-        for r in 0..num_ranks {
-            let path = partition_path(dir, r as usize);
-            let store = GraphStore::open(&path, backend)
-                .map_err(|e| ExecError::BadSetup(format!("{}: {e}", path.display())))?;
-            let h = store.header();
-            let (lo, hi) = part.range(r);
-            if h.rank != r
-                || h.num_ranks != num_ranks
-                || h.num_vertices != manifest.num_vertices
-                || h.row_base != lo
-                || h.rows != hi - lo
-                || h.degree_ordered() != manifest.degree_ordered
-                || h.has_compressed() != manifest.compressed
-            {
-                return Err(ExecError::BadSetup(format!(
-                    "{}: partition header disagrees with the manifest \
-                     (rank {}/{}, rows {}..{}, expected rank {}/{}, rows {}..{})",
-                    path.display(),
-                    h.rank,
-                    h.num_ranks,
-                    h.row_base,
-                    h.row_base + h.rows,
-                    r,
-                    num_ranks,
-                    lo,
-                    hi,
-                )));
-            }
-            store_stats.absorb_open(store.stats());
-            ranks.push(RankState::from_store(r, part, &store));
-        }
-        let rows_compressed = ranks
-            .iter()
-            .map(|r| r.adjacency.as_ref().map_or(0, |a| a.coded_rows() as u64))
-            .sum();
-
+        let ranks = (0..num_ranks)
+            .zip(&store.parts)
+            .map(|(r, p)| RankState::from_store(r, part, p))
+            .collect();
         let engine = Self::assemble(
             cfg,
             part,
             layout,
             ranks,
-            rows_compressed,
             manifest.input_edges,
-            store_stats,
+            ins::StoreStats::opened(store.stats, store.parts.len()),
             transport,
         );
         Self::live_record_build("store.map_micros", live_t0);
@@ -456,17 +406,15 @@ impl<T: Transport> SuperstepEngine<T> {
     }
 
     /// The construction tail both sources share: distributed hub
-    /// selection, edge totals, transport setup. Hub selection reads only
-    /// owned degrees — identical between a cold build and a store
-    /// restart of the same graph, which is what makes restarts
-    /// bit-reproducible.
-    #[allow(clippy::too_many_arguments)] // internal seam between two constructors
+    /// selection, edge and coded-row totals, transport setup. Hub
+    /// selection reads only owned degrees — identical between a cold
+    /// build and a store restart of the same graph, which is what makes
+    /// restarts bit-reproducible.
     fn assemble(
         cfg: BfsConfig,
         part: Partition1D,
         layout: GroupLayout,
         ranks: Vec<RankState>,
-        rows_compressed: u64,
         input_edges: u64,
         store_stats: ins::StoreStats,
         mut transport: T,
@@ -502,6 +450,10 @@ impl<T: Transport> SuperstepEngine<T> {
         let hubs = HubState::with_td_limit(set, td_limit);
 
         let total_directed_edges = ranks.iter().map(|r| r.csr.num_entries()).sum();
+        let rows_compressed = ranks
+            .iter()
+            .map(|r| r.adjacency.as_ref().map_or(0, |a| a.coded_rows() as u64))
+            .sum();
         transport.setup(num_ranks as usize);
         Self {
             cfg,
@@ -537,36 +489,21 @@ impl<T: Transport> SuperstepEngine<T> {
     }
 
     /// Persists every rank's partition plus the directory manifest under
-    /// `dir` (created if absent) — the build-once half of
-    /// build-once/serve-forever. Each partition writes through a temp
-    /// file + rename, and the manifest is written last, so a crashed
-    /// persist never leaves a directory that opens.
+    /// `dir` through the one writer ([`StoreDir::persist`]: partitions
+    /// via temp file + rename, manifest last) — the build-once half of
+    /// build-once/serve-forever.
     pub fn persist_store(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let hub_min_degree = if self.cfg.compress_hub_rows {
-            self.cfg.hub_compress_min_degree
-        } else {
-            0
-        };
-        for r in &self.ranks {
-            let meta = PartitionMeta {
-                rank: r.rank,
-                num_ranks: self.part.num_ranks(),
-                input_edges: self.input_edges,
-                degree_ordered: self.cfg.degree_ordered_adjacency,
-                hub_min_degree,
-            };
-            GraphStore::persist(dir, &r.csr, r.adjacency.as_ref(), &meta)?;
-        }
-        StoreManifest {
+        let compressed = self.cfg.compress_hub_rows;
+        let manifest = StoreManifest {
             num_vertices: self.part.num_vertices(),
             num_ranks: self.part.num_ranks(),
             input_edges: self.input_edges,
             degree_ordered: self.cfg.degree_ordered_adjacency,
-            compressed: self.cfg.compress_hub_rows,
-            hub_min_degree,
-        }
-        .write(dir)
+            compressed,
+            hub_min_degree: if compressed { self.cfg.hub_compress_min_degree } else { 0 },
+        };
+        let parts = self.ranks.iter().map(|r| (&*r.csr, r.adjacency.as_ref()));
+        StoreDir::persist(dir, &manifest, parts)
     }
 
     /// Number of ranks.

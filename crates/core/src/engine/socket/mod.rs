@@ -13,8 +13,8 @@
 //! ## Topology
 //!
 //! The orchestrator (this process) keeps **all** BFS compute and spawns
-//! one `swbfs-rankd` daemon per rank (see [`daemon`] for the wire
-//! protocol). Records for rank `s → d` travel parent → daemon `s` →
+//! one `swbfs-rankd` daemon per rank (the `daemon` submodule documents
+//! the wire protocol). Records for rank `s → d` travel parent → daemon `s` →
 //! daemon `d` → parent: down the control connection as `XMIT`, across
 //! the daemons' unidirectional socket mesh as `MSG`, and back up as
 //! `INBOX`. The parent starts phase `p + 1` only after every `INBOX`,
@@ -25,21 +25,23 @@
 //!
 //! ## Fault realization
 //!
-//! [`Transport::exchange_faulty`] first replays the armed
-//! [`FaultSession`] schedule centrally (identical verdicts, retries,
-//! and degradations to every other fabric — the conformance battery
-//! compares the counters bit-for-bit). When the verdict is *deliver*,
-//! the schedule of the winning variant is realized **physically**:
-//! each scheduled drop closes the live mesh connection cold, each
-//! truncation short-writes a strict prefix of the real frame before
-//! closing, each delay defers the flush behind every punctual peer.
-//! Receivers genuinely observe torn frames and EOFs mid-phase and
-//! genuinely survive them; the records re-sent after each realization
-//! come from buffers this process retained — re-delivery without
-//! regeneration, pinned by `tests/socket_teardown.rs`.
+//! [`Transport::exchange_faulty`] takes the armed [`FaultSession`]'s
+//! one [`verdict`](FaultSession::verdict) over the phase's Direct
+//! message set — the same pass, retries and degradations as every other
+//! fabric, which the conformance battery pins by comparing injection
+//! traces and counters across fabrics. What stays here is the physical
+//! realization: when the verdict is *deliver*, each `XMIT` carries the
+//! fault sequence the winning variant charged its transfer, and the
+//! daemons replay it on the wire — each drop closes the live mesh
+//! connection cold, each truncation short-writes a strict prefix of the
+//! real frame before closing, each delay defers the flush behind every
+//! punctual peer. Receivers genuinely observe torn frames and EOFs
+//! mid-phase and genuinely survive them; the records re-sent after each
+//! realization come from buffers this process retained — re-delivery
+//! without regeneration, pinned by `tests/socket_teardown.rs`.
 //!
-//! The wire *statistics* stay arithmetic ([`direct_wire_stats`], same
-//! as the channel fabric) so `exchange.*` counters are comparable
+//! The wire *statistics* stay arithmetic (the point-to-point arithmetic
+//! the channel fabric uses) so `exchange.*` counters are comparable
 //! across fabrics; the physical side-channel is reported separately
 //! via [`SocketTransport::wire_incidents`].
 
@@ -53,8 +55,8 @@ use super::transport::Transport;
 use crate::compress::{encode_compressed, try_decode_compressed};
 use crate::config::Messaging;
 use crate::error::ExchangeError;
-use crate::exchange::{direct_wire_stats, Codec, ExchangeStats};
-use crate::faults::{FaultKind, FaultSession, MsgDesc, RetryPolicy};
+use crate::exchange::{direct_wire_stats, drain_boxes, Codec, ExchangeStats};
+use crate::faults::{FaultKind, FaultSession, InjectionEvent, RetryPolicy};
 use crate::instrument as ins;
 use crate::messages::{encode_batch, try_decode_batch, EdgeRec};
 use crate::modules::Outboxes;
@@ -529,6 +531,49 @@ impl SocketTransport {
         f
     }
 
+    /// The one delivery step of both exchange paths: the point-to-point
+    /// wire arithmetic (returned even when the phase fails), then every
+    /// record box of `boxes` encoded under `codec` through one physical
+    /// phase, each `XMIT` carrying its transfer's share of `charged` (the
+    /// winning variant's faults; empty when clean) as drop/truncate
+    /// codes and the defer flag.
+    fn deliver(
+        &mut self,
+        boxes: Vec<Vec<Vec<EdgeRec>>>,
+        layout: &GroupLayout,
+        codec: Codec,
+        charged: &[InjectionEvent],
+    ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
+        let stats = direct_wire_stats(&boxes, layout, codec);
+        let p = self.ranks;
+        if p < 2 {
+            return (Ok((0..p).map(|_| Vec::new()).collect()), stats);
+        }
+        if let Err(e) = self.ensure_fabric() {
+            return (Err(e), stats);
+        }
+        let mut realized: Vec<(Vec<u8>, bool)> = vec![(Vec::new(), false); p * p];
+        for e in charged {
+            let (codes, defer) = &mut realized[e.src as usize * p + e.dst as usize];
+            match e.kind {
+                FaultKind::Delay => *defer = true,
+                FaultKind::Truncate => codes.push(CODE_TRUNCATE),
+                _ => codes.push(CODE_DROP),
+            }
+        }
+        let mut xmits = Vec::with_capacity(p * (p - 1));
+        for (s, bs) in boxes.iter().enumerate() {
+            for (d, recs) in bs.iter().enumerate().filter(|&(d, _)| d != s) {
+                let (codes, defer) = &realized[s * p + d];
+                xmits.push(self.build_xmit(s as u32, d as u32, recs, codec, codes, *defer));
+            }
+        }
+        let delivered = self
+            .run_phase(xmits)
+            .and_then(|raw| self.decode_inboxes(raw));
+        (delivered, stats)
+    }
+
     /// Decodes the raw inbox payloads into per-rank inboxes (source
     /// order), recording the same per-rank deliver spans the channel
     /// fabric records.
@@ -607,24 +652,8 @@ impl Transport for SocketTransport {
         if let Some(err) = &self.failed {
             return Err(err.clone());
         }
-        let boxes: Vec<Vec<Vec<EdgeRec>>> =
-            out.into_iter().map(|mut o| o.drain_into_boxes()).collect();
-        let stats = direct_wire_stats(&boxes, layout, codec);
-        if self.ranks < 2 {
-            return Ok(((0..self.ranks).map(|_| Vec::new()).collect(), stats));
-        }
-        self.ensure_fabric()?;
-        let mut xmits = Vec::with_capacity(self.ranks * (self.ranks - 1));
-        for (s, bs) in boxes.iter().enumerate() {
-            for (d, recs) in bs.iter().enumerate() {
-                if d != s {
-                    xmits.push(self.build_xmit(s as u32, d as u32, recs, codec, &[], false));
-                }
-            }
-        }
-        let raw = self.run_phase(xmits)?;
-        let inboxes = self.decode_inboxes(raw)?;
-        Ok((inboxes, stats))
+        let (result, stats) = self.deliver(drain_boxes(out), layout, codec, &[]);
+        Ok((result?, stats))
     }
 
     fn exchange_faulty(
@@ -637,114 +666,30 @@ impl Transport for SocketTransport {
         policy: &RetryPolicy,
         session: &mut FaultSession,
     ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
-        let mut stats = ExchangeStats::default();
         if let Some(err) = &self.failed {
-            return (Err(err.clone()), stats);
+            session.end_phase();
+            return (Err(err.clone()), ExchangeStats::default());
         }
-        let boxes: Vec<Vec<Vec<EdgeRec>>> =
-            out.into_iter().map(|mut o| o.drain_into_boxes()).collect();
-        // Point-to-point message set, in the same deterministic order
-        // as the channel fabric (the conformance battery compares the
-        // injection traces and counters across fabrics).
-        let mut msgs = Vec::new();
-        for (s, bs) in boxes.iter().enumerate() {
-            for (d, recs) in bs.iter().enumerate() {
-                if d != s {
-                    msgs.push(MsgDesc {
-                        src: s as u32,
-                        dst: d as u32,
-                        records: recs.len() as u64,
-                        relay: None,
-                    });
-                }
-            }
-        }
-
-        loop {
-            let eff_codec = if session.compression_disabled() {
-                plain
-            } else {
-                codec
-            };
-            let compressed = eff_codec == Codec::Compressed;
-            let report = session.deliver_phase(&msgs, policy, compressed);
-            if let Some(t) = &self.tracer {
-                let lane = t.num_lanes().saturating_sub(1);
-                if report.retries > 0 {
-                    t.instant(lane, ins::INSTANT_RETRY, ins::CAT_FAULT, self.level, report.retries);
-                }
-                if report.faults_injected > 0 {
-                    t.instant(lane, ins::INSTANT_FAULT, ins::CAT_FAULT, self.level, report.faults_injected);
-                }
-            }
-            stats.retries += report.retries;
-            stats.faults_injected += report.faults_injected;
-            match report.error {
-                None => {
-                    let wire = direct_wire_stats(&boxes, layout, eff_codec);
-                    stats.absorb(&wire);
-                    if self.ranks < 2 {
-                        session.end_phase();
-                        return (Ok((0..self.ranks).map(|_| Vec::new()).collect()), stats);
-                    }
-                    if let Err(e) = self.ensure_fabric() {
-                        session.end_phase();
-                        return (Err(e), stats);
-                    }
-                    // Physical realization: replay the winning
-                    // variant's schedule to recover, per message, the
-                    // exact pre-delivery fault sequence the verdict
-                    // pass charged, and ship it wire-ward in the XMIT
-                    // header. The records re-encoded here come from
-                    // `boxes` — retained across every retry and
-                    // degradation of the phase (re-delivery without
-                    // regeneration).
-                    let log_phase = session.phase();
-                    let variant = session.variant();
-                    let mut xmits = Vec::with_capacity(msgs.len());
-                    for m in &msgs {
-                        let mut codes = Vec::new();
-                        let mut defer = false;
-                        for attempt in 0..policy.max_attempts {
-                            match session
-                                .plan()
-                                .attempt_fault(log_phase, variant, m, attempt, compressed)
-                            {
-                                None => break,
-                                Some(FaultKind::Delay) => {
-                                    defer = true;
-                                    break;
-                                }
-                                Some(FaultKind::Truncate) => codes.push(CODE_TRUNCATE),
-                                Some(_) => codes.push(CODE_DROP),
-                            }
-                        }
-                        let recs = &boxes[m.src as usize][m.dst as usize];
-                        xmits.push(self.build_xmit(m.src, m.dst, recs, eff_codec, &codes, defer));
-                    }
-                    let delivered = self
-                        .run_phase(xmits)
-                        .and_then(|raw| self.decode_inboxes(raw));
-                    session.end_phase();
-                    return (delivered, stats);
-                }
-                Some(err) => {
-                    // The only in-phase repair on a relay-less mesh:
-                    // truncation-dominated failures under compression
-                    // are cured by fixed framing (sticky).
-                    if policy.compression_fallback
-                        && compressed
-                        && report.truncations > 0
-                        && !session.compression_disabled()
-                    {
-                        session.degrade_compression();
-                        continue;
-                    }
-                    session.end_phase();
-                    return (Err(err), stats);
-                }
-            }
-        }
+        let boxes = drain_boxes(out);
+        // The rank mesh is point-to-point: the verdict is taken over
+        // Direct traffic.
+        let (verdict, mut stats) = session.verdict(
+            Messaging::Direct,
+            layout,
+            |s, d| boxes[s][d].len() as u64,
+            codec,
+            plain,
+            policy,
+            self.tracer.as_ref(),
+            self.level,
+        );
+        let result = verdict.and_then(|(_, codec)| {
+            let (delivered, wire) = self.deliver(boxes, layout, codec, session.open_variant_trace());
+            stats.absorb(&wire);
+            delivered
+        });
+        session.end_phase();
+        (result, stats)
     }
 
     fn recycle_inboxes(&mut self, _inboxes: Vec<Vec<EdgeRec>>) {}

@@ -3,8 +3,8 @@
 //! [`Transport`] is the narrow waist between the BFS lifecycle (owned by
 //! [`super::SuperstepEngine`]) and the fabric that carries edge records
 //! between ranks. The engine drives every transport through the same
-//! five-step contract — setup, per-phase exchange, faulty exchange with
-//! idempotent re-delivery, inbox recycling, teardown — so a new fabric
+//! five-step contract — setup, per-phase exchange, faulty exchange under
+//! the fault layer's one verdict, inbox recycling, teardown — so a new fabric
 //! (sharded, async, net-model-coupled) plugs in without a third copy of
 //! the level loop.
 
@@ -34,26 +34,23 @@ use sw_trace::Tracer;
 ///   the engine's handlers are order-free — the Forward Handler claims
 ///   min-parent, the Backward Handler sorts its replies — so no fabric
 ///   sorts.
-/// * **Idempotent faulty re-delivery** — [`Transport::exchange_faulty`]
-///   replays the armed [`FaultSession`]'s deterministic schedule against
-///   the phase's message set *before* delivering; on a terminal failure
-///   it must return the buffered records untouched enough that a
-///   degraded re-delivery (compression disable, relay→direct fallback)
-///   needs no re-generation. Wire stats count the successful delivery
-///   only; fault tallies are reported on success *and* failure.
-/// * **Re-delivery without regeneration** — once the engine hands a
-///   phase's outboxes to [`Transport::exchange_faulty`], every retry,
-///   sticky degradation, and re-encode (compressed → fixed) of that
-///   phase MUST be served from buffers the transport retained — the BFS
-///   generators will not run again for the phase. This holds even for a
-///   fabric whose outboxes were already partially flushed to a real
-///   wire: bytes written to a socket are copies; the transport keeps
-///   the record batches (and re-encodes from them per variant) until
-///   the phase either delivers or fails terminally. The observable
-///   consequence, pinned by `tests/socket_teardown.rs` and the chaos
-///   suite, is that a truncate/drop-heavy survivable run reports
-///   per-level `edges_scanned`/`records_generated` identical to the
-///   fault-free oracle — generation happened exactly once per phase.
+/// * **One verdict, one delivery** — [`Transport::exchange_faulty`]
+///   stages the records, takes the armed session's
+///   [`FaultSession::verdict`] (the one place that decides a phase's
+///   message set, its order and the sticky degradations — a fabric
+///   without a relay stage asks for [`Messaging::Direct`]), delivers
+///   once under the winning (mode, codec), and closes the phase with
+///   [`FaultSession::end_phase`] exactly once, on every path. Wire stats
+///   count the successful delivery only; fault tallies are reported on
+///   success *and* failure.
+/// * **Re-delivery without regeneration** — every retry, degradation
+///   and re-encode (compressed → fixed) of a phase is served from the
+///   records the transport staged once; the BFS generators never run
+///   again for the phase (a socket keeps the record batches, not the
+///   bytes it wrote). Pinned by `tests/socket_teardown.rs` and the chaos
+///   suite: a truncate/drop-heavy survivable run reports per-level
+///   `edges_scanned`/`records_generated` identical to the fault-free
+///   oracle.
 /// * **Pool honesty** — [`ExchangeStats::pool_allocs`] /
 ///   [`ExchangeStats::pool_reused_bytes`] report real buffer-pool
 ///   behaviour. A transport without a pool reports zeroes.
@@ -88,10 +85,11 @@ pub trait Transport: Send {
         codec: Codec,
     ) -> Result<(Vec<Vec<EdgeRec>>, ExchangeStats), ExchangeError>;
 
-    /// [`Transport::exchange`] under an armed fault session: the phase's
-    /// deterministic injection/retry schedule is replayed first, sticky
+    /// [`Transport::exchange`] under an armed fault session: the
+    /// session's [`FaultSession::verdict`] replays the phase's
+    /// deterministic injection/retry schedule first and engages sticky
     /// degradations (compression disable, relay→direct where the fabric
-    /// supports it) engage on terminal failures, and only a clean pass
+    /// has a relay stage) on terminal failures; only the winning variant
     /// delivers. `plain` is the codec degraded compression falls back
     /// to. Stats carry the fault tallies even when the result is `Err`.
     #[allow(clippy::too_many_arguments)]

@@ -33,24 +33,18 @@ pub enum ExchangeError {
         /// The budget (`RetryPolicy::level_timeout_ns`).
         budget_ns: u64,
     },
-    /// A peer rank's channel closed mid-run (its thread is gone).
+    /// A peer rank's connection closed mid-run (its process is gone).
     PeerDisconnected {
         /// The rank whose endpoint vanished.
         rank: u32,
     },
-    /// The wire protocol was violated (wrong payload kind for the
-    /// phase) — previously an `unreachable!` panic in the rank threads.
+    /// The wire protocol was violated (a frame out of protocol for the
+    /// phase, an undecodable payload, a missed deadline).
     Protocol {
         /// Exchange phase (sequence number) of the bad packet.
         phase: u64,
         /// What was wrong.
         detail: &'static str,
-    },
-    /// A peer rank failed first and broadcast an abort; this rank shut
-    /// down cleanly instead of deadlocking on a receive.
-    Aborted {
-        /// The rank that originated the abort.
-        by: u32,
     },
 }
 
@@ -79,9 +73,6 @@ impl fmt::Display for ExchangeError {
             }
             ExchangeError::Protocol { phase, detail } => {
                 write!(f, "protocol violation in phase {phase}: {detail}")
-            }
-            ExchangeError::Aborted { by } => {
-                write!(f, "aborted: rank {by} failed first")
             }
         }
     }
@@ -182,7 +173,7 @@ mod tests {
         let e: ExecError = ArchError::BadLayout("x".into()).into();
         assert!(e.source().is_some());
         assert!(ExecError::BadSetup("y".into()).source().is_none());
-        let e: ExecError = ExchangeError::Aborted { by: 3 }.into();
+        let e: ExecError = ExchangeError::PeerDisconnected { rank: 3 }.into();
         assert!(e.source().is_some());
     }
 
@@ -213,6 +204,5 @@ mod tests {
         }
         .to_string()
         .contains("protocol"));
-        assert!(ExchangeError::Aborted { by: 2 }.to_string().contains("rank 2"));
     }
 }

@@ -18,17 +18,15 @@
 //! message counts, payload bytes, group-boundary (≙ super-node) crossing
 //! bytes, and per-rank maxima.
 //!
-//! The hot path lives in [`crate::arena::ExchangeArena`] — a pooled,
-//! two-pass counting-sort pipeline with no per-record pushes. The
-//! functions here are thin entry points that run a throwaway arena over
-//! nested per-destination vectors; long-lived clusters hold their own
-//! arena and call it directly so every buffer is recycled across levels
-//! and roots. The seed's literal allocate-classify-push implementation
-//! is the differential oracle in `tests/exchange_equivalence.rs`.
+//! The exchange itself is [`crate::arena::ExchangeArena`] — a pooled,
+//! two-pass counting-sort pipeline with no per-record pushes, held by
+//! every long-lived cluster so each buffer is recycled across levels and
+//! roots. This module holds what every fabric shares: the codecs, the
+//! traffic record, and the wire arithmetic. The seed's literal
+//! allocate-classify-push implementation is the differential oracle in
+//! `tests/exchange_equivalence.rs`.
 
-use crate::arena::ExchangeArena;
 use crate::compress::compressed_size;
-use crate::config::Messaging;
 use crate::messages::EdgeRec;
 use sw_net::GroupLayout;
 
@@ -135,6 +133,20 @@ pub(crate) fn msgs_for(payload: u64) -> u64 {
     1 + payload / MAX_BATCH_BYTES
 }
 
+/// The rank range `[start, end)` of `group` (groups are contiguous rank
+/// ranges; the last may be partial).
+#[inline]
+pub(crate) fn group_bounds(layout: &GroupLayout, group: u32) -> (u32, u32) {
+    let start = group * layout.group_size();
+    (start, start + layout.group_size_of(group))
+}
+
+/// Per-source outboxes as `[src][dst]` record boxes — the staging of
+/// every point-to-point fabric.
+pub(crate) fn drain_boxes(out: Vec<crate::modules::Outboxes>) -> Vec<Vec<Vec<EdgeRec>>> {
+    out.into_iter().map(|mut o| o.drain_into_boxes()).collect()
+}
+
 /// Per-source wire accounting of one point-to-point phase: the
 /// Direct-mode arithmetic (payload + per-batch headers, termination
 /// indicators included), summed over sources with the per-rank maxima
@@ -175,85 +187,57 @@ pub(crate) fn direct_wire_stats(
     stats
 }
 
-/// Converts a nested per-destination outbox matrix into flat outboxes
-/// (destinations ascending, push order preserved within a destination —
-/// the order every inbox guarantee is stated in).
-fn flatten(out: Vec<Vec<Vec<EdgeRec>>>) -> Vec<crate::modules::Outboxes> {
-    let ranks = out.len();
-    out.into_iter()
-        .map(|boxes| {
-            debug_assert_eq!(boxes.len(), ranks);
-            let mut o = crate::modules::Outboxes::new(ranks);
-            for (d, recs) in boxes.into_iter().enumerate() {
-                for r in recs {
-                    o.push(d as u32, r);
-                }
-            }
-            o
-        })
-        .collect()
-}
-
-/// Delivers `out[s][d]` (records from rank `s` to rank `d`) and returns
-/// per-destination inboxes plus traffic stats.
-///
-/// `codec` sizes the per-record wire format; `layout` is used by relay
-/// transport and, for both transports, to classify group-crossing bytes.
-///
-/// One-shot convenience over a throwaway [`ExchangeArena`]; hot paths
-/// keep an arena alive instead.
-pub fn exchange(
-    mode: Messaging,
-    out: Vec<Vec<Vec<EdgeRec>>>,
-    layout: &GroupLayout,
-    codec: Codec,
-) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-    let mut arena = ExchangeArena::new(out.len());
-    arena.exchange(mode, flatten(out), layout, codec)
-}
-
-/// Direct point-to-point delivery (see [`exchange`]).
-pub fn exchange_direct(
-    out: Vec<Vec<Vec<EdgeRec>>>,
-    layout: &GroupLayout,
-    codec: Codec,
-) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-    exchange(Messaging::Direct, out, layout, codec)
-}
-
-/// Two-stage relayed delivery with group batching (see [`exchange`]).
-pub fn exchange_relay(
-    out: Vec<Vec<Vec<EdgeRec>>>,
-    layout: &GroupLayout,
-    codec: Codec,
-) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
-    exchange(Messaging::Relay, out, layout, codec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ExchangeArena;
+    use crate::config::Messaging;
+    use crate::modules::Outboxes;
     use std::collections::BTreeMap;
 
     fn rec(u: u64, v: u64) -> EdgeRec {
         EdgeRec { u, v }
     }
 
+    fn empty(ranks: usize) -> Vec<Outboxes> {
+        (0..ranks).map(|_| Outboxes::new(ranks)).collect()
+    }
+
+    /// One exchange of `out` through a fresh arena.
+    fn run(
+        mode: Messaging,
+        out: Vec<Outboxes>,
+        layout: &GroupLayout,
+        codec: Codec,
+    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
+        ExchangeArena::new(out.len()).exchange(mode, out, layout, codec)
+    }
+
+    fn exchange_direct(
+        out: Vec<Outboxes>,
+        layout: &GroupLayout,
+        codec: Codec,
+    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
+        run(Messaging::Direct, out, layout, codec)
+    }
+
+    fn exchange_relay(
+        out: Vec<Outboxes>,
+        layout: &GroupLayout,
+        codec: Codec,
+    ) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
+        run(Messaging::Relay, out, layout, codec)
+    }
+
     /// All-to-all test pattern: rank s sends (s, d) to every d != s.
-    fn all_to_all(ranks: usize) -> Vec<Vec<Vec<EdgeRec>>> {
-        (0..ranks)
-            .map(|s| {
-                (0..ranks)
-                    .map(|d| {
-                        if s == d {
-                            vec![]
-                        } else {
-                            vec![rec(s as u64, d as u64)]
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    fn all_to_all(ranks: usize) -> Vec<Outboxes> {
+        let mut out = empty(ranks);
+        for (s, o) in out.iter_mut().enumerate() {
+            for d in (0..ranks).filter(|&d| d != s) {
+                o.push(d as u32, rec(s as u64, d as u64));
+            }
+        }
+        out
     }
 
     /// Per-destination record multisets, built by borrowing the inboxes.
@@ -272,17 +256,17 @@ mod tests {
 
     /// Deterministic pseudo-random traffic pattern (regenerable, so the
     /// two transports each get their own copy without cloning).
-    fn random_out(ranks: usize, seed: u64) -> Vec<Vec<Vec<EdgeRec>>> {
+    fn random_out(ranks: usize, seed: u64) -> Vec<Outboxes> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; ranks]; ranks];
-        for (s, row) in out.iter_mut().enumerate() {
+        let mut out = empty(ranks);
+        for (s, o) in out.iter_mut().enumerate() {
             for _ in 0..50 {
                 let d = rng.gen_range(0..ranks);
                 if d == s {
                     continue;
                 }
-                row[d].push(rec(rng.gen_range(0..1000), d as u64));
+                o.push(d as u32, rec(rng.gen_range(0..1000), d as u64));
             }
         }
         out
@@ -314,8 +298,7 @@ mod tests {
     #[test]
     fn direct_termination_messages_survive_empty_exchange() {
         let layout = GroupLayout::new(8, 4);
-        let empty: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 8]; 8];
-        let (_, st) = exchange_direct(empty, &layout, Codec::Fixed(8));
+        let (_, st) = exchange_direct(empty(8), &layout, Codec::Fixed(8));
         assert_eq!(st.messages, 56);
         assert_eq!(st.bytes, 56 * MSG_HEADER_BYTES);
         assert_eq!(st.record_hops, 0);
@@ -336,8 +319,8 @@ mod tests {
     fn relayed_records_pay_two_hops() {
         let layout = GroupLayout::new(8, 4);
         // One record crossing groups: 0 -> 5.
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 8]; 8];
-        out[0][5] = vec![rec(0, 5)];
+        let mut out = empty(8);
+        out[0].push(5, rec(0, 5));
         let (inbox, st) = exchange_relay(out, &layout, Codec::Fixed(8));
         assert_eq!(inbox[5], vec![rec(0, 5)]);
         assert_eq!(st.record_hops, 2);
@@ -350,8 +333,8 @@ mod tests {
     #[test]
     fn intra_group_records_skip_the_relay() {
         let layout = GroupLayout::new(8, 4);
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 8]; 8];
-        out[0][2] = vec![rec(0, 2)];
+        let mut out = empty(8);
+        out[0].push(2, rec(0, 2));
         let (inbox, st) = exchange_relay(out, &layout, Codec::Fixed(8));
         assert_eq!(inbox[2], vec![rec(0, 2)]);
         assert_eq!(st.record_hops, 1);
@@ -364,10 +347,10 @@ mod tests {
     fn relay_to_self_destination_works() {
         // Record whose final destination IS the relay node.
         let layout = GroupLayout::new(8, 4);
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 8]; 8];
+        let mut out = empty(8);
         // src 0 (group 0, col 0) -> dst 4 (group 1, col 0): relay is node 4
         // itself.
-        out[0][4] = vec![rec(0, 4)];
+        out[0].push(4, rec(0, 4));
         let (inbox, st) = exchange_relay(out, &layout, Codec::Fixed(8));
         assert_eq!(inbox[4], vec![rec(0, 4)]);
         assert_eq!(st.record_hops, 1);
@@ -377,8 +360,10 @@ mod tests {
     fn big_payload_splits_into_batches() {
         let layout = GroupLayout::new(2, 2);
         let n = (MAX_BATCH_BYTES / 8 + 10) as usize;
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 2]; 2];
-        out[0][1] = (0..n).map(|i| rec(i as u64, 1)).collect();
+        let mut out = empty(2);
+        for i in 0..n {
+            out[0].push(1, rec(i as u64, 1));
+        }
         let (_, st) = exchange_direct(out, &layout, Codec::Fixed(8));
         assert_eq!(st.messages, 2 + 1); // 2 batches s0->s1, 1 termination s1->s0
     }
@@ -386,9 +371,9 @@ mod tests {
     #[test]
     fn inter_group_classification_direct() {
         let layout = GroupLayout::new(8, 4);
-        let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 8]; 8];
-        out[0][1] = vec![rec(0, 1)]; // same group
-        out[0][7] = vec![rec(0, 7)]; // cross group
+        let mut out = empty(8);
+        out[0].push(1, rec(0, 1)); // same group
+        out[0].push(7, rec(0, 7)); // cross group
         let (_, st) = exchange_direct(out, &layout, Codec::Fixed(8));
         // Only the 0->7 bytes cross; termination messages to the other 6
         // peers: 5 of them... all (s,d) pairs get termination, crossing

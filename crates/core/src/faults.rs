@@ -26,11 +26,20 @@
 //!   per-level simulated-time budget, and the degradation switches
 //!   (relay→direct fallback, compression disable under truncation).
 //! * [`FaultSession`] — the per-cluster injection state: the phase
-//!   counter, the sticky degradations, and the injection trace the
-//!   determinism proptests compare.
+//!   counter, the sticky degradations, the injection trace the
+//!   determinism proptests compare, and the one verdict pass every
+//!   fabric takes ([`FaultSession::verdict`] over [`phase_messages`]):
+//!   which messages a phase sends, in what order, and which sticky
+//!   degradation engages after a failed pass are decided here and
+//!   nowhere else.
 
+use crate::config::Messaging;
 use crate::error::ExchangeError;
+use crate::exchange::{group_bounds, Codec, ExchangeStats};
+use crate::instrument as ins;
 use serde::{Deserialize, Serialize};
+use sw_net::GroupLayout;
+use sw_trace::Tracer;
 
 /// SplitMix64 finalizer — the decision hash behind every injection.
 #[inline]
@@ -97,6 +106,70 @@ pub struct MsgDesc {
     /// with their sending relay. `None` for direct and group-mate
     /// messages.
     pub relay: Option<u32>,
+}
+
+/// The logical transfers of one exchange phase under `mode`, in the
+/// deterministic order the fault layer simulates them; `count(s, d)` is
+/// the number of records rank `s` holds for rank `d`.
+///
+/// * **Direct** — every ordered pair `(s, d)`, `s ≠ d`, sources
+///   ascending, then destinations ascending (termination indicators
+///   included: empty pairs still send).
+/// * **Relay** — stage 1 per source (group-mate deliveries, then one
+///   batch per remote group to the relay in the source's column),
+///   followed by stage 2 per relay (forwards to its group mates,
+///   destinations ascending). Relay-duty messages carry their relay's
+///   id so a dead-relay fault can single them out.
+pub fn phase_messages(
+    mode: Messaging,
+    layout: &GroupLayout,
+    count: impl Fn(usize, usize) -> u64,
+) -> Vec<MsgDesc> {
+    let ranks = layout.nodes() as usize;
+    let mut msgs = Vec::new();
+    let mut send = |src: usize, dst: u32, records: u64, relay: Option<u32>| {
+        msgs.push(MsgDesc { src: src as u32, dst, records, relay });
+    };
+    match mode {
+        Messaging::Direct => {
+            for s in 0..ranks {
+                for d in (0..ranks).filter(|&d| d != s) {
+                    send(s, d as u32, count(s, d), None);
+                }
+            }
+        }
+        Messaging::Relay => {
+            // Stage 1: sources ascending.
+            for s in 0..ranks {
+                let my_group = layout.group_of(s as u32);
+                let (gs, ge) = group_bounds(layout, my_group);
+                for d in (gs..ge).filter(|&d| d as usize != s) {
+                    send(s, d, count(s, d as usize), None);
+                }
+                for g in (0..layout.num_groups()).filter(|&g| g != my_group) {
+                    let relay = layout.node_at(g, layout.index_of(s as u32));
+                    let (gs, ge) = group_bounds(layout, g);
+                    let batch = (gs..ge).map(|d| count(s, d as usize)).sum();
+                    send(s, relay, batch, Some(relay));
+                }
+            }
+            // Stage 2: relays ascending, each forwarding to its group
+            // mates what the sources in its column sent them.
+            for r in 0..ranks {
+                let gr = layout.group_of(r as u32);
+                let (gs, ge) = group_bounds(layout, gr);
+                let col = layout.index_of(r as u32);
+                let column = |s: &usize| {
+                    layout.group_of(*s as u32) != gr && layout.index_of(*s as u32) % (ge - gs) == col
+                };
+                for d in (gs..ge).filter(|&d| d as usize != r) {
+                    let records = (0..ranks).filter(column).map(|s| count(s, d as usize)).sum();
+                    send(r, d, records, Some(r as u32));
+                }
+            }
+        }
+    }
+    msgs
 }
 
 /// Bounded-retry and degradation policy of a run. Lives in
@@ -359,17 +432,15 @@ impl FaultPlan {
 /// partial work is accounted so [`crate::exchange::ExchangeStats`]
 /// stays truthful even when a phase degrades or errors).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseReport {
+struct PhaseReport {
     /// Re-sends scheduled (one per failed attempt).
-    pub retries: u64,
+    retries: u64,
     /// Faults injected (drops + truncations + delays + downs).
-    pub faults_injected: u64,
+    faults_injected: u64,
     /// Truncation faults among them (drives compression fallback).
-    pub truncations: u64,
-    /// Simulated latency accumulated (backoffs + delays).
-    pub sim_delay_ns: u64,
+    truncations: u64,
     /// Terminal failure of the pass, if any.
-    pub error: Option<ExchangeError>,
+    error: Option<ExchangeError>,
 }
 
 /// Per-cluster injection state: phase counter, sticky degradations,
@@ -397,23 +468,9 @@ impl FaultSession {
         }
     }
 
-    /// The schedule this session injects.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Exchange phases completed so far.
     pub fn phase(&self) -> u64 {
         self.phase
-    }
-
-    /// Current delivery variant within the open phase (bumps on each
-    /// sticky degradation). Transports that physically realize the
-    /// schedule replay [`FaultPlan::attempt_fault`] under this variant
-    /// to reconstruct exactly the fault sequence the verdict pass
-    /// charged.
-    pub(crate) fn variant(&self) -> u32 {
-        self.variant
     }
 
     /// Every fault injected so far, in injection order.
@@ -426,33 +483,88 @@ impl FaultSession {
         self.forced_direct || self.compression_disabled
     }
 
-    /// Has relay→direct fallback engaged?
-    pub fn forced_direct(&self) -> bool {
-        self.forced_direct
-    }
-
-    /// Has compression been disabled by truncation faults?
-    pub fn compression_disabled(&self) -> bool {
-        self.compression_disabled
-    }
-
-    /// Marks relay→direct fallback (sticky for the rest of the run)
-    /// and opens a fresh delivery variant within the current phase.
-    pub(crate) fn degrade_to_direct(&mut self) {
-        self.forced_direct = true;
-        self.variant += 1;
-    }
-
-    /// Marks compression disabled (sticky) and opens a fresh variant.
-    pub(crate) fn degrade_compression(&mut self) {
-        self.compression_disabled = true;
-        self.variant += 1;
-    }
-
-    /// Closes the current exchange phase.
-    pub(crate) fn end_phase(&mut self) {
+    /// Closes the current exchange phase. Every fabric calls it exactly
+    /// once per faulty exchange, after delivering (or failing).
+    pub fn end_phase(&mut self) {
         self.phase += 1;
         self.variant = 0;
+    }
+
+    /// The one verdict of an exchange phase: picks the effective mode and
+    /// codec from the sticky flags, simulates the phase's
+    /// [`phase_messages`] (`count` as there), records the retry/fault
+    /// instants on the run lane of `trace`, and after a failed pass
+    /// engages the cheapest repair left: fixed framing (`plain`) when
+    /// truncations hit a compressed pass, then relay→direct when the mode
+    /// has a relay stage (a relay-less fabric asks with
+    /// [`Messaging::Direct`]). Each engages at most once, so it ends.
+    ///
+    /// Returns the winning `(mode, codec)` or the terminal error, plus
+    /// the retry and fault tallies of every pass. The phase stays open
+    /// for the fabric's one delivery, then [`Self::end_phase`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn verdict(
+        &mut self,
+        mode: Messaging,
+        layout: &GroupLayout,
+        count: impl Fn(usize, usize) -> u64,
+        codec: Codec,
+        plain: Codec,
+        policy: &RetryPolicy,
+        trace: Option<&Tracer>,
+        level: u32,
+    ) -> (Result<(Messaging, Codec), ExchangeError>, ExchangeStats) {
+        let mut tallies = ExchangeStats::default();
+        loop {
+            let eff_mode = if self.forced_direct { Messaging::Direct } else { mode };
+            let eff_codec = if self.compression_disabled { plain } else { codec };
+            let compressed = eff_codec == Codec::Compressed;
+            let msgs = phase_messages(eff_mode, layout, &count);
+            let report = self.deliver_phase(&msgs, policy, compressed);
+            if let Some(t) = trace {
+                // Fault-layer instants land on the run lane (last lane
+                // under the for_ranks convention); absent in clean runs.
+                let lane = t.num_lanes().saturating_sub(1);
+                if report.retries > 0 {
+                    t.instant(lane, ins::INSTANT_RETRY, ins::CAT_FAULT, level, report.retries);
+                }
+                if report.faults_injected > 0 {
+                    t.instant(lane, ins::INSTANT_FAULT, ins::CAT_FAULT, level, report.faults_injected);
+                }
+            }
+            tallies.retries += report.retries;
+            tallies.faults_injected += report.faults_injected;
+            let Some(err) = report.error else {
+                return (Ok((eff_mode, eff_codec)), tallies);
+            };
+            // Sticky for the rest of the run; each opens a fresh
+            // delivery variant within the phase.
+            if policy.compression_fallback
+                && compressed
+                && report.truncations > 0
+                && !self.compression_disabled
+            {
+                self.compression_disabled = true;
+            } else if policy.fallback_direct
+                && eff_mode == Messaging::Relay
+                && !self.forced_direct
+            {
+                self.forced_direct = true;
+            } else {
+                return (Err(err), tallies);
+            }
+            self.variant += 1;
+        }
+    }
+
+    /// The faults the open variant has charged: after a successful
+    /// [`Self::verdict`], every transfer's failed attempts and delay, in
+    /// order — what a fabric that realizes the schedule physically (the
+    /// socket transport) replays on the wire.
+    pub(crate) fn open_variant_trace(&self) -> &[InjectionEvent] {
+        let open = |e: &InjectionEvent| (e.phase, e.variant) == (self.phase, self.variant);
+        let start = self.trace.iter().rposition(|e| !open(e)).map_or(0, |i| i + 1);
+        &self.trace[start..]
     }
 
     /// Simulates delivery of one phase's messages, sequentially and in
@@ -460,7 +572,7 @@ impl FaultSession {
     /// Every message is retried under `policy` until it succeeds, its
     /// attempt budget exhausts, or the phase's simulated-time budget
     /// runs out; the report carries the counters either way.
-    pub(crate) fn deliver_phase(
+    fn deliver_phase(
         &mut self,
         msgs: &[MsgDesc],
         policy: &RetryPolicy,
@@ -469,8 +581,7 @@ impl FaultSession {
         let mut rep = PhaseReport::default();
         let mut clock = 0u64;
         'msgs: for m in msgs {
-            let mut attempt = 0u32;
-            loop {
+            for attempt in 0u32.. {
                 if attempt >= policy.max_attempts {
                     rep.error = Some(ExchangeError::RetriesExhausted {
                         phase: self.phase,
@@ -480,60 +591,39 @@ impl FaultSession {
                     });
                     break 'msgs;
                 }
-                match self
-                    .plan
-                    .attempt_fault(self.phase, self.variant, m, attempt, compressed)
-                {
-                    None => break, // delivered
-                    Some(FaultKind::Delay) => {
-                        self.trace.push(InjectionEvent {
-                            phase: self.phase,
-                            variant: self.variant,
-                            src: m.src,
-                            dst: m.dst,
-                            attempt,
-                            kind: FaultKind::Delay,
-                        });
-                        rep.faults_injected += 1;
-                        clock += self.plan.delay_ns;
-                        rep.sim_delay_ns += self.plan.delay_ns;
-                        if clock > policy.level_timeout_ns {
-                            rep.error = Some(ExchangeError::LevelTimeout {
-                                phase: self.phase,
-                                elapsed_ns: clock,
-                                budget_ns: policy.level_timeout_ns,
-                            });
-                            break 'msgs;
-                        }
-                        break; // delivered, late
-                    }
-                    Some(kind) => {
-                        self.trace.push(InjectionEvent {
-                            phase: self.phase,
-                            variant: self.variant,
-                            src: m.src,
-                            dst: m.dst,
-                            attempt,
-                            kind,
-                        });
-                        rep.faults_injected += 1;
-                        rep.retries += 1;
-                        if kind == FaultKind::Truncate {
-                            rep.truncations += 1;
-                        }
-                        let backoff = policy.backoff_ns(attempt + 1);
-                        clock += backoff;
-                        rep.sim_delay_ns += backoff;
-                        if clock > policy.level_timeout_ns {
-                            rep.error = Some(ExchangeError::LevelTimeout {
-                                phase: self.phase,
-                                elapsed_ns: clock,
-                                budget_ns: policy.level_timeout_ns,
-                            });
-                            break 'msgs;
-                        }
-                        attempt += 1;
-                    }
+                let fault = self.plan.attempt_fault(self.phase, self.variant, m, attempt, compressed);
+                let Some(kind) = fault else {
+                    break; // delivered
+                };
+                self.trace.push(InjectionEvent {
+                    phase: self.phase,
+                    variant: self.variant,
+                    src: m.src,
+                    dst: m.dst,
+                    attempt,
+                    kind,
+                });
+                rep.faults_injected += 1;
+                // A delay delivers late; every other fault costs a
+                // backoff and a re-send.
+                let delayed = kind == FaultKind::Delay;
+                clock += if delayed {
+                    self.plan.delay_ns
+                } else {
+                    rep.retries += 1;
+                    rep.truncations += u64::from(kind == FaultKind::Truncate);
+                    policy.backoff_ns(attempt + 1)
+                };
+                if clock > policy.level_timeout_ns {
+                    rep.error = Some(ExchangeError::LevelTimeout {
+                        phase: self.phase,
+                        elapsed_ns: clock,
+                        budget_ns: policy.level_timeout_ns,
+                    });
+                    break 'msgs;
+                }
+                if delayed {
+                    break;
                 }
             }
         }
@@ -735,6 +825,134 @@ mod tests {
         assert_eq!(s.trace()[0].attempt, 0);
         assert_eq!(s.trace()[1].attempt, 1);
         assert!(s.trace().iter().all(|e| e.kind == FaultKind::Down));
+    }
+
+    // ---- the one message enumeration and the one verdict ----
+
+    /// `count(s, d)` for a deterministic all-pairs pattern.
+    fn pattern(s: usize, d: usize) -> u64 {
+        (s * 10 + d) as u64
+    }
+
+    #[test]
+    fn direct_phase_lists_every_ordered_pair_sources_then_destinations() {
+        let layout = GroupLayout::new(4, 2);
+        let msgs = phase_messages(Messaging::Direct, &layout, pattern);
+        let pairs: Vec<(u32, u32)> = msgs.iter().map(|m| (m.src, m.dst)).collect();
+        let expected: Vec<(u32, u32)> = (0..4u32)
+            .flat_map(|s| (0..4u32).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        assert_eq!(pairs, expected);
+        assert!(msgs.iter().all(|m| m.relay.is_none()));
+        assert!(msgs.iter().all(|m| m.records == pattern(m.src as usize, m.dst as usize)));
+    }
+
+    #[test]
+    fn relay_phase_lists_stage_one_then_stage_two() {
+        let layout = GroupLayout::new(8, 4);
+        let msgs = phase_messages(Messaging::Relay, &layout, pattern);
+        // Stage 1: 3 group mates + 1 remote-group batch per source;
+        // stage 2: 3 forwards per relay.
+        assert_eq!(msgs.len(), 8 * 4 + 8 * 3);
+        let (stage1, stage2) = msgs.split_at(32);
+        assert_eq!(stage1[..4].iter().map(|m| (m.src, m.dst, m.relay)).collect::<Vec<_>>(), [
+            (0, 1, None),
+            (0, 2, None),
+            (0, 3, None),
+            (0, 4, Some(4)),
+        ]);
+        // Source 0's batch to group 1 carries everything it holds for 4..8.
+        assert_eq!(stage1[3].records, (4..8).map(|d| pattern(0, d)).sum::<u64>());
+        // Relay 4 forwards to 5 what group 0's column-0 source sent it.
+        assert_eq!((stage2[0].src, stage2[0].dst, stage2[0].relay), (0, 1, Some(0)));
+        let fwd = stage2.iter().find(|m| (m.src, m.dst) == (4, 5)).unwrap();
+        assert_eq!(fwd.records, pattern(0, 5));
+        assert!(stage2.iter().all(|m| m.relay == Some(m.src)));
+        // Every record travels once in stage 1; cross-group ones whose
+        // destination is not their relay travel again in stage 2.
+        let forwarded: u64 = (0..8)
+            .flat_map(|s| (0..8).map(move |d| (s, d)))
+            .filter(|&(s, d)| s / 4 != d / 4 && s % 4 != d % 4)
+            .map(|(s, d)| pattern(s, d))
+            .sum();
+        let all: u64 = (0..8)
+            .flat_map(|s| (0..8).filter(move |&d| d != s).map(move |d| pattern(s, d)))
+            .sum();
+        assert_eq!(stage1.iter().map(|m| m.records).sum::<u64>(), all);
+        assert_eq!(stage2.iter().map(|m| m.records).sum::<u64>(), forwarded);
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn verdict_of(
+        plan: FaultPlan,
+        mode: Messaging,
+        codec: Codec,
+    ) -> (Result<(Messaging, Codec), ExchangeError>, ExchangeStats, FaultSession) {
+        let layout = GroupLayout::new(8, 4);
+        let mut s = FaultSession::new(plan);
+        let p = RetryPolicy::default();
+        let (v, tallies) = s.verdict(mode, &layout, pattern, codec, Codec::Fixed(16), &p, None, 0);
+        (v, tallies, s)
+    }
+
+    #[test]
+    fn verdict_repairs_compression_before_the_relay_stage() {
+        // A group-mate link that truncates compressed frames: fixed
+        // framing cures it, so the relay stage must survive.
+        let plan = FaultPlan::quiet(3).with_corrupt_link(0, 1);
+        let (v, tallies, s) = verdict_of(plan, Messaging::Relay, Codec::Compressed);
+        assert_eq!(v, Ok((Messaging::Relay, Codec::Fixed(16))));
+        assert!(s.compression_disabled && !s.forced_direct);
+        let max = RetryPolicy::default().max_attempts as u64;
+        assert_eq!((tallies.retries, tallies.faults_injected), (max, max));
+        assert!(s.trace().iter().all(|e| e.variant == 0 && e.kind == FaultKind::Truncate));
+    }
+
+    #[test]
+    fn verdict_routes_around_a_dead_relay_only_where_a_relay_stage_exists() {
+        let plan = FaultPlan::quiet(3).with_dead_relay(4);
+        let (v, _, s) = verdict_of(plan.clone(), Messaging::Relay, Codec::Fixed(16));
+        assert_eq!(v, Ok((Messaging::Direct, Codec::Fixed(16))));
+        assert!(s.forced_direct && !s.compression_disabled);
+        // A dead link has no repair; a relay-less fabric asks in Direct
+        // and never degrades.
+        let plan = plan.with_dead_link(2, 3);
+        let (v, _, s) = verdict_of(plan, Messaging::Direct, Codec::Compressed);
+        assert!(matches!(v, Err(ExchangeError::RetriesExhausted { src: 2, dst: 3, .. })));
+        assert!(!s.is_degraded());
+    }
+
+    #[test]
+    fn open_variant_trace_is_the_winning_variants_suffix() {
+        // A corrupt link fails variant 0 of every phase from 1 on; the
+        // winning variant's events are what the socket replays.
+        let plan = FaultPlan::lossy(29).with_corrupt_link(0, 1).dead_from(1);
+        let mut s = FaultSession::new(plan);
+        let layout = GroupLayout::new(6, 3);
+        let p = RetryPolicy::default();
+        for phase in 0..3 {
+            let (v, _) = s.verdict(
+                Messaging::Direct,
+                &layout,
+                pattern,
+                Codec::Compressed,
+                Codec::Fixed(16),
+                &p,
+                None,
+                0,
+            );
+            let codec = if phase == 0 { Codec::Compressed } else { Codec::Fixed(16) };
+            assert_eq!(v, Ok((Messaging::Direct, codec)));
+            let winning: Vec<InjectionEvent> = s
+                .trace()
+                .iter()
+                .filter(|e| e.phase == phase && e.variant == u32::from(phase == 1))
+                .copied()
+                .collect();
+            assert_eq!(s.open_variant_trace(), winning.as_slice(), "phase {phase}");
+            s.end_phase();
+        }
+        assert!(s.trace().iter().any(|e| e.variant == 1));
     }
 
     #[test]

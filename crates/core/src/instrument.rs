@@ -1,17 +1,10 @@
 //! The one place exchange/fault/pool counters are named and merged.
 //!
-//! Before this module existed, [`crate::threaded`] and
-//! [`crate::channels`] each folded their transport statistics into
-//! private fields with hand-written `+=` lists — two merge sites with
-//! subtly different field coverage (the channel backend silently
-//! dropped the fault layer's retry counters; the threaded backend
-//! *summed* the per-rank maxima its `absorb` saw). Every backend now
-//! flattens its per-phase [`ExchangeStats`] through
+//! Every fabric flattens its per-phase [`ExchangeStats`] through
 //! [`absorb_exchange`] into an [`sw_trace::CounterSet`], whose per-key
-//! merge rule (`max_*`-named keys by maximum, everything else by sum)
-//! is the single source of truth. Identical traffic therefore yields
-//! identical counter sets on both backends, which
-//! `tests/golden_trace.rs` asserts.
+//! merge rule (`max_*`-named keys by maximum, everything else by sum) is
+//! the single source of truth: identical traffic yields identical
+//! counter sets on every fabric, which `tests/golden_trace.rs` asserts.
 //!
 //! The module also fixes the span taxonomy — the `name`/`cat` strings
 //! every instrumented phase records — so traces from different
@@ -181,12 +174,15 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Folds one opened partition's accounting in.
-    pub fn absorb_open(&mut self, s: sw_graph::store::StoreOpenStats) {
-        self.bytes_mapped += s.bytes_mapped;
-        self.bytes_copied += s.bytes_copied;
-        self.sections_verified += s.sections_verified;
-        self.partitions_mapped += 1;
+    /// The accounting of one opened store directory: its summed open
+    /// costs over `partitions` partition files.
+    pub fn opened(s: sw_graph::store::StoreOpenStats, partitions: usize) -> Self {
+        Self {
+            bytes_mapped: s.bytes_mapped,
+            bytes_copied: s.bytes_copied,
+            sections_verified: s.sections_verified,
+            partitions_mapped: partitions as u64,
+        }
     }
 }
 

@@ -22,9 +22,12 @@ use swbfs_core::baseline::sequential_bfs_levels;
 use swbfs_core::engine::{
     Channels, ClusterBuilder, SharedMem, SocketTransport, SuperstepEngine, Transport,
 };
-use swbfs_core::faults::InjectionEvent;
+use swbfs_core::exchange::Codec;
+use swbfs_core::faults::{FaultSession, InjectionEvent, RetryPolicy};
+use swbfs_core::messages::EdgeRec;
 use swbfs_core::{BfsConfig, FaultPlan, Messaging};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, StorageBackend, Vid};
+use sw_net::GroupLayout;
 use sw_trace::CounterSet;
 
 /// The socket fabric over Unix-domain sockets, pinned to the rank
@@ -481,6 +484,60 @@ fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
             assert_eq!(got.4, shm.4, "{case}: {other} degradation state diverges");
         }
     }
+}
+
+/// Drives `calls` faulty exchanges (one record from every rank to its
+/// successor) through `t` under `plan`; returns, per call, whether it
+/// delivered and the session's phase counter afterwards.
+fn faulty_phases<T: Transport>(mut t: T, plan: FaultPlan, calls: usize) -> Vec<(bool, u64)> {
+    let layout = GroupLayout::new(4, 2);
+    let policy = RetryPolicy::default();
+    let mut session = FaultSession::new(plan);
+    t.setup(4);
+    (0..calls)
+        .map(|_| {
+            let mut out = t.lend_outboxes();
+            for (s, o) in out.iter_mut().enumerate() {
+                let d = (s + 1) % 4;
+                o.push(d as u32, EdgeRec { u: s as u64, v: d as u64 });
+            }
+            let (result, _) = t.exchange_faulty(
+                Messaging::Direct,
+                out,
+                &layout,
+                Codec::Compressed,
+                Codec::Fixed(16),
+                &policy,
+                &mut session,
+            );
+            let ok = result.map(|inboxes| t.recycle_inboxes(inboxes)).is_ok();
+            (ok, session.phase())
+        })
+        .collect()
+}
+
+/// Every path through a fabric's faulty exchange closes the session's
+/// phase exactly once: delivered, refused by the verdict, failed on the
+/// wire, and refused by a sticky-failed socket fabric.
+#[test]
+fn shared_mem_channels_and_socket_close_one_phase_per_faulty_exchange() {
+    let delivered = vec![(true, 1), (true, 2), (true, 3)];
+    let refused = vec![(false, 1), (false, 2)];
+    let lossy = || FaultPlan::lossy(13);
+    let dead = || FaultPlan::quiet(13).with_dead_link(0, 1);
+    assert_eq!(faulty_phases(SharedMem::new(), lossy(), 3), delivered);
+    assert_eq!(faulty_phases(Channels::new(), lossy(), 3), delivered);
+    assert_eq!(faulty_phases(socket_unix(), lossy(), 3), delivered);
+    assert_eq!(faulty_phases(SharedMem::new(), dead(), 2), refused);
+    assert_eq!(faulty_phases(Channels::new(), dead(), 2), refused);
+    assert_eq!(faulty_phases(socket_unix(), dead(), 2), refused);
+    // Rank 1's daemon dies in wire phase 1; the fabric then stays
+    // failed, and the session still advances once per call.
+    let dying = socket_unix().kill_rank_at_phase(1, 1);
+    assert_eq!(
+        faulty_phases(dying, FaultPlan::quiet(13), 3),
+        vec![(true, 1), (false, 2), (false, 3)]
+    );
 }
 
 /// Fault-free scale-14 counter snapshot parity: the socket fabric must

@@ -21,9 +21,7 @@ use swbfs_core::arena::ExchangeArena;
 use swbfs_core::config::Messaging;
 use swbfs_core::engine::{ClusterBuilder, SharedMem, Transport};
 use swbfs_core::error::ExchangeError;
-use swbfs_core::exchange::{
-    exchange_direct, exchange_relay, Codec, ExchangeStats, MAX_BATCH_BYTES, MSG_HEADER_BYTES,
-};
+use swbfs_core::exchange::{Codec, ExchangeStats, MAX_BATCH_BYTES, MSG_HEADER_BYTES};
 use swbfs_core::faults::{FaultSession, RetryPolicy};
 use swbfs_core::messages::EdgeRec;
 use swbfs_core::modules::Outboxes;
@@ -314,6 +312,26 @@ fn random_out(ranks: usize, seed: u64) -> Vec<Vec<Vec<EdgeRec>>> {
     out
 }
 
+/// One exchange of nested `out[s][d]` traffic through a fresh arena, as
+/// flat outboxes (per-pair push order kept).
+fn pooled(
+    mode: Messaging,
+    nested: &[Vec<Vec<EdgeRec>>],
+    layout: &GroupLayout,
+    codec: Codec,
+) -> (Vec<Vec<EdgeRec>>, ExchangeStats) {
+    let ranks = nested.len();
+    let mut flat: Vec<Outboxes> = (0..ranks).map(|_| Outboxes::new(ranks)).collect();
+    for (o, row) in flat.iter_mut().zip(nested) {
+        for (d, recs) in row.iter().enumerate() {
+            for &r in recs {
+                o.push(d as u32, r);
+            }
+        }
+    }
+    ExchangeArena::new(ranks).exchange(mode, flat, layout, codec)
+}
+
 fn multiset(recs: &[EdgeRec]) -> BTreeMap<EdgeRec, usize> {
     let mut m = BTreeMap::new();
     for &r in recs {
@@ -332,12 +350,12 @@ fn arena_matches_legacy_exactly() {
         for seed in 0..4 {
             for &codec in &[Codec::Fixed(16), Codec::Compressed] {
                 let nested = random_out(ranks, seed);
-                let (di, ds) = exchange_direct(nested.clone(), &layout, codec);
+                let (di, ds) = pooled(Messaging::Direct, &nested, &layout, codec);
                 let (ldi, lds) = seed::exchange_direct(nested.clone(), &layout, codec);
                 assert_eq!(di, ldi, "direct inbox order r={ranks} g={group} s={seed}");
                 assert_eq!(ds.wire(), lds.wire(), "direct stats r={ranks} g={group}");
 
-                let (ri, rs) = exchange_relay(nested.clone(), &layout, codec);
+                let (ri, rs) = pooled(Messaging::Relay, &nested, &layout, codec);
                 let (lri, lrs) = seed::exchange_relay(nested, &layout, codec);
                 assert_eq!(ri, lri, "relay inbox order r={ranks} g={group} s={seed}");
                 assert_eq!(rs.wire(), lrs.wire(), "relay stats r={ranks} g={group}");

@@ -30,7 +30,7 @@ pub enum RowOrder {
 /// index (`0..num_rows`). A whole-graph CSR is simply one with
 /// `row_base == 0` and `rows == num_vertices`.
 ///
-/// Storage is a pair of [`U64s`] views: builders produce owned vectors,
+/// Storage is a pair of `U64s` views: builders produce owned vectors,
 /// while [`GraphStore`](crate::store::GraphStore) opens hand out
 /// zero-copy views over the store's backing bytes — same type, same
 /// kernels, no copies. Equality is by content either way.

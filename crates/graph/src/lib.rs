@@ -46,7 +46,7 @@ pub use csr::{Csr, RowOrder};
 pub use edge_list::EdgeList;
 pub use kronecker::{generate_kronecker, KroneckerConfig};
 pub use partition::Partition1D;
-pub use store::{GraphStore, StorageBackend, StoreManifest};
+pub use store::{GraphStore, StorageBackend, StoreDir, StoreManifest};
 
 /// Global vertex identifier. Graph500 scale 40 needs 2^40 ids, so 64 bits.
 pub type Vid = u64;

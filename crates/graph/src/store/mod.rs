@@ -10,18 +10,20 @@
 //! layering:
 //!
 //! * [`bytes`] — the backing region: aligned heap buffer or `mmap(2)`;
-//! * [`view`] — typed slices over section ranges (crate-internal; they
+//! * `view` — typed slices over section ranges (crate-internal; they
 //!   are what `Csr` and `CompressedCsr` are made of);
-//! * [`format`] — the on-disk layout: header, section table, FNV-1a
+//! * [`format`](mod@format) — the on-disk layout: header, section table, FNV-1a
 //!   checksums, 64-byte-aligned payloads;
 //! * [`GraphStore`] — one opened partition; [`StoreManifest`] — the
-//!   per-directory metadata that ties partitions into one graph.
+//!   per-directory metadata that ties partitions into one graph;
+//!   [`StoreDir`] — the one reader ([`StoreDir::open`]) and the one
+//!   writer ([`StoreDir::persist`]) of a whole directory.
 //!
 //! A store directory is `MANIFEST` plus one `part-NNNNN.swgs` per rank.
 
 use crate::compressed::{CompressedCsr, ENTRY_WORDS};
 use crate::csr::Csr;
-use crate::Vid;
+use crate::{Partition1D, Vid};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -352,7 +354,7 @@ impl StoreManifest {
     /// Writes the manifest as plain `key=value` lines (temp + rename,
     /// so the manifest appearing means the store directory is whole —
     /// write it last).
-    pub fn write(&self, dir: &Path) -> io::Result<()> {
+    fn write(&self, dir: &Path) -> io::Result<()> {
         let body = format!(
             "swgs_manifest=1\nnum_vertices={}\nnum_ranks={}\ninput_edges={}\ndegree_ordered={}\ncompressed={}\nhub_min_degree={}\n",
             self.num_vertices,
@@ -369,7 +371,7 @@ impl StoreManifest {
     }
 
     /// Reads and validates a manifest.
-    pub fn read(dir: &Path) -> io::Result<StoreManifest> {
+    fn read(dir: &Path) -> io::Result<StoreManifest> {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
         let field = |key: &str| -> io::Result<u64> {
             text.lines()
@@ -393,11 +395,98 @@ impl StoreManifest {
             hub_min_degree: field("hub_min_degree")?,
         })
     }
+}
 
-    /// True when a manifest exists under `dir` (the restart-vs-build
-    /// decision point).
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(MANIFEST_FILE).is_file()
+/// A whole store directory, opened: the manifest and every partition
+/// in rank order, each checked against the manifest.
+#[derive(Debug)]
+pub struct StoreDir {
+    /// The directory's manifest.
+    pub manifest: StoreManifest,
+    /// One opened partition per rank, in rank order.
+    pub parts: Vec<GraphStore>,
+    /// Open costs summed over the partitions.
+    pub stats: StoreOpenStats,
+}
+
+impl StoreDir {
+    /// The one store-directory reader: reads `MANIFEST`, then opens
+    /// every `part-NNNNN.swgs` on `backend`. Refuses, as `InvalidData`,
+    /// a manifest with zero ranks or fewer vertices than ranks, and any
+    /// partition whose header disagrees with the manifest and the
+    /// [`Partition1D`] it implies — rank, rank count, vertex count, row
+    /// range, degree-order flag, sidecar flag. Errors of the partition
+    /// files themselves (checksums, coherence) pass through, prefixed
+    /// with the file's path.
+    pub fn open(dir: &Path, backend: StorageBackend) -> io::Result<StoreDir> {
+        let manifest = StoreManifest::read(dir)?;
+        let ranks = manifest.num_ranks;
+        if ranks == 0 || manifest.num_vertices < ranks as u64 {
+            return Err(corrupt(format!(
+                "store {}: {} ranks for {} vertices",
+                dir.display(),
+                ranks,
+                manifest.num_vertices
+            )));
+        }
+        let part = Partition1D::new(manifest.num_vertices, ranks);
+        let mut stats = StoreOpenStats::default();
+        let mut parts = Vec::with_capacity(ranks as usize);
+        for r in 0..ranks {
+            let path = partition_path(dir, r as usize);
+            let store = GraphStore::open(&path, backend)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+            let h = store.header();
+            let (lo, hi) = part.range(r);
+            if h.rank != r
+                || h.num_ranks != ranks
+                || h.num_vertices != manifest.num_vertices
+                || h.row_base != lo
+                || h.rows != hi - lo
+                || h.degree_ordered() != manifest.degree_ordered
+                || h.has_compressed() != manifest.compressed
+            {
+                return Err(corrupt(format!(
+                    "{}: partition header disagrees with the manifest (expected rank {r}, \
+                     rows {lo}..{hi} of {manifest:?}): {h:?}",
+                    path.display()
+                )));
+            }
+            let o = store.stats();
+            stats.bytes_mapped += o.bytes_mapped;
+            stats.bytes_copied += o.bytes_copied;
+            stats.sections_verified += o.sections_verified;
+            parts.push(store);
+        }
+        Ok(StoreDir {
+            manifest,
+            parts,
+            stats,
+        })
+    }
+
+    /// The one store-directory writer: persists rank `r`'s `(CSR,
+    /// sidecar)` — the `r`-th of `parts` — as `part-NNNNN.swgs` under
+    /// `dir` (created if absent), its [`PartitionMeta`] derived from
+    /// `manifest`, then writes `MANIFEST` last: a crashed persist never
+    /// leaves a directory that opens.
+    pub fn persist<'a>(
+        dir: &Path,
+        manifest: &StoreManifest,
+        parts: impl IntoIterator<Item = (&'a Csr, Option<&'a CompressedCsr>)>,
+    ) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        for (rank, (csr, sidecar)) in (0..).zip(parts) {
+            let meta = PartitionMeta {
+                rank,
+                num_ranks: manifest.num_ranks,
+                input_edges: manifest.input_edges,
+                degree_ordered: manifest.degree_ordered,
+                hub_min_degree: manifest.hub_min_degree,
+            };
+            GraphStore::persist(dir, csr, sidecar, &meta)?;
+        }
+        manifest.write(dir)
     }
 }
 
@@ -490,11 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trip_and_existence() {
+    fn manifest_round_trips() {
         let dir = std::env::temp_dir().join("swgs_store_test_manifest");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::remove_file(dir.join(MANIFEST_FILE)).ok();
-        assert!(!StoreManifest::exists(&dir));
         let m = StoreManifest {
             num_vertices: 1 << 16,
             num_ranks: 8,
@@ -504,9 +592,86 @@ mod tests {
             hub_min_degree: 64,
         };
         m.write(&dir).unwrap();
-        assert!(StoreManifest::exists(&dir));
         assert_eq!(StoreManifest::read(&dir).unwrap(), m);
         std::fs::remove_file(dir.join(MANIFEST_FILE)).ok();
+    }
+
+    fn plain_manifest(ranks: u32) -> StoreManifest {
+        StoreManifest {
+            num_vertices: 1 << 9,
+            num_ranks: ranks,
+            input_edges: 12345,
+            degree_ordered: false,
+            compressed: false,
+            hub_min_degree: 0,
+        }
+    }
+
+    #[test]
+    fn store_dir_persists_and_opens_every_partition() {
+        let dir = std::env::temp_dir().join(format!("swgs_store_dir_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let rows: Vec<Csr> = (0..3).map(|r| build_rank(9, 3, r).0).collect();
+        let m = plain_manifest(3);
+        StoreDir::persist(&dir, &m, rows.iter().map(|c| (c, None))).unwrap();
+        for backend in [StorageBackend::Mapped, StorageBackend::Heap] {
+            let opened = StoreDir::open(&dir, backend).unwrap();
+            assert_eq!(opened.manifest, m);
+            let csrs: Vec<Csr> = opened.parts.iter().map(GraphStore::csr).collect();
+            assert_eq!(csrs, rows);
+            assert_eq!(opened.stats.sections_verified, 3 * 2);
+            let bytes: u64 = opened.parts.iter().map(|p| p.byte_len() as u64).sum();
+            let (mapped, copied) = (opened.stats.bytes_mapped, opened.stats.bytes_copied);
+            match backend {
+                StorageBackend::Mapped => assert_eq!((mapped, copied), (bytes, 0)),
+                StorageBackend::Heap => assert_eq!((mapped, copied), (0, bytes)),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_dir_refuses_a_partition_whose_flags_disagree_with_the_manifest() {
+        let dir = std::env::temp_dir().join(format!("swgs_store_flags_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let rows: Vec<(Csr, CompressedCsr)> = (0..2).map(|r| build_rank(9, 2, r)).collect();
+        let m = plain_manifest(2);
+        StoreDir::persist(&dir, &m, rows.iter().map(|(c, _)| (c, None))).unwrap();
+        assert!(StoreDir::open(&dir, StorageBackend::Heap).is_ok());
+        let refused = |what: &str| {
+            let err = StoreDir::open(&dir, StorageBackend::Heap).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("disagrees with the manifest"), "{what}: {err}");
+        };
+        // Rank 1 grows a sidecar the plain manifest does not announce.
+        let (csr, cmp) = &rows[1];
+        GraphStore::persist(&dir, csr, Some(cmp), &PartitionMeta { hub_min_degree: 8, ..meta(1, 2) })
+            .unwrap();
+        refused("sidecar flag");
+        // Rank 1 plain again, but marked degree-ordered.
+        let ordered = PartitionMeta { degree_ordered: true, hub_min_degree: 0, ..meta(1, 2) };
+        GraphStore::persist(&dir, csr, None, &ordered).unwrap();
+        refused("degree-order flag");
+        // Rank 1's file where rank 0's belongs.
+        GraphStore::persist(&dir, csr, None, &PartitionMeta { hub_min_degree: 0, ..meta(1, 2) })
+            .unwrap();
+        std::fs::copy(partition_path(&dir, 1), partition_path(&dir, 0)).unwrap();
+        refused("rank and row range");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_dir_refuses_impossible_manifests() {
+        let dir = std::env::temp_dir().join(format!("swgs_store_bad_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for m in [plain_manifest(0), StoreManifest { num_vertices: 2, ..plain_manifest(3) }] {
+            m.write(&dir).unwrap();
+            let err = StoreDir::open(&dir, StorageBackend::Mapped).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("ranks for"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

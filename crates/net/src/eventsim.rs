@@ -1,6 +1,6 @@
 //! Event-driven message-level network simulator.
 //!
-//! The flow-level [`CostModel`](crate::cost::CostModel) charges aggregate
+//! The flow-level [`CostModel`] charges aggregate
 //! limits; this module cross-checks it by actually simulating individual
 //! messages through the two-tier fat tree: per-node egress/ingress
 //! serialization at the tier-appropriate rate, per-message software

@@ -438,8 +438,8 @@ impl Server {
         Arc::clone(&self.shared.live)
     }
 
-    /// Recent slow queries, oldest first (bounded ring of the last
-    /// [`SLOW_LOG_CAP`] entries).
+    /// Recent slow queries, oldest first (bounded ring of the last 128
+    /// entries).
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
         self.shared.slow.lock().unwrap().iter().cloned().collect()
     }

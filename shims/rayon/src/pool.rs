@@ -309,7 +309,7 @@ pub struct ThreadPool;
 impl ThreadPool {
     /// Runs `f` "inside" the pool: `f` executes on the caller and its
     /// parallel operations use the process-wide pool. Results are
-    /// thread-count-invariant (see [`run_chunked`]), so scoping to a
+    /// thread-count-invariant (see `run_chunked`), so scoping to a
     /// differently-sized pool — what upstream `install` does — could
     /// not change any outcome, only timing.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {

@@ -2,8 +2,10 @@
 //! BFS agree with each other where their domains overlap.
 
 use swbfs::arch::{ChipConfig, ShuffleEngine};
-use swbfs::bfs::exchange::{exchange_direct, Codec};
+use swbfs::bfs::arena::ExchangeArena;
+use swbfs::bfs::exchange::Codec;
 use swbfs::bfs::messages::EdgeRec;
+use swbfs::bfs::modules::Outboxes;
 use swbfs::bfs::shuffling::{bfs_shuffle_layout, bucket_count};
 use swbfs::bfs::traffic::{extrapolate_depth, measure_profile};
 use swbfs::bfs::{BfsConfig, Messaging, ModeledCluster, Processing};
@@ -37,11 +39,12 @@ fn chip_shuffle_agrees_with_rank_exchange() {
         .expect("shuffle");
 
     // Path B: the swbfs-core exchange delivers the same outbox.
-    let mut out: Vec<Vec<Vec<EdgeRec>>> = vec![vec![vec![]; 16]; 16];
+    let mut out: Vec<Outboxes> = (0..16).map(|_| Outboxes::new(16)).collect();
     for r in &records {
-        out[0][r.v as usize].push(*r);
+        out[0].push(r.v as u32, *r);
     }
-    let (inbox, _) = exchange_direct(out, &layout, Codec::Fixed(16));
+    let (inbox, _) =
+        ExchangeArena::new(16).exchange(Messaging::Direct, out, &layout, Codec::Fixed(16));
 
     for (d, dst_inbox) in inbox.iter().enumerate().skip(1) {
         let mut a = report.buckets[d].clone();

@@ -7,8 +7,10 @@ use swbfs::arch::{CpeId, Mesh};
 use swbfs::bfs::baseline::sequential_bfs_levels;
 use swbfs::bfs::baseline2d::bfs_2d;
 use swbfs::bfs::compress::{compressed_size, encode_compressed, try_decode_compressed};
-use swbfs::bfs::exchange::{exchange_direct, exchange_relay, Codec};
+use swbfs::bfs::arena::ExchangeArena;
+use swbfs::bfs::exchange::Codec;
 use swbfs::bfs::messages::EdgeRec;
+use swbfs::bfs::modules::Outboxes;
 use swbfs::bfs::{BfsConfig, ClusterBuilder, Messaging};
 use swbfs::graph::io::{read_binary, read_text, write_binary, write_text};
 use swbfs::graph::{Bitmap, EdgeList, Partition1D};
@@ -61,16 +63,16 @@ proptest! {
         traffic in proptest::collection::vec((0u32..17, 0u32..17, 0u64..1000), 0..300),
     ) {
         let layout = GroupLayout::new(ranks, group.min(ranks));
-        let mut out: Vec<Vec<Vec<EdgeRec>>> =
-            vec![vec![vec![]; ranks as usize]; ranks as usize];
+        let mut out: Vec<Outboxes> = (0..ranks).map(|_| Outboxes::new(ranks as usize)).collect();
         for (s, d, payload) in traffic {
             let (s, d) = (s % ranks, d % ranks);
             if s != d {
-                out[s as usize][d as usize].push(EdgeRec { u: payload, v: d as u64 });
+                out[s as usize].push(d, EdgeRec { u: payload, v: d as u64 });
             }
         }
-        let (mut a, sa) = exchange_direct(out.clone(), &layout, Codec::Fixed(8));
-        let (mut b, sb) = exchange_relay(out, &layout, Codec::Compressed);
+        let mut arena = ExchangeArena::new(ranks as usize);
+        let (mut a, sa) = arena.exchange(Messaging::Direct, out.clone(), &layout, Codec::Fixed(8));
+        let (mut b, sb) = arena.exchange(Messaging::Relay, out, &layout, Codec::Compressed);
         for (x, y) in a.iter_mut().zip(b.iter_mut()) {
             x.sort_unstable();
             y.sort_unstable();
