@@ -4,52 +4,57 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
-# Every package's unit tests, integration tests, proptests and doctests —
-# the line above tests only the umbrella package.
-cargo test --workspace -q
 cargo clippy -- -D warnings
 
 # Benches must keep compiling (they link the criterion shim and the
 # crates' public surface; drift there otherwise surfaces only on demand).
 cargo bench --no-run -q
 
-# Pool-size determinism matrix: the work-stealing pool behind the rayon
-# shim must be invisible in outputs. Conformance + kernel parity + the
-# seed-exchange oracle + chaos + order-freedom run sequentially
-# (SW_POOL_THREADS=1, the default) and on a 4-worker pool; every
-# assertion in those suites is bit-exactness, so any scheduling-dependent
-# result fails the matrix. Both oracles live with the tests: the seed
-# kernels are the in-crate module behind `--lib kernel_parity`, the seed
-# exchange a test fabric in exchange_equivalence. A level's close-out
-# (advance_level, n_f, m_f) runs inside the last parallel rank pass, so
-# the golden digests and the single-build comparison run on both pool
-# sizes too. The partitioned CSR builder runs one rank per pool task:
-# its oracle proptest and the partition-file pin (single_build) must
-# hold on both.
-for threads in 1 4; do
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test engine_conformance
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --lib kernel_parity
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test exchange_equivalence
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test chaos
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test order_free
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test golden_levels
-  SW_POOL_THREADS=$threads cargo test -q -p swbfs-core --test single_build
-  SW_POOL_THREADS=$threads cargo test -q -p sw-graph --test csr_proptest
-done
+# The test environment matrix: every (suite, environment) pair runs
+# exactly once. The environments are the variables the suites read:
+#
+#   default   nothing set — SW_POOL_THREADS unset means a 1-worker pool,
+#             and socket suites find the daemon Cargo built for them
+#             (or skip where they look it up at run time);
+#   pool=4    SW_POOL_THREADS=4;
+#   rankd     the freshly built swbfs-rankd pinned, skip-if-missing
+#             forbidden;
+#   live      rankd plus SW_LIVE=1 (the live telemetry plane armed).
+#
+# default: every package's unit tests, integration tests, proptests and
+# doctests, the umbrella package's included.
+cargo test --workspace -q
 
-# Socket fabric gate: the multi-process transport (one swbfs-rankd
-# process per rank over Unix-domain/TCP sockets) must pass the same
-# conformance battery as the in-process fabrics, the physically-realized
-# chaos schedules, and the teardown/re-delivery contract — each suite
-# under a hard timeout so a fabric hang fails loudly instead of wedging
-# CI. (The conformance/chaos tests pin the daemon via CARGO_BIN_EXE; the
-# explicit build keeps target/release's copy fresh for runtime
-# discovery.)
+# pool=4: the work-stealing pool behind the rayon shim must be invisible
+# in outputs. Conformance + kernel parity + the seed-exchange oracle +
+# chaos + order-freedom run on a 4-worker pool (the default leg above
+# ran them on one); every assertion in those suites is bit-exactness,
+# so any scheduling-dependent result fails here. Both oracles live with
+# the tests: the seed kernels are the in-crate module behind
+# `--lib kernel_parity`, the seed exchange a test fabric in
+# exchange_equivalence. A level's close-out (advance_level, n_f, m_f)
+# runs inside the last parallel rank pass, so the golden digests and the
+# single-build comparison run on both pool sizes too. The partitioned
+# CSR builder runs one rank per pool task: its oracle proptest and the
+# partition-file pin (single_build) must hold on both.
+for suite in "--test engine_conformance" "--lib kernel_parity" "--test exchange_equivalence" \
+    "--test chaos" "--test order_free" "--test golden_levels" "--test single_build"; do
+  # $suite unquoted on purpose: the selector is two words.
+  SW_POOL_THREADS=4 cargo test -q -p swbfs-core $suite
+done
+SW_POOL_THREADS=4 cargo test -q -p sw-graph --test csr_proptest
+
+# rankd: the multi-process transport (one swbfs-rankd process per rank
+# over Unix-domain/TCP sockets) must pass the same conformance battery
+# as the in-process fabrics — the cross-fabric fault-plan parity
+# included — the physically-realized chaos schedules, and the
+# teardown/re-delivery contract, each suite under a hard timeout so a
+# fabric hang fails loudly instead of wedging CI. (The conformance/chaos
+# tests pin the daemon via CARGO_BIN_EXE; the explicit build keeps
+# target/release's copy fresh for runtime discovery.) With
+# SWBFS_RANKD_REQUIRE set, a socket test that cannot find the daemon
+# fails instead of silently passing as a skip.
 cargo build --release -q -p swbfs-core --bin swbfs-rankd
-# Pin the freshly-built daemon and forbid the skip-if-missing fallback:
-# with SWBFS_RANKD_REQUIRE set, a socket test that cannot find the
-# daemon fails instead of silently passing as a skip.
 export SWBFS_RANKD="$PWD/target/release/swbfs-rankd"
 export SWBFS_RANKD_REQUIRE=1
 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
@@ -62,20 +67,11 @@ timeout 600 cargo test -q -p swbfs-core --test socket_teardown
 timeout 600 cargo test -q -p sw-graph500 --test socket_smoke
 timeout 600 cargo test -q -p sw-algos --test msbfs_differential socket
 
-# Docs gate: the API surface must document cleanly (the engine module
-# additionally carries #[deny(missing_docs)], so an undocumented public
-# item on the Transport seam fails right here).
-cargo doc --no-deps -q
-
-# Chaos smoke: the differential fault harness under its fixed seeds —
-# randomized survivable schedules must stay bit-identical to the
-# fault-free oracle, unsurvivable ones must fail structurally.
-cargo test -q -p swbfs-core --test chaos
-
-# Service battery: the query server's end-to-end tests (oracle
-# correctness, zero shed under sequential load, structured deadlines,
-# BUSY shedding and recovery, clean shutdown, the STATS endpoint).
-timeout 600 cargo test -q -p sw-serve
+# Docs gate: every package's API surface must document without a single
+# rustdoc warning (the engine module additionally carries
+# #[deny(missing_docs)], so an undocumented public item on the Transport
+# seam fails right here).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
 # The one counter gate (swgate), three gates in one binary:
 #  * insight: replay the fixed-seed instrumented workload across every
@@ -99,8 +95,8 @@ timeout 600 cargo run --release -q -p sw-bench --bin swgate
 #  1. swtop --selftest starts in-process servers on both listener
 #     families, drives load, polls the STATS endpoint, and validates
 #     the JSON and Prometheus renderings line-by-line.
-#  2. Zero-perturbation: the deterministic suites re-run with the live
-#     plane armed (SW_LIVE=1). Every assertion in golden_trace and
+#  2. live: zero perturbation — the deterministic suites re-run with the
+#     live plane armed (SW_LIVE=1). Every assertion in golden_trace and
 #     engine_conformance is bit-exactness against a disarmed baseline,
 #     and swgate holds every count of both snapshots exactly and re-runs
 #     the store's restart checks, so any leak from the wall-clock plane

@@ -27,7 +27,7 @@
 //!
 //! Under an armed fault session [`ExchangeArena::exchange_faulty`]
 //! buckets once, hands the bucket counts to the session's one
-//! [`verdict`](FaultSession::verdict) — which decides the messages, their
+//! `verdict` — which decides the messages, their
 //! order and the degradations for every fabric — and assembles once
 //! under the winning (mode, codec).
 
@@ -169,7 +169,7 @@ impl ExchangeArena {
     }
 
     /// [`Self::exchange`] with an armed fault session: the records are
-    /// bucketed once, the session's [`FaultSession::verdict`] picks the
+    /// bucketed once, the session's `FaultSession::verdict` picks the
     /// surviving variant over the bucket counts, and the inboxes are
     /// assembled once under it — no re-allocation, no re-bucketing.
     ///

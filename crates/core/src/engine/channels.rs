@@ -13,7 +13,7 @@
 //! The mesh is point-to-point regardless of the configured
 //! [`Messaging`] mode (there is no relay stage to batch through). Under
 //! faults the fabric takes the engine-owned [`FaultSession`]'s one
-//! [`verdict`](FaultSession::verdict) over Direct traffic — so disabling
+//! `verdict` over Direct traffic — so disabling
 //! compression is the only degradation that can engage — and moves the
 //! records once, under the winning codec, through the same delivery
 //! step as a clean exchange.

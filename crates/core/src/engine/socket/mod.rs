@@ -26,7 +26,7 @@
 //! ## Fault realization
 //!
 //! [`Transport::exchange_faulty`] takes the armed [`FaultSession`]'s
-//! one [`verdict`](FaultSession::verdict) over the phase's Direct
+//! one `verdict` over the phase's Direct
 //! message set — the same pass, retries and degradations as every other
 //! fabric, which the conformance battery pins by comparing injection
 //! traces and counters across fabrics. What stays here is the physical

@@ -36,11 +36,11 @@ use sw_trace::Tracer;
 ///   sorts.
 /// * **One verdict, one delivery** — [`Transport::exchange_faulty`]
 ///   stages the records, takes the armed session's
-///   [`FaultSession::verdict`] (the one place that decides a phase's
+///   `FaultSession::verdict` (the one place that decides a phase's
 ///   message set, its order and the sticky degradations — a fabric
 ///   without a relay stage asks for [`Messaging::Direct`]), delivers
 ///   once under the winning (mode, codec), and closes the phase with
-///   [`FaultSession::end_phase`] exactly once, on every path. Wire stats
+///   `FaultSession::end_phase` exactly once, on every path. Wire stats
 ///   count the successful delivery only; fault tallies are reported on
 ///   success *and* failure.
 /// * **Re-delivery without regeneration** — every retry, degradation
@@ -86,7 +86,7 @@ pub trait Transport: Send {
     ) -> Result<(Vec<Vec<EdgeRec>>, ExchangeStats), ExchangeError>;
 
     /// [`Transport::exchange`] under an armed fault session: the
-    /// session's [`FaultSession::verdict`] replays the phase's
+    /// session's `FaultSession::verdict` replays the phase's
     /// deterministic injection/retry schedule first and engages sticky
     /// degradations (compression disable, relay→direct where the fabric
     /// has a relay stage) on terminal failures; only the winning variant

@@ -28,7 +28,7 @@
 //! * [`FaultSession`] — the per-cluster injection state: the phase
 //!   counter, the sticky degradations, the injection trace the
 //!   determinism proptests compare, and the one verdict pass every
-//!   fabric takes ([`FaultSession::verdict`] over [`phase_messages`]):
+//!   fabric takes (`FaultSession::verdict` over [`phase_messages`]):
 //!   which messages a phase sends, in what order, and which sticky
 //!   degradation engages after a failed pass are decided here and
 //!   nowhere else.
@@ -485,7 +485,7 @@ impl FaultSession {
 
     /// Closes the current exchange phase. Every fabric calls it exactly
     /// once per faulty exchange, after delivering (or failing).
-    pub fn end_phase(&mut self) {
+    pub(crate) fn end_phase(&mut self) {
         self.phase += 1;
         self.variant = 0;
     }
@@ -503,7 +503,7 @@ impl FaultSession {
     /// the retry and fault tallies of every pass. The phase stays open
     /// for the fabric's one delivery, then [`Self::end_phase`].
     #[allow(clippy::too_many_arguments)]
-    pub fn verdict(
+    pub(crate) fn verdict(
         &mut self,
         mode: Messaging,
         layout: &GroupLayout,
