@@ -105,8 +105,7 @@ impl<T: Transport> AlgoCluster<T> {
     ///
     /// The directory opens through the one reader ([`StoreDir::open`]:
     /// manifest, partition headers, checksums). The analytics kernels
-    /// traverse the plain CSR only, so any such store opens — including
-    /// one persisted by the BFS engine with a hub sidecar — but a
+    /// traverse the CSR in its stored neighbour order, so a
     /// degree-reordered store is refused: neighbour order changes
     /// floating-point summation order in PageRank and betweenness, and
     /// these kernels have no reorder-aware oracle.
@@ -148,8 +147,8 @@ impl<T: Transport> AlgoCluster<T> {
     }
 
     /// Persists every partition plus the manifest under `dir` through
-    /// the one writer ([`StoreDir::persist`]): a plain store — natural
-    /// neighbour order, no sidecar — which is exactly what
+    /// the one writer ([`StoreDir::persist`]): natural neighbour order,
+    /// which is exactly what
     /// [`Self::from_store_with_transport`] accepts.
     pub fn persist_store(&self, dir: &Path) -> std::io::Result<()> {
         let manifest = StoreManifest {
@@ -157,10 +156,8 @@ impl<T: Transport> AlgoCluster<T> {
             num_ranks: self.part.num_ranks(),
             input_edges: self.input_edges,
             degree_ordered: false,
-            compressed: false,
-            hub_min_degree: 0,
         };
-        StoreDir::persist(dir, &manifest, self.csrs.iter().map(|c| (c, None)))
+        StoreDir::persist(dir, &manifest, &self.csrs)
     }
 
     /// Arms (or disarms) span/counter recording. Also arms the
@@ -279,7 +276,6 @@ mod tests {
         AlgoCluster::new(&el, 4, 2, Messaging::Relay).persist_store(&plain).unwrap();
         let cfg = BfsConfig {
             degree_ordered_adjacency: true,
-            compress_hub_rows: false,
             ..BfsConfig::threaded_small(2)
         };
         let engine = ClusterBuilder::new(&el, 4, cfg).build().unwrap();

@@ -587,11 +587,6 @@ mod tests {
                 "{prefix}: word sweeps never engaged in the snapshot"
             );
             assert_eq!(
-                a.get(&format!("{prefix}.kernel.rows_compressed")),
-                0,
-                "{prefix}: hub-row coding is off in the snapshot workload"
-            );
-            assert_eq!(
                 ToleranceBands::standard()
                     .band_for(&format!("{prefix}.kernel.words_scanned")),
                 0,

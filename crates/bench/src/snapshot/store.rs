@@ -3,8 +3,8 @@
 //! the store format, so there is nothing to re-baseline:
 //!
 //! * **Engine** — a scale-16 Kronecker instance is cold-built (degree
-//!   ordering and hub-row compression on, so the optional store sections
-//!   are exercised), persisted, then restarted through both storage
+//!   ordering on, so the header flag is exercised), persisted, then
+//!   restarted through both storage
 //!   backends. Every root's BFS must be bit-identical to the cold build,
 //!   the deterministic counter sections must match, and the `store.*`
 //!   counters must prove the mmap path copied zero adjacency bytes.
@@ -63,12 +63,10 @@ fn dir_bytes(dir: &Path) -> u64 {
 fn engine_axis(dir: &Path) -> Result<(), String> {
     let el = generate_kronecker(&KroneckerConfig::graph500(SCALE, SEED));
     let roots = pick_roots(el.num_vertices, ROOTS);
-    // Degree ordering + hub-row compression on: the persisted file
-    // carries every optional section the format defines.
+    // Degree ordering on: the persisted files carry the format's one
+    // header flag.
     let cfg = BfsConfig {
         degree_ordered_adjacency: true,
-        compress_hub_rows: true,
-        hub_compress_min_degree: 64,
         ..BfsConfig::threaded_small(2)
     };
     println!(

@@ -63,12 +63,6 @@ pub struct BfsConfig {
     /// Bounded-retry and degradation policy for injected transport
     /// faults; only consulted when a fault session is armed.
     pub retry: crate::faults::RetryPolicy,
-    /// Build byte-coded copies of high-degree rows at construction and
-    /// decode them in the generators instead of the plain CSR slices.
-    pub compress_hub_rows: bool,
-    /// Degree threshold for [`compress_hub_rows`](Self::compress_hub_rows):
-    /// rows with at least this many neighbours get a coded copy.
-    pub hub_compress_min_degree: u64,
 }
 
 impl Default for BfsConfig {
@@ -95,8 +89,6 @@ impl BfsConfig {
             compress: false,
             degree_ordered_adjacency: true,
             retry: crate::faults::RetryPolicy::default(),
-            compress_hub_rows: false,
-            hub_compress_min_degree: 64,
         }
     }
 
@@ -148,13 +140,6 @@ impl BfsConfig {
         }
         if self.edge_msg_bytes == 0 {
             return Err("edge_msg_bytes must be positive".into());
-        }
-        if self.compress_hub_rows && self.hub_compress_min_degree == 0 {
-            return Err(
-                "hub_compress_min_degree must be positive: coding every \
-                 empty row wastes a chunk header per vertex"
-                    .into(),
-            );
         }
         self.retry.validate()?;
         Ok(())
@@ -210,13 +195,6 @@ mod tests {
         .is_err());
         assert!(BfsConfig {
             edge_msg_bytes: 0,
-            ..BfsConfig::paper()
-        }
-        .validate()
-        .is_err());
-        assert!(BfsConfig {
-            compress_hub_rows: true,
-            hub_compress_min_degree: 0,
             ..BfsConfig::paper()
         }
         .validate()

@@ -123,11 +123,10 @@ impl ClusterBuilder<'static, SharedMem> {
     /// views — `mmap`-backed by default (see
     /// [`ClusterBuilder::storage`]) — instead of rebuilding from edges.
     ///
-    /// The store is a *sealed* adjacency, so `cfg` must request exactly
-    /// the preparation that was persisted (`degree_ordered_adjacency`,
-    /// `compress_hub_rows`, `hub_compress_min_degree`); [`build`]
-    /// refuses a disagreement rather than traversing a graph the config
-    /// mis-describes.
+    /// The store holds rows in their final order, so `cfg` must request
+    /// exactly the order that was persisted (`degree_ordered_adjacency`);
+    /// [`build`] refuses a disagreement rather than traversing a graph
+    /// the config mis-describes.
     ///
     /// [`build`]: ClusterBuilder::build
     pub fn from_store_dir(dir: impl Into<PathBuf>, cfg: BfsConfig) -> Self {
@@ -271,8 +270,6 @@ pub struct SuperstepEngine<T: Transport> {
     hub_contribs: (Vec<Bitmap>, Vec<Bitmap>),
     total_directed_edges: u64,
     input_edges: u64,
-    /// Rows holding a byte-coded copy, summed over ranks at construction.
-    rows_compressed: u64,
     /// Storage accounting from construction: zero for edge-list builds,
     /// open costs summed over partitions for store restarts.
     store_stats: ins::StoreStats,
@@ -292,8 +289,7 @@ pub struct SuperstepEngine<T: Transport> {
 impl<T: Transport> SuperstepEngine<T> {
     /// The one edge-list construction path: `rows` makes every rank's
     /// CSR in the configured row order (shortcut build or distributed
-    /// shuffle), prepared exactly once here — the coded sidecar, then
-    /// assembly.
+    /// shuffle), assembled here.
     fn from_rows(
         el: &EdgeList,
         num_ranks: u32,
@@ -322,19 +318,11 @@ impl<T: Transport> SuperstepEngine<T> {
         // Yasui-style Bottom-Up refinement: likely parents (hubs) first in
         // every neighbour list, laid out by the builder.
         let order = if cfg.degree_ordered_adjacency { RowOrder::ByDegree } else { RowOrder::ById };
-        let mut ranks: Vec<RankState> = rows(&part, &layout, order)
+        let ranks: Vec<RankState> = rows(&part, &layout, order)
             .into_iter()
             .enumerate()
-            .map(|(r, csr)| RankState::over(r as u32, part, csr, None))
+            .map(|(r, csr)| RankState::over(r as u32, part, csr))
             .collect();
-
-        // Byte-coded sidecar for high-degree rows, coded from the rows in
-        // their final order.
-        if cfg.compress_hub_rows {
-            ranks.par_iter_mut().for_each(|r| {
-                r.seal_adjacency(cfg.hub_compress_min_degree);
-            });
-        }
 
         let engine = Self::assemble(
             cfg,
@@ -352,9 +340,8 @@ impl<T: Transport> SuperstepEngine<T> {
     /// Opens a persisted store directory through the one reader
     /// ([`StoreDir::open`]: manifest, partition headers, checksums) and
     /// builds the engine over zero-copy views — the restart path of
-    /// build-once/serve-forever. Its own policy on top: sealed means
-    /// sealed — a manifest that disagrees with `cfg` about the persisted
-    /// preparation (degree order, sidecar, hub threshold) is refused.
+    /// build-once/serve-forever. Its own policy on top: a manifest that
+    /// disagrees with `cfg` about the persisted row order is refused.
     fn from_store_with_transport(
         dir: &Path,
         backend: StorageBackend,
@@ -366,21 +353,14 @@ impl<T: Transport> SuperstepEngine<T> {
         let store = StoreDir::open(dir, backend)
             .map_err(|e| ExecError::BadSetup(format!("store {}: {e}", dir.display())))?;
         let manifest = store.manifest;
-        if cfg.degree_ordered_adjacency != manifest.degree_ordered
-            || cfg.compress_hub_rows != manifest.compressed
-            || (manifest.compressed && cfg.hub_compress_min_degree != manifest.hub_min_degree)
-        {
+        if cfg.degree_ordered_adjacency != manifest.degree_ordered {
             return Err(ExecError::BadSetup(format!(
-                "store {} was sealed with degree_ordered={} compressed={} hub_min_degree={}; \
-                 the config asks for degree_ordered={} compressed={} hub_min_degree={} — \
-                 a persisted adjacency cannot be re-prepared, rebuild from edges instead",
+                "store {} was persisted with degree_ordered={}; the config asks for \
+                 degree_ordered={} — a persisted adjacency cannot be re-prepared, \
+                 rebuild from edges instead",
                 dir.display(),
                 manifest.degree_ordered,
-                manifest.compressed,
-                manifest.hub_min_degree,
                 cfg.degree_ordered_adjacency,
-                cfg.compress_hub_rows,
-                cfg.hub_compress_min_degree,
             )));
         }
         let num_ranks = manifest.num_ranks;
@@ -406,7 +386,7 @@ impl<T: Transport> SuperstepEngine<T> {
     }
 
     /// The construction tail both sources share: distributed hub
-    /// selection, edge and coded-row totals, transport setup. Hub
+    /// selection, edge totals, transport setup. Hub
     /// selection reads only owned degrees — identical between a cold
     /// build and a store restart of the same graph, which is what makes
     /// restarts bit-reproducible.
@@ -450,10 +430,6 @@ impl<T: Transport> SuperstepEngine<T> {
         let hubs = HubState::with_td_limit(set, td_limit);
 
         let total_directed_edges = ranks.iter().map(|r| r.csr.num_entries()).sum();
-        let rows_compressed = ranks
-            .iter()
-            .map(|r| r.adjacency.as_ref().map_or(0, |a| a.coded_rows() as u64))
-            .sum();
         transport.setup(num_ranks as usize);
         Self {
             cfg,
@@ -465,7 +441,6 @@ impl<T: Transport> SuperstepEngine<T> {
             hub_contribs,
             total_directed_edges,
             input_edges,
-            rows_compressed,
             store_stats,
             transport,
             metrics: CounterSet::new(),
@@ -493,17 +468,13 @@ impl<T: Transport> SuperstepEngine<T> {
     /// via temp file + rename, manifest last) — the build-once half of
     /// build-once/serve-forever.
     pub fn persist_store(&self, dir: &Path) -> std::io::Result<()> {
-        let compressed = self.cfg.compress_hub_rows;
         let manifest = StoreManifest {
             num_vertices: self.part.num_vertices(),
             num_ranks: self.part.num_ranks(),
             input_edges: self.input_edges,
             degree_ordered: self.cfg.degree_ordered_adjacency,
-            compressed,
-            hub_min_degree: if compressed { self.cfg.hub_compress_min_degree } else { 0 },
         };
-        let parts = self.ranks.iter().map(|r| (&*r.csr, r.adjacency.as_ref()));
-        StoreDir::persist(dir, &manifest, parts)
+        StoreDir::persist(dir, &manifest, self.ranks.iter().map(|r| &*r.csr))
     }
 
     /// Number of ranks.
@@ -646,10 +617,7 @@ impl<T: Transport> SuperstepEngine<T> {
         self.reset();
         // Construction-time facts, re-recorded per run because reset()
         // clears the counter set; recorded even at zero so counter key
-        // sets stay identical across configurations, transports, and
-        // storage backends.
-        self.metrics
-            .record(ins::KERNEL_ROWS_COMPRESSED, self.rows_compressed);
+        // sets stay identical across transports and storage backends.
         ins::absorb_store(&mut self.metrics, &self.store_stats);
 
         // Seed the root and promote it into the first frontier.
@@ -787,7 +755,6 @@ impl<T: Transport> SuperstepEngine<T> {
             ls.records_generated += st.records_out;
             ls.words_scanned += st.words_scanned;
             ls.words_skipped += st.words_skipped;
-            ls.bytes_decoded += st.bytes_decoded;
         }
 
         let inboxes = self.run_exchange(outs, ls)?;
@@ -826,7 +793,6 @@ impl<T: Transport> SuperstepEngine<T> {
             ls.records_generated += st.records_out;
             ls.words_scanned += st.words_scanned;
             ls.words_skipped += st.words_skipped;
-            ls.bytes_decoded += st.bytes_decoded;
         }
 
         let inboxes = self.run_exchange(outs, ls)?;

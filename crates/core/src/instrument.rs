@@ -39,11 +39,6 @@ pub const FAULTS_DEGRADED_LEVELS: &str = "faults.degraded_levels";
 pub const KERNEL_WORDS_SCANNED: &str = "kernel.words_scanned";
 /// Of those, words dismissed with one all-zero compare.
 pub const KERNEL_WORDS_SKIPPED: &str = "kernel.words_skipped";
-/// Bytes pulled through byte-coded row decoders.
-pub const KERNEL_BYTES_DECODED: &str = "kernel.bytes_decoded";
-/// Adjacency rows holding a byte-coded copy (recorded once at
-/// construction, not per level).
-pub const KERNEL_ROWS_COMPRESSED: &str = "kernel.rows_compressed";
 /// Bytes made visible through `mmap(2)` when opening graph-store
 /// partitions (0 for engines built from edge lists or heap restores).
 pub const STORE_BYTES_MAPPED: &str = "store.bytes_mapped";
@@ -148,13 +143,12 @@ pub fn absorb_exchange(cs: &mut CounterSet, xs: &ExchangeStats) {
 }
 
 /// The generator-side companion to [`absorb_exchange`]: flattens one
-/// level's kernel counters (word-sweep and decoder work) into `cs`.
+/// level's kernel counters (word-sweep work) into `cs`.
 /// Called unconditionally — zero-valued levels still create the keys,
 /// keeping counter sets transport-symmetric.
 pub fn absorb_kernel(cs: &mut CounterSet, ls: &crate::result::LevelStats) {
     cs.record(KERNEL_WORDS_SCANNED, ls.words_scanned);
     cs.record(KERNEL_WORDS_SKIPPED, ls.words_skipped);
-    cs.record(KERNEL_BYTES_DECODED, ls.bytes_decoded);
 }
 
 /// Construction-time storage accounting: what opening (or not opening)

@@ -17,11 +17,7 @@
 //! bits are enumerated with `trailing_zeros` — ascending local index,
 //! exactly the order the scalar loop used, so parents are bit-identical
 //! to the seed kernel, which the unit tests keep as their oracle.
-//! Rows with a byte-coded copy ([`RankState::adjacency`]) decode
-//! through the varint stream instead of the plain slice; the early-exit
-//! `break` then also stops the decoder, and only the bytes actually
-//! pulled are charged.
-//! A plain row is tested first through [`RankState::head`], a dense
+//! A row is tested first through [`RankState::head`], a dense
 //! column of first neighbours read in the sweep's own order — under
 //! degree order the likeliest parent — and the row itself is loaded only
 //! when the head does not answer (the paper's degree-aware prefetch as
@@ -93,27 +89,14 @@ pub fn backward_generator(
             w &= w - 1;
             let v = state.global(v_local);
             queries.clear();
-            let coded = state
-                .adjacency
-                .as_ref()
-                .and_then(|a| a.coded_row(v_local));
-            let found = match coded {
-                Some(mut it) => {
-                    let f = scan_row(state, hubs, v, it.by_ref(), &mut queries, &mut stats);
-                    stats.bytes_decoded += it.bytes_read() as u64;
-                    f
-                }
-                None => {
-                    // The head column first; the row only if it did not answer.
-                    let head = state.head(v_local);
-                    debug_assert_eq!(Some(&head), state.csr.neighbors_local(v_local).first());
-                    let first = std::iter::once(head);
-                    scan_row(state, hubs, v, first, &mut queries, &mut stats).or_else(|| {
-                        let rest = state.csr.neighbors_local(v_local)[1..].iter().copied();
-                        scan_row(state, hubs, v, rest, &mut queries, &mut stats)
-                    })
-                }
-            };
+            // The head column first; the row only if it did not answer.
+            let head = state.head(v_local);
+            debug_assert_eq!(Some(&head), state.csr.neighbors_local(v_local).first());
+            let first = std::iter::once(head);
+            let found = scan_row(state, hubs, v, first, &mut queries, &mut stats).or_else(|| {
+                let rest = state.csr.neighbors_local(v_local)[1..].iter().copied();
+                scan_row(state, hubs, v, rest, &mut queries, &mut stats)
+            });
             if let Some(u) = found {
                 state.claim(v_local, u);
                 stats.local_claims += 1;
@@ -231,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_kernel_with_and_without_coding() {
+    fn matches_reference_kernel() {
         // A denser two-rank graph; frontier = two vertices on rank 0.
         let edges: Vec<(Vid, Vid)> = (0..40u64)
             .flat_map(|v| {
@@ -245,30 +228,19 @@ mod tests {
         let el = EdgeList::new(40, edges);
         let part = Partition1D::new(40, 2);
         let hubs = HubState::new(HubSet::from_degrees(vec![(0, 100)], 4));
-        for min_degree in [None, Some(1), Some(8)] {
-            let mut word = RankState::build(0, part, &el);
-            let mut refk = word.clone();
-            if let Some(d) = min_degree {
-                word.seal_adjacency(d);
-            }
-            seed_frontier(&mut word, &[(0, 0), (3, 3)]);
-            seed_frontier(&mut refk, &[(0, 0), (3, 3)]);
-            let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
-            let st_w = backward_generator(&mut word, &hubs, &mut out_w);
-            let st_r = reference::backward_generator(&mut refk, &hubs, &mut out_r);
-            assert_eq!(word.parent, refk.parent, "min_degree {min_degree:?}");
-            assert_eq!(out_w.parts(), out_r.parts());
-            assert_eq!(st_w.edges_scanned, st_r.edges_scanned);
-            assert_eq!(st_w.local_claims, st_r.local_claims);
-            assert_eq!(st_w.hub_skips, st_r.hub_skips);
-            assert_eq!(st_w.records_out, st_r.records_out);
-            // At Some(8) only hub row 0 is coded, and 0 sits in the
-            // frontier — so only the code-everything setting is
-            // guaranteed to pull bytes through the decoder.
-            if min_degree == Some(1) {
-                assert!(st_w.bytes_decoded > 0, "coded rows should be exercised");
-            }
-        }
+        let mut word = RankState::build(0, part, &el);
+        let mut refk = word.clone();
+        seed_frontier(&mut word, &[(0, 0), (3, 3)]);
+        seed_frontier(&mut refk, &[(0, 0), (3, 3)]);
+        let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
+        let st_w = backward_generator(&mut word, &hubs, &mut out_w);
+        let st_r = reference::backward_generator(&mut refk, &hubs, &mut out_r);
+        assert_eq!(word.parent, refk.parent);
+        assert_eq!(out_w.parts(), out_r.parts());
+        assert_eq!(st_w.edges_scanned, st_r.edges_scanned);
+        assert_eq!(st_w.local_claims, st_r.local_claims);
+        assert_eq!(st_w.hub_skips, st_r.hub_skips);
+        assert_eq!(st_w.records_out, st_r.records_out);
     }
 
     #[test]

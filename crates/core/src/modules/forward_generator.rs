@@ -14,8 +14,7 @@
 //!
 //! The frontier is enumerated in ascending order: a dense one swept
 //! word-parallel over its bitmap (zero words skipped with one compare),
-//! a sparse one through its sorted queue. Rows with a byte-coded copy
-//! decode through the varint stream.
+//! a sparse one through its sorted queue.
 
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
@@ -27,19 +26,18 @@ use sw_graph::Vid;
 /// a core-local cache tile.
 const BLOCK_BITS: u32 = 12;
 
-/// One frontier row: hub-visited suppression (one bit test by vertex
-/// id), remote push, local stage.
-#[inline]
-fn scan_row(
+/// One frontier vertex's row: hub-visited suppression (one bit test by
+/// vertex id), remote push, local stage.
+fn scan_vertex(
     state: &RankState,
     hubs: &HubState,
-    u: Vid,
-    neighbours: impl Iterator<Item = Vid>,
+    u_local: usize,
     staged: &mut Vec<(u32, Vid)>,
     out: &mut Outboxes,
     stats: &mut ModuleStats,
 ) {
-    for v in neighbours {
+    let u = state.global(u_local);
+    for &v in state.csr.neighbors_local(u_local) {
         stats.edges_scanned += 1;
         if hubs.settled_td_hub(v) {
             stats.hub_skips += 1;
@@ -50,28 +48,6 @@ fn scan_row(
         } else {
             out.push(state.part.owner(v), EdgeRec { u, v });
             stats.records_out += 1;
-        }
-    }
-}
-
-/// One frontier vertex: its coded row if it has one, else the CSR slice.
-fn scan_vertex(
-    state: &RankState,
-    hubs: &HubState,
-    u_local: usize,
-    staged: &mut Vec<(u32, Vid)>,
-    out: &mut Outboxes,
-    stats: &mut ModuleStats,
-) {
-    let u = state.global(u_local);
-    match state.adjacency.as_ref().and_then(|a| a.coded_row(u_local)) {
-        Some(mut it) => {
-            scan_row(state, hubs, u, it.by_ref(), staged, out, stats);
-            stats.bytes_decoded += it.bytes_read() as u64;
-        }
-        None => {
-            let row = state.csr.neighbors_local(u_local).iter().copied();
-            scan_row(state, hubs, u, row, staged, out, stats);
         }
     }
 }
@@ -240,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_kernel_with_and_without_coding() {
+    fn matches_reference_kernel() {
         // Contested claims: many frontier vertices share targets, so the
         // blocked pass must reproduce every min-parent outcome.
         let edges: Vec<(Vid, Vid)> = (0..60u64)
@@ -249,28 +225,20 @@ mod tests {
         let el = EdgeList::new(60, edges);
         let part = Partition1D::new(60, 2);
         let hubs = HubState::new(HubSet::from_degrees(vec![(2, 90)], 4));
-        for min_degree in [None, Some(1), Some(10)] {
-            let mut word = RankState::build(0, part, &el);
-            let mut refk = word.clone();
-            if let Some(d) = min_degree {
-                word.seal_adjacency(d);
-            }
-            let members: Vec<(usize, Vid)> = (0..12).map(|i| (i, i as Vid)).collect();
-            seed_frontier(&mut word, &members);
-            seed_frontier(&mut refk, &members);
-            let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
-            let st_w = forward_generator(&mut word, &hubs, &mut out_w);
-            let st_r = reference::forward_generator(&mut refk, &hubs, &mut out_r);
-            assert_eq!(word.parent, refk.parent, "min_degree {min_degree:?}");
-            assert_eq!(out_w.parts(), out_r.parts());
-            assert_eq!(word.next.as_bitmap(), refk.next.as_bitmap());
-            assert_eq!(st_w.edges_scanned, st_r.edges_scanned);
-            assert_eq!(st_w.local_claims, st_r.local_claims);
-            assert_eq!(st_w.hub_skips, st_r.hub_skips);
-            assert_eq!(st_w.records_out, st_r.records_out);
-            if min_degree.is_some() {
-                assert!(st_w.bytes_decoded > 0, "coded rows should be exercised");
-            }
-        }
+        let mut word = RankState::build(0, part, &el);
+        let mut refk = word.clone();
+        let members: Vec<(usize, Vid)> = (0..12).map(|i| (i, i as Vid)).collect();
+        seed_frontier(&mut word, &members);
+        seed_frontier(&mut refk, &members);
+        let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
+        let st_w = forward_generator(&mut word, &hubs, &mut out_w);
+        let st_r = reference::forward_generator(&mut refk, &hubs, &mut out_r);
+        assert_eq!(word.parent, refk.parent);
+        assert_eq!(out_w.parts(), out_r.parts());
+        assert_eq!(word.next.as_bitmap(), refk.next.as_bitmap());
+        assert_eq!(st_w.edges_scanned, st_r.edges_scanned);
+        assert_eq!(st_w.local_claims, st_r.local_claims);
+        assert_eq!(st_w.hub_skips, st_r.hub_skips);
+        assert_eq!(st_w.records_out, st_r.records_out);
     }
 }

@@ -156,9 +156,6 @@ pub struct ModuleStats {
     pub words_scanned: u64,
     /// Of those, words dismissed with a single all-zero compare.
     pub words_skipped: u64,
-    /// Bytes pulled through byte-coded row decoders (chunk headers
-    /// included); early exits pay only for the prefix they read.
-    pub bytes_decoded: u64,
 }
 
 impl ModuleStats {
@@ -170,6 +167,5 @@ impl ModuleStats {
         self.records_out += other.records_out;
         self.words_scanned += other.words_scanned;
         self.words_skipped += other.words_skipped;
-        self.bytes_decoded += other.bytes_decoded;
     }
 }

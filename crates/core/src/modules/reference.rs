@@ -3,8 +3,8 @@
 //! These are the per-bit, per-edge scalar loops the engine shipped with
 //! before the word-parallel rewrite: the Backward Generator tests one
 //! visited bit per vertex, the Forward Generator claims in raw scan
-//! order with no target blocking, and neither touches the byte-coded
-//! sidecar. They are the **differential oracle** and compile only in
+//! order with no target blocking. They are the **differential oracle**
+//! and compile only in
 //! test builds: the engine's `#[cfg(test)]` field `reference_kernels`
 //! swaps them in, and [`kernel_parity`] runs whole BFS executions
 //! through both kernel sets and asserts bit-identical parents, levels,
@@ -107,13 +107,12 @@ pub fn backward_generator(
 /// kernels above.
 ///
 /// The word-parallel rewrite (word-at-a-time frontier/visited sweeps,
-/// cache-blocked forward claims, byte-coded hub rows) promises
+/// cache-blocked forward claims, the head column) promises
 /// **bit-identical** BFS trees: parents, level maps, and every
 /// traversal statistic except the `kernel.*` observability fields,
 /// which only the new kernels report. These tests run whole BFS
 /// executions through both kernel sets — across transports, messaging
-/// modes, fault schedules, and hub-row compression — and hold the
-/// rewrite to that contract.
+/// modes and fault schedules — and hold the rewrite to that contract.
 mod kernel_parity {
     use crate::config::{BfsConfig, Messaging};
     use crate::engine::{Channels, ClusterBuilder, SharedMem, SuperstepEngine, Transport};
@@ -140,7 +139,6 @@ mod kernel_parity {
             .map(|&ls| LevelStats {
                 words_scanned: 0,
                 words_skipped: 0,
-                bytes_decoded: 0,
                 ..ls
             })
             .collect()
@@ -156,9 +154,7 @@ mod kernel_parity {
     }
 
     /// One word-vs-reference comparison: identical graph, root,
-    /// transport, and configuration except the kernel selector (and,
-    /// optionally, hub-row compression on the word side — coded rows
-    /// must decode to the same traversal).
+    /// transport, and configuration except the kernel selector.
     fn compare<T: Transport>(
         el: &EdgeList,
         ranks: u32,
@@ -167,18 +163,15 @@ mod kernel_parity {
         fault_plan: Option<FaultPlan>,
         label: &str,
     ) {
-        let build = |cfg: BfsConfig| {
+        let build = || {
             let mut b = ClusterBuilder::new(el, ranks, cfg).transport(make());
             if let Some(p) = &fault_plan {
                 b = b.fault_plan(p.clone());
             }
             b.build().expect("kernel-parity build")
         };
-        let mut word = build(cfg);
-        let mut reference = build(BfsConfig {
-            compress_hub_rows: false,
-            ..cfg
-        });
+        let mut word = build();
+        let mut reference = build();
         reference.reference_kernels = true;
         let root = good_root(&word);
         let out_w = word.run(root).unwrap();
@@ -191,40 +184,20 @@ mod kernel_parity {
                 "{label}: identical traffic must draw identical injections"
             );
         }
-        if cfg.compress_hub_rows {
-            assert!(
-                word.metrics().get("kernel.rows_compressed") > 0,
-                "{label}: compression armed but no rows coded"
-            );
-            assert!(
-                out_w.levels.iter().any(|ls| ls.bytes_decoded > 0),
-                "{label}: coded rows never decoded"
-            );
-        }
         assert!(
             out_w.levels.iter().any(|ls| ls.words_scanned > 0),
             "{label}: word sweeps never engaged"
         );
     }
 
-    /// Scale 14, one transport × both messaging modes × faults on/off ×
-    /// hub-row compression on/off.
+    /// Scale 14, one transport × both messaging modes × faults on/off.
     fn scale_14_full_matrix<T: Transport>(name: &str, make: fn() -> T) {
         let el = graph(14, 21);
         for messaging in [Messaging::Direct, Messaging::Relay] {
             for faults in [None, Some(FaultPlan::lossy(23))] {
-                for compress in [false, true] {
-                    let cfg = BfsConfig {
-                        compress_hub_rows: compress,
-                        hub_compress_min_degree: 32,
-                        ..BfsConfig::threaded_small(4).with_messaging(messaging)
-                    };
-                    let label = format!(
-                        "{name}/{messaging:?}/faults={}/compress={compress}",
-                        faults.is_some()
-                    );
-                    compare(&el, 8, cfg, make, faults.clone(), &label);
-                }
+                let cfg = BfsConfig::threaded_small(4).with_messaging(messaging);
+                let label = format!("{name}/{messaging:?}/faults={}", faults.is_some());
+                compare(&el, 8, cfg, make, faults.clone(), &label);
             }
         }
     }
@@ -240,29 +213,22 @@ mod kernel_parity {
     }
 
     /// Scale 16 spot check: the acceptance scale, one heavier run per
-    /// transport with compression armed at the paper-ish threshold.
+    /// transport.
     #[test]
     fn scale_16_spot_check() {
         let el = graph(16, 42);
-        let cfg = BfsConfig {
-            compress_hub_rows: true,
-            hub_compress_min_degree: 64,
-            ..BfsConfig::threaded_small(4)
-        };
+        let cfg = BfsConfig::threaded_small(4);
         compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/scale16");
         compare(&el, 8, cfg, Channels::new, None, "channels/scale16");
     }
 
     /// The degree-ordered adjacency refinement reorders neighbour lists
-    /// before sealing; coded rows must snapshot the reordered rows and
-    /// the two kernel sets must still agree.
+    /// at build; the two kernel sets must still agree over them.
     #[test]
     fn degree_ordered_adjacency_agrees() {
         let el = graph(13, 7);
         let cfg = BfsConfig {
             degree_ordered_adjacency: true,
-            compress_hub_rows: true,
-            hub_compress_min_degree: 16,
             ..BfsConfig::threaded_small(4)
         };
         compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/degree_ordered");
@@ -276,8 +242,6 @@ mod kernel_parity {
         let el = graph(13, 11);
         let cfg = BfsConfig {
             force_top_down: true,
-            compress_hub_rows: true,
-            hub_compress_min_degree: 16,
             ..BfsConfig::threaded_small(4)
         };
         compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/force_td");

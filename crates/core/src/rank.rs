@@ -4,7 +4,6 @@
 use crate::frontier::Frontier;
 use crate::messages::EdgeRec;
 use crate::NO_PARENT;
-use sw_graph::compressed::CompressedCsr;
 use sw_graph::{Bitmap, Csr, EdgeList, GraphStore, Partition1D, Vid};
 
 /// One rank's (node's) state under 1-D partitioning.
@@ -17,10 +16,6 @@ pub struct RankState {
     /// CSR rows owned by this rank (columns are global ids), read-only
     /// outside this module.
     pub csr: RankRows,
-    /// Byte-coded copies of high-degree rows (armed by
-    /// [`RankState::seal_adjacency`]); kernels prefer a coded row when
-    /// one exists and fall back to [`RankState::csr`] otherwise.
-    pub adjacency: Option<CompressedCsr>,
     /// Parent of each owned vertex, by local index; `NO_PARENT` when
     /// unvisited.
     pub parent: Vec<Vid>,
@@ -102,16 +97,11 @@ impl RankState {
     pub fn build(rank: u32, part: Partition1D, edges: &EdgeList) -> Self {
         let (start, end) = part.range(rank);
         let csr = Csr::from_edge_list_rows(edges, start, end - start);
-        Self::over(rank, part, csr, None)
+        Self::over(rank, part, csr)
     }
 
     /// Fresh traversal state over an owned CSR slice.
-    pub(crate) fn over(
-        rank: u32,
-        part: Partition1D,
-        csr: Csr,
-        adjacency: Option<CompressedCsr>,
-    ) -> Self {
+    pub(crate) fn over(rank: u32, part: Partition1D, csr: Csr) -> Self {
         let owned = csr.num_rows() as usize;
         let (lo, hi) = part.range(rank);
         assert_eq!((hi - lo) as usize, owned, "CSR rows disagree with the partition");
@@ -125,7 +115,6 @@ impl RankState {
             rank,
             part,
             csr: RankRows::new(csr),
-            adjacency,
             parent: vec![NO_PARENT; owned],
             visited_bits: Bitmap::new(owned),
             curr: Frontier::new(owned),
@@ -138,24 +127,13 @@ impl RankState {
 
     /// Builds rank `rank`'s state from an opened partition store.
     ///
-    /// The CSR (and the byte-coded sidecar, when the store carries one)
-    /// are *views* into the store's backing bytes — on the mmap backend
-    /// no adjacency word is copied. The store is already sealed: callers
-    /// must not re-seal, which is why the persisted manifest
-    /// records `degree_ordered` / `hub_min_degree` and engine
-    /// construction refuses a config that disagrees.
+    /// The CSR is a *view* into the store's backing bytes — on the mmap
+    /// backend no adjacency word is copied. The rows are persisted in
+    /// their final order, which is why the manifest records
+    /// `degree_ordered` and engine construction refuses a config that
+    /// disagrees.
     pub fn from_store(rank: u32, part: Partition1D, store: &GraphStore) -> Self {
-        Self::over(rank, part, store.csr(), store.compressed())
-    }
-
-    /// Builds the byte-coded sidecar for rows with degree at least
-    /// `min_degree`. The coding snapshots the rows as they are. Returns
-    /// the number of coded rows.
-    pub fn seal_adjacency(&mut self, min_degree: u64) -> u64 {
-        let coded = CompressedCsr::from_csr(&self.csr, min_degree);
-        let n = coded.coded_rows() as u64;
-        self.adjacency = Some(coded);
-        n
+        Self::over(rank, part, store.csr())
     }
 
     /// Number of owned vertices.
@@ -237,7 +215,7 @@ impl RankState {
     }
 
     /// Returns the rank to its pre-run state: parents unset, visited and
-    /// both frontiers empty. Capacity (and the sealed adjacency) is kept.
+    /// both frontiers empty. Capacity is kept.
     pub fn reset(&mut self) {
         self.parent.fill(NO_PARENT);
         self.visited_bits.clear_all();
@@ -388,7 +366,7 @@ mod tests {
         let rows = Csr::build_partitioned(&part, sw_graph::RowOrder::ByDegree, |_| {
             el.edges.iter().copied()
         });
-        let r = RankState::over(0, part, rows.into_iter().next().unwrap(), None);
+        let r = RankState::over(0, part, rows.into_iter().next().unwrap());
         check(&r);
         assert_eq!(r.head(0), 3);
         assert!(!r.has_row().get(4));
@@ -542,20 +520,6 @@ mod tests {
             r.claim(i, 0);
         }
         assert_eq!(r.unvisited_edges(), 0);
-    }
-
-    #[test]
-    fn seal_adjacency_codes_hub_rows() {
-        // Star around vertex 0 plus a pendant edge: 0 is the only hub.
-        let mut edges: Vec<(Vid, Vid)> = (1..=5u64).map(|v| (0, v)).collect();
-        edges.push((1, 2));
-        let el = EdgeList::new(6, edges);
-        let mut r = RankState::build(0, Partition1D::new(6, 1), &el);
-        assert_eq!(r.seal_adjacency(3), 1);
-        let adj = r.adjacency.as_ref().unwrap();
-        assert!(adj.is_compressed(0));
-        let decoded: Vec<Vid> = adj.coded_row(0).unwrap().collect();
-        assert_eq!(decoded, r.csr.neighbors_local(0));
     }
 
     #[test]

@@ -45,10 +45,10 @@ fn graph(scale: u32, seed: u64) -> EdgeList {
     generate_kronecker(&KroneckerConfig::graph500(scale, seed))
 }
 
-/// The 19 canonical counter keys every run must report — the
+/// The 17 canonical counter keys every run must report — the
 /// `absorb_exchange` + `absorb_kernel` + `absorb_store` merge paths'
 /// complete coverage.
-const CANONICAL_KEYS: [&str; 19] = [
+const CANONICAL_KEYS: [&str; 17] = [
     "exchange.bytes",
     "exchange.inter_group_bytes",
     "exchange.max_send_bytes_per_rank",
@@ -58,8 +58,6 @@ const CANONICAL_KEYS: [&str; 19] = [
     "faults.degraded_levels",
     "faults.injected",
     "faults.retries",
-    "kernel.bytes_decoded",
-    "kernel.rows_compressed",
     "kernel.words_scanned",
     "kernel.words_skipped",
     "pool.allocs",

@@ -15,8 +15,6 @@
 //!   partition").
 //! * [`bitmap`] — dense bitsets (sequential and atomic) used for frontiers
 //!   and visited maps, with a word-level surface for word-parallel kernels.
-//! * [`compressed`] — byte-coded (zigzag-varint delta) adjacency rows for
-//!   hub vertices, with chunk headers for early-exit decode.
 //! * [`hub`] — degree-aware hub vertex selection for the paper's
 //!   "degree aware prefetch" optimization (§5).
 //! * [`stats`] — degree-distribution statistics used by tests and by the
@@ -29,7 +27,6 @@
 //! regardless of thread count.
 
 pub mod bitmap;
-pub mod compressed;
 pub mod csr;
 pub mod edge_list;
 pub mod hub;
@@ -41,7 +38,6 @@ pub mod store;
 pub mod transform;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
-pub use compressed::{CodedIter, CompressedCsr};
 pub use csr::{Csr, RowOrder};
 pub use edge_list::EdgeList;
 pub use kronecker::{generate_kronecker, KroneckerConfig};

@@ -1,12 +1,12 @@
 //! The on-disk partition format.
 //!
-//! One file holds one rank's CSR partition (and its optional
-//! byte-coded hub sidecar) in a layout the views can read **in place**
-//! after a single `mmap`:
+//! One file holds one rank's CSR partition in a layout the views can
+//! read **in place** after a single `mmap`:
 //!
 //! ```text
 //! offset 0    header (80 B): magic "SWGSTOR1", version, flags,
-//!             vertex/row-range/rank metadata, section count
+//!             vertex/row-range/rank metadata, 16 retired bytes
+//!             (written as zero, never read), section count
 //! offset 80   section table: 32 B per section
 //!             { kind u32, pad u32, offset u64, len u64, fnv1a-64 u64 }
 //! ...         section payloads, each 64-byte aligned, zero-padded gaps
@@ -33,9 +33,8 @@ pub const SECTION_ENTRY_BYTES: usize = 32;
 pub const SECTION_ALIGN: usize = 64;
 
 /// Header flag: neighbour lists were reordered by descending degree.
+/// The only flag; a reader refuses any other bit.
 pub const FLAG_DEGREE_ORDERED: u32 = 1 << 0;
-/// Header flag: the file carries the compressed-row sidecar sections.
-pub const FLAG_HAS_COMPRESSED: u32 = 1 << 1;
 
 /// Section kinds (the `kind` field of a table entry).
 pub mod kind {
@@ -43,16 +42,6 @@ pub mod kind {
     pub const ROW_OFFSETS: u32 = 1;
     /// CSR adjacency targets (`u64` global ids).
     pub const ADJ_TARGETS: u32 = 2;
-    /// Compressed sidecar: local row → entry index (`u32`).
-    pub const CMP_ROW_OF: u32 = 3;
-    /// Compressed sidecar: row entries, six `u32` words each.
-    pub const CMP_ENTRIES: u32 = 4;
-    /// Compressed sidecar: concatenated varint streams (bytes).
-    pub const CMP_DATA: u32 = 5;
-    /// Compressed sidecar: first target per chunk (`u64`).
-    pub const CMP_CHUNK_FIRST: u32 = 6;
-    /// Compressed sidecar: byte offset past each chunk's first target (`u32`).
-    pub const CMP_CHUNK_OFFSET: u32 = 7;
 }
 
 /// FNV-1a 64 over a byte slice — the per-section checksum. Chosen for
@@ -77,7 +66,7 @@ pub fn align_up(x: usize) -> usize {
 pub struct StoreHeader {
     /// Format version (readers refuse anything but [`VERSION`]).
     pub version: u32,
-    /// [`FLAG_DEGREE_ORDERED`] | [`FLAG_HAS_COMPRESSED`].
+    /// [`FLAG_DEGREE_ORDERED`] or 0.
     pub flags: u32,
     /// Global vertex-id space size.
     pub num_vertices: u64,
@@ -92,10 +81,6 @@ pub struct StoreHeader {
     /// Undirected input-edge count of the whole graph (Graph500 TEPS
     /// denominators survive the restart).
     pub input_edges: u64,
-    /// Hub threshold the sidecar was built with (0 when absent).
-    pub hub_min_degree: u64,
-    /// Plain bytes the sidecar replaces (its compression denominator).
-    pub plain_bytes_replaced: u64,
     /// Number of section-table entries that follow.
     pub section_count: u32,
 }
@@ -104,11 +89,6 @@ impl StoreHeader {
     /// True when [`FLAG_DEGREE_ORDERED`] is set.
     pub fn degree_ordered(&self) -> bool {
         self.flags & FLAG_DEGREE_ORDERED != 0
-    }
-
-    /// True when [`FLAG_HAS_COMPRESSED`] is set.
-    pub fn has_compressed(&self) -> bool {
-        self.flags & FLAG_HAS_COMPRESSED != 0
     }
 
     /// Appends the 80-byte encoding.
@@ -123,14 +103,16 @@ impl StoreHeader {
         out.extend_from_slice(&self.num_ranks.to_le_bytes());
         out.extend_from_slice(&self.rank.to_le_bytes());
         out.extend_from_slice(&self.input_edges.to_le_bytes());
-        out.extend_from_slice(&self.hub_min_degree.to_le_bytes());
-        out.extend_from_slice(&self.plain_bytes_replaced.to_le_bytes());
+        out.extend_from_slice(&[0u8; 16]); // retired fields, offsets 56..72
         out.extend_from_slice(&self.section_count.to_le_bytes());
         out.extend_from_slice(&[0u8; 4]); // pad to 80
         debug_assert_eq!(out.len() - base, HEADER_BYTES);
     }
 
-    /// Decodes and validates the header prefix of a store file.
+    /// Decodes and validates the header prefix of a store file. A flag
+    /// bit other than [`FLAG_DEGREE_ORDERED`] is refused as
+    /// `InvalidData`: it names a section layout this reader does not
+    /// speak.
     pub fn decode(bytes: &[u8]) -> io::Result<StoreHeader> {
         if bytes.len() < HEADER_BYTES {
             return Err(corrupt(format!(
@@ -150,17 +132,19 @@ impl StoreHeader {
                 format!("unsupported store version {version} (reader speaks {VERSION})"),
             ));
         }
+        let flags = u32_at(12);
+        if flags & !FLAG_DEGREE_ORDERED != 0 {
+            return Err(corrupt(format!("unknown store header flags {flags:#x}")));
+        }
         Ok(StoreHeader {
             version,
-            flags: u32_at(12),
+            flags,
             num_vertices: u64_at(16),
             row_base: u64_at(24),
             rows: u64_at(32),
             num_ranks: u32_at(40),
             rank: u32_at(44),
             input_edges: u64_at(48),
-            hub_min_degree: u64_at(56),
-            plain_bytes_replaced: u64_at(64),
             section_count: u32_at(72),
         })
     }
@@ -224,15 +208,6 @@ impl StoreEncoder {
     /// Adds a `u64` section in the little-endian on-disk layout.
     pub fn section_u64s(&mut self, kind: u32, words: &[u64]) {
         let mut payload = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        self.section(kind, payload);
-    }
-
-    /// Adds a `u32` section in the little-endian on-disk layout.
-    pub fn section_u32s(&mut self, kind: u32, words: &[u32]) {
-        let mut payload = Vec::with_capacity(words.len() * 4);
         for w in words {
             payload.extend_from_slice(&w.to_le_bytes());
         }
@@ -331,8 +306,6 @@ mod tests {
             num_ranks: 8,
             rank: 3,
             input_edges: 1 << 20,
-            hub_min_degree: 0,
-            plain_bytes_replaced: 0,
             section_count: 0,
         }
     }
@@ -352,7 +325,7 @@ mod tests {
         let mut enc = StoreEncoder::new(header());
         enc.section_u64s(kind::ROW_OFFSETS, &[0, 3, 5]);
         enc.section_u64s(kind::ADJ_TARGETS, &[9, 8, 7, 6, 5]);
-        enc.section(kind::CMP_DATA, vec![1, 2, 3]);
+        enc.section(7, vec![1, 2, 3]);
         let img = enc.finish();
         let (h, secs) = parse(&img).unwrap();
         assert_eq!(h.section_count, 3);
@@ -385,6 +358,18 @@ mod tests {
         buf[8..12].copy_from_slice(&2u32.to_le_bytes());
         let err = StoreHeader::decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+    }
+
+    #[test]
+    fn retired_and_unknown_flag_bits_refused() {
+        // Bit 1 once announced byte-coded hub-row sections: a file that
+        // sets it is refused by name instead of opening as plain rows.
+        for bit in 1..32 {
+            let mut buf = Vec::new();
+            StoreHeader { flags: FLAG_DEGREE_ORDERED | 1 << bit, ..header() }.encode_into(&mut buf);
+            let err = StoreHeader::decode(&buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Zero-copy graph storage: partition files, mapped regions, and the
-//! [`GraphStore`] that serves [`Csr`]/[`CompressedCsr`] views over
-//! them.
+//! [`GraphStore`] that serves [`Csr`] views over them.
 //!
 //! The store decouples graph lifetime from process lifetime (ROADMAP
 //! item 5). A build pays the Kronecker + CSR construction cost once and
@@ -11,7 +10,7 @@
 //!
 //! * [`bytes`] — the backing region: aligned heap buffer or `mmap(2)`;
 //! * `view` — typed slices over section ranges (crate-internal; they
-//!   are what `Csr` and `CompressedCsr` are made of);
+//!   are what `Csr` is made of);
 //! * [`format`](mod@format) — the on-disk layout: header, section table, FNV-1a
 //!   checksums, 64-byte-aligned payloads;
 //! * [`GraphStore`] — one opened partition; [`StoreManifest`] — the
@@ -21,7 +20,6 @@
 //!
 //! A store directory is `MANIFEST` plus one `part-NNNNN.swgs` per rank.
 
-use crate::compressed::{CompressedCsr, ENTRY_WORDS};
 use crate::csr::Csr;
 use crate::{Partition1D, Vid};
 use std::io;
@@ -34,7 +32,7 @@ pub(crate) mod view;
 
 use bytes::StoreBytes;
 use format::{kind, SectionEntry, StoreEncoder, StoreHeader};
-use view::{ByteSec, U32s, U64s};
+use view::U64s;
 
 // Sections are cast to their element types in place; the format is
 // little-endian on disk, so a big-endian host would read garbage.
@@ -77,13 +75,11 @@ pub struct PartitionMeta {
     pub input_edges: u64,
     /// Neighbour lists were degree-reordered before persisting.
     pub degree_ordered: bool,
-    /// Hub threshold the sidecar was built with (0 without sidecar).
-    pub hub_min_degree: u64,
 }
 
 /// One opened (or freshly encoded) partition: verified header +
-/// section table over a shared backing region, from which [`Csr`] and
-/// [`CompressedCsr`] views are cut without copying.
+/// section table over a shared backing region, from which [`Csr`]
+/// views are cut without copying.
 #[derive(Debug)]
 pub struct GraphStore {
     bytes: Arc<StoreBytes>,
@@ -94,50 +90,29 @@ pub struct GraphStore {
 
 impl GraphStore {
     /// Encodes a partition into its on-disk byte image.
-    pub fn encode(csr: &Csr, compressed: Option<&CompressedCsr>, meta: &PartitionMeta) -> Vec<u8> {
-        let mut flags = 0;
-        if meta.degree_ordered {
-            flags |= format::FLAG_DEGREE_ORDERED;
-        }
-        if compressed.is_some() {
-            flags |= format::FLAG_HAS_COMPRESSED;
-        }
+    pub fn encode(csr: &Csr, meta: &PartitionMeta) -> Vec<u8> {
         let header = StoreHeader {
             version: format::VERSION,
-            flags,
+            flags: if meta.degree_ordered { format::FLAG_DEGREE_ORDERED } else { 0 },
             num_vertices: csr.num_vertices(),
             row_base: csr.row_base(),
             rows: csr.num_rows(),
             num_ranks: meta.num_ranks,
             rank: meta.rank,
             input_edges: meta.input_edges,
-            hub_min_degree: if compressed.is_some() { meta.hub_min_degree } else { 0 },
-            plain_bytes_replaced: compressed.map_or(0, |c| c.plain_bytes_replaced() as u64),
             section_count: 0,
         };
         let mut enc = StoreEncoder::new(header);
         enc.section_u64s(kind::ROW_OFFSETS, csr.offsets());
         enc.section_u64s(kind::ADJ_TARGETS, csr.targets_raw());
-        if let Some(c) = compressed {
-            enc.section_u32s(kind::CMP_ROW_OF, c.row_of_words());
-            enc.section_u32s(kind::CMP_ENTRIES, &c.entry_words());
-            enc.section(kind::CMP_DATA, c.data_bytes().to_vec());
-            enc.section_u64s(kind::CMP_CHUNK_FIRST, c.chunk_first_words());
-            enc.section_u32s(kind::CMP_CHUNK_OFFSET, c.chunk_offset_words());
-        }
         enc.finish()
     }
 
     /// Encodes and writes a partition file under `dir`, returning its
     /// path. The write goes through a temp file + rename so a crashed
     /// build never leaves a torn partition behind a valid name.
-    pub fn persist(
-        dir: &Path,
-        csr: &Csr,
-        compressed: Option<&CompressedCsr>,
-        meta: &PartitionMeta,
-    ) -> io::Result<PathBuf> {
-        let image = Self::encode(csr, compressed, meta);
+    pub fn persist(dir: &Path, csr: &Csr, meta: &PartitionMeta) -> io::Result<PathBuf> {
+        let image = Self::encode(csr, meta);
         let path = partition_path(dir, meta.rank as usize);
         let tmp = path.with_extension("swgs.tmp");
         std::fs::write(&tmp, &image)?;
@@ -180,26 +155,29 @@ impl GraphStore {
     }
 
     /// Cross-section coherence checks (checksums already passed in
-    /// `format::parse`): required sections present exactly once, row
-    /// offsets monotone and consistent with the target count, sidecar
-    /// tables mutually consistent.
+    /// `format::parse`): exactly the two CSR sections, row offsets
+    /// monotone and consistent with the target count, row range inside
+    /// the vertex space. The header's counts come from the file, so
+    /// every size is computed with checked arithmetic: an impossible
+    /// value is `InvalidData`, never an overflow.
     fn validate(mut self) -> io::Result<GraphStore> {
+        if self.sections.len() != 2 {
+            return Err(corrupt(format!(
+                "{} sections present, a partition holds 2",
+                self.sections.len()
+            )));
+        }
         let need = |k| {
             self.section(k)
                 .ok_or_else(|| corrupt(format!("missing section kind {k}")))
         };
-        for e in &self.sections {
-            if self.sections.iter().filter(|o| o.kind == e.kind).count() > 1 {
-                return Err(corrupt(format!("duplicate section kind {}", e.kind)));
-            }
-        }
-
         let offs = need(kind::ROW_OFFSETS)?;
         let tgts = need(kind::ADJ_TARGETS)?;
-        if offs.len != (self.header.rows + 1) * 8 {
+        let h = self.header;
+        if h.rows.checked_add(1).and_then(|n| n.checked_mul(8)) != Some(offs.len) {
             return Err(corrupt(format!(
                 "row-offset section holds {} bytes, header promises {} rows",
-                offs.len, self.header.rows
+                offs.len, h.rows
             )));
         }
         let offsets = self.view_u64(offs);
@@ -209,42 +187,17 @@ impl GraphStore {
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(corrupt("row offsets not monotone".into()));
         }
-        if *offsets.last().unwrap() * 8 != tgts.len {
+        let last = *offsets.last().unwrap();
+        if last.checked_mul(8) != Some(tgts.len) {
             return Err(corrupt(format!(
-                "row offsets end at entry {} but target section holds {} bytes",
-                offsets.last().unwrap(),
+                "row offsets end at entry {last} but target section holds {} bytes",
                 tgts.len
             )));
         }
-        if self.header.row_base + self.header.rows > self.header.num_vertices {
+        if h.row_base.checked_add(h.rows).is_none_or(|end| end > h.num_vertices) {
             return Err(corrupt("row range exceeds vertex space".into()));
         }
-
-        let mut verified = 2;
-        if self.header.has_compressed() {
-            let row_of = need(kind::CMP_ROW_OF)?;
-            if row_of.len != self.header.rows * 4 {
-                return Err(corrupt("sidecar row index disagrees with row count".into()));
-            }
-            let entries = need(kind::CMP_ENTRIES)?;
-            if entries.len % (ENTRY_WORDS as u64 * 4) != 0 {
-                return Err(corrupt("sidecar entry table misshapen".into()));
-            }
-            need(kind::CMP_DATA)?;
-            need(kind::CMP_CHUNK_FIRST)?;
-            need(kind::CMP_CHUNK_OFFSET)?;
-            // Full cross-table validation happens in the sidecar view
-            // constructor; build it once here so a bad file fails the
-            // open, not the first traversal.
-            self.compressed_views().map_err(corrupt)?;
-            verified += 5;
-        } else if self.sections.len() != 2 {
-            return Err(corrupt(format!(
-                "{} sections present but header promises plain CSR only",
-                self.sections.len()
-            )));
-        }
-        self.stats.sections_verified = verified;
+        self.stats.sections_verified = 2;
         Ok(self)
     }
 
@@ -254,14 +207,6 @@ impl GraphStore {
 
     fn view_u64(&self, e: SectionEntry) -> U64s {
         U64s::mapped(self.bytes.clone(), e.offset as usize, e.len as usize)
-    }
-
-    fn view_u32(&self, e: SectionEntry) -> U32s {
-        U32s::mapped(self.bytes.clone(), e.offset as usize, e.len as usize)
-    }
-
-    fn view_bytes(&self, e: SectionEntry) -> ByteSec {
-        ByteSec::mapped(self.bytes.clone(), e.offset as usize, e.len as usize)
     }
 
     /// The partition's CSR as a zero-copy view. O(1): clones bump the
@@ -275,30 +220,6 @@ impl GraphStore {
             self.view_u64(offs),
             self.view_u64(tgts),
         )
-    }
-
-    fn compressed_views(&self) -> Result<CompressedCsr, String> {
-        let row_of = self.section(kind::CMP_ROW_OF).expect("validated at open");
-        let entries = self.section(kind::CMP_ENTRIES).expect("validated at open");
-        let data = self.section(kind::CMP_DATA).expect("validated at open");
-        let first = self.section(kind::CMP_CHUNK_FIRST).expect("validated at open");
-        let offset = self.section(kind::CMP_CHUNK_OFFSET).expect("validated at open");
-        CompressedCsr::from_parts(
-            self.view_u32(row_of),
-            self.view_u32(entries),
-            self.view_bytes(data),
-            self.view_u64(first),
-            self.view_u32(offset),
-            self.header.plain_bytes_replaced as usize,
-        )
-    }
-
-    /// The byte-coded hub sidecar, when the partition carries one.
-    pub fn compressed(&self) -> Option<CompressedCsr> {
-        if !self.header.has_compressed() {
-            return None;
-        }
-        Some(self.compressed_views().expect("validated at open"))
     }
 
     /// The verified header.
@@ -344,10 +265,6 @@ pub struct StoreManifest {
     pub input_edges: u64,
     /// Neighbour lists were degree-reordered before persisting.
     pub degree_ordered: bool,
-    /// Partitions carry the byte-coded hub sidecar.
-    pub compressed: bool,
-    /// Hub threshold the sidecars were built with (0 without them).
-    pub hub_min_degree: u64,
 }
 
 impl StoreManifest {
@@ -356,13 +273,11 @@ impl StoreManifest {
     /// write it last).
     fn write(&self, dir: &Path) -> io::Result<()> {
         let body = format!(
-            "swgs_manifest=1\nnum_vertices={}\nnum_ranks={}\ninput_edges={}\ndegree_ordered={}\ncompressed={}\nhub_min_degree={}\n",
+            "swgs_manifest=1\nnum_vertices={}\nnum_ranks={}\ninput_edges={}\ndegree_ordered={}\n",
             self.num_vertices,
             self.num_ranks,
             self.input_edges,
             u8::from(self.degree_ordered),
-            u8::from(self.compressed),
-            self.hub_min_degree,
         );
         let path = dir.join(MANIFEST_FILE);
         let tmp = path.with_extension("tmp");
@@ -370,7 +285,7 @@ impl StoreManifest {
         std::fs::rename(&tmp, &path)
     }
 
-    /// Reads and validates a manifest.
+    /// Reads and validates a manifest. Unknown keys are ignored.
     fn read(dir: &Path) -> io::Result<StoreManifest> {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
         let field = |key: &str| -> io::Result<u64> {
@@ -391,8 +306,6 @@ impl StoreManifest {
                 .map_err(|_| corrupt("num_ranks out of range".into()))?,
             input_edges: field("input_edges")?,
             degree_ordered: field("degree_ordered")? != 0,
-            compressed: field("compressed")? != 0,
-            hub_min_degree: field("hub_min_degree")?,
         })
     }
 }
@@ -415,7 +328,7 @@ impl StoreDir {
     /// a manifest with zero ranks or fewer vertices than ranks, and any
     /// partition whose header disagrees with the manifest and the
     /// [`Partition1D`] it implies — rank, rank count, vertex count, row
-    /// range, degree-order flag, sidecar flag. Errors of the partition
+    /// range, degree-order flag. Errors of the partition
     /// files themselves (checksums, coherence) pass through, prefixed
     /// with the file's path.
     pub fn open(dir: &Path, backend: StorageBackend) -> io::Result<StoreDir> {
@@ -444,7 +357,6 @@ impl StoreDir {
                 || h.row_base != lo
                 || h.rows != hi - lo
                 || h.degree_ordered() != manifest.degree_ordered
-                || h.has_compressed() != manifest.compressed
             {
                 return Err(corrupt(format!(
                     "{}: partition header disagrees with the manifest (expected rank {r}, \
@@ -465,26 +377,25 @@ impl StoreDir {
         })
     }
 
-    /// The one store-directory writer: persists rank `r`'s `(CSR,
-    /// sidecar)` — the `r`-th of `parts` — as `part-NNNNN.swgs` under
-    /// `dir` (created if absent), its [`PartitionMeta`] derived from
-    /// `manifest`, then writes `MANIFEST` last: a crashed persist never
-    /// leaves a directory that opens.
+    /// The one store-directory writer: persists rank `r`'s CSR — the
+    /// `r`-th of `parts` — as `part-NNNNN.swgs` under `dir` (created if
+    /// absent), its [`PartitionMeta`] derived from `manifest`, then
+    /// writes `MANIFEST` last: a crashed persist never leaves a
+    /// directory that opens.
     pub fn persist<'a>(
         dir: &Path,
         manifest: &StoreManifest,
-        parts: impl IntoIterator<Item = (&'a Csr, Option<&'a CompressedCsr>)>,
+        parts: impl IntoIterator<Item = &'a Csr>,
     ) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        for (rank, (csr, sidecar)) in (0..).zip(parts) {
+        for (rank, csr) in (0..).zip(parts) {
             let meta = PartitionMeta {
                 rank,
                 num_ranks: manifest.num_ranks,
                 input_edges: manifest.input_edges,
                 degree_ordered: manifest.degree_ordered,
-                hub_min_degree: manifest.hub_min_degree,
             };
-            GraphStore::persist(dir, csr, sidecar, &meta)?;
+            GraphStore::persist(dir, csr, &meta)?;
         }
         manifest.write(dir)
     }
@@ -495,13 +406,11 @@ mod tests {
     use super::*;
     use crate::{generate_kronecker, KroneckerConfig};
 
-    fn build_rank(scale: u32, ranks: u32, rank: u32) -> (Csr, CompressedCsr) {
+    fn build_rank(scale: u32, ranks: u32, rank: u32) -> Csr {
         let el = generate_kronecker(&KroneckerConfig::graph500(scale, 7));
         let part = crate::Partition1D::new(el.num_vertices, ranks);
         let (lo, hi) = part.range(rank);
-        let csr = Csr::from_edge_list_rows(&el, lo, hi - lo);
-        let cmp = CompressedCsr::from_csr(&csr, 8);
-        (csr, cmp)
+        Csr::from_edge_list_rows(&el, lo, hi - lo)
     }
 
     fn meta(rank: u32, ranks: u32) -> PartitionMeta {
@@ -510,50 +419,33 @@ mod tests {
             num_ranks: ranks,
             input_edges: 12345,
             degree_ordered: false,
-            hub_min_degree: 8,
         }
     }
 
     #[test]
-    fn encode_open_round_trips_csr_and_sidecar() {
-        let (csr, cmp) = build_rank(9, 4, 1);
-        let image = GraphStore::encode(&csr, Some(&cmp), &meta(1, 4));
+    fn encode_open_round_trips() {
+        let csr = build_rank(9, 4, 1);
+        let image = GraphStore::encode(&csr, &meta(1, 4));
         let store = GraphStore::from_bytes(image).unwrap();
         assert_eq!(store.csr(), csr);
-        assert_eq!(store.compressed().unwrap(), cmp);
         assert_eq!(store.header().input_edges, 12345);
-        assert_eq!(store.header().hub_min_degree, 8);
-        assert!(store.header().has_compressed());
         let stats = store.stats();
-        assert_eq!(stats.sections_verified, 7);
+        assert_eq!(stats.sections_verified, 2);
         assert_eq!(stats.bytes_mapped, 0);
         assert!(stats.bytes_copied > 0);
-    }
-
-    #[test]
-    fn plain_partition_round_trips() {
-        let (csr, _) = build_rank(8, 2, 0);
-        let image = GraphStore::encode(&csr, None, &meta(0, 2));
-        let store = GraphStore::from_bytes(image).unwrap();
-        assert_eq!(store.csr(), csr);
-        assert!(store.compressed().is_none());
-        assert_eq!(store.stats().sections_verified, 2);
     }
 
     #[test]
     fn mapped_open_is_zero_copy_and_identical() {
         let dir = std::env::temp_dir().join("swgs_store_test_map");
         std::fs::create_dir_all(&dir).unwrap();
-        let (csr, cmp) = build_rank(9, 2, 1);
-        let path = GraphStore::persist(&dir, &csr, Some(&cmp), &meta(1, 2)).unwrap();
+        let csr = build_rank(9, 2, 1);
+        let path = GraphStore::persist(&dir, &csr, &meta(1, 2)).unwrap();
         let store = GraphStore::open(&path, StorageBackend::Mapped).unwrap();
         assert!(store.is_mapped());
         let view = store.csr();
         assert!(view.is_mapped());
         assert_eq!(view, csr);
-        let cview = store.compressed().unwrap();
-        assert!(cview.is_mapped());
-        assert_eq!(cview, cmp);
         let stats = store.stats();
         assert_eq!(stats.bytes_copied, 0);
         assert_eq!(stats.bytes_mapped, store.byte_len() as u64);
@@ -567,8 +459,8 @@ mod tests {
     fn heap_backend_reports_copies() {
         let dir = std::env::temp_dir().join("swgs_store_test_heap");
         std::fs::create_dir_all(&dir).unwrap();
-        let (csr, _) = build_rank(8, 2, 0);
-        let path = GraphStore::persist(&dir, &csr, None, &meta(0, 2)).unwrap();
+        let csr = build_rank(8, 2, 0);
+        let path = GraphStore::persist(&dir, &csr, &meta(0, 2)).unwrap();
         let store = GraphStore::open(&path, StorageBackend::Heap).unwrap();
         assert!(!store.is_mapped());
         assert!(!store.csr().is_mapped());
@@ -588,8 +480,6 @@ mod tests {
             num_ranks: 8,
             input_edges: 1 << 20,
             degree_ordered: true,
-            compressed: true,
-            hub_min_degree: 64,
         };
         m.write(&dir).unwrap();
         assert_eq!(StoreManifest::read(&dir).unwrap(), m);
@@ -602,8 +492,6 @@ mod tests {
             num_ranks: ranks,
             input_edges: 12345,
             degree_ordered: false,
-            compressed: false,
-            hub_min_degree: 0,
         }
     }
 
@@ -611,9 +499,9 @@ mod tests {
     fn store_dir_persists_and_opens_every_partition() {
         let dir = std::env::temp_dir().join(format!("swgs_store_dir_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let rows: Vec<Csr> = (0..3).map(|r| build_rank(9, 3, r).0).collect();
+        let rows: Vec<Csr> = (0..3).map(|r| build_rank(9, 3, r)).collect();
         let m = plain_manifest(3);
-        StoreDir::persist(&dir, &m, rows.iter().map(|c| (c, None))).unwrap();
+        StoreDir::persist(&dir, &m, &rows).unwrap();
         for backend in [StorageBackend::Mapped, StorageBackend::Heap] {
             let opened = StoreDir::open(&dir, backend).unwrap();
             assert_eq!(opened.manifest, m);
@@ -634,27 +522,21 @@ mod tests {
     fn store_dir_refuses_a_partition_whose_flags_disagree_with_the_manifest() {
         let dir = std::env::temp_dir().join(format!("swgs_store_flags_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let rows: Vec<(Csr, CompressedCsr)> = (0..2).map(|r| build_rank(9, 2, r)).collect();
+        let rows: Vec<Csr> = (0..2).map(|r| build_rank(9, 2, r)).collect();
         let m = plain_manifest(2);
-        StoreDir::persist(&dir, &m, rows.iter().map(|(c, _)| (c, None))).unwrap();
+        StoreDir::persist(&dir, &m, &rows).unwrap();
         assert!(StoreDir::open(&dir, StorageBackend::Heap).is_ok());
         let refused = |what: &str| {
             let err = StoreDir::open(&dir, StorageBackend::Heap).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             assert!(err.to_string().contains("disagrees with the manifest"), "{what}: {err}");
         };
-        // Rank 1 grows a sidecar the plain manifest does not announce.
-        let (csr, cmp) = &rows[1];
-        GraphStore::persist(&dir, csr, Some(cmp), &PartitionMeta { hub_min_degree: 8, ..meta(1, 2) })
-            .unwrap();
-        refused("sidecar flag");
-        // Rank 1 plain again, but marked degree-ordered.
-        let ordered = PartitionMeta { degree_ordered: true, hub_min_degree: 0, ..meta(1, 2) };
-        GraphStore::persist(&dir, csr, None, &ordered).unwrap();
+        // Rank 1 marked degree-ordered under a manifest that is not.
+        let ordered = PartitionMeta { degree_ordered: true, ..meta(1, 2) };
+        GraphStore::persist(&dir, &rows[1], &ordered).unwrap();
         refused("degree-order flag");
         // Rank 1's file where rank 0's belongs.
-        GraphStore::persist(&dir, csr, None, &PartitionMeta { hub_min_degree: 0, ..meta(1, 2) })
-            .unwrap();
+        GraphStore::persist(&dir, &rows[1], &meta(1, 2)).unwrap();
         std::fs::copy(partition_path(&dir, 1), partition_path(&dir, 0)).unwrap();
         refused("rank and row range");
         std::fs::remove_dir_all(&dir).ok();
@@ -674,28 +556,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn lying_offsets_rejected_despite_valid_checksums() {
-        // Hand-build an image whose sections checksum fine but whose
-        // row offsets overrun the target section.
+    /// A hand-built partition whose sections will checksum fine, whatever
+    /// they claim.
+    fn crafted(num_vertices: u64, row_base: u64, rows: u64, offsets: &[u64], targets: &[u64]) -> StoreEncoder {
         let header = StoreHeader {
             version: format::VERSION,
             flags: 0,
-            num_vertices: 4,
-            row_base: 0,
-            rows: 2,
+            num_vertices,
+            row_base,
+            rows,
             num_ranks: 1,
             rank: 0,
             input_edges: 0,
-            hub_min_degree: 0,
-            plain_bytes_replaced: 0,
             section_count: 0,
         };
         let mut enc = StoreEncoder::new(header);
-        enc.section_u64s(kind::ROW_OFFSETS, &[0, 2, 9]);
-        enc.section_u64s(kind::ADJ_TARGETS, &[1, 0]);
-        let err = GraphStore::from_bytes(enc.finish()).unwrap_err();
+        enc.section_u64s(kind::ROW_OFFSETS, offsets);
+        enc.section_u64s(kind::ADJ_TARGETS, targets);
+        enc
+    }
+
+    fn open_crafted(num_vertices: u64, row_base: u64, rows: u64, offsets: &[u64], targets: &[u64]) -> io::Result<GraphStore> {
+        GraphStore::from_bytes(crafted(num_vertices, row_base, rows, offsets, targets).finish())
+    }
+
+    #[test]
+    fn lying_offsets_rejected_despite_valid_checksums() {
+        // Row offsets that overrun the target section.
+        let err = open_crafted(4, 0, 2, &[0, 2, 9], &[1, 0]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("target section"), "{err}");
+    }
+
+    #[test]
+    fn crafted_header_sizes_are_invalid_data_not_overflows() {
+        // Each size check multiplies or adds values read from the file:
+        // a row count whose offset section would span 2^64 bytes, the
+        // largest row count, a last offset whose target section would,
+        // and a row range that wraps the id space.
+        let cases: [(&str, io::Result<GraphStore>); 4] = [
+            ("rows = 2^61 - 1", open_crafted(4, 0, (1 << 61) - 1, &[], &[])),
+            ("rows = u64::MAX", open_crafted(4, 0, u64::MAX, &[], &[])),
+            ("last offset 2^61", open_crafted(4, 0, 1, &[0, 1 << 61], &[])),
+            ("row_base = u64::MAX", open_crafted(4, u64::MAX, 1, &[0, 1], &[0])),
+        ];
+        for (what, opened) in cases {
+            let err = opened.err().unwrap_or_else(|| panic!("{what}: opened"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_image_with_extra_sections_is_refused() {
+        let mut enc = crafted(4, 0, 2, &[0, 1, 2], &[1, 0]);
+        assert!(GraphStore::from_bytes(crafted(4, 0, 2, &[0, 1, 2], &[1, 0]).finish()).is_ok());
+        enc.section(3, vec![0; 8]);
+        let err = GraphStore::from_bytes(enc.finish()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("3 sections"), "{err}");
     }
 }

@@ -1,12 +1,11 @@
 //! Zero-copy section views.
 //!
 //! A [`SectionBuf`] is a byte range inside an `Arc<StoreBytes>` region;
-//! the typed wrappers [`U64s`], [`U32s`], and [`ByteSec`] present a
-//! section as a slice of its element type **in place** — no
-//! deserialization, no copy. Each wrapper also has an `Owned` variant
-//! holding a plain `Vec`, so `Csr` and `CompressedCsr` keep their
-//! owned-value ergonomics: a builder produces `Owned`, a store open
-//! produces `Mapped`, and every consumer just derefs to a slice.
+//! [`U64s`] presents a section as a `u64` slice **in place** — no
+//! deserialization, no copy. It also has an `Owned` variant holding a
+//! plain `Vec`, so `Csr` keeps its owned-value ergonomics: a builder
+//! produces `Owned`, a store open produces `Mapped`, and every consumer
+//! just derefs to a slice.
 //!
 //! Cloning a `Mapped` view bumps the `Arc` — O(1) — which is what makes
 //! store-backed graphs cheap to hand to worker threads. Equality is by
@@ -30,11 +29,11 @@ pub struct SectionBuf {
 
 impl SectionBuf {
     /// A view of `bytes[off..off + len]`, which must be in range and
-    /// `align`-aligned (both the offset and the region base).
-    pub fn new(bytes: Arc<StoreBytes>, off: usize, len: usize, align: usize) -> SectionBuf {
+    /// aligned for `u64` (the offset and the region base together).
+    pub fn new(bytes: Arc<StoreBytes>, off: usize, len: usize) -> SectionBuf {
         assert!(off.checked_add(len).is_some_and(|end| end <= bytes.len()), "section out of range");
         assert_eq!(
-            (bytes.as_bytes().as_ptr() as usize + off) % align,
+            (bytes.as_bytes().as_ptr() as usize + off) % std::mem::align_of::<u64>(),
             0,
             "section misaligned for element type"
         );
@@ -51,19 +50,16 @@ impl SectionBuf {
         self.bytes.is_mapped()
     }
 
-    /// In-place cast to a slice of `T`. `new` checked alignment; the
-    /// length must be an exact multiple of `size_of::<T>()`.
-    fn as_slice<T>(&self) -> &[T] {
+    /// In-place cast to a `u64` slice. `new` checked alignment; the
+    /// length must be an exact multiple of 8.
+    fn as_words(&self) -> &[u64] {
         let bytes = self.as_bytes();
-        debug_assert_eq!(bytes.len() % std::mem::size_of::<T>(), 0);
-        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
+        debug_assert_eq!(bytes.len() % 8, 0);
+        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<u64>(), 0);
         // SAFETY: the range is in bounds for the lifetime of `self`
         // (the Arc keeps the region alive), properly aligned (checked
-        // at construction), and T is a plain integer type for every
-        // instantiation in this module.
-        unsafe {
-            std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / std::mem::size_of::<T>())
-        }
+        // at construction), and every bit pattern is a valid `u64`.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) }
     }
 }
 
@@ -73,66 +69,51 @@ impl std::fmt::Debug for SectionBuf {
     }
 }
 
-macro_rules! typed_view {
-    ($name:ident, $elem:ty, $doc:literal) => {
-        #[doc = $doc]
-        #[derive(Clone, Debug)]
-        pub enum $name {
-            /// Builder-produced owned storage.
-            Owned(Vec<$elem>),
-            /// Zero-copy view into a store section.
-            Mapped(SectionBuf),
-        }
-
-        impl $name {
-            /// Wraps a section as a typed view (alignment re-checked).
-            pub fn mapped(bytes: Arc<StoreBytes>, off: usize, len: usize) -> $name {
-                $name::Mapped(SectionBuf::new(bytes, off, len, std::mem::align_of::<$elem>()))
-            }
-
-            /// True for a section view (either store backing), as
-            /// opposed to builder-owned storage.
-            #[allow(dead_code)] // not every instantiation uses every accessor
-            pub fn is_store_backed(&self) -> bool {
-                matches!(self, $name::Mapped(_))
-            }
-
-            /// True only for a section view whose backing region is an
-            /// `mmap(2)` — the genuinely zero-copy restart path.
-            pub fn is_mapped(&self) -> bool {
-                matches!(self, $name::Mapped(s) if s.region_is_mapped())
-            }
-        }
-
-        impl Deref for $name {
-            type Target = [$elem];
-            fn deref(&self) -> &[$elem] {
-                match self {
-                    $name::Owned(v) => v,
-                    $name::Mapped(s) => s.as_slice::<$elem>(),
-                }
-            }
-        }
-
-        impl From<Vec<$elem>> for $name {
-            fn from(v: Vec<$elem>) -> $name {
-                $name::Owned(v)
-            }
-        }
-
-        impl PartialEq for $name {
-            fn eq(&self, other: &$name) -> bool {
-                self[..] == other[..]
-            }
-        }
-
-        impl Eq for $name {}
-    };
+/// A `u64` section view (row offsets, adjacency targets).
+#[derive(Clone, Debug)]
+pub enum U64s {
+    /// Builder-produced owned storage.
+    Owned(Vec<u64>),
+    /// Zero-copy view into a store section.
+    Mapped(SectionBuf),
 }
 
-typed_view!(U64s, u64, "A `u64` section view (row offsets, adjacency targets, chunk firsts).");
-typed_view!(U32s, u32, "A `u32` section view (compressed-row indexes and chunk offsets).");
-typed_view!(ByteSec, u8, "A raw byte section view (varint streams).");
+impl U64s {
+    /// Wraps a section as a `u64` view (alignment re-checked).
+    pub fn mapped(bytes: Arc<StoreBytes>, off: usize, len: usize) -> U64s {
+        U64s::Mapped(SectionBuf::new(bytes, off, len))
+    }
+
+    /// True only for a section view whose backing region is an
+    /// `mmap(2)` — the genuinely zero-copy restart path.
+    pub fn is_mapped(&self) -> bool {
+        matches!(self, U64s::Mapped(s) if s.region_is_mapped())
+    }
+}
+
+impl Deref for U64s {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        match self {
+            U64s::Owned(v) => v,
+            U64s::Mapped(s) => s.as_words(),
+        }
+    }
+}
+
+impl From<Vec<u64>> for U64s {
+    fn from(v: Vec<u64>) -> U64s {
+        U64s::Owned(v)
+    }
+}
+
+impl PartialEq for U64s {
+    fn eq(&self, other: &U64s) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for U64s {}
 
 #[cfg(test)]
 mod tests {
@@ -148,7 +129,7 @@ mod tests {
         let r = region(&[1, 2, 3, 4]);
         let v = U64s::mapped(r.clone(), 8, 16);
         assert_eq!(&v[..], &[2, 3]);
-        assert!(v.is_store_backed());
+        assert!(matches!(v, U64s::Mapped(_)));
         // The region is a heap buffer, so this is not the mmap path.
         assert!(!v.is_mapped());
         let c = v.clone();
@@ -161,14 +142,7 @@ mod tests {
         let m = U64s::mapped(r, 0, 16);
         let o = U64s::from(vec![7u64, 9]);
         assert_eq!(m, o);
-        assert!(!o.is_store_backed());
-    }
-
-    #[test]
-    fn u32_view_halves_words() {
-        let r = region(&[(5u64 << 32) | 4]);
-        let v = U32s::mapped(r, 0, 8);
-        assert_eq!(&v[..], &[4u32, 5]);
+        assert!(matches!(o, U64s::Owned(_)));
     }
 
     #[test]

@@ -6,26 +6,23 @@
 //! misparsed.
 
 use proptest::prelude::*;
-use sw_graph::compressed::CompressedCsr;
 use sw_graph::store::format::{self, StoreHeader};
 use sw_graph::store::{GraphStore, PartitionMeta};
 use sw_graph::{generate_kronecker, Csr, KroneckerConfig, Partition1D};
 
-fn rank_image(seed: u64, scale: u32, ranks: u32, rank: u32, hub_min: u64) -> (Csr, Option<CompressedCsr>, Vec<u8>) {
+fn rank_image(seed: u64, scale: u32, ranks: u32, rank: u32) -> (Csr, Vec<u8>) {
     let el = generate_kronecker(&KroneckerConfig::graph500(scale, seed));
     let part = Partition1D::new(el.num_vertices, ranks);
     let (lo, hi) = part.range(rank);
     let csr = Csr::from_edge_list_rows(&el, lo, hi - lo);
-    let cmp = (hub_min > 0).then(|| CompressedCsr::from_csr(&csr, hub_min));
     let meta = PartitionMeta {
         rank,
         num_ranks: ranks,
         input_edges: el.len() as u64,
         degree_ordered: false,
-        hub_min_degree: hub_min,
     };
-    let image = GraphStore::encode(&csr, cmp.as_ref(), &meta);
-    (csr, cmp, image)
+    let image = GraphStore::encode(&csr, &meta);
+    (csr, image)
 }
 
 proptest! {
@@ -33,21 +30,19 @@ proptest! {
 
     /// Round-trip under every split boundary: each rank of each ranks
     /// count reopens to views content-equal to what was encoded —
-    /// including the empty-partition and no-sidecar edges.
+    /// including the empty-partition edge.
     #[test]
     fn round_trips_under_every_split(
         seed in 0u64..u64::MAX,
         scale in 7u32..10,
         ranks in 1u32..9,
-        hub_min in 0u64..24,
     ) {
         for rank in 0..ranks {
-            let (csr, cmp, image) = rank_image(seed, scale, ranks, rank, hub_min);
+            let (csr, image) = rank_image(seed, scale, ranks, rank);
             let store = GraphStore::from_bytes(image).unwrap();
             prop_assert_eq!(store.header().rank, rank);
             prop_assert_eq!(store.header().num_ranks, ranks);
             prop_assert_eq!(&store.csr(), &csr);
-            prop_assert_eq!(&store.compressed(), &cmp);
         }
     }
 
@@ -62,7 +57,7 @@ proptest! {
         flip_bit in 0u32..8,
         pos_seed in 0u64..u64::MAX,
     ) {
-        let (csr, cmp, image) = rank_image(seed, 8, 3, 1, 4);
+        let (csr, image) = rank_image(seed, 8, 3, 1);
         let mut corrupt = image.clone();
         let pos = (pos_seed % image.len() as u64) as usize;
         corrupt[pos] ^= 1 << flip_bit;
@@ -72,7 +67,6 @@ proptest! {
                 // A flip inside alignment padding parses — but then the
                 // graph must be bit-identical to the original.
                 prop_assert_eq!(&store.csr(), &csr);
-                prop_assert_eq!(&store.compressed(), &cmp);
             }
         }
     }
@@ -81,7 +75,7 @@ proptest! {
     /// section is interpreted.
     #[test]
     fn version_bump_refused(seed in 0u64..u64::MAX, version in 2u32..1000) {
-        let (_, _, mut image) = rank_image(seed, 7, 2, 0, 0);
+        let (_, mut image) = rank_image(seed, 7, 2, 0);
         image[8..12].copy_from_slice(&version.to_le_bytes());
         let err = GraphStore::from_bytes(image).unwrap_err();
         prop_assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
@@ -90,7 +84,7 @@ proptest! {
     /// Every truncated prefix of a valid image is refused.
     #[test]
     fn torn_prefix_refused(seed in 0u64..u64::MAX, cut_seed in 0u64..u64::MAX) {
-        let (_, _, image) = rank_image(seed, 7, 2, 1, 4);
+        let (_, image) = rank_image(seed, 7, 2, 1);
         let cut = (cut_seed % image.len() as u64) as usize;
         prop_assert!(GraphStore::from_bytes(image[..cut].to_vec()).is_err());
     }
@@ -99,15 +93,13 @@ proptest! {
     /// metadata a restart depends on).
     #[test]
     fn header_metadata_round_trips(seed in 0u64..u64::MAX, ranks in 1u32..5) {
-        let (csr, _, image) = rank_image(seed, 7, ranks, ranks - 1, 6);
+        let (csr, image) = rank_image(seed, 7, ranks, ranks - 1);
         let store = GraphStore::from_bytes(image).unwrap();
         let h: &StoreHeader = store.header();
         prop_assert_eq!(h.version, format::VERSION);
         prop_assert_eq!(h.num_vertices, csr.num_vertices());
         prop_assert_eq!(h.row_base, csr.row_base());
         prop_assert_eq!(h.rows, csr.num_rows());
-        prop_assert_eq!(h.hub_min_degree, 6);
-        prop_assert!(h.has_compressed());
         prop_assert!(!h.degree_ordered());
     }
 }
