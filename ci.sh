@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo clippy -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Benches must keep compiling (they link the criterion shim and the
 # crates' public surface; drift there otherwise surfaces only on demand).
