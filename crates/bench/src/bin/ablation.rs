@@ -8,6 +8,7 @@
 use std::time::Instant;
 use sw_bench::{print_table, PositionalArgs};
 use sw_graph::{generate_kronecker, KroneckerConfig};
+use swbfs_core::policy::Direction;
 use swbfs_core::{BfsConfig, ClusterBuilder, Messaging};
 
 fn main() {
@@ -21,7 +22,12 @@ fn main() {
         el.num_vertices,
         el.len()
     );
-    let base = BfsConfig::threaded_small((ranks / 4).max(1));
+    // The paper's Bottom-Up protocol is the subject here: at 2^10 hubs
+    // most Bottom-Up neighbours are left to a QUERY/REPLY exchange.
+    let base = BfsConfig {
+        bottom_up_hubs: 1 << 10,
+        ..BfsConfig::threaded_small((ranks / 4).max(1))
+    };
 
     let variants: Vec<(&str, BfsConfig)> = vec![
         ("paper (relay, dir-opt, hubs)", base),
@@ -61,6 +67,15 @@ fn main() {
         let out = tc.run(root).expect("bfs");
         let dt = t0.elapsed().as_secs_f64();
         let records: u64 = out.levels.iter().map(|l| l.records_generated).sum();
+        if cfg == base {
+            let bottom_up: u64 = out
+                .levels
+                .iter()
+                .filter(|l| l.direction == Direction::BottomUp)
+                .map(|l| l.records_generated)
+                .sum();
+            assert!(bottom_up > 0, "the base row must exercise Bottom-Up queries");
+        }
         let bytes: u64 = out.levels.iter().map(|l| l.bytes_sent).sum();
         rows.push(vec![
             name.to_string(),

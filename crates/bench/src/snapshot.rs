@@ -90,11 +90,18 @@ fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
     let el = generate_kronecker(&KroneckerConfig::graph500(w.scale, w.seed));
     let root = 1u64;
     let mut relay_report = None;
+    // The paper-style Bottom-Up hub count: most Bottom-Up neighbours
+    // are left to a query, so the snapshot covers the QUERY/REPLY
+    // exchange.
+    let base = BfsConfig {
+        bottom_up_hubs: 1 << 10,
+        ..BfsConfig::threaded_small(4)
+    };
 
     // Threaded backend, both transports, traced in the virtual-work
     // domain so the event totals themselves are checkable numbers.
     for (prefix, messaging) in [("direct", Messaging::Direct), ("relay", Messaging::Relay)] {
-        let cfg = BfsConfig::threaded_small(4).with_messaging(messaging);
+        let cfg = base.with_messaging(messaging);
         let mut cluster = ClusterBuilder::new(&el, w.ranks, cfg)
             .build()
             .expect("cluster setup");
@@ -113,7 +120,7 @@ fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
     }
 
     // The channel backend on the same graph (Direct mesh).
-    let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
+    let cfg = base.with_messaging(Messaging::Direct);
     let mut chans = ClusterBuilder::new(&el, w.ranks, cfg)
         .transport(Channels::new())
         .build()

@@ -162,7 +162,7 @@ mod kernel_parity {
         make: fn() -> T,
         fault_plan: Option<FaultPlan>,
         label: &str,
-    ) {
+    ) -> BfsOutput {
         let build = || {
             let mut b = ClusterBuilder::new(el, ranks, cfg).transport(make());
             if let Some(p) = &fault_plan {
@@ -188,6 +188,7 @@ mod kernel_parity {
             out_w.levels.iter().any(|ls| ls.words_scanned > 0),
             "{label}: word sweeps never engaged"
         );
+        out_w
     }
 
     /// Scale 14, one transport × both messaging modes × faults on/off.
@@ -220,6 +221,26 @@ mod kernel_parity {
         let cfg = BfsConfig::threaded_small(4);
         compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/scale16");
         compare(&el, 8, cfg, Channels::new, None, "channels/scale16");
+    }
+
+    /// The paper-style 2^10 Bottom-Up hubs leave most Bottom-Up
+    /// neighbours to a query, so the seed Backward Generator's query path
+    /// and the Backward Handler are compared too, faults included.
+    #[test]
+    fn paper_hub_count_agrees() {
+        let el = graph(14, 21);
+        let cfg = BfsConfig {
+            bottom_up_hubs: 1 << 10,
+            ..BfsConfig::threaded_small(4)
+        };
+        let out = compare(&el, 8, cfg, SharedMem::new, Some(FaultPlan::lossy(23)), "shared_mem/paper_hubs");
+        let queries: u64 = out
+            .levels
+            .iter()
+            .filter(|ls| ls.direction == crate::policy::Direction::BottomUp)
+            .map(|ls| ls.records_generated)
+            .sum();
+        assert!(queries > 0, "no Bottom-Up query was compared");
     }
 
     /// The degree-ordered adjacency refinement reorders neighbour lists

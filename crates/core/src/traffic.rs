@@ -139,9 +139,24 @@ pub fn extrapolate_depth(profile: &[LevelProfile], growth_factor: f64) -> Vec<Le
 mod tests {
     use super::*;
 
+    /// `threaded_small` with the paper-style 2^10 Bottom-Up hubs: the
+    /// profiles feed the model, which charges Bottom-Up QUERY/REPLY
+    /// traffic, so the measured Bottom-Up levels must carry some.
+    fn paper_style(group_size: u32) -> BfsConfig {
+        BfsConfig {
+            bottom_up_hubs: 1 << 10,
+            ..BfsConfig::threaded_small(group_size)
+        }
+    }
+
+    fn has_bottom_up_queries(prof: &[LevelProfile]) -> bool {
+        prof.iter().any(|l| l.direction == Direction::BottomUp && l.records_frac > 0.0)
+    }
+
     #[test]
     fn measured_profile_is_sane() {
-        let prof = measure_profile(11, 3, 4, BfsConfig::threaded_small(2), 0).unwrap();
+        let prof = measure_profile(11, 3, 4, paper_style(2), 0).unwrap();
+        assert!(has_bottom_up_queries(&prof));
         assert!(prof.len() >= 4, "BFS depth {} too shallow", prof.len());
         let settled: f64 = prof.iter().map(|l| l.settled_frac).sum();
         // RMAT giant component: most non-isolated vertices reached. Scale 11
@@ -166,8 +181,10 @@ mod tests {
         // The settled-fraction trajectory at scale 10 and 12 should agree
         // in shape: same direction sequence modulo one level of shift, and
         // total settled within 20%.
-        let a = measure_profile(10, 5, 4, BfsConfig::threaded_small(2), 1).unwrap();
-        let b = measure_profile(12, 5, 4, BfsConfig::threaded_small(2), 1).unwrap();
+        let a = measure_profile(10, 5, 4, paper_style(2), 1).unwrap();
+        let b = measure_profile(12, 5, 4, paper_style(2), 1).unwrap();
+        // At scale 10, 2^10 hubs are every vertex: only scale 12 queries.
+        assert!(has_bottom_up_queries(&b));
         let sa: f64 = a.iter().map(|l| l.settled_frac).sum();
         let sb: f64 = b.iter().map(|l| l.settled_frac).sum();
         assert!((sa - sb).abs() / sb < 0.25, "settled {sa} vs {sb}");

@@ -19,7 +19,8 @@
 
 use swbfs_core::config::{BfsConfig, Messaging};
 use swbfs_core::engine::{ClusterBuilder, SocketTransport};
-use swbfs_core::{ExchangeError, ExecError, FaultPlan};
+use swbfs_core::policy::Direction;
+use swbfs_core::{BfsOutput, ExchangeError, ExecError, FaultPlan};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
 
 fn socket_unix() -> SocketTransport {
@@ -48,6 +49,15 @@ fn random_survivable_plan(state: &mut u64) -> FaultPlan {
     }
 }
 
+/// Records the Bottom-Up generators and handlers produced in one run.
+fn bottom_up_records(out: &BfsOutput) -> u64 {
+    out.levels
+        .iter()
+        .filter(|l| l.direction == Direction::BottomUp)
+        .map(|l| l.records_generated)
+        .sum()
+}
+
 fn scale14() -> EdgeList {
     generate_kronecker(&KroneckerConfig::graph500(14, 8))
 }
@@ -63,19 +73,30 @@ fn scale16() -> EdgeList {
 fn fifty_survivable_schedules_are_bit_identical_at_scale_14() {
     let el = scale14();
     let mut state = 0x5EED_CA05u64;
-    for (mode, compress) in [
-        (Messaging::Direct, false),
-        (Messaging::Relay, false),
-        (Messaging::Direct, true),
-        (Messaging::Relay, true),
+    // The paper-style 2^10 Bottom-Up hubs on one arm: its Bottom-Up
+    // levels exchange queries and replies, so faults land on them too.
+    for (mode, compress, bottom_up_hubs) in [
+        (Messaging::Direct, false, None),
+        (Messaging::Relay, false, Some(1 << 10)),
+        (Messaging::Direct, true, None),
+        (Messaging::Relay, true, None),
     ] {
         let mut cfg = BfsConfig::threaded_small(4).with_messaging(mode);
         if compress {
             cfg = cfg.with_compression();
         }
+        if let Some(bottom_up_hubs) = bottom_up_hubs {
+            cfg.bottom_up_hubs = bottom_up_hubs;
+        }
         let mut cluster = ClusterBuilder::new(&el, 8, cfg).build().unwrap();
         let root = splitmix(&mut state) % el.num_vertices;
         let oracle = cluster.run(root).unwrap();
+        if bottom_up_hubs.is_some() {
+            assert!(
+                bottom_up_records(&oracle) > 0,
+                "the paper-style arm must exchange Bottom-Up queries"
+            );
+        }
         // 13 schedules per configuration = 52 total.
         for round in 0..13 {
             let plan = random_survivable_plan(&mut state);

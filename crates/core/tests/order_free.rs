@@ -28,6 +28,7 @@ use swbfs_core::exchange::{Codec, ExchangeStats};
 use swbfs_core::faults::{FaultSession, RetryPolicy};
 use swbfs_core::messages::EdgeRec;
 use swbfs_core::modules::Outboxes;
+use swbfs_core::policy::Direction;
 use swbfs_core::{BfsConfig, BfsOutput};
 
 /// How [`Reordering`] permutes an inbox.
@@ -158,8 +159,18 @@ fn check<T: Transport>(make: impl Fn() -> T, varint: bool) {
             .take(3)
             .collect();
         let mut by_messaging = Vec::new();
-        for messaging in [Messaging::Direct, Messaging::Relay] {
-            let cfg = BfsConfig::threaded_small(3).with_messaging(messaging);
+        // The third arm keeps the paper-style 2^10 Bottom-Up hubs, whose
+        // Bottom-Up levels exchange queries and replies the permutation
+        // then reorders; below scale 12 those hubs are every vertex, so
+        // it starts there. Its tree may differ from the other two (fewer
+        // hubs, other parents), so it stays out of their comparison.
+        let paper_hubs = (scale >= 12).then_some((Messaging::Relay, Some(1 << 10)));
+        let arms = [(Messaging::Direct, None), (Messaging::Relay, None)];
+        for (messaging, bottom_up_hubs) in arms.into_iter().chain(paper_hubs) {
+            let mut cfg = BfsConfig::threaded_small(3).with_messaging(messaging);
+            if let Some(bottom_up_hubs) = bottom_up_hubs {
+                cfg.bottom_up_hubs = bottom_up_hubs;
+            }
             let cfg = if varint { cfg.with_compression() } else { cfg };
             let unwrapped = make();
             let name = unwrapped.name();
@@ -172,7 +183,8 @@ fn check<T: Transport>(make: impl Fn() -> T, varint: bool) {
                 let got = runs(&el, cfg, wrapped, &roots);
                 for (k, ((a, ca), (b, cb))) in plain.iter().zip(&got).enumerate() {
                     let at = format!(
-                        "{name} varint={varint} scale {scale} {messaging:?} {permute:?} root {}",
+                        "{name} varint={varint} scale {scale} {messaging:?} hubs {bottom_up_hubs:?} \
+                         {permute:?} root {}",
                         roots[k]
                     );
                     assert_eq!(a.parents, b.parents, "{at}: parents");
@@ -180,7 +192,17 @@ fn check<T: Transport>(make: impl Fn() -> T, varint: bool) {
                     assert_eq!(ca, cb, "{at}: counter set");
                 }
             }
-            by_messaging.push(plain);
+            if bottom_up_hubs.is_some() {
+                let queries: u64 = plain
+                    .iter()
+                    .flat_map(|(out, _)| &out.levels)
+                    .filter(|l| l.direction == Direction::BottomUp)
+                    .map(|l| l.records_generated)
+                    .sum();
+                assert!(queries > 0, "{name} scale {scale}: no Bottom-Up query to reorder");
+            } else {
+                by_messaging.push(plain);
+            }
         }
         for (d, r) in by_messaging[0].iter().zip(&by_messaging[1]) {
             assert_eq!(

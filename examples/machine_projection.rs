@@ -17,8 +17,13 @@ use swbfs::net::NetworkConfig;
 fn main() {
     // 1. Measure how your workload actually behaves, per level.
     let profile_scale = 16;
-    let profile = measure_profile(profile_scale, 7, 8, BfsConfig::threaded_small(4), 1)
-        .expect("profile measurement");
+    // The paper-style Bottom-Up hub count, so the Bottom-Up levels carry
+    // the QUERY/REPLY traffic the model projects.
+    let cfg = BfsConfig {
+        bottom_up_hubs: 1 << 10,
+        ..BfsConfig::threaded_small(4)
+    };
+    let profile = measure_profile(profile_scale, 7, 8, cfg, 1).expect("profile measurement");
     println!("measured profile: {} levels", profile.len());
     for (i, l) in profile.iter().enumerate() {
         println!(

@@ -5,6 +5,7 @@ use swbfs::arch::{ChipConfig, ShuffleEngine};
 use swbfs::bfs::arena::ExchangeArena;
 use swbfs::bfs::exchange::Codec;
 use swbfs::bfs::messages::EdgeRec;
+use swbfs::bfs::policy::Direction;
 use swbfs::bfs::modules::Outboxes;
 use swbfs::bfs::shuffling::{bfs_shuffle_layout, bucket_count};
 use swbfs::bfs::traffic::{extrapolate_depth, measure_profile};
@@ -98,7 +99,17 @@ fn model_crash_thresholds_match_constraint_sources() {
 /// the fixture profile (the harness does not depend on magic constants).
 #[test]
 fn measured_and_fixture_profiles_agree_qualitatively() {
-    let measured = measure_profile(12, 3, 8, BfsConfig::threaded_small(4), 1).unwrap();
+    // The paper-style Bottom-Up hub count: the model charges the
+    // Bottom-Up QUERY/REPLY traffic this profile must then carry.
+    let cfg = BfsConfig {
+        bottom_up_hubs: 1 << 10,
+        ..BfsConfig::threaded_small(4)
+    };
+    let measured = measure_profile(12, 3, 8, cfg, 1).unwrap();
+    assert!(
+        measured.iter().any(|l| l.direction == Direction::BottomUp && l.records_frac > 0.0),
+        "the profile must carry Bottom-Up queries"
+    );
     let growth = (1024u64 * (16 << 20)) as f64 / (1u64 << 12) as f64;
     let gteps = |profile| {
         ModeledCluster::new(
