@@ -93,13 +93,21 @@ impl BfsConfig {
     }
 
     /// A configuration scaled for small threaded runs: groups of
-    /// `group_size` ranks and proportionally fewer hubs, so the relay and
-    /// hub machinery is exercised even with a handful of ranks.
+    /// `group_size` ranks, 2^8 Top-Down hubs, and 2^17 Bottom-Up hubs —
+    /// every vertex with an edge up to scale 17, so Bottom-Up levels send
+    /// no query there.
+    ///
+    /// 2^17 is the chip model's number, not a benchmark's: the largest
+    /// power of two whose replicated bitmap (16 KB, plus the 2^8 Top-Down
+    /// bits) still leaves [`crate::shuffling::bfs_shuffle_layout`] room
+    /// for the paper's 256 Direct-CPE destinations on
+    /// `ChipConfig::sw26010()` (496 of them; 2^18 leaves none).
+    /// [`Self::paper`] keeps 2^12/2^14 because its 2^40 vertices never fit.
     pub fn threaded_small(group_size: u32) -> Self {
         Self {
             group_size,
             top_down_hubs: 1 << 8,
-            bottom_up_hubs: 1 << 10,
+            bottom_up_hubs: 1 << 17,
             ..Self::paper()
         }
     }

@@ -71,7 +71,7 @@ use std::path::{Path, PathBuf};
 use sw_arch::ChipConfig;
 use sw_graph::hub::HubSet;
 use sw_graph::{
-    Bitmap, Csr, EdgeList, Partition1D, RowOrder, StorageBackend, StoreDir, StoreManifest, Vid,
+    Csr, EdgeList, Partition1D, RowOrder, StorageBackend, StoreDir, StoreManifest, Vid,
 };
 use sw_net::GroupLayout;
 use sw_trace::{CounterSet, Tracer, NO_LEVEL};
@@ -263,11 +263,6 @@ pub struct SuperstepEngine<T: Transport> {
     /// The replicated hub state: every rank's copy is identical after a
     /// gather, so one copy serves all ranks' generators.
     hubs: HubState,
-    /// `(hub_index, local_index)` pairs per rank, for contribution builds.
-    owned_hubs: Vec<Vec<(u32, u32)>>,
-    /// Per-rank hub-gather contributions `(in next, settled)`, rebuilt
-    /// in place at every level boundary.
-    hub_contribs: (Vec<Bitmap>, Vec<Bitmap>),
     total_directed_edges: u64,
     input_edges: u64,
     /// Storage accounting from construction: zero for edge-list builds,
@@ -414,19 +409,6 @@ impl<T: Transport> SuperstepEngine<T> {
             .collect();
         let set = HubSet::from_degrees(nominations, k);
         let td_limit = cfg.top_down_hubs.min(set.len()) as u32;
-        let owned_hubs: Vec<Vec<(u32, u32)>> = (0..num_ranks)
-            .map(|r| {
-                set.hubs()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| part.owner(v) == r)
-                    .map(|(i, &v)| (i as u32, part.to_local(v)))
-                    .collect()
-            })
-            .collect();
-
-        let contribs = || (0..num_ranks).map(|_| Bitmap::new(set.len())).collect();
-        let hub_contribs = (contribs(), contribs());
         let hubs = HubState::with_td_limit(set, td_limit);
 
         let total_directed_edges = ranks.iter().map(|r| r.csr.num_entries()).sum();
@@ -437,8 +419,6 @@ impl<T: Transport> SuperstepEngine<T> {
             layout,
             ranks,
             hubs,
-            owned_hubs,
-            hub_contribs,
             total_directed_edges,
             input_edges,
             store_stats,
@@ -922,25 +902,12 @@ impl<T: Transport> SuperstepEngine<T> {
         bytes
     }
 
-    /// Rebuilds the replicated hub bitmaps from every rank's new frontier
-    /// (`curr`: the level is closed out) + parent state; returns the
+    /// Rebuilds the replicated hub views from every rank's new frontier
+    /// (`curr`: the level is closed out) and visited words; returns the
     /// gather traffic in bytes.
     fn update_hubs(&mut self) -> u64 {
-        let (contrib_curr, contrib_visited) = &mut self.hub_contribs;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            let (c, v) = (&mut contrib_curr[r], &mut contrib_visited[r]);
-            c.clear_all();
-            v.clear_all();
-            for &(hub_idx, local) in &self.owned_hubs[r] {
-                if rank.curr.contains(local as usize) {
-                    c.set(hub_idx as usize);
-                }
-                if rank.visited(local as usize) {
-                    v.set(hub_idx as usize);
-                }
-            }
-        }
-        gather_hub_level(&mut self.hubs, contrib_curr, contrib_visited).bytes
+        let blocks = self.ranks.iter().map(|r| (r.global(0), r.curr.as_bitmap(), &r.visited_bits));
+        gather_hub_level(&mut self.hubs, blocks).bytes
     }
 }
 

@@ -3,11 +3,12 @@
 //!
 //! Three resolution tiers, cheapest first:
 //!
-//! 1. **local** — the neighbour is owned here; its frontier bit answers
-//!    immediately and the scan short-circuits on a hit;
-//! 2. **hub** — the neighbour is a hub (one membership bit test); the
-//!    replicated hub frontier, read by vertex id, is *authoritative* (in
-//!    the frontier → claim and stop; not → no query needed at all);
+//! 1. **hub** — the replicated hub frontier, read by vertex id, is
+//!    *authoritative* for every hub, owned here or not: one bit test
+//!    claims and stops on a hit; a hub outside it needs no further test
+//!    and no query. With every vertex a hub this is the only tier;
+//! 2. **local** — a non-hub neighbour owned here; its frontier bit
+//!    answers immediately and the scan short-circuits on a hit;
 //! 3. **remote** — a backward query `(u, v)` must go to `owner(u)`; these
 //!    are queued only if tiers 1–2 found no parent.
 //!
@@ -16,7 +17,9 @@
 //! fully-settled block of 64 vertices costs a single compare, and set
 //! bits are enumerated with `trailing_zeros` — ascending local index,
 //! exactly the order the scalar loop used, so parents are bit-identical
-//! to the seed kernel, which the unit tests keep as their oracle.
+//! to the seed kernel, which the unit tests keep as their oracle. A
+//! word's claims settle together once it is swept: a parent per vertex,
+//! then one OR into the visited and next-frontier words.
 //! A row is tested first through [`RankState::head`], a dense
 //! column of first neighbours read in the sweep's own order — under
 //! degree order the likeliest parent — and the row itself is loaded only
@@ -43,16 +46,23 @@ fn scan_row(
 ) -> Option<Vid> {
     for u in neighbours {
         stats.edges_scanned += 1;
-        if state.owns(u) {
+        // A frontier hub answers whoever owns it: one bit test, and
+        // with every vertex a hub the only test a parent needs. The view
+        // is rebuilt after every close-out, so for an owned hub it is
+        // exactly its `curr` bit.
+        if hubs.frontier_hub(u) {
+            return Some(u);
+        }
+        let owned = state.owns(u);
+        if hubs.set.contains(u) {
+            // A hub outside the frontier view is an authoritative no:
+            // an owned one needs no frontier test, a remote one no
+            // query (counted as a skip).
+            stats.hub_skips += u64::from(!owned);
+        } else if owned {
             if state.curr.contains(state.local(u)) {
                 return Some(u);
             }
-        } else if hubs.set.contains(u) {
-            if hubs.frontier_hub(u) {
-                return Some(u);
-            }
-            // Hub not in frontier: authoritative no — skip the query.
-            stats.hub_skips += 1;
         } else {
             queries.push(EdgeRec { u, v });
         }
@@ -71,8 +81,8 @@ pub fn backward_generator(
     let owned = state.owned();
     let num_words = state.visited_bits.words().len();
     for wi in 0..num_words {
-        // Snapshot the word: the only bit a claim below can set is the
-        // claimed vertex's own, already cleared from the snapshot.
+        // Snapshot the word: its claims below settle after the sweep of
+        // it, and touch no other word.
         let unvisited = !state.visited_bits.words()[wi] & tail_mask(wi, owned);
         stats.words_scanned += 1;
         if unvisited == 0 {
@@ -84,6 +94,8 @@ pub fn backward_generator(
         // (a third of a Kronecker graph, and all that is left unvisited
         // in the tail levels).
         let mut w = unvisited & state.has_row().words()[wi];
+        // The word's claims, settled together once it is swept.
+        let mut claimed = 0u64;
         while w != 0 {
             let v_local = wi * 64 + w.trailing_zeros() as usize;
             w &= w - 1;
@@ -98,7 +110,8 @@ pub fn backward_generator(
                 scan_row(state, hubs, v, rest, &mut queries, &mut stats)
             });
             if let Some(u) = found {
-                state.claim(v_local, u);
+                state.parent[v_local] = u;
+                claimed |= 1 << (v_local % 64);
                 stats.local_claims += 1;
             } else {
                 for q in &queries {
@@ -107,6 +120,7 @@ pub fn backward_generator(
                 }
             }
         }
+        state.settle_word(wi, claimed);
     }
     state.scratch.recs = queries;
     stats
@@ -115,6 +129,7 @@ pub fn backward_generator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hubs::gather_hub_level;
     use crate::modules::reference;
     use sw_graph::hub::HubSet;
     use sw_graph::{EdgeList, Partition1D};
@@ -158,9 +173,7 @@ mod tests {
     #[test]
     fn hub_in_frontier_claims_without_query() {
         let (mut state, mut hubs) = setup();
-        let idx = hubs.hub_index(6).unwrap();
-        hubs.curr.set(idx as usize);
-        hubs.refresh_views();
+        hubs.mark_hub(6, true, true);
         let mut out = Outboxes::new(2);
         backward_generator(&mut state, &hubs, &mut out);
         // v=2's only neighbour is hub 6, in frontier: claimed locally.
@@ -227,11 +240,15 @@ mod tests {
             .collect();
         let el = EdgeList::new(40, edges);
         let part = Partition1D::new(40, 2);
-        let hubs = HubState::new(HubSet::from_degrees(vec![(0, 100)], 4));
+        let mut hubs = HubState::new(HubSet::from_degrees(vec![(0, 100)], 4));
         let mut word = RankState::build(0, part, &el);
         let mut refk = word.clone();
         seed_frontier(&mut word, &[(0, 0), (3, 3)]);
         seed_frontier(&mut refk, &[(0, 0), (3, 3)]);
+        // The engine gathers after every close-out: hub 0, rank 0's own,
+        // is then in the frontier view.
+        gather_hub_level(&mut hubs, [(word.global(0), word.curr.as_bitmap(), &word.visited_bits)]);
+        assert!(hubs.frontier_hub(0));
         let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
         let st_w = backward_generator(&mut word, &hubs, &mut out_w);
         let st_r = reference::backward_generator(&mut refk, &hubs, &mut out_r);

@@ -167,9 +167,7 @@ mod tests {
     fn hub_visited_suppresses_message() {
         let (mut state, mut hubs) = setup();
         seed_frontier(&mut state, &[(0, 0)]);
-        let idx = hubs.hub_index(6).unwrap();
-        hubs.visited.set(idx as usize);
-        hubs.refresh_views();
+        hubs.mark_hub(6, false, true);
         let mut out = Outboxes::new(2);
         let stats = forward_generator(&mut state, &hubs, &mut out);
         assert_eq!(stats.hub_skips, 1);

@@ -197,6 +197,21 @@ impl RankState {
         }
     }
 
+    /// Settles the vertices of `mask` in word `wi` whose parents the
+    /// caller has just written (they were unvisited): what
+    /// [`Self::claim`] does per vertex, one word at a time.
+    #[inline]
+    pub(crate) fn settle_word(&mut self, wi: usize, mask: u64) {
+        debug_assert!(
+            (0..64).filter(|b| mask >> b & 1 == 1).all(|b| self.parent[wi * 64 + b] != NO_PARENT),
+            "word {wi}: a settled vertex has no parent"
+        );
+        let w = &mut self.visited_bits.words_mut()[wi];
+        debug_assert_eq!(*w & mask, 0);
+        *w |= mask;
+        self.next.insert_word(wi, mask);
+    }
+
     /// The claim rule of every offered parent, a priority write: claims
     /// `local` for `u` like [`Self::claim`] when unvisited (`true`), else
     /// lowers the parent of a vertex claimed *this level* (in `next`) to

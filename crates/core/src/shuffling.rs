@@ -25,8 +25,15 @@ use sw_net::GroupLayout;
 /// roles, with consumer SPM additionally reserved for the hub bitmaps.
 pub fn bfs_shuffle_layout(cfg: &BfsConfig) -> ShuffleLayout {
     let mut layout = ShuffleLayout::paper_default();
-    let hub_bitmap_bytes = (cfg.top_down_hubs.div_ceil(8) + cfg.bottom_up_hubs.div_ceil(8)) as u32;
-    layout.consumer_reserved_bytes += hub_bitmap_bytes;
+    // Checked: a reserve past `u32` saturates (no destination fits)
+    // instead of wrapping to a few bytes the gate would wave through.
+    layout.consumer_reserved_bytes = cfg
+        .top_down_hubs
+        .div_ceil(8)
+        .checked_add(cfg.bottom_up_hubs.div_ceil(8))
+        .and_then(|bytes| u32::try_from(bytes).ok())
+        .and_then(|bytes| layout.consumer_reserved_bytes.checked_add(bytes))
+        .unwrap_or(u32::MAX);
     layout
 }
 
@@ -107,6 +114,39 @@ mod tests {
         assert_eq!(l.consumer_reserved_bytes, 32 * 1024 + 512 + 2048);
         // 944 destinations in traversal context.
         assert_eq!(l.max_destinations(&ChipConfig::sw26010()), 944);
+    }
+
+    #[test]
+    fn a_hub_reserve_past_the_spm_is_refused_not_wrapped() {
+        let chip = ChipConfig::sw26010();
+        let cfg = BfsConfig {
+            bottom_up_hubs: usize::MAX,
+            ..BfsConfig::paper().with_messaging(Messaging::Direct)
+        };
+        assert_eq!(bfs_shuffle_layout(&cfg).consumer_reserved_bytes, u32::MAX);
+        let err = check_chip_feasibility(&cfg, &chip, &GroupLayout::new(256, 256)).unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::Arch(sw_arch::ArchError::TooManyDestinations { max: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn threaded_small_bottom_up_hubs_is_the_largest_the_chip_admits() {
+        // The largest power of two of Bottom-Up hubs whose bitmap, with
+        // the 2^8 Top-Down bits, still leaves SPM for the paper's 256
+        // Direct-CPE destinations.
+        let chip = ChipConfig::sw26010();
+        let small = BfsConfig::threaded_small(1).with_messaging(Messaging::Direct);
+        let with = |bottom_up_hubs| BfsConfig { bottom_up_hubs, ..small };
+        let fits = |bottom_up_hubs| {
+            check_chip_feasibility(&with(bottom_up_hubs), &chip, &GroupLayout::new(256, 256)).is_ok()
+        };
+        let largest = (0..40).map(|b| 1usize << b).take_while(|&k| fits(k)).last();
+        assert_eq!(largest, Some(small.bottom_up_hubs));
+        assert_eq!(small.bottom_up_hubs, 1 << 17);
+        assert_eq!(bfs_shuffle_layout(&with(1 << 17)).max_destinations(&chip), 496);
+        assert!(fits(1 << 17) && !fits(1 << 18));
     }
 
     #[test]

@@ -117,6 +117,13 @@ impl HubSet {
         self.hubs[i as usize]
     }
 
+    /// The membership bitmap: bit `v` ⟺ `v` is a hub, one bit per id up
+    /// to the largest hub. Id-indexed views over the same hubs AND
+    /// against its words.
+    pub fn members(&self) -> &Bitmap {
+        &self.members
+    }
+
     /// All hub ids, descending by degree.
     pub fn hubs(&self) -> &[Vid] {
         &self.hubs
