@@ -36,9 +36,12 @@ cargo test --workspace -q
 # runs inside the last parallel rank pass, so the golden digests and the
 # single-build comparison run on both pool sizes too. The partitioned
 # CSR builder runs one rank per pool task: its oracle proptest and the
-# partition-file pin (single_build) must hold on both.
+# partition-file pin (single_build) must hold on both. The hub views are
+# rebuilt from every rank's words at each close-out: their proptest
+# against the hub-index gather (`--lib hubs`) runs on both as well.
 for suite in "--test engine_conformance" "--lib kernel_parity" "--test exchange_equivalence" \
-    "--test chaos" "--test order_free" "--test golden_levels" "--test single_build"; do
+    "--test chaos" "--test order_free" "--test golden_levels" "--test single_build" \
+    "--lib hubs"; do
   # $suite unquoted on purpose: the selector is two words.
   SW_POOL_THREADS=4 cargo test -q -p swbfs-core $suite
 done
