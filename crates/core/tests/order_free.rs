@@ -5,12 +5,13 @@
 //! order. So handing the handlers their inboxes in *any* order must
 //! leave everything observable unchanged.
 //!
-//! [`Reordering`] wraps a real fabric and permutes every inbox it
-//! returns — by a seeded shuffle, or by reversal — before the engine
-//! sees it. On SharedMem, Channels and Socket-Unix, Direct and Relay,
-//! scales 10–14, several roots: parents, every `LevelStats` field and the
-//! canonical counter set must equal the unwrapped run's. Parents must
-//! also agree between Direct and Relay on each fabric.
+//! `Reordering` (`support/reordering.rs`) wraps a real fabric and
+//! permutes every inbox it returns — by a seeded shuffle, or by
+//! reversal — before the engine sees it. On SharedMem, Channels and
+//! Socket-Unix, Direct and Relay, scales 10–14, several roots: parents,
+//! every `LevelStats` field and the canonical counter set must equal the
+//! unwrapped run's. Parents must also agree between Direct and Relay on
+//! each fabric.
 //!
 //! Each fabric runs two arms. Under the varint codec reply order would
 //! show up in the byte counts, so that arm is what keeps the Backward
@@ -18,112 +19,16 @@
 //! its replies unsorted, in whatever order the permuted query inbox
 //! gives — and everything observable must still be equal.
 
+#[path = "support/reordering.rs"]
+mod reordering;
+
+use reordering::{Permute, Reordering};
 use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
-use sw_net::GroupLayout;
-use sw_trace::{CounterSet, Tracer};
+use sw_trace::CounterSet;
 use swbfs_core::config::Messaging;
 use swbfs_core::engine::{Channels, ClusterBuilder, SharedMem, SocketTransport, Transport};
-use swbfs_core::error::ExchangeError;
-use swbfs_core::exchange::{Codec, ExchangeStats};
-use swbfs_core::faults::{FaultSession, RetryPolicy};
-use swbfs_core::messages::EdgeRec;
-use swbfs_core::modules::Outboxes;
 use swbfs_core::policy::Direction;
 use swbfs_core::{BfsConfig, BfsOutput};
-
-/// How [`Reordering`] permutes an inbox.
-#[derive(Clone, Copy, Debug)]
-enum Permute {
-    /// Fisher-Yates from a seeded LCG that advances across exchanges.
-    Shuffle(u64),
-    Reverse,
-}
-
-/// A test-only fabric: `inner` moves the records, then every inbox it
-/// returns is permuted.
-struct Reordering<T> {
-    inner: T,
-    permute: Permute,
-}
-
-impl<T: Transport> Reordering<T> {
-    fn permute(&mut self, inboxes: &mut [Vec<EdgeRec>]) {
-        for inbox in inboxes {
-            match &mut self.permute {
-                Permute::Reverse => inbox.reverse(),
-                Permute::Shuffle(x) => {
-                    for i in (1..inbox.len()).rev() {
-                        *x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        inbox.swap(i, (*x >> 33) as usize % (i + 1));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T: Transport> Transport for Reordering<T> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn setup(&mut self, num_ranks: usize) {
-        self.inner.setup(num_ranks);
-    }
-
-    fn lend_outboxes(&mut self) -> Vec<Outboxes> {
-        self.inner.lend_outboxes()
-    }
-
-    fn exchange(
-        &mut self,
-        mode: Messaging,
-        out: Vec<Outboxes>,
-        layout: &GroupLayout,
-        codec: Codec,
-    ) -> Result<(Vec<Vec<EdgeRec>>, ExchangeStats), ExchangeError> {
-        let (mut inboxes, stats) = self.inner.exchange(mode, out, layout, codec)?;
-        self.permute(&mut inboxes);
-        Ok((inboxes, stats))
-    }
-
-    fn exchange_faulty(
-        &mut self,
-        mode: Messaging,
-        out: Vec<Outboxes>,
-        layout: &GroupLayout,
-        codec: Codec,
-        plain: Codec,
-        policy: &RetryPolicy,
-        session: &mut FaultSession,
-    ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats) {
-        let (mut result, stats) = self
-            .inner
-            .exchange_faulty(mode, out, layout, codec, plain, policy, session);
-        if let Ok(inboxes) = &mut result {
-            self.permute(inboxes);
-        }
-        (result, stats)
-    }
-
-    fn recycle_inboxes(&mut self, inboxes: Vec<Vec<EdgeRec>>) {
-        self.inner.recycle_inboxes(inboxes);
-    }
-
-    fn set_tracer(&mut self, tracer: Option<Tracer>) {
-        self.inner.set_tracer(tracer);
-    }
-
-    fn set_trace_level(&mut self, level: u32) {
-        self.inner.set_trace_level(level);
-    }
-
-    fn teardown(&mut self) {
-        self.inner.teardown();
-    }
-}
 
 /// Every root's output and counter set on one engine over `transport`.
 fn runs<T: Transport>(
@@ -199,7 +104,10 @@ fn check<T: Transport>(make: impl Fn() -> T, varint: bool) {
                     .filter(|l| l.direction == Direction::BottomUp)
                     .map(|l| l.records_generated)
                     .sum();
-                assert!(queries > 0, "{name} scale {scale}: no Bottom-Up query to reorder");
+                assert!(
+                    queries > 0,
+                    "{name} scale {scale}: no Bottom-Up query to reorder"
+                );
             } else {
                 by_messaging.push(plain);
             }
