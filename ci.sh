@@ -46,6 +46,9 @@ for suite in "--test engine_conformance" "--lib kernel_parity" "--test exchange_
   SW_POOL_THREADS=4 cargo test -q -p swbfs-core $suite
 done
 SW_POOL_THREADS=4 cargo test -q -p sw-graph --test csr_proptest
+# The analytics kernels' order-freedom battery: fixed-point sums and
+# exact path counts must not see the pool size either.
+SW_POOL_THREADS=4 cargo test -q -p sw-algos --test order_free
 
 # rankd: the multi-process transport (one swbfs-rankd process per rank
 # over Unix-domain/TCP sockets) must pass the same conformance battery
@@ -69,6 +72,9 @@ timeout 600 cargo test -q -p swbfs-core --test order_free socket
 timeout 600 cargo test -q -p swbfs-core --test socket_teardown
 timeout 600 cargo test -q -p sw-graph500 --test socket_smoke
 timeout 600 cargo test -q -p sw-algos --test msbfs_differential socket
+# The analytics kernels on the socket fabric, its inboxes permuted,
+# over by-id rows and the engine's hubs-first store.
+timeout 600 cargo test -q -p sw-algos --test order_free socket
 
 # Docs gate: every package's API surface must document without a single
 # rustdoc warning (the engine module additionally carries

@@ -30,7 +30,6 @@ pub fn sssp_delta_stepping<T: Transport>(
 ) -> Vec<u64> {
     assert!(delta > 0, "zero bucket width");
     let ranks = cluster.num_ranks() as usize;
-    let n = cluster.num_vertices() as usize;
 
     let mut dist: Vec<Vec<u64>> = (0..ranks)
         .map(|r| vec![INF; cluster.part.owned_count(r as u32) as usize])
@@ -93,7 +92,7 @@ pub fn sssp_delta_stepping<T: Transport>(
             if !any {
                 break;
             }
-            let inboxes = cluster.exchange_round(out);
+            let inboxes = cluster.exchange(out);
             apply(
                 cluster,
                 &mut dist,
@@ -135,7 +134,7 @@ pub fn sssp_delta_stepping<T: Transport>(
             }
             ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
         }
-        let inboxes = cluster.exchange_round(out);
+        let inboxes = cluster.exchange(out);
         apply(cluster, &mut dist, &mut pending, &inboxes, 0, tr, round);
         cluster.recycle_inboxes(inboxes);
         round += 1;
@@ -168,12 +167,8 @@ pub fn sssp_delta_stepping<T: Transport>(
         }
     }
 
-    let mut result = vec![INF; n];
-    for (r, d) in dist.into_iter().enumerate() {
-        let (s, _) = cluster.part.range(r as u32);
-        result[s as usize..s as usize + d.len()].copy_from_slice(&d);
-    }
-    result
+    // Ranks own consecutive id blocks in rank order.
+    dist.concat()
 }
 
 #[allow(clippy::too_many_arguments)]

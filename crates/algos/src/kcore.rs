@@ -16,7 +16,6 @@ use swbfs_core::messages::EdgeRec;
 /// vertex is in the k-core.
 pub fn kcore_distributed<T: Transport>(cluster: &mut AlgoCluster<T>, k: u64) -> Vec<bool> {
     let ranks = cluster.num_ranks() as usize;
-    let n = cluster.num_vertices() as usize;
 
     // Remaining degree (self-loops don't support a core) and alive flags.
     let mut deg: Vec<Vec<u64>> = (0..ranks)
@@ -77,7 +76,7 @@ pub fn kcore_distributed<T: Transport>(cluster: &mut AlgoCluster<T>, k: u64) -> 
         // Apply decrements (local ones included — they travelled through
         // the outbox to keep one code path; owner == r records deliver to
         // self, which the exchange forbids, so subtract them inline).
-        let inboxes = cluster.exchange_round(out);
+        let inboxes = cluster.exchange(out);
         for (r, inbox) in inboxes.iter().enumerate() {
             let t0 = ins::span_begin(tr);
             for rec in inbox {
@@ -98,12 +97,8 @@ pub fn kcore_distributed<T: Transport>(cluster: &mut AlgoCluster<T>, k: u64) -> 
         round += 1;
     }
 
-    let mut result = vec![false; n];
-    for (r, a) in alive.into_iter().enumerate() {
-        let (s, _) = cluster.part.range(r as u32);
-        result[s as usize..s as usize + a.len()].copy_from_slice(&a);
-    }
-    result
+    // Ranks own consecutive id blocks in rank order.
+    alive.concat()
 }
 
 /// Single-node peeling oracle.

@@ -21,10 +21,12 @@
 //! * [`msbfs`] — bit-parallel multi-source BFS (up to 64 traversals per
 //!   sweep), the batching kernel behind the `sw-serve` query service.
 //!
-//! [`runtime`] holds the shared distributed scaffolding.
+//! [`runtime`] holds the shared distributed scaffolding, [`fixed`] the
+//! fixed-point sums that make PageRank and betweenness order-free.
 
 pub mod betweenness;
 pub mod delta_stepping;
+pub mod fixed;
 pub mod kcore;
 pub mod msbfs;
 pub mod pagerank;

@@ -163,7 +163,7 @@ pub fn msbfs_distributed<T: Transport>(
         // `next` now holds exactly the (vertex, source) pairs first
         // reached this round, so one scan writes their level and tells
         // whether any frontier is left.
-        let inboxes = cluster.exchange_unsorted(out);
+        let inboxes = cluster.exchange(out);
         frontier_left = false;
         for (r, inbox) in inboxes.iter().enumerate() {
             let t0 = ins::span_begin(tr);

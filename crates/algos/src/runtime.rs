@@ -2,10 +2,11 @@
 //! CSRs plus the BFS's record exchange, over any [`Transport`].
 //!
 //! Store directories open and persist through `sw_graph`'s one reader
-//! and writer ([`StoreDir`]), the same as the BFS engine's; the cluster
-//! keeps only its own policy on top — it refuses degree-ordered stores.
+//! and writer ([`StoreDir`]), the same as the BFS engine's, in either
+//! row order: every kernel's output is independent of neighbour order
+//! and of inbox order (`tests/order_free.rs`), so a store the engine
+//! persisted hubs-first serves them as it is.
 
-use rayon::prelude::*;
 use std::path::Path;
 use sw_graph::{
     Csr, EdgeList, GraphStore, Partition1D, RowOrder, StorageBackend, StoreDir, StoreManifest, Vid,
@@ -47,8 +48,9 @@ pub struct AlgoCluster<T: Transport = SharedMem> {
     metrics: CounterSet,
     /// Current algorithm round, used as the span level tag.
     round: u32,
-    /// Undirected input-edge count (persisted into store manifests).
-    input_edges: u64,
+    /// What [`Self::persist_store`] writes: the shape, the input-edge
+    /// count and the row order the cluster was built or opened with.
+    manifest: StoreManifest,
 }
 
 impl AlgoCluster<SharedMem> {
@@ -97,18 +99,20 @@ impl<T: Transport> AlgoCluster<T> {
             tracer: None,
             metrics,
             round: 0,
-            input_edges: el.len() as u64,
+            manifest: StoreManifest {
+                num_vertices: el.num_vertices,
+                num_ranks: ranks,
+                input_edges: el.len() as u64,
+                degree_ordered: false,
+            },
         }
     }
 
     /// [`AlgoCluster::from_store_dir`] over an explicit message fabric.
     ///
     /// The directory opens through the one reader ([`StoreDir::open`]:
-    /// manifest, partition headers, checksums). The analytics kernels
-    /// traverse the CSR in its stored neighbour order, so a
-    /// degree-reordered store is refused: neighbour order changes
-    /// floating-point summation order in PageRank and betweenness, and
-    /// these kernels have no reorder-aware oracle.
+    /// manifest, partition headers, checksums), in whichever row order
+    /// it was persisted.
     pub fn from_store_with_transport(
         dir: &Path,
         backend: StorageBackend,
@@ -118,16 +122,6 @@ impl<T: Transport> AlgoCluster<T> {
     ) -> std::io::Result<Self> {
         let store = StoreDir::open(dir, backend)?;
         let manifest = store.manifest;
-        if manifest.degree_ordered {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "store {} holds a degree-reordered adjacency; the analytics kernels \
-                     need the natural neighbour order — rebuild the store without reordering",
-                    dir.display()
-                ),
-            ));
-        }
         let ranks = manifest.num_ranks;
         transport.setup(ranks as usize);
         let mut metrics = CounterSet::new();
@@ -142,22 +136,15 @@ impl<T: Transport> AlgoCluster<T> {
             tracer: None,
             metrics,
             round: 0,
-            input_edges: manifest.input_edges,
+            manifest,
         })
     }
 
     /// Persists every partition plus the manifest under `dir` through
-    /// the one writer ([`StoreDir::persist`]): natural neighbour order,
-    /// which is exactly what
-    /// [`Self::from_store_with_transport`] accepts.
+    /// the one writer ([`StoreDir::persist`]), in the row order the
+    /// cluster was built or opened with.
     pub fn persist_store(&self, dir: &Path) -> std::io::Result<()> {
-        let manifest = StoreManifest {
-            num_vertices: self.part.num_vertices(),
-            num_ranks: self.part.num_ranks(),
-            input_edges: self.input_edges,
-            degree_ordered: false,
-        };
-        StoreDir::persist(dir, &manifest, &self.csrs)
+        StoreDir::persist(dir, &self.manifest, &self.csrs)
     }
 
     /// Arms (or disarms) span/counter recording. Also arms the
@@ -175,7 +162,7 @@ impl<T: Transport> AlgoCluster<T> {
     }
 
     /// Canonical flattened counters accumulated by
-    /// [`Self::exchange_round`] — the same `exchange.*`/`pool.*`/
+    /// [`Self::exchange`] — the same `exchange.*`/`pool.*`/
     /// `faults.*` key set the BFS engine reports.
     pub fn metrics(&self) -> &CounterSet {
         &self.metrics
@@ -205,26 +192,19 @@ impl<T: Transport> AlgoCluster<T> {
 
     /// Runs one exchange round under the configured transport and
     /// accumulates traffic statistics. Inboxes arrive in whatever order
-    /// the fabric delivers: for kernels whose handler commutes.
+    /// the fabric delivers; every kernel's handler commutes (minimum,
+    /// count, OR, or a fixed-point sum).
     ///
     /// # Panics
     /// Panics if the fabric fails structurally (e.g. a socket peer
     /// died); the analytics kernels have no retry story of their own.
-    pub fn exchange_unsorted(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
+    pub fn exchange(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
         let (inboxes, st) = self
             .transport
             .exchange(self.messaging, out, &self.layout, Codec::Fixed(16))
             .expect("transport failed structurally mid-round");
         self.stats.absorb(&st);
         ins::absorb_exchange(&mut self.metrics, &st);
-        inboxes
-    }
-
-    /// [`Self::exchange_unsorted`] plus a sort of every inbox, for
-    /// kernels whose result depends on arrival order (float sums).
-    pub fn exchange_round(&mut self, out: Vec<Outboxes>) -> Vec<Vec<EdgeRec>> {
-        let mut inboxes = self.exchange_unsorted(out);
-        inboxes.par_iter_mut().for_each(|b| b.sort_unstable());
         inboxes
     }
 
@@ -265,8 +245,8 @@ mod tests {
 
     /// A plain store with the engine's degree-ordered partition of the
     /// same graph and ranks copied over rank 0 must not open: every
-    /// partition's flags are checked against the manifest, so the
-    /// kernels never sum over a reordered neighbour list.
+    /// partition's flags are checked against the manifest, so a store
+    /// is one row order or none.
     #[test]
     fn mixed_store_with_a_degree_ordered_partition_is_refused() {
         let el = generate_kronecker(&KroneckerConfig::graph500(10, 3));
@@ -299,38 +279,20 @@ mod tests {
     }
 
     #[test]
-    fn exchange_round_delivers_and_sorts() {
+    fn exchange_delivers_every_record() {
         let el = EdgeList::new(4, vec![(0, 1)]);
         let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Direct);
         let mut out = c.lend_outboxes();
         out[0].push(1, EdgeRec { u: 9, v: 1 });
         out[0].push(1, EdgeRec { u: 3, v: 2 });
-        let inbox = c.exchange_round(out);
+        let mut inbox = c.exchange(out);
+        inbox[1].sort_unstable();
         assert_eq!(
             inbox[1],
             vec![EdgeRec { u: 3, v: 2 }, EdgeRec { u: 9, v: 1 }]
         );
         assert!(c.stats.messages > 0);
         c.recycle_inboxes(inbox);
-    }
-
-    #[test]
-    fn unsorted_delivery_is_the_same_records_and_stats() {
-        let el = EdgeList::new(4, vec![(0, 1)]);
-        let round = |sorted: bool| {
-            let mut c = AlgoCluster::new(&el, 2, 2, Messaging::Direct);
-            let mut out = c.lend_outboxes();
-            out[0].push(1, EdgeRec { u: 9, v: 1 });
-            out[0].push(1, EdgeRec { u: 3, v: 2 });
-            let mut inbox = if sorted {
-                c.exchange_round(out)
-            } else {
-                c.exchange_unsorted(out)
-            };
-            inbox[1].sort_unstable();
-            (inbox, c.stats, c.metrics().clone())
-        };
-        assert_eq!(round(true), round(false));
     }
 
     #[test]
@@ -342,7 +304,7 @@ mod tests {
             for i in 0..32u64 {
                 out[0].push(1, EdgeRec { u: i, v: round });
             }
-            let inbox = c.exchange_round(out);
+            let inbox = c.exchange(out);
             assert_eq!(inbox[1].len(), 32);
             c.recycle_inboxes(inbox);
         }
@@ -366,8 +328,10 @@ mod tests {
         fill(&mut a);
         let mut b = chn.lend_outboxes();
         fill(&mut b);
-        let ia = shm.exchange_round(a);
-        let ib = chn.exchange_round(b);
+        let (mut ia, mut ib) = (shm.exchange(a), chn.exchange(b));
+        for inbox in ia.iter_mut().chain(&mut ib) {
+            inbox.sort_unstable();
+        }
         assert_eq!(ia, ib, "fabrics deliver different records");
         assert_eq!(
             shm.stats.record_hops, chn.stats.record_hops,

@@ -16,7 +16,6 @@ use swbfs_core::messages::EdgeRec;
 /// Runs distributed WCC; returns the per-vertex component label.
 pub fn wcc_distributed<T: Transport>(cluster: &mut AlgoCluster<T>) -> Vec<Vid> {
     let ranks = cluster.num_ranks() as usize;
-    let n = cluster.num_vertices() as usize;
 
     // Per-rank label arrays and dirty flags.
     let mut labels: Vec<Vec<Vid>> = (0..ranks)
@@ -66,7 +65,7 @@ pub fn wcc_distributed<T: Transport>(cluster: &mut AlgoCluster<T>) -> Vec<Vid> {
             break;
         }
         // Exchange + apply minima.
-        let inboxes = cluster.exchange_round(out);
+        let inboxes = cluster.exchange(out);
         for (r, inbox) in inboxes.iter().enumerate() {
             let t0 = ins::span_begin(tr);
             for rec in inbox {
@@ -90,12 +89,8 @@ pub fn wcc_distributed<T: Transport>(cluster: &mut AlgoCluster<T>) -> Vec<Vid> {
         round += 1;
     }
 
-    let mut result = vec![0; n];
-    for (r, l) in labels.into_iter().enumerate() {
-        let (s, _) = cluster.part.range(r as u32);
-        result[s as usize..s as usize + l.len()].copy_from_slice(&l);
-    }
-    result
+    // Ranks own consecutive id blocks in rank order.
+    labels.concat()
 }
 
 /// Single-node oracle: union-find with path halving.

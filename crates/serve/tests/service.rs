@@ -6,10 +6,13 @@
 use std::time::Duration;
 
 use sw_algos::msbfs::bfs_levels_oracle;
-use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig};
+use sw_algos::AlgoCluster;
+use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, StorageBackend};
 use sw_net::framing::{QueryOp, QueryStatus, ResultFrame};
 use sw_serve::{Client, Response, ServeConfig, Server};
 use sw_trace::CounterSet;
+use swbfs_core::config::Messaging;
+use swbfs_core::{BfsConfig, ClusterBuilder};
 
 fn graph() -> EdgeList {
     generate_kronecker(&KroneckerConfig::graph500(10, 77))
@@ -77,22 +80,7 @@ fn store_restarted_server_answers_bit_identically() {
     let mut warm =
         Server::start_from_store(&dir, sw_graph::StorageBackend::Mapped, ServeConfig::default())
             .unwrap();
-    let mut cc = Client::connect(&cold.addr()).unwrap();
-    let mut wc = Client::connect(&warm.addr()).unwrap();
-
-    for (i, root) in [1u64, 5, 900, 33, 5, 411].into_iter().enumerate() {
-        let target = (root * 13 + i as u64) % n;
-        for (op, t, hops) in [
-            (QueryOp::Distance, target, 0),
-            (QueryOp::Reachable, target, 0),
-            (QueryOp::KHop, 0, 3),
-        ] {
-            let a = answer(cc.query(op, root, t, hops, 0).unwrap());
-            let b = answer(wc.query(op, root, t, hops, 0).unwrap());
-            assert_eq!(a.status, b.status, "{op:?} {root}->{t}");
-            assert_eq!(a.value, b.value, "{op:?} {root}->{t}: restart changed the answer");
-        }
-    }
+    assert_answers_alike(&cold, &warm, n);
 
     // The cold server opened no store; the restarted one mapped every
     // partition and copied nothing.
@@ -108,6 +96,57 @@ fn store_restarted_server_answers_bit_identically() {
     warm.shutdown();
     cold.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A Distance/Reachable/KHop battery that `warm` must answer exactly
+/// as `cold` does.
+fn assert_answers_alike(cold: &Server, warm: &Server, n: u64) {
+    let mut cc = Client::connect(&cold.addr()).unwrap();
+    let mut wc = Client::connect(&warm.addr()).unwrap();
+    for (i, root) in [1u64, 5, 900, 33, 5, 411].into_iter().enumerate() {
+        let target = (root * 13 + i as u64) % n;
+        for (op, t, hops) in [
+            (QueryOp::Distance, target, 0),
+            (QueryOp::Reachable, target, 0),
+            (QueryOp::KHop, 0, 3),
+        ] {
+            let a = answer(cc.query(op, root, t, hops, 0).unwrap());
+            let b = answer(wc.query(op, root, t, hops, 0).unwrap());
+            assert_eq!(a.status, b.status, "{op:?} {root}->{t}");
+            assert_eq!(a.value, b.value, "{op:?} {root}->{t}: restart changed the answer");
+        }
+    }
+}
+
+/// One store layout: the service restarts from a store the BFS engine
+/// persisted (hubs-first rows, its default) and answers exactly as a
+/// cold server, copying no adjacency byte. A cluster opened from that
+/// store persists it again in the same row order: the copy reopens, and
+/// the engine, which refuses a store in the other order, opens it too.
+#[test]
+fn store_persisted_by_the_engine_restarts_the_server() -> Result<(), Box<dyn std::error::Error>> {
+    let el = graph();
+    let base = std::env::temp_dir().join(format!("sw_serve_engine_store_{}", std::process::id()));
+    let (dir, again) = (base.join("engine"), base.join("again"));
+    std::fs::remove_dir_all(&base).ok();
+    ClusterBuilder::new(&el, 4, BfsConfig::threaded_small(2)).build()?.persist_store(&dir)?;
+
+    let mut cold = Server::start(&el, ServeConfig::default())?;
+    let mut warm = Server::start_from_store(&dir, StorageBackend::Mapped, ServeConfig::default())?;
+    assert_answers_alike(&cold, &warm, el.num_vertices);
+    let mw = warm.metrics();
+    assert_eq!(mw.get("store.partitions_mapped"), 4);
+    assert_eq!(mw.get("store.bytes_copied"), 0, "mmap restart must be zero-copy");
+    warm.shutdown();
+    cold.shutdown();
+
+    let opened = AlgoCluster::from_store_dir(&dir, StorageBackend::Mapped, 2, Messaging::Relay)?;
+    opened.persist_store(&again)?;
+    let reopened = AlgoCluster::from_store_dir(&again, StorageBackend::Mapped, 2, Messaging::Relay)?;
+    assert_eq!(reopened.csrs, opened.csrs);
+    ClusterBuilder::from_store_dir(&again, BfsConfig::threaded_small(2)).build()?;
+    std::fs::remove_dir_all(&base).ok();
+    Ok(())
 }
 
 /// The error a bad config must end as: `InvalidInput`, naming the field.
