@@ -39,9 +39,12 @@ cargo test --workspace -q
 # partition-file pin (single_build) must hold on both. The hub views are
 # rebuilt from every rank's words at each close-out: their proptest
 # against the hub-index gather (`--lib hubs`) runs on both as well.
+# When the hubs cover every vertex with an edge, a Bottom-Up level's
+# sweep and close-out share one parallel rank pass: the sweep's unit
+# tests (`--lib backward_generator`) and the lifecycle suite run on both.
 for suite in "--test engine_conformance" "--lib kernel_parity" "--test exchange_equivalence" \
     "--test chaos" "--test order_free" "--test golden_levels" "--test single_build" \
-    "--lib hubs"; do
+    "--lib hubs" "--lib backward_generator" "--test engine_lifecycle"; do
   # $suite unquoted on purpose: the selector is two words.
   SW_POOL_THREADS=4 cargo test -q -p swbfs-core $suite
 done

@@ -6,11 +6,16 @@
 //! 1. **hub** — the replicated hub frontier, read by vertex id, is
 //!    *authoritative* for every hub, owned here or not: one bit test
 //!    claims and stops on a hit; a hub outside it needs no further test
-//!    and no query. With every vertex a hub this is the only tier;
+//!    and no query;
 //! 2. **local** — a non-hub neighbour owned here; its frontier bit
 //!    answers immediately and the scan short-circuits on a hit;
 //! 3. **remote** — a backward query `(u, v)` must go to `owner(u)`; these
 //!    are queued only if tiers 1–2 found no parent.
+//!
+//! With every vertex that has an edge a hub (the engine's build-time
+//! [`HubState::complete`]), tier 1 is the whole kernel: one frontier-view
+//! bit per neighbour, no query, `out` untouched — the `COMPLETE`
+//! instance of the one sweep body.
 //!
 //! The sweep over "every unvisited vertex" is **word-parallel**: the
 //! complement of the visited bitmap is examined one `u64` at a time, a
@@ -32,11 +37,11 @@ use crate::messages::EdgeRec;
 use crate::rank::{tail_mask, RankState};
 use sw_graph::Vid;
 
-/// One row scan: the three tiers over a neighbour stream. Returns the
-/// parent found, if any; buffered queries are only flushed by the
-/// caller when no tier answered.
+/// One row scan: the three tiers over a neighbour stream (the hub tier
+/// alone when `COMPLETE`). Returns the parent found, if any; buffered
+/// queries are only flushed by the caller when no tier answered.
 #[inline]
-fn scan_row(
+fn scan_row<const COMPLETE: bool>(
     state: &RankState,
     hubs: &HubState,
     v: Vid,
@@ -54,7 +59,11 @@ fn scan_row(
             return Some(u);
         }
         let owned = state.owns(u);
-        if hubs.set.contains(u) {
+        if COMPLETE {
+            // Every neighbour is a hub: a miss is an authoritative no.
+            debug_assert!(hubs.set.contains(u), "{u} has an edge but is not a hub");
+            stats.hub_skips += u64::from(!owned);
+        } else if hubs.set.contains(u) {
             // A hub outside the frontier view is an authoritative no:
             // an owned one needs no frontier test, a remote one no
             // query (counted as a skip).
@@ -70,8 +79,22 @@ fn scan_row(
     None
 }
 
-/// Runs the Backward Generator over `state`'s unvisited vertices.
+/// Runs the Backward Generator over `state`'s unvisited vertices; the
+/// complete instance when `hubs` covers every vertex with an edge.
 pub fn backward_generator(
+    state: &mut RankState,
+    hubs: &HubState,
+    out: &mut Outboxes,
+) -> ModuleStats {
+    if hubs.complete {
+        sweep::<true>(state, hubs, out)
+    } else {
+        sweep::<false>(state, hubs, out)
+    }
+}
+
+/// The word-parallel sweep; `COMPLETE` drops tiers 2–3.
+fn sweep<const COMPLETE: bool>(
     state: &mut RankState,
     hubs: &HubState,
     out: &mut Outboxes,
@@ -100,20 +123,23 @@ pub fn backward_generator(
             let v_local = wi * 64 + w.trailing_zeros() as usize;
             w &= w - 1;
             let v = state.global(v_local);
-            queries.clear();
+            if !COMPLETE {
+                queries.clear();
+            }
             // The head column first; the row only if it did not answer.
             let head = state.head(v_local);
             debug_assert_eq!(Some(&head), state.csr.neighbors_local(v_local).first());
             let first = std::iter::once(head);
-            let found = scan_row(state, hubs, v, first, &mut queries, &mut stats).or_else(|| {
-                let rest = state.csr.neighbors_local(v_local)[1..].iter().copied();
-                scan_row(state, hubs, v, rest, &mut queries, &mut stats)
-            });
+            let found = scan_row::<COMPLETE>(state, hubs, v, first, &mut queries, &mut stats)
+                .or_else(|| {
+                    let rest = state.csr.neighbors_local(v_local)[1..].iter().copied();
+                    scan_row::<COMPLETE>(state, hubs, v, rest, &mut queries, &mut stats)
+                });
             if let Some(u) = found {
                 state.parent[v_local] = u;
                 claimed |= 1 << (v_local % 64);
                 stats.local_claims += 1;
-            } else {
+            } else if !COMPLETE {
                 for q in &queries {
                     out.push(state.part.owner(q.u), *q);
                     stats.records_out += 1;
@@ -129,7 +155,7 @@ pub fn backward_generator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hubs::gather_hub_level;
+    use crate::hubs::{covers_rows, gather_hub_level};
     use crate::modules::reference;
     use sw_graph::hub::HubSet;
     use sw_graph::{EdgeList, Partition1D};
@@ -258,6 +284,42 @@ mod tests {
         assert_eq!(st_w.local_claims, st_r.local_claims);
         assert_eq!(st_w.hub_skips, st_r.hub_skips);
         assert_eq!(st_w.records_out, st_r.records_out);
+    }
+
+    #[test]
+    fn complete_view_matches_reference_kernel_without_a_query() {
+        // The graph of `matches_reference_kernel` over 48 ids: 8 of rank
+        // 1's are isolated. Every vertex with an edge is a hub; frontier
+        // vertices on both ranks, so parents are found at home and away.
+        let edges: Vec<(Vid, Vid)> = (0..40u64)
+            .flat_map(|v| [(v, (v + 1) % 40), (v, (v * 7 + 3) % 40), (0, (v * 11 + 5) % 40)])
+            .collect();
+        let el = EdgeList::new(48, edges);
+        let part = Partition1D::new(48, 2);
+        let mut word = RankState::build(0, part, &el);
+        let mut other = RankState::build(1, part, &el);
+        let degrees: Vec<(Vid, u64)> = [&word, &other].iter().flat_map(|r| r.owned_degrees()).collect();
+        let mut hubs = HubState::new(HubSet::from_degrees(degrees, 48));
+        hubs.complete = covers_rows(&hubs.set, [word.has_row(), other.has_row()]);
+        assert!(hubs.complete && hubs.set.len() == 40);
+        seed_frontier(&mut word, &[(3, 3), (17, 17)]);
+        seed_frontier(&mut other, &[(6, 30)]);
+        let mut refk = word.clone();
+        gather_hub_level(
+            &mut hubs,
+            [&word, &other].map(|r| (r.global(0), r.curr.as_bitmap(), &r.visited_bits)),
+        );
+        let (mut out_w, mut out_r) = (Outboxes::new(2), Outboxes::new(2));
+        let st_w = backward_generator(&mut word, &hubs, &mut out_w);
+        let st_r = reference::backward_generator(&mut refk, &hubs, &mut out_r);
+        assert_eq!(word.parent, refk.parent);
+        assert!(word.parent.contains(&30), "a remote frontier hub claimed");
+        assert_eq!(
+            (st_w.edges_scanned, st_w.hub_skips, st_w.local_claims),
+            (st_r.edges_scanned, st_r.hub_skips, st_r.local_claims)
+        );
+        assert!(st_w.hub_skips > 0 && st_w.local_claims > 0);
+        assert_eq!((st_w.records_out, out_w.total_records(), out_r.total_records()), (0, 0, 0));
     }
 
     #[test]

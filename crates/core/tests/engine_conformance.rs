@@ -25,7 +25,9 @@ use swbfs_core::engine::{
 use swbfs_core::exchange::Codec;
 use swbfs_core::faults::{FaultSession, InjectionEvent, RetryPolicy};
 use swbfs_core::messages::EdgeRec;
-use swbfs_core::{BfsConfig, FaultPlan, Messaging};
+use swbfs_core::policy::Direction;
+use swbfs_core::result::LevelStats;
+use swbfs_core::{BfsConfig, BfsOutput, FaultPlan, Messaging};
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, StorageBackend, Vid};
 use sw_net::GroupLayout;
 use sw_trace::CounterSet;
@@ -421,8 +423,9 @@ fn transports_agree_with_each_other_on_identical_traffic() {
 }
 
 /// What one faulty run leaves behind: parents, injection trace, the
-/// `faults.*` and `exchange.*` sections, and the degradation flag.
-type FaultyRun = (Vec<Vid>, Vec<InjectionEvent>, CounterSet, CounterSet, bool);
+/// `faults.*` and `exchange.*` sections, the degradation flag, and the
+/// records its Bottom-Up levels generated.
+type FaultyRun = (Vec<Vid>, Vec<InjectionEvent>, CounterSet, CounterSet, bool, u64);
 
 fn faulty_run<T: Transport>(
     el: &EdgeList,
@@ -444,6 +447,11 @@ fn faulty_run<T: Transport>(
         e.metrics().section("faults."),
         e.metrics().section("exchange."),
         e.is_degraded(),
+        out.levels
+            .iter()
+            .filter(|ls| ls.direction == Direction::BottomUp)
+            .map(|ls| ls.records_generated)
+            .sum(),
     )
 }
 
@@ -453,23 +461,37 @@ fn faulty_run<T: Transport>(
 /// and identical `faults.*`/`exchange.*` values on all three — under
 /// lossy schedules on both codecs, and under a corrupt link that forces
 /// the compression fallback mid-run.
+///
+/// The fault layer is the subject, so the paper-style arms keep 2^10
+/// Bottom-Up hubs: their Bottom-Up levels exchange queries and replies
+/// and the schedule lands on those phases too. Beside them, two arms
+/// with every vertex a hub, whose Bottom-Up levels run no phase at all:
+/// the schedule meets only Top-Down exchanges, and on this graph the
+/// corrupt link (rank 1 → 4, from phase 2) then carries no compressed
+/// payload for it to corrupt, so nothing degrades — on every fabric
+/// alike.
 #[test]
 fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
     let el = graph(12, 31);
-    let direct = BfsConfig::threaded_small(3).with_messaging(Messaging::Direct);
+    let complete = BfsConfig::threaded_small(3).with_messaging(Messaging::Direct);
+    let direct = BfsConfig { bottom_up_hubs: 1 << 10, ..complete };
+    let corrupt = || FaultPlan::lossy(47).with_corrupt_link(1, 4).dead_from(2);
     let cases = [
         ("lossy/fixed", direct, FaultPlan::lossy(41)),
         ("lossy/varint", direct.with_compression(), FaultPlan::lossy(43)),
-        (
-            "corrupt/varint",
-            direct.with_compression(),
-            FaultPlan::lossy(47).with_corrupt_link(1, 4).dead_from(2),
-        ),
+        ("corrupt/varint", direct.with_compression(), corrupt()),
+        ("complete/lossy/varint", complete.with_compression(), FaultPlan::lossy(43)),
+        ("complete/corrupt/varint", complete.with_compression(), corrupt()),
     ];
     for (case, cfg, plan) in cases {
         let shm = faulty_run(&el, cfg, &plan, SharedMem::new);
         assert!(!shm.1.is_empty(), "{case}: the plan never fired");
         assert_eq!(shm.4, case.starts_with("corrupt"), "{case}: wrong degradation state");
+        assert_eq!(
+            shm.5 > 0,
+            !case.starts_with("complete"),
+            "{case}: Bottom-Up queries only where the hubs do not cover the graph"
+        );
         let others = [
             ("channels", faulty_run(&el, cfg, &plan, Channels::new)),
             ("socket-unix", faulty_run(&el, cfg, &plan, socket_unix)),
@@ -481,6 +503,40 @@ fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
             assert_eq!(got.3, shm.3, "{case}: {other} exchange.* diverge");
             assert_eq!(got.4, shm.4, "{case}: {other} degradation state diverges");
         }
+    }
+}
+
+/// With every vertex a hub a Bottom-Up level is one local pass per rank.
+/// On every fabric its level map must equal the paper-style query
+/// protocol's (2^10 hubs, whose Bottom-Up levels do query), and its
+/// Bottom-Up levels must put nothing on the wire: no record, message or
+/// byte.
+#[test]
+fn complete_view_levels_match_the_query_protocol_on_every_fabric() {
+    let el = graph(12, 31);
+    let complete = BfsConfig::threaded_small(3).with_messaging(Messaging::Relay);
+    let paper = BfsConfig { bottom_up_hubs: 1 << 10, ..complete };
+    let mut query = build(&el, 6, paper, SharedMem::new);
+    let root = good_root(&query);
+    let query = query.run(root).unwrap();
+    let bottom_up = |out: &BfsOutput| -> Vec<LevelStats> {
+        out.levels.iter().filter(|ls| ls.direction == Direction::BottomUp).copied().collect()
+    };
+    assert!(bottom_up(&query).iter().any(|ls| ls.records_generated > 0), "the 2^10 run must query");
+    let runs = [
+        ("shared-mem", build(&el, 6, complete, SharedMem::new).run(root).unwrap()),
+        ("channels", build(&el, 6, complete, Channels::new).run(root).unwrap()),
+        ("socket-unix", build(&el, 6, complete, socket_unix).run(root).unwrap()),
+    ];
+    for (fabric, out) in &runs {
+        assert_eq!(out.levels_from_parents(), query.levels_from_parents(), "{fabric}: level map");
+        let levels = bottom_up(out);
+        assert!(!levels.is_empty(), "{fabric}: no Bottom-Up level to check");
+        for ls in levels {
+            let wire = (ls.records_generated, ls.records_sent, ls.messages_sent, ls.bytes_sent);
+            assert_eq!(wire, (0, 0, 0, 0), "{fabric}: Bottom-Up level {} sent", ls.level);
+        }
+        assert_eq!(out.parents, runs[0].1.parents, "{fabric}: parents diverge from shared-mem");
     }
 }
 

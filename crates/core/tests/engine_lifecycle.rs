@@ -408,20 +408,36 @@ fn channels_dead_link_is_a_structured_error_not_a_deadlock() {
     assert_eq!(out.levels_from_parents(), sequential_bfs_levels(&el, 1));
 }
 
+/// Fault telemetry is the subject, so one arm keeps the paper-style
+/// 2^10 Bottom-Up hubs (its Bottom-Up levels exchange queries the plan
+/// can hit); the other covers every vertex, and its Bottom-Up levels run
+/// no phase. At scale 10 either hub count covers the graph, hence scale
+/// 12, from a root in the giant component.
 #[test]
 fn channels_report_the_fault_telemetry_without_a_pool() {
-    let el = kron(10, 3);
-    let mut c = ClusterBuilder::new(&el, 4, BfsConfig::threaded_small(2))
-        .transport(Channels::new())
-        .fault_plan(FaultPlan::lossy(5))
-        .build()
-        .unwrap();
-    c.run(2).unwrap();
-    // No buffer pool on this fabric — honestly zero, not absent.
-    assert_eq!(c.pool_counters(), (0, 0));
-    let (retries, injected, _) = c.fault_counters();
-    assert!(injected > 0, "lossy plan never fired");
-    assert!(retries > 0);
-    assert_eq!(c.injection_trace().len() as u64, injected);
-    assert!(!c.is_degraded(), "clamped lossy plan must not degrade");
+    let el = kron(12, 3);
+    let complete = BfsConfig::threaded_small(2);
+    for (cfg, queries) in [(BfsConfig { bottom_up_hubs: 1 << 10, ..complete }, true), (complete, false)] {
+        let mut c = ClusterBuilder::new(&el, 4, cfg)
+            .transport(Channels::new())
+            .fault_plan(FaultPlan::lossy(5))
+            .build()
+            .unwrap();
+        let root = (0..512).max_by_key(|&v| c.degree_of(v)).unwrap();
+        let out = c.run(root).unwrap();
+        let bottom_up: u64 = out
+            .levels
+            .iter()
+            .filter(|ls| ls.direction == Direction::BottomUp)
+            .map(|ls| ls.records_generated)
+            .sum();
+        assert_eq!(bottom_up > 0, queries, "Bottom-Up records {bottom_up}");
+        // No buffer pool on this fabric — honestly zero, not absent.
+        assert_eq!(c.pool_counters(), (0, 0));
+        let (retries, injected, _) = c.fault_counters();
+        assert!(injected > 0, "lossy plan never fired");
+        assert!(retries > 0);
+        assert_eq!(c.injection_trace().len() as u64, injected);
+        assert!(!c.is_degraded(), "clamped lossy plan must not degrade");
+    }
 }

@@ -29,18 +29,37 @@ fn scale14() -> EdgeList {
 /// exits (0) of every reaped sibling are recorded; the failed engine
 /// stays failed (sticky) without respawning anything; and a fresh
 /// fabric built immediately afterwards works.
+///
+/// Two arms: the paper-style 2^10 Bottom-Up hubs, whose run takes nine
+/// phases (phase 3 is a Bottom-Up level's reply exchange), and every
+/// vertex a hub, whose Bottom-Up levels run no phase: three Top-Down
+/// exchanges, the last of them phase 2. Each first checks, on a clean
+/// socket run, that the run reaches the phase it kills in.
 #[test]
 fn killing_a_rank_mid_level_fails_structurally_and_reaps_everyone() {
     let el = scale14();
-    let cfg = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
-    let oracle = ClusterBuilder::new(&el, 8, cfg)
-        .build()
-        .unwrap()
-        .run(1)
-        .unwrap();
+    let complete = BfsConfig::threaded_small(4).with_messaging(Messaging::Direct);
+    for (cfg, kill_phase) in [(BfsConfig { bottom_up_hubs: 1 << 10, ..complete }, 3), (complete, 2)] {
+        kill_a_rank_mid_level(&el, cfg, kill_phase);
+    }
+}
 
-    let mut engine = ClusterBuilder::new(&el, 8, cfg)
-        .transport(socket_unix().kill_rank_at_phase(2, 3))
+fn kill_a_rank_mid_level(el: &EdgeList, cfg: BfsConfig, kill_phase: u32) {
+    let oracle = ClusterBuilder::new(el, 8, cfg).build().unwrap().run(1).unwrap();
+
+    // Every daemon times each phase it serves: a clean run's count is the
+    // number of exchanges the run takes.
+    let mut clean = ClusterBuilder::new(el, 8, cfg).transport(socket_unix()).build().unwrap();
+    assert_eq!(clean.run(1).unwrap(), oracle);
+    let phases = clean.transport().rank_telemetry()[2].hist.count();
+    assert!(
+        phases > u64::from(kill_phase),
+        "the run takes {phases} phases: phase {kill_phase} is never reached"
+    );
+    drop(clean);
+
+    let mut engine = ClusterBuilder::new(el, 8, cfg)
+        .transport(socket_unix().kill_rank_at_phase(2, kill_phase))
         .build()
         .unwrap();
     match engine.run(1) {
@@ -66,7 +85,7 @@ fn killing_a_rank_mid_level_fails_structurally_and_reaps_everyone() {
     }
 
     // A fresh fabric is unaffected by the wreckage of the old one.
-    let mut fresh = ClusterBuilder::new(&el, 8, cfg)
+    let mut fresh = ClusterBuilder::new(el, 8, cfg)
         .transport(socket_unix())
         .build()
         .unwrap();
