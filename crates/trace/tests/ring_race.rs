@@ -14,9 +14,10 @@
 //!    concurrently past overflow still renders a syntactically valid
 //!    JSON report with the drop tally surfaced.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use sw_trace::ring::EventRing;
 use sw_trace::{check_syntax, ClockDomain, EventKind, TraceEvent, Tracer};
@@ -104,30 +105,59 @@ fn large_overflow_under_heavy_contention() {
 fn concurrent_reader_sees_only_sealed_events() {
     // A reader snapshotting *while* writers are mid-push must only ever
     // observe fully published events — never a half-written slot.
+    //
+    // The writers start only after the reader's first snapshot (the
+    // barrier), and none finishes before the reader has completed a
+    // snapshot that began after every writer had started (the
+    // handshake), so the overlap is guaranteed, not left to the
+    // scheduler: on one CPU the writers could otherwise finish before
+    // the reader ever ran.
+    const WRITERS: u64 = 3;
     let ring = Arc::new(EventRing::new(7));
     let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(WRITERS as usize + 1));
+    let started = Arc::new(AtomicU64::new(0));
+    let overlapped = Arc::new(AtomicU64::new(0));
 
     let reader = {
-        let ring = Arc::clone(&ring);
-        let stop = Arc::clone(&stop);
+        let (ring, stop, start) = (Arc::clone(&ring), Arc::clone(&stop), Arc::clone(&start));
+        let (started, overlapped) = (Arc::clone(&started), Arc::clone(&overlapped));
         thread::spawn(move || {
             let mut snapshots = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                let after_every_start = started.load(Ordering::Acquire) == WRITERS;
                 for e in ring.snapshot() {
                     assert_sealed(&e);
                 }
                 snapshots += 1;
+                if snapshots == 1 {
+                    start.wait();
+                }
+                if after_every_start {
+                    overlapped.fetch_add(1, Ordering::Release);
+                }
+                if stop.load(Ordering::Relaxed) {
+                    return snapshots;
+                }
             }
-            snapshots
         })
     };
 
-    let writers: Vec<_> = (0..3u64)
+    let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let ring = Arc::clone(&ring);
+            let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+            let (started, overlapped) = (Arc::clone(&started), Arc::clone(&overlapped));
             thread::spawn(move || {
+                start.wait();
+                started.fetch_add(1, Ordering::Release);
                 for i in 0..20_000u64 {
                     ring.push(sealed_event(w * 20_000 + i + 1));
+                }
+                // Bounded, so a reader that died on an assertion fails
+                // the test through its join instead of hanging it.
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while overlapped.load(Ordering::Acquire) == 0 && Instant::now() < deadline {
+                    thread::yield_now();
                 }
             })
         })
@@ -138,7 +168,11 @@ fn concurrent_reader_sees_only_sealed_events() {
     stop.store(true, Ordering::Relaxed);
     let snapshots = reader.join().unwrap();
     assert!(snapshots > 0, "reader actually ran");
-    assert_eq!(ring.snapshot().len() as u64 + ring.dropped(), 60_000);
+    assert!(
+        overlapped.load(Ordering::Acquire) > 0,
+        "reader completed a snapshot after every writer started"
+    );
+    assert_eq!(ring.snapshot().len() as u64 + ring.dropped(), WRITERS * 20_000);
 }
 
 #[test]
