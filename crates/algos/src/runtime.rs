@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use sw_graph::store::partition_path;
     use sw_graph::{generate_kronecker, KroneckerConfig};
-    use swbfs_core::engine::{Channels, ClusterBuilder};
+    use swbfs_core::engine::ClusterBuilder;
     use swbfs_core::BfsConfig;
 
     /// A plain store with the engine's degree-ordered partition of the
@@ -310,33 +310,6 @@ mod tests {
         }
         // Warm-up round may grow buffers; later identical rounds must not.
         assert!(c.stats.pool_reused_bytes > 0);
-    }
-
-    #[test]
-    fn transports_deliver_identical_rounds() {
-        let el = EdgeList::new(6, vec![(0, 1), (2, 3)]);
-        let mut shm = AlgoCluster::new(&el, 3, 2, Messaging::Direct);
-        let mut chn =
-            AlgoCluster::with_transport(&el, 3, 2, Messaging::Direct, Channels::new());
-        let fill = |out: &mut Vec<Outboxes>| {
-            for i in 0..16u64 {
-                out[0].push(1, EdgeRec { u: 16 - i, v: i });
-                out[2].push(1, EdgeRec { u: i, v: 7 });
-            }
-        };
-        let mut a = shm.lend_outboxes();
-        fill(&mut a);
-        let mut b = chn.lend_outboxes();
-        fill(&mut b);
-        let (mut ia, mut ib) = (shm.exchange(a), chn.exchange(b));
-        for inbox in ia.iter_mut().chain(&mut ib) {
-            inbox.sort_unstable();
-        }
-        assert_eq!(ia, ib, "fabrics deliver different records");
-        assert_eq!(
-            shm.stats.record_hops, chn.stats.record_hops,
-            "fabrics count different hops"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential proof of the MS-BFS batching trick: a batch of K
 //! sources swept bit-parallel must produce level arrays bit-identical
-//! to K *independent* single-source runs — for K ∈ {1, 3, 64}, across
-//! the in-process shared-memory and channel fabrics and the
-//! multi-process socket fabric, and against the sequential oracle.
+//! to K *independent* single-source runs — for K ∈ {1, 3, 64}, on the
+//! in-process shared-memory fabric and the multi-process socket fabric,
+//! and against the sequential oracle.
 //! Around that core: odd shapes (partition boundaries inside a bitmap
 //! word, ranks that own nothing), degenerate depth, and a pin on the
 //! wire — records, bytes and per-round span counts — that a rewrite of
@@ -19,7 +19,7 @@ use sw_algos::runtime::AlgoCluster;
 use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, Vid};
 use sw_trace::{ClockDomain, Tracer};
 use swbfs_core::config::Messaging;
-use swbfs_core::engine::{Channels, Transport};
+use swbfs_core::engine::Transport;
 use swbfs_core::instrument::{SPAN_GEN, SPAN_HANDLE};
 
 /// Distinct deterministic sources spread over the id space.
@@ -73,16 +73,6 @@ fn shared_mem_batch_equals_independent_runs() {
     for k in [1usize, 3, MAX_BATCH] {
         assert_batch_equals_independent(&el, k, || {
             AlgoCluster::new(&el, 6, 3, Messaging::Relay)
-        });
-    }
-}
-
-#[test]
-fn channels_batch_equals_independent_runs() {
-    let el = generate_kronecker(&KroneckerConfig::graph500(11, 13));
-    for k in [1usize, 3, MAX_BATCH] {
-        assert_batch_equals_independent(&el, k, || {
-            AlgoCluster::with_transport(&el, 6, 3, Messaging::Relay, Channels::new())
         });
     }
 }
@@ -217,9 +207,9 @@ fn wire_of<T: Transport>(make: impl FnOnce(&EdgeList) -> AlgoCluster<T>) -> Wire
 /// bookkeeping (PR 18), before the kernel was touched: the same records
 /// must cross the wire in the same rounds on every fabric. This file
 /// passes unchanged against that parent (EXPERIMENTS.md "PR 18" has the
-/// commit and the command). The rounds carry 10,086 records: Channels
-/// and Socket count one hop per record, the pooled arena counts 4,003
-/// more (and 16 B for each) for Relay's forwarding stage — at the
+/// commit and the command). The rounds carry 10,086 records: the
+/// socket fabric counts one hop per record, the pooled arena counts
+/// 4,003 more (and 16 B for each) for Relay's forwarding stage — at the
 /// parent too — so `bytes` and `record_hops` are pinned per fabric.
 fn wire_pin(bytes: u64, record_hops: u64) -> Wire {
     Wire {
@@ -231,12 +221,9 @@ fn wire_pin(bytes: u64, record_hops: u64) -> Wire {
 }
 
 #[test]
-fn the_wire_did_not_move_shared_mem_and_channels() {
+fn the_wire_did_not_move_shared_mem() {
     let shm = wire_of(|el| AlgoCluster::new(el, 6, 3, Messaging::Relay));
     assert_eq!(shm, wire_pin(226_624, 14_089), "SharedMem");
-    let chn =
-        wire_of(|el| AlgoCluster::with_transport(el, 6, 3, Messaging::Relay, Channels::new()));
-    assert_eq!(chn, wire_pin(162_576, 10_086), "Channels");
 }
 
 /// Storage differential: a batched sweep over a store-restored cluster

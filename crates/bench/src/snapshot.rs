@@ -10,8 +10,8 @@
 //! ([`ToleranceBands::standard`]) and one root picker ([`pick_roots`]):
 //!
 //! * [`insight_gate`] — [`collect_insight`]: the traversal and machine
-//!   layers (both BFS messaging modes, the channel backend, netsim tier
-//!   occupancy, chip counters), the instrumented algorithm kernels, the
+//!   layers (both BFS messaging modes, netsim tier occupancy, chip
+//!   counters), the instrumented algorithm kernels, the
 //!   sw-insight analysis counters, and the flow-model prediction with
 //!   its model-vs-measured deviation rows, against `BENCH_insight.json`;
 //! * [`service_gate`] — the MS-BFS batching payoff (batch 64 at least
@@ -44,7 +44,7 @@ use sw_trace::analyze::deviation;
 use sw_trace::json::parse_flat_u64;
 use sw_trace::report::TraceReport;
 use sw_trace::{analyze, ClockDomain, CounterSet, MachineContext, Tracer};
-use swbfs_core::{BfsConfig, Channels, ClusterBuilder, Messaging};
+use swbfs_core::{BfsConfig, ClusterBuilder, Messaging};
 
 /// The fixed-seed workload of the insight snapshot.
 #[derive(Clone, Copy, Debug)]
@@ -118,15 +118,6 @@ fn collect_trace(w: &Workload) -> (CounterSet, TraceReport) {
             relay_report = Some(tracer.report());
         }
     }
-
-    // The channel backend on the same graph (Direct mesh).
-    let cfg = base.with_messaging(Messaging::Direct);
-    let mut chans = ClusterBuilder::new(&el, w.ranks, cfg)
-        .transport(Channels::new())
-        .build()
-        .expect("channel setup");
-    chans.run(root).expect("channel BFS run");
-    combined.merge_prefixed("channels", chans.metrics());
 
     // Network event simulator: a fixed mixed intra/cross phase.
     let (net, msgs) = netsim_phase();
@@ -577,7 +568,7 @@ mod tests {
         let b = collect_insight(&w);
         assert_eq!(a.to_json(), b.to_json(), "snapshot must be reproducible");
         for prefix in [
-            "direct.", "relay.", "channels.", "net.", "arch.", "wcc.", "pagerank.", "insight.",
+            "direct.", "relay.", "net.", "arch.", "wcc.", "pagerank.", "insight.",
             "netmodel.", "model.",
         ] {
             assert!(
@@ -588,7 +579,7 @@ mod tests {
         // The kernel.* observability section rides along under every
         // transport prefix, with exact (0-permille) bands like all
         // counts.
-        for prefix in ["direct", "relay", "channels"] {
+        for prefix in ["direct", "relay"] {
             assert!(
                 a.get(&format!("{prefix}.kernel.words_scanned")) > 0,
                 "{prefix}: word sweeps never engaged in the snapshot"

@@ -12,13 +12,13 @@
 //! [`crate::instrument::absorb_exchange`] counter-merge path. The
 //! fabric-specific residue — how one phase's records physically move —
 //! lives behind the [`Transport`] trait, implemented by [`SharedMem`]
-//! (the pooled arena), [`Channels`] (a crossbeam mesh between OS
-//! threads) and, on Unix, `SocketTransport` (one process per rank).
+//! (the pooled arena, one process) and, on Unix, `SocketTransport`
+//! (one process per rank over real sockets).
 //!
 //! [`ClusterBuilder`] is the only way to construct an engine:
 //!
 //! ```
-//! use swbfs_core::engine::{Channels, ClusterBuilder};
+//! use swbfs_core::engine::{ClusterBuilder, SharedMem};
 //! use swbfs_core::BfsConfig;
 //! use sw_graph::{generate_kronecker, KroneckerConfig};
 //!
@@ -26,26 +26,24 @@
 //! let cfg = BfsConfig::threaded_small(2);
 //! // Default shared-memory fabric…
 //! let mut bfs = ClusterBuilder::new(&el, 4, cfg).build().unwrap();
-//! // …or any other transport, same lifecycle.
-//! let mut over_channels = ClusterBuilder::new(&el, 4, cfg)
-//!     .transport(Channels::new())
+//! // …or a transport named explicitly, same lifecycle.
+//! let mut explicit = ClusterBuilder::new(&el, 4, cfg)
+//!     .transport(SharedMem::new())
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(
 //!     bfs.run(1).unwrap().parents,
-//!     over_channels.run(1).unwrap().parents,
+//!     explicit.run(1).unwrap().parents,
 //! );
 //! ```
 
 #![deny(missing_docs)]
 
-mod channels;
 mod shared_mem;
 #[cfg(unix)]
 pub mod socket;
 mod transport;
 
-pub use channels::Channels;
 pub use shared_mem::SharedMem;
 #[cfg(unix)]
 pub use socket::{RankTelemetry, SocketTransport};

@@ -18,9 +18,10 @@
 //!
 //! * [`engine`] — the unified superstep engine: every simulated node is a
 //!   real rank; messages really move over a pluggable [`Transport`] fabric
-//!   ([`SharedMem`] pooled arena, or [`Channels`] OS threads + crossbeam
-//!   mesh); results validate under Graph500 rules. Ground truth at up to a
-//!   few hundred ranks. [`ClusterBuilder`] is the one way to build it.
+//!   ([`SharedMem`] pooled arena in one process, or on Unix one
+//!   `swbfs-rankd` process per rank over sockets); results validate
+//!   under Graph500 rules. Ground truth at up to a few hundred ranks.
+//!   [`ClusterBuilder`] is the one way to build it.
 //! * [`modeled`] — per-level traffic statistics (measured by the engine,
 //!   [`traffic`]) are replayed through the chip and network cost
 //!   models at up to the full 40,960-node machine, reproducing Figures 11
@@ -54,7 +55,7 @@ pub mod shuffling;
 pub mod traffic;
 
 pub use config::{BfsConfig, Messaging, Processing};
-pub use engine::{Channels, ClusterBuilder, SharedMem, SuperstepEngine, Transport};
+pub use engine::{ClusterBuilder, SharedMem, SuperstepEngine, Transport};
 pub use error::{ExchangeError, ExecError};
 pub use faults::{FaultKind, FaultPlan, FaultSession, InjectionEvent, RetryPolicy};
 pub use instrument::{absorb_exchange, absorb_store, exchange_view, StoreStats};

@@ -111,11 +111,14 @@ pub fn backward_generator(
 /// **bit-identical** BFS trees: parents, level maps, and every
 /// traversal statistic except the `kernel.*` observability fields,
 /// which only the new kernels report. These tests run whole BFS
-/// executions through both kernel sets — across transports, messaging
-/// modes and fault schedules — and hold the rewrite to that contract.
+/// executions through both kernel sets on the shared-memory fabric —
+/// across messaging modes, hub counts, row orders and fault schedules —
+/// and hold the rewrite to that contract. (The kernels see the same
+/// records on the socket fabric, in another order: `tests/order_free.rs`
+/// holds every fabric to order-freedom.)
 mod kernel_parity {
     use crate::config::{BfsConfig, Messaging};
-    use crate::engine::{Channels, ClusterBuilder, SharedMem, SuperstepEngine, Transport};
+    use crate::engine::{ClusterBuilder, SharedMem, SuperstepEngine};
     use crate::faults::FaultPlan;
     use crate::result::{BfsOutput, LevelStats};
     use sw_graph::{generate_kronecker, EdgeList, KroneckerConfig, Vid};
@@ -124,7 +127,7 @@ mod kernel_parity {
         generate_kronecker(&KroneckerConfig::graph500(scale, seed))
     }
 
-    fn good_root<T: Transport>(engine: &SuperstepEngine<T>) -> Vid {
+    fn good_root(engine: &SuperstepEngine<SharedMem>) -> Vid {
         (0..512.min(engine.num_vertices()))
             .max_by_key(|&v| engine.degree_of(v))
             .unwrap()
@@ -155,16 +158,15 @@ mod kernel_parity {
 
     /// One word-vs-reference comparison: identical graph, root,
     /// transport, and configuration except the kernel selector.
-    fn compare<T: Transport>(
+    fn compare(
         el: &EdgeList,
         ranks: u32,
         cfg: BfsConfig,
-        make: fn() -> T,
         fault_plan: Option<FaultPlan>,
         label: &str,
     ) -> BfsOutput {
         let build = || {
-            let mut b = ClusterBuilder::new(el, ranks, cfg).transport(make());
+            let mut b = ClusterBuilder::new(el, ranks, cfg);
             if let Some(p) = &fault_plan {
                 b = b.fault_plan(p.clone());
             }
@@ -191,36 +193,25 @@ mod kernel_parity {
         out_w
     }
 
-    /// Scale 14, one transport × both messaging modes × faults on/off.
-    fn scale_14_full_matrix<T: Transport>(name: &str, make: fn() -> T) {
+    /// Scale 14, both messaging modes × faults on/off.
+    #[test]
+    fn scale_14_full_matrix_shared_mem() {
         let el = graph(14, 21);
         for messaging in [Messaging::Direct, Messaging::Relay] {
             for faults in [None, Some(FaultPlan::lossy(23))] {
                 let cfg = BfsConfig::threaded_small(4).with_messaging(messaging);
-                let label = format!("{name}/{messaging:?}/faults={}", faults.is_some());
-                compare(&el, 8, cfg, make, faults.clone(), &label);
+                let label = format!("shared_mem/{messaging:?}/faults={}", faults.is_some());
+                compare(&el, 8, cfg, faults.clone(), &label);
             }
         }
     }
 
-    #[test]
-    fn scale_14_full_matrix_shared_mem() {
-        scale_14_full_matrix("shared_mem", SharedMem::new);
-    }
-
-    #[test]
-    fn scale_14_full_matrix_channels() {
-        scale_14_full_matrix("channels", Channels::new);
-    }
-
-    /// Scale 16 spot check: the acceptance scale, one heavier run per
-    /// transport.
+    /// Scale 16 spot check: the acceptance scale, one heavier run.
     #[test]
     fn scale_16_spot_check() {
         let el = graph(16, 42);
         let cfg = BfsConfig::threaded_small(4);
-        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/scale16");
-        compare(&el, 8, cfg, Channels::new, None, "channels/scale16");
+        compare(&el, 8, cfg, None, "shared_mem/scale16");
     }
 
     /// The paper-style 2^10 Bottom-Up hubs leave most Bottom-Up
@@ -233,7 +224,7 @@ mod kernel_parity {
             bottom_up_hubs: 1 << 10,
             ..BfsConfig::threaded_small(4)
         };
-        let out = compare(&el, 8, cfg, SharedMem::new, Some(FaultPlan::lossy(23)), "shared_mem/paper_hubs");
+        let out = compare(&el, 8, cfg, Some(FaultPlan::lossy(23)), "shared_mem/paper_hubs");
         let queries: u64 = out
             .levels
             .iter()
@@ -252,7 +243,7 @@ mod kernel_parity {
             degree_ordered_adjacency: true,
             ..BfsConfig::threaded_small(4)
         };
-        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/degree_ordered");
+        compare(&el, 8, cfg, None, "shared_mem/degree_ordered");
     }
 
     /// Forced Top-Down (no Bottom-Up levels at all) exercises the
@@ -265,6 +256,6 @@ mod kernel_parity {
             force_top_down: true,
             ..BfsConfig::threaded_small(4)
         };
-        compare(&el, 8, cfg, SharedMem::new, None, "shared_mem/force_td");
+        compare(&el, 8, cfg, None, "shared_mem/force_td");
     }
 }

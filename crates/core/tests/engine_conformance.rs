@@ -19,9 +19,7 @@
 //!    `injection_trace` or `is_degraded`).
 
 use swbfs_core::baseline::sequential_bfs_levels;
-use swbfs_core::engine::{
-    Channels, ClusterBuilder, SharedMem, SocketTransport, SuperstepEngine, Transport,
-};
+use swbfs_core::engine::{ClusterBuilder, SharedMem, SocketTransport, SuperstepEngine, Transport};
 use swbfs_core::exchange::Codec;
 use swbfs_core::faults::{FaultSession, InjectionEvent, RetryPolicy};
 use swbfs_core::messages::EdgeRec;
@@ -299,28 +297,13 @@ fn shared_mem_matches_the_sequential_oracle_at_scale_14() {
 }
 
 #[test]
-fn channels_matches_the_sequential_oracle_at_scale_14() {
-    check_oracle_parity(Channels::new);
-}
-
-#[test]
 fn shared_mem_reports_the_canonical_counter_keys() {
     check_canonical_counters(SharedMem::new);
 }
 
 #[test]
-fn channels_reports_the_canonical_counter_keys() {
-    check_canonical_counters(Channels::new);
-}
-
-#[test]
 fn shared_mem_replays_fault_plans_deterministically() {
     check_fault_determinism(SharedMem::new);
-}
-
-#[test]
-fn channels_replays_fault_plans_deterministically() {
-    check_fault_determinism(Channels::new);
 }
 
 #[test]
@@ -331,16 +314,6 @@ fn shared_mem_exposes_the_complete_surface() {
 #[test]
 fn shared_mem_restarts_from_a_store_bit_identically() {
     check_store_restart_parity(SharedMem::new);
-}
-
-#[test]
-fn channels_restarts_from_a_store_bit_identically() {
-    check_store_restart_parity(Channels::new);
-}
-
-#[test]
-fn channels_exposes_the_complete_surface() {
-    check_complete_surface(Channels::new);
 }
 
 // ---- the socket fabric: real processes, real sockets, same battery ----
@@ -394,26 +367,17 @@ fn socket_unix_restarts_from_a_store_bit_identically() {
 /// and identical `exchange.*`/`faults.*` counter values (Direct mode,
 /// fixed framing — the traffic both fabrics describe identically).
 #[test]
-fn transports_agree_with_each_other_on_identical_traffic() {
+fn shared_mem_and_socket_agree_on_identical_traffic() {
     let el = graph(12, 17);
     let cfg = BfsConfig::threaded_small(3).with_messaging(Messaging::Direct);
     let mut shm = build(&el, 6, cfg, SharedMem::new);
-    let mut chn = build(&el, 6, cfg, Channels::new);
     let mut sock = build(&el, 6, cfg, socket_unix);
     let root = good_root(&shm);
     let a = shm.run(root).unwrap();
-    let b = chn.run(root).unwrap();
     let c = sock.run(root).unwrap();
-    assert_eq!(a.parents, b.parents);
     assert_eq!(a.parents, c.parents);
-    assert_eq!(a.levels, b.levels, "engine-owned level stats must agree");
     assert_eq!(a.levels, c.levels, "socket level stats must agree");
     for section in ["exchange.", "faults."] {
-        assert_eq!(
-            shm.metrics().section(section),
-            chn.metrics().section(section),
-            "{section}* values diverge between transports"
-        );
         assert_eq!(
             shm.metrics().section(section),
             sock.metrics().section(section),
@@ -455,10 +419,10 @@ fn faulty_run<T: Transport>(
     )
 }
 
-/// Cross-fabric parity under faults: every fabric takes its verdict from
+/// Cross-fabric parity under faults: both fabrics take their verdict from
 /// the same deterministic pass over the same Direct message set, so one
 /// fault plan must leave identical parents, identical injection traces
-/// and identical `faults.*`/`exchange.*` values on all three — under
+/// and identical `faults.*`/`exchange.*` values on both — under
 /// lossy schedules on both codecs, and under a corrupt link that forces
 /// the compression fallback mid-run.
 ///
@@ -468,10 +432,10 @@ fn faulty_run<T: Transport>(
 /// with every vertex a hub, whose Bottom-Up levels run no phase at all:
 /// the schedule meets only Top-Down exchanges, and on this graph the
 /// corrupt link (rank 1 → 4, from phase 2) then carries no compressed
-/// payload for it to corrupt, so nothing degrades — on every fabric
+/// payload for it to corrupt, so nothing degrades — on both fabrics
 /// alike.
 #[test]
-fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
+fn shared_mem_and_socket_agree_under_one_fault_plan() {
     let el = graph(12, 31);
     let complete = BfsConfig::threaded_small(3).with_messaging(Messaging::Direct);
     let direct = BfsConfig { bottom_up_hubs: 1 << 10, ..complete };
@@ -492,27 +456,22 @@ fn shared_mem_channels_and_socket_agree_under_one_fault_plan() {
             !case.starts_with("complete"),
             "{case}: Bottom-Up queries only where the hubs do not cover the graph"
         );
-        let others = [
-            ("channels", faulty_run(&el, cfg, &plan, Channels::new)),
-            ("socket-unix", faulty_run(&el, cfg, &plan, socket_unix)),
-        ];
-        for (other, got) in others {
-            assert_eq!(got.0, shm.0, "{case}: {other} parents diverge from shared-mem");
-            assert_eq!(got.1, shm.1, "{case}: {other} injection trace diverges");
-            assert_eq!(got.2, shm.2, "{case}: {other} faults.* diverge");
-            assert_eq!(got.3, shm.3, "{case}: {other} exchange.* diverge");
-            assert_eq!(got.4, shm.4, "{case}: {other} degradation state diverges");
-        }
+        let got = faulty_run(&el, cfg, &plan, socket_unix);
+        assert_eq!(got.0, shm.0, "{case}: socket-unix parents diverge from shared-mem");
+        assert_eq!(got.1, shm.1, "{case}: socket-unix injection trace diverges");
+        assert_eq!(got.2, shm.2, "{case}: socket-unix faults.* diverge");
+        assert_eq!(got.3, shm.3, "{case}: socket-unix exchange.* diverge");
+        assert_eq!(got.4, shm.4, "{case}: socket-unix degradation state diverges");
     }
 }
 
 /// With every vertex a hub a Bottom-Up level is one local pass per rank.
-/// On every fabric its level map must equal the paper-style query
+/// On both fabrics its level map must equal the paper-style query
 /// protocol's (2^10 hubs, whose Bottom-Up levels do query), and its
 /// Bottom-Up levels must put nothing on the wire: no record, message or
 /// byte.
 #[test]
-fn complete_view_levels_match_the_query_protocol_on_every_fabric() {
+fn complete_view_levels_match_the_query_protocol_on_shared_mem_and_socket() {
     let el = graph(12, 31);
     let complete = BfsConfig::threaded_small(3).with_messaging(Messaging::Relay);
     let paper = BfsConfig { bottom_up_hubs: 1 << 10, ..complete };
@@ -525,7 +484,6 @@ fn complete_view_levels_match_the_query_protocol_on_every_fabric() {
     assert!(bottom_up(&query).iter().any(|ls| ls.records_generated > 0), "the 2^10 run must query");
     let runs = [
         ("shared-mem", build(&el, 6, complete, SharedMem::new).run(root).unwrap()),
-        ("channels", build(&el, 6, complete, Channels::new).run(root).unwrap()),
         ("socket-unix", build(&el, 6, complete, socket_unix).run(root).unwrap()),
     ];
     for (fabric, out) in &runs {
@@ -574,16 +532,14 @@ fn faulty_phases<T: Transport>(mut t: T, plan: FaultPlan, calls: usize) -> Vec<(
 /// phase exactly once: delivered, refused by the verdict, failed on the
 /// wire, and refused by a sticky-failed socket fabric.
 #[test]
-fn shared_mem_channels_and_socket_close_one_phase_per_faulty_exchange() {
+fn shared_mem_and_socket_close_one_phase_per_faulty_exchange() {
     let delivered = vec![(true, 1), (true, 2), (true, 3)];
     let refused = vec![(false, 1), (false, 2)];
     let lossy = || FaultPlan::lossy(13);
     let dead = || FaultPlan::quiet(13).with_dead_link(0, 1);
     assert_eq!(faulty_phases(SharedMem::new(), lossy(), 3), delivered);
-    assert_eq!(faulty_phases(Channels::new(), lossy(), 3), delivered);
     assert_eq!(faulty_phases(socket_unix(), lossy(), 3), delivered);
     assert_eq!(faulty_phases(SharedMem::new(), dead(), 2), refused);
-    assert_eq!(faulty_phases(Channels::new(), dead(), 2), refused);
     assert_eq!(faulty_phases(socket_unix(), dead(), 2), refused);
     // Rank 1's daemon dies in wire phase 1; the fabric then stays
     // failed, and the session still advances once per call.

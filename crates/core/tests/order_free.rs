@@ -7,8 +7,7 @@
 //!
 //! `Reordering` (`support/reordering.rs`) wraps a real fabric and
 //! permutes every inbox it returns — by a seeded shuffle, or by
-//! reversal — before the engine sees it. On SharedMem, Channels and
-//! Socket-Unix, Direct and Relay, scales 10–14, several roots: parents,
+//! reversal — before the engine sees it. On SharedMem and Socket-Unix, Direct and Relay, scales 10–14, several roots: parents,
 //! every `LevelStats` field and the canonical counter set must equal the
 //! unwrapped run's. Parents must also agree between Direct and Relay on
 //! each fabric.
@@ -26,7 +25,7 @@ use reordering::{Permute, Reordering};
 use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
 use sw_trace::CounterSet;
 use swbfs_core::config::Messaging;
-use swbfs_core::engine::{Channels, ClusterBuilder, SharedMem, SocketTransport, Transport};
+use swbfs_core::engine::{ClusterBuilder, SharedMem, SocketTransport, Transport};
 use swbfs_core::policy::Direction;
 use swbfs_core::{BfsConfig, BfsOutput};
 
@@ -131,11 +130,6 @@ fn shared_mem_levels_are_order_free() {
 }
 
 #[test]
-fn channels_levels_are_order_free() {
-    check(Channels::new, true);
-}
-
-#[test]
 fn socket_unix_levels_are_order_free() {
     check(rankd, true);
 }
@@ -143,11 +137,6 @@ fn socket_unix_levels_are_order_free() {
 #[test]
 fn shared_mem_fixed_codec_levels_are_order_free() {
     check(SharedMem::new, false);
-}
-
-#[test]
-fn channels_fixed_codec_levels_are_order_free() {
-    check(Channels::new, false);
 }
 
 #[test]

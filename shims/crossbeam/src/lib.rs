@@ -1,79 +1,6 @@
 //! Offline shim for the `crossbeam` API subset this workspace uses:
-//! `crossbeam::channel::{unbounded, Sender, Receiver}`, implemented
-//! over `std::sync::mpsc` (whose `Sender` has been `Sync` since Rust
-//! 1.72, which is what the SPMD channel mesh relies on), and
 //! `crossbeam::deque::{Worker, Stealer, Injector, Steal}`, the
 //! work-stealing deque surface the rayon shim's pool is built on.
-
-pub mod channel {
-    //! MPMC-flavoured unbounded channel over `std::sync::mpsc`.
-
-    use std::sync::mpsc;
-
-    /// Sending half (cloneable, shareable across threads).
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    /// Receiving half.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    /// Error returned when the receiving side is gone. Like upstream,
-    /// `Debug` does not require `T: Debug` and elides the payload.
-    #[derive(PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> std::fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "SendError(..)")
-        }
-    }
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned when every sender is gone and the queue is empty.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "receiving on an empty, disconnected channel")
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `t`; fails only if the receiver was dropped.
-        pub fn send(&self, t: T) -> Result<(), SendError<T>> {
-            self.0.send(t).map_err(|mpsc::SendError(t)| SendError(t))
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks for the next message.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive (`Err` when empty or disconnected).
-        pub fn try_recv(&self) -> Result<T, RecvError> {
-            self.0.try_recv().map_err(|_| RecvError)
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-}
 
 pub mod deque {
     //! Work-stealing deques mirroring `crossbeam-deque`.
@@ -208,7 +135,6 @@ pub mod deque {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::unbounded;
     use super::deque::{Injector, Steal, Worker};
 
     #[test]
@@ -236,30 +162,5 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
         assert!(inj.is_empty());
-    }
-
-    #[test]
-    fn round_trip_across_threads() {
-        let (tx, rx) = unbounded::<u64>();
-        let tx2 = tx.clone();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                tx.send(1).unwrap();
-            });
-            s.spawn(move || {
-                tx2.send(2).unwrap();
-            });
-        });
-        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]);
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn sender_is_sync() {
-        fn assert_sync<T: Sync>(_: &T) {}
-        let (tx, _rx) = unbounded::<u64>();
-        assert_sync(&tx);
     }
 }
