@@ -22,8 +22,10 @@ cargo bench --no-run -q
 #   live      rankd plus SW_LIVE=1 (the live telemetry plane armed).
 #
 # default: every package's unit tests, integration tests, proptests and
-# doctests, the umbrella package's included.
-cargo test --workspace -q
+# doctests, the umbrella package's included (the root manifest's
+# default-members name every package, so plain `cargo test` is the
+# whole workspace).
+cargo test -q
 
 # pool=4: the work-stealing pool behind the rayon shim must be invisible
 # in outputs. Conformance + kernel parity + the seed-exchange oracle +
@@ -55,9 +57,10 @@ SW_POOL_THREADS=4 cargo test -q -p sw-algos --test order_free
 
 # rankd: the multi-process transport (one swbfs-rankd process per rank
 # over Unix-domain/TCP sockets) must pass the same conformance battery
-# as the in-process fabrics — the cross-fabric fault-plan parity
-# included — the physically-realized chaos schedules, and the
-# teardown/re-delivery contract, each suite under a hard timeout so a
+# as the in-process fabric — the cross-fabric fault-plan parity
+# included — its lifecycle cases (one rank, refused inputs, the
+# dead-link error, pool-less fault telemetry), the physically-realized
+# chaos schedules, and the teardown/re-delivery contract, each suite under a hard timeout so a
 # fabric hang fails loudly instead of wedging CI. (The conformance/chaos
 # tests pin the daemon via CARGO_BIN_EXE; the explicit build keeps
 # target/release's copy fresh for runtime discovery.) With
@@ -67,6 +70,7 @@ cargo build --release -q -p swbfs-core --bin swbfs-rankd
 export SWBFS_RANKD="$PWD/target/release/swbfs-rankd"
 export SWBFS_RANKD_REQUIRE=1
 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
+timeout 600 cargo test -q -p swbfs-core --test engine_lifecycle socket
 timeout 600 cargo test -q -p swbfs-core --test chaos socket
 # Since PR 25 no fabric sorts its inboxes: the socket fabric's inboxes,
 # permuted (shuffled, reversed), must leave parents, LevelStats and
@@ -87,8 +91,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
 # The one counter gate (swgate), three gates in one binary:
 #  * insight: replay the fixed-seed instrumented workload across every
-#    layer (BFS transports, channel backend, algorithm kernels, netsim,
-#    chip, insight analysis, flow-model deviation) and diff it against
+#    layer (BFS messaging modes, algorithm kernels, netsim, chip,
+#    insight analysis, flow-model deviation) and diff it against
 #    BENCH_insight.json (counts exact, *_ns/*_mbps/*permille keys 50
 #    permille);
 #  * service: MS-BFS batch 64 at least 4x faster than batch 1, and the

@@ -16,7 +16,7 @@
 //! exchange over any [`Transport`], gen/handle spans per round, and
 //! the canonical `exchange.*` counter path. `tests/msbfs_differential.rs`
 //! proves the batch bit-identical to K independent single-source runs
-//! across the shared-memory, channel and socket fabrics.
+//! on the shared-memory and the socket fabric.
 //!
 //! State is three words per vertex — `seen` (waves that ever arrived),
 //! `curr` (waves arriving this round), `next` (waves found for the

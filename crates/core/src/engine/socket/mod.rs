@@ -40,9 +40,9 @@
 //! realization come from buffers this process retained — re-delivery
 //! without regeneration, pinned by `tests/socket_teardown.rs`.
 //!
-//! The wire *statistics* stay arithmetic (the point-to-point arithmetic
-//! the channel fabric uses) so `exchange.*` counters are comparable
-//! across fabrics; the physical side-channel is reported separately
+//! The wire *statistics* stay arithmetic (the point-to-point Direct
+//! arithmetic, `direct_wire_stats`) so `exchange.*` counters are
+//! comparable across fabrics; the physical side-channel is reported separately
 //! via [`SocketTransport::wire_incidents`].
 
 mod daemon;
@@ -575,8 +575,8 @@ impl SocketTransport {
     }
 
     /// Decodes the raw inbox payloads into per-rank inboxes (source
-    /// order), recording the same per-rank deliver spans the channel
-    /// fabric records.
+    /// order), recording one per-rank deliver span each, as the pooled
+    /// arena does.
     fn decode_inboxes(&mut self, raw: RawInboxes) -> Result<Vec<Vec<EdgeRec>>, ExchangeError> {
         let tracer = self.tracer.clone();
         let trace = tracer.as_ref();
@@ -637,8 +637,8 @@ impl Transport for SocketTransport {
     }
 
     fn lend_outboxes(&mut self) -> Vec<Outboxes> {
-        // Like the channel fabric: no buffer pool (encodings are built
-        // fresh per phase), so pool counters stay honestly zero.
+        // No buffer pool (encodings are built fresh per phase), so pool
+        // counters stay honestly zero.
         (0..self.ranks).map(|_| Outboxes::new(self.ranks)).collect()
     }
 

@@ -152,8 +152,8 @@ pub(crate) fn drain_boxes(out: Vec<crate::modules::Outboxes>) -> Vec<Vec<Vec<Edg
 /// indicators included), summed over sources with the per-rank maxima
 /// the `max_*` counters track. Shared by every fabric whose physical
 /// mesh is point-to-point regardless of the configured [`Messaging`]
-/// mode — the channel transport and the socket transport — which is
-/// what pins their `exchange.*` counter *values* equal on identical
+/// mode (the socket transport), which is what pins its `exchange.*`
+/// counter *values* equal to the pooled arena's on identical Direct
 /// traffic.
 pub(crate) fn direct_wire_stats(
     boxes: &[Vec<Vec<EdgeRec>>],

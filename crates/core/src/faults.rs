@@ -16,8 +16,8 @@
 //! * [`FaultPlan`] — a *seeded, stateless* fault schedule. Every
 //!   injection decision is a pure hash of `(seed, phase, variant, src,
 //!   dst, attempt)`, so the schedule is reproducible independent of
-//!   thread interleaving, and the same plan drives the phase backend,
-//!   the channel backend, and (through [`FaultPlan::net_faults`] /
+//!   thread interleaving, and the same plan drives the shared-memory
+//!   and socket fabrics and (through [`FaultPlan::net_faults`] /
 //!   [`FaultPlan::dma_degradation`] / [`FaultPlan::spm_pressure_bytes`])
 //!   the sw-net and sw-arch layers.
 //! * [`RetryPolicy`] — the resilience knobs of a run (carried by

@@ -118,7 +118,7 @@ impl Outboxes {
     /// Buckets the flat stream into per-destination vectors and clears
     /// the flat buffers, keeping their capacity for the next level. The
     /// per-destination allocation is inherent for callers that hand each
-    /// box to a different owner, e.g. the channel transport.
+    /// box to a different owner, e.g. the socket transport.
     pub fn drain_into_boxes(&mut self) -> Vec<Vec<EdgeRec>> {
         let mut counts = vec![0usize; self.ranks];
         for &d in &self.dests {

@@ -1,7 +1,7 @@
 //! # sw-trace — deterministic tracing, metrics & profiling
 //!
 //! The observability pillar of the workspace: every backend (threaded
-//! ranks, channel ranks, the cycle/event simulators, the Graph500
+//! ranks, socket ranks, the cycle/event simulators, the Graph500
 //! driver) reports *where the time goes* through one span/counter API
 //! with one export path, instead of ad-hoc stat structs per crate.
 //!
