@@ -13,10 +13,8 @@
 //! * MPE system-interrupt latency is ~10 µs, so MPE↔CPE notification uses
 //!   busy-wait flag polling through main memory (~100-cycle latency, §3.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed parameters of one SW26010 core group and its CPE cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChipConfig {
     /// Core clock of both MPEs and CPEs, Hz (1.45 GHz).
     pub clock_hz: f64,

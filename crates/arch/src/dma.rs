@@ -98,22 +98,6 @@ impl DmaEngine {
     pub fn config(&self) -> &ChipConfig {
         &self.cfg
     }
-
-    /// A degraded copy of this engine (fault injection: a straggler core
-    /// group): every DMA request pays `extra_overhead_ns` more issue
-    /// latency and the memory controller streams at `peak_derate` of its
-    /// nominal peak. `(0.0, 1.0)` returns an engine with identical
-    /// timing.
-    pub fn degraded(&self, extra_overhead_ns: f64, peak_derate: f64) -> DmaEngine {
-        assert!(
-            extra_overhead_ns >= 0.0 && peak_derate > 0.0 && peak_derate <= 1.0,
-            "degradation must slow the engine, not speed it up"
-        );
-        let mut cfg = self.cfg;
-        cfg.cpe_dma_overhead_ns += extra_overhead_ns;
-        cfg.cluster_peak_gbps *= peak_derate;
-        DmaEngine::new(cfg)
-    }
 }
 
 #[cfg(test)]
@@ -194,34 +178,6 @@ mod tests {
             (per_stream - 28.9 / 2.0).abs() < 1.5,
             "per-stream {per_stream} GB/s"
         );
-    }
-
-    #[test]
-    fn degraded_engine_is_strictly_slower() {
-        let e = engine();
-        let d = e.degraded(50.0, 0.6);
-        for chunk in [32u32, 256, 4096] {
-            assert!(d.per_cpe_gbps(chunk) < e.per_cpe_gbps(chunk));
-            assert!(d.cluster_gbps(chunk, 64) <= e.cluster_gbps(chunk, 64));
-            // Not strictly slower everywhere: at tiny chunks the
-            // request-slot cap (untouched by degradation) binds both.
-            assert!(d.transfer_ns(1 << 20, chunk, 64) >= e.transfer_ns(1 << 20, chunk, 64));
-        }
-        // Where the nominal engine saturates the controller, the derated
-        // peak must bite.
-        assert!(d.transfer_ns(1 << 20, 256, 64) > e.transfer_ns(1 << 20, 256, 64));
-        // Derated peak shows directly at the saturating chunk size.
-        assert!((d.cluster_gbps(256, 64) - 28.9 * 0.6).abs() < 1e-6);
-        // The identity degradation changes nothing.
-        let id = e.degraded(0.0, 1.0);
-        assert_eq!(id.cluster_gbps(256, 64), e.cluster_gbps(256, 64));
-        assert_eq!(id.transfer_ns(1 << 20, 256, 64), e.transfer_ns(1 << 20, 256, 64));
-    }
-
-    #[test]
-    #[should_panic(expected = "not speed it up")]
-    fn degraded_rejects_speedups() {
-        engine().degraded(-1.0, 1.0);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl Mesh {
         self.side
     }
 
-    /// Total CPEs.
-    pub fn num_cpes(&self) -> usize {
-        self.side as usize * self.side as usize
-    }
-
     /// True if `id` is inside the mesh.
     pub fn contains(&self, id: CpeId) -> bool {
         id.row < self.side && id.col < self.side

@@ -1,7 +1,6 @@
 //! Counter exports for the chip simulator under the `arch.` namespace.
 //!
-//! The simulator's report structs ([`CycleReport`],
-//! [`ShuffleReport`], [`Spm`]) stay the
+//! The simulator's report structs ([`CycleReport`], [`Spm`]) stay the
 //! public API; this module maps them onto [`sw_trace::CounterSet`] keys
 //! so modeled runs land in the same metrics snapshot as the BFS
 //! backends' `exchange.*`/`faults.*` counters. Fractional quantities
@@ -12,7 +11,6 @@
 use crate::config::ChipConfig;
 use crate::cyclesim::CycleReport;
 use crate::dma::DmaEngine;
-use crate::shuffle::ShuffleReport;
 use crate::spm::Spm;
 use sw_trace::CounterSet;
 
@@ -44,15 +42,6 @@ pub fn publish_mesh_utilization(cs: &mut CounterSet, cfg: &ChipConfig, rep: &Cyc
     if let Some(per_kcycle) = (rep.delivered * 1000).checked_div(rep.cycles) {
         cs.record("arch.mesh.max_flits_per_kcycle", per_kcycle);
     }
-}
-
-/// Adds a shuffle run: moved bytes and simulated time sum, the busiest
-/// register link's flit count merges by maximum.
-pub fn publish_shuffle_report<T>(cs: &mut CounterSet, rep: &ShuffleReport<T>) {
-    cs.add("arch.shuffle.moved_bytes", rep.moved_bytes);
-    cs.add("arch.shuffle.elapsed_ns", rep.elapsed_ns as u64);
-    cs.add("arch.shuffle.routes_checked", rep.routes_checked as u64);
-    cs.record("arch.shuffle.max_link_flits", rep.max_link_flits);
 }
 
 /// Records one CPE's scratch-pad pressure: the high-water mark of bytes

@@ -1,10 +1,8 @@
 //! BFS configuration: the axes Figure 11 sweeps plus the paper's tuning
 //! constants.
 
-use serde::{Deserialize, Serialize};
-
 /// How inter-node messages travel (the Figure 11 "Direct" vs "Relay" axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Messaging {
     /// Point-to-point to the destination node — one connection per peer.
     Direct,
@@ -14,7 +12,7 @@ pub enum Messaging {
 }
 
 /// Where module processing runs (the Figure 11 "MPE" vs "CPE" axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Processing {
     /// Modules processed on the management core directly.
     Mpe,
@@ -24,7 +22,7 @@ pub enum Processing {
 }
 
 /// Full configuration of a BFS run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BfsConfig {
     /// Message transport.
     pub messaging: Messaging,

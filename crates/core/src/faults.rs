@@ -17,9 +17,7 @@
 //!   injection decision is a pure hash of `(seed, phase, variant, src,
 //!   dst, attempt)`, so the schedule is reproducible independent of
 //!   thread interleaving, and the same plan drives the shared-memory
-//!   and socket fabrics and (through [`FaultPlan::net_faults`] /
-//!   [`FaultPlan::dma_degradation`] / [`FaultPlan::spm_pressure_bytes`])
-//!   the sw-net and sw-arch layers.
+//!   and socket fabrics.
 //! * [`RetryPolicy`] — the resilience knobs of a run (carried by
 //!   [`crate::config::BfsConfig`]): bounded retries with deterministic
 //!   exponential backoff (no jitter — reproducibility is the point), a
@@ -37,7 +35,6 @@ use crate::config::Messaging;
 use crate::error::ExchangeError;
 use crate::exchange::{group_bounds, Codec, ExchangeStats};
 use crate::instrument as ins;
-use serde::{Deserialize, Serialize};
 use sw_net::GroupLayout;
 use sw_trace::Tracer;
 
@@ -175,7 +172,7 @@ pub fn phase_messages(
 /// Bounded-retry and degradation policy of a run. Lives in
 /// [`crate::config::BfsConfig::retry`]; only consulted when a
 /// [`FaultSession`] is armed (the fault-free hot path never reads it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total send attempts allowed per message per phase (≥ 1); the
     /// budget exhausting maps to [`ExchangeError::RetriesExhausted`].
@@ -277,11 +274,6 @@ pub struct FaultPlan {
     pub corrupt_links: Vec<(u32, u32)>,
     /// First phase at which the dead/corrupt sets take effect.
     pub dead_from_phase: u64,
-    /// Per-super-node probability of a bandwidth brownout, ‰ (consumed
-    /// by [`Self::net_faults`]).
-    pub brownout_permille: u16,
-    /// Bandwidth factor a browned-out tier drops to, ‰ of nominal.
-    pub brownout_floor_permille: u16,
 }
 
 impl FaultPlan {
@@ -299,8 +291,6 @@ impl FaultPlan {
             dead_relays: Vec::new(),
             corrupt_links: Vec::new(),
             dead_from_phase: 0,
-            brownout_permille: 0,
-            brownout_floor_permille: 1000,
         }
     }
 
@@ -393,39 +383,6 @@ impl FaultPlan {
         }
     }
 
-    /// The sw-net share of this plan: per-tier bandwidth brownouts and
-    /// connection-memory pressure derived from the same seed.
-    pub fn net_faults(&self) -> sw_net::NetFaults {
-        sw_net::NetFaults {
-            seed: mix(self.seed ^ 0x6E65_7466), // "netf"
-            brownout_permille: self.brownout_permille,
-            brownout_floor_permille: self.brownout_floor_permille,
-        }
-    }
-
-    /// The sw-arch share: `(extra per-request DMA stall ns, memory
-    /// controller derate factor)` for a straggler core group, derived
-    /// from the seed. Factor is in `(0, 1]`.
-    pub fn dma_degradation(&self) -> (f64, f64) {
-        if self.is_quiet() {
-            return (0.0, 1.0);
-        }
-        let h = decision(self.seed, 0, 0, 0xD7A, 0xD7A, 0);
-        let stall_ns = (h % 200) as f64; // up to ~7× the issue overhead
-        let derate = 0.5 + ((h >> 32) % 500) as f64 / 1000.0; // 0.5..1.0
-        (stall_ns, derate)
-    }
-
-    /// The SPM pressure this plan applies to a scratch-pad of
-    /// `capacity` bytes: a deterministic slice of the capacity a
-    /// misbehaving resident library would pin.
-    pub fn spm_pressure_bytes(&self, capacity: usize) -> usize {
-        if self.is_quiet() {
-            return 0;
-        }
-        let h = decision(self.seed, 0, 0, 0x59A, 0x59A, 1);
-        (h % (capacity as u64 / 2 + 1)) as usize
-    }
 }
 
 /// Counters one faulty delivery pass produced (also the failure path —
@@ -953,28 +910,5 @@ mod tests {
             s.end_phase();
         }
         assert!(s.trace().iter().any(|e| e.variant == 1));
-    }
-
-    #[test]
-    fn bridge_plans_are_deterministic() {
-        let plan = FaultPlan {
-            brownout_permille: 300,
-            brownout_floor_permille: 250,
-            ..FaultPlan::lossy(17)
-        };
-        assert_eq!(plan.net_faults(), plan.net_faults());
-        assert_eq!(plan.dma_degradation(), plan.dma_degradation());
-        assert_eq!(
-            plan.spm_pressure_bytes(65536),
-            plan.spm_pressure_bytes(65536)
-        );
-        let (stall, derate) = plan.dma_degradation();
-        assert!(stall >= 0.0);
-        assert!(derate > 0.0 && derate <= 1.0);
-        assert!(plan.spm_pressure_bytes(65536) <= 32768);
-        // The quiet plan applies no pressure anywhere.
-        let q = FaultPlan::quiet(17);
-        assert_eq!(q.dma_degradation(), (0.0, 1.0));
-        assert_eq!(q.spm_pressure_bytes(65536), 0);
     }
 }

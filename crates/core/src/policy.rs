@@ -9,10 +9,8 @@
 //! heuristic switches down when `m_f > m_u / α` and back up when the
 //! frontier shrinks below `n / β`.
 
-use serde::{Deserialize, Serialize};
-
 /// Traversal direction of one level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Direction {
     /// Scan frontier vertices' edges, claim unvisited targets.
     #[default]
@@ -22,7 +20,7 @@ pub enum Direction {
 }
 
 /// Runtime statistics the policy consumes at each level boundary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PolicyInputs {
     /// Global frontier vertex count (`n_f`).
     pub frontier_vertices: u64,

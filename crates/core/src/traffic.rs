@@ -19,11 +19,10 @@ use crate::error::ExecError;
 use crate::policy::Direction;
 use crate::result::BfsOutput;
 use crate::engine::ClusterBuilder;
-use serde::{Deserialize, Serialize};
 use sw_graph::{generate_kronecker, KroneckerConfig, Vid};
 
 /// Scale-free description of one BFS level.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LevelProfile {
     /// Traversal direction the policy chose.
     pub direction: Direction,

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 /// Configuration for the Kronecker generator.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KroneckerConfig {
     /// log2 of the number of vertices ("SCALE" in Graph500).
     pub scale: u32,

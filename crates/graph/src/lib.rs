@@ -17,8 +17,6 @@
 //!   and visited maps, with a word-level surface for word-parallel kernels.
 //! * [`hub`] — degree-aware hub vertex selection for the paper's
 //!   "degree aware prefetch" optimization (§5).
-//! * [`stats`] — degree-distribution statistics used by tests and by the
-//!   traffic model.
 //! * [`store`] — zero-copy graph storage: an on-disk partition format with
 //!   per-section checksums, opened as an `mmap`-backed [`GraphStore`] whose
 //!   CSR views traverse the file in place.
@@ -30,12 +28,9 @@ pub mod bitmap;
 pub mod csr;
 pub mod edge_list;
 pub mod hub;
-pub mod io;
 pub mod kronecker;
 pub mod partition;
-pub mod stats;
 pub mod store;
-pub mod transform;
 
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use csr::{Csr, RowOrder};

@@ -12,7 +12,7 @@ use crate::{LocalVid, Vid};
 ///
 /// Every rank owns a contiguous block of `ceil(n / p)` ids except possibly
 /// the last.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Partition1D {
     num_vertices: Vid,
     num_ranks: u32,

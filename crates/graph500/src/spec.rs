@@ -1,13 +1,12 @@
 //! Benchmark specification constants.
 
-use serde::{Deserialize, Serialize};
 use sw_graph::KroneckerConfig;
 
 /// Number of search roots the benchmark requires.
 pub const NUM_ROOTS: usize = 64;
 
 /// A Graph500 problem instance.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Graph500Spec {
     /// Problem scale: `2^scale` vertices.
     pub scale: u32,

@@ -5,10 +5,8 @@
 //! one consistent with total-work-over-total-time), plus its standard
 //! error.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics over a set of TEPS measurements.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TepsStats {
     /// Number of runs.
     pub count: usize,

@@ -18,10 +18,9 @@
 //! A latency floor (`hops × hop latency`) covers near-empty phases.
 
 use crate::topology::NetworkConfig;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate traffic of one communication phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseLoad {
     /// Bytes sent by the busiest node (all destinations).
     pub max_send_bytes: f64,

@@ -39,15 +39,6 @@ impl ConnectionTable {
         self.cfg.node_memory_bytes.saturating_sub(self.app_bytes)
     }
 
-    /// Injects additional application memory pressure (fault injection:
-    /// a co-resident library or leak pinning node memory). Subsequent
-    /// `connect`/`check_capacity` calls see the shrunken budget and fail
-    /// with the same structured [`NetError::ConnectionMemoryExhausted`]
-    /// as organic exhaustion.
-    pub fn inject_app_pressure(&mut self, bytes: u64) {
-        self.app_bytes = self.app_bytes.saturating_add(bytes);
-    }
-
     /// Bytes MPI state would need for `n` connections.
     pub fn bytes_for(&self, n: usize) -> u64 {
         n as u64 * self.cfg.connection_bytes()
@@ -148,24 +139,6 @@ mod tests {
         let t = ConnectionTable::new(cfg, 0, 20u64 << 30);
         t.check_capacity(layout.connections_per_node(0) as usize)
             .unwrap();
-    }
-
-    #[test]
-    fn injected_pressure_exhausts_like_organic_growth() {
-        // A table that comfortably fits a relay-sized peer set loses its
-        // headroom to injected pressure and fails with the same error.
-        let cfg = NetworkConfig::taihulight(16_384);
-        let mut t = ConnectionTable::new(cfg, 0, 5u64 << 30);
-        t.check_capacity(200).unwrap();
-        t.inject_app_pressure(t.available_bytes());
-        assert!(matches!(
-            t.check_capacity(200),
-            Err(NetError::ConnectionMemoryExhausted { .. })
-        ));
-        assert!(matches!(
-            t.connect(1),
-            Err(NetError::ConnectionMemoryExhausted { .. })
-        ));
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! * [`framing`] — length-prefixed frame codec for the real socket
 //!   fabric (`swbfs-core`'s `SocketTransport`): pure byte-level
 //!   encode/decode with torn-frame detection, no I/O.
+//! * [`eventsim`] — a message-level event simulator of one phase that
+//!   cross-checks the flow-level model.
+//! * [`placement`] — rank-to-node placement: Figure 9's logical and
+//!   physical group mapping.
 
 pub mod cost;
 pub mod endpoint;
 pub mod eventsim;
 pub mod error;
-pub mod faults;
 pub mod framing;
 pub mod group;
 pub mod placement;
@@ -46,11 +49,9 @@ pub mod topology;
 pub use cost::{CostModel, PhaseLoad};
 pub use endpoint::ConnectionTable;
 pub use eventsim::{
-    flow_prediction, simulate_phase, simulate_phase_faulty, FlowPrediction, SimMessage,
-    SimOutcome, TierOccupancy,
+    flow_prediction, simulate_phase, FlowPrediction, SimMessage, SimOutcome, TierOccupancy,
 };
 pub use error::NetError;
-pub use faults::NetFaults;
 pub use framing::{Frame, FrameDecoder, FrameError};
 pub use group::GroupLayout;
 pub use placement::Placement;

@@ -1,10 +1,8 @@
 //! Machine-level network constants and super-node arithmetic (paper §3.3,
 //! Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the TaihuLight interconnect.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkConfig {
     /// Number of compute nodes participating in the job.
     pub nodes: u32,

@@ -1,8 +1,8 @@
 //! Minimal deterministic JSON: an escaping writer and a syntax checker
 //! plus a flat-object parser.
 //!
-//! The workspace's `serde` is an offline no-op shim and there is no
-//! `serde_json`, so every exporter in this crate emits JSON by hand.
+//! The workspace has no `serde` and no `serde_json`, so every exporter
+//! in this crate emits JSON by hand.
 //! Determinism is part of the contract: identical inputs must yield
 //! byte-identical output (stable key order, fixed number formatting),
 //! because golden-trace tests compare the serialized bytes.

@@ -29,9 +29,8 @@
 //! two execution backends assert *identical counter sets* on identical
 //! traffic.
 //!
-//! No dependencies, no `serde` (the workspace's offline shim derives
-//! are no-ops): all JSON in and out of this crate is hand-rolled and
-//! deterministic.
+//! No dependencies and no `serde`: all JSON in and out of this crate is
+//! hand-rolled and deterministic.
 
 pub mod analyze;
 pub mod json;

@@ -60,11 +60,6 @@ impl ClockDomain {
             ClockDomain::EventSim => "event-sim",
         }
     }
-
-    /// Is this a deterministic (non-wall) domain?
-    pub fn is_virtual(&self) -> bool {
-        !matches!(self, ClockDomain::Wall)
-    }
 }
 
 /// Span (duration) vs instant (point) event.

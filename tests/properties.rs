@@ -12,7 +12,6 @@ use swbfs::bfs::exchange::Codec;
 use swbfs::bfs::messages::EdgeRec;
 use swbfs::bfs::modules::Outboxes;
 use swbfs::bfs::{BfsConfig, ClusterBuilder, Messaging};
-use swbfs::graph::io::{read_binary, read_text, write_binary, write_text};
 use swbfs::graph::{Bitmap, EdgeList, Partition1D};
 use swbfs::graph500::validate_bfs;
 use swbfs::net::{simulate_phase, GroupLayout, NetworkConfig, SimMessage};
@@ -211,18 +210,6 @@ proptest! {
             stats.messages,
             (r * c) as u64 * (r as u64 - 1 + c as u64 - 1) * stats.levels as u64
         );
-    }
-
-    /// Graph I/O round-trips arbitrary edge lists in both formats.
-    #[test]
-    fn graph_io_round_trips(el in arb_graph()) {
-        let mut bin = Vec::new();
-        write_binary(&el, &mut bin).unwrap();
-        prop_assert_eq!(read_binary(&bin[..]).unwrap(), el.clone());
-
-        let mut txt = Vec::new();
-        write_text(&el, &mut txt).unwrap();
-        prop_assert_eq!(read_text(&txt[..]).unwrap(), el);
     }
 
     /// The relay address algebra: every (src, dst) pair has a path of at
