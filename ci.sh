@@ -69,6 +69,11 @@ SW_POOL_THREADS=4 cargo test -q -p sw-algos --test order_free
 cargo build --release -q -p swbfs-core --bin swbfs-rankd
 export SWBFS_RANKD="$PWD/target/release/swbfs-rankd"
 export SWBFS_RANKD_REQUIRE=1
+# The examples: `cargo test` compiles them but runs none. Each must run
+# to a clean exit; socket_bfs finds the daemon through SWBFS_RANKD.
+for example in examples/*.rs; do
+  timeout 300 cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
 timeout 600 cargo test -q -p swbfs-core --test engine_conformance socket
 timeout 600 cargo test -q -p swbfs-core --test engine_lifecycle socket
 timeout 600 cargo test -q -p swbfs-core --test chaos socket
