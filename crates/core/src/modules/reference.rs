@@ -1,4 +1,4 @@
-//! The pre-word-parallel generator kernels, preserved verbatim.
+//! The pre-word-parallel generator kernels.
 //!
 //! These are the per-bit, per-edge scalar loops the engine shipped with
 //! before the word-parallel rewrite: the Backward Generator tests one
@@ -10,22 +10,30 @@
 //! through both kernel sets and asserts bit-identical parents, levels,
 //! and statistics (word counters normalized), which is the contract the
 //! rewrite is held to. Do not "improve" these — their value is that
-//! they stay exactly what the seed shipped.
+//! they stay what the seed shipped. They change only where the engine's
+//! *rules* changed on purpose, each applied in its plainest form: the
+//! min-parent claim ([`RankState::claim_min`]) and the Forward
+//! Generator's one record per target per call (a set of the targets
+//! already offered).
 
 use super::{ModuleStats, Outboxes};
 use crate::hubs::HubState;
 use crate::messages::EdgeRec;
 use crate::rank::RankState;
+use std::collections::HashSet;
+use sw_graph::Vid;
 
 /// The seed's Forward Generator: raw scan order, per-edge re-borrow,
 /// claims applied inline (under the engine's one claim rule,
-/// [`RankState::claim_min`]).
+/// [`RankState::claim_min`]), and a remote target's first offer the
+/// only one sent.
 pub fn forward_generator(
     state: &mut RankState,
     hubs: &HubState,
     out: &mut Outboxes,
 ) -> ModuleStats {
     let mut stats = ModuleStats::default();
+    let mut offered: HashSet<Vid> = HashSet::new();
     let frontier: Vec<usize> = state.curr.iter().collect();
     for u_local in frontier {
         let u = state.global(u_local);
@@ -45,7 +53,7 @@ pub fn forward_generator(
                 if state.claim_min(vl, u) {
                     stats.local_claims += 1;
                 }
-            } else {
+            } else if offered.insert(v) {
                 out.push(state.part.owner(v), EdgeRec { u, v });
                 stats.records_out += 1;
             }
@@ -69,7 +77,7 @@ pub fn backward_generator(
         }
         let v = state.global(v_local);
         queries.clear();
-        let mut found: Option<sw_graph::Vid> = None;
+        let mut found: Option<Vid> = None;
         let deg = state.csr.degree_local(v_local) as usize;
         for e in 0..deg {
             let u = state.csr.neighbors_local(v_local)[e];

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORD_BITS: usize = 64;
 
-/// A fixed-size dense bitset.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A fixed-size dense bitset (`Default`: zero bits).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,
