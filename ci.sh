@@ -145,6 +145,10 @@ timeout 300 perf/run.sh --selftest
 # serve_sat traced at full size: exits non-zero when serve.sweep_share
 # < 0.9, roots_per_batch < 60, or anything was shed or dropped.
 timeout 300 perf/run.sh --workload serve_sat --seed 1 --seconds 5 --trace 1 > /dev/null
+# serve_hit traced at full size: exits non-zero when its warm burst did not
+# sweep exactly the 24 hot roots, when serve.cache_hit_ratio <= 0.999, or
+# when anything was shed. The warm burst is its one MS-BFS sweep.
+timeout 300 perf/run.sh --workload serve_hit --seed 1 --seconds 5 --trace 1 > /dev/null
 # g500_shm traced at full size: exits non-zero when engine.reconcile_ratio
 # leaves [0.90, 1.05] (the levels shrank in PR 19; what is outside them
 # must stay small), or exchange.retries / trace.dropped_events is not 0.
