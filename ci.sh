@@ -59,6 +59,9 @@ SW_POOL_THREADS=4 cargo test -q -p sw-graph --test csr_proptest
 # The analytics kernels' order-freedom battery: fixed-point sums and
 # exact path counts must not see the pool size either.
 SW_POOL_THREADS=4 cargo test -q -p sw-algos --test order_free
+# MS-BFS level maps, both extraction routes, bit-exact against the
+# oracle and against independent runs on a 4-worker pool too.
+SW_POOL_THREADS=4 cargo test -q -p sw-algos --test msbfs_differential
 
 # rankd: the multi-process transport (one swbfs-rankd process per rank
 # over Unix-domain/TCP sockets) must pass the same conformance battery

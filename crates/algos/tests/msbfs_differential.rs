@@ -62,7 +62,7 @@ where
             "K={k}: batch bit {i} (source {s}) differs from its independent run"
         );
         assert_eq!(
-            batch.levels[i],
+            batch.levels[i].to_vec(),
             bfs_levels_oracle(el, s),
             "K={k}: source {s} differs from the sequential oracle"
         );
@@ -85,7 +85,11 @@ fn assert_matches_oracle(el: &EdgeList, out: &MsBfsOutput, what: &str) {
     let mut deepest = 0;
     for (k, &s) in out.sources.iter().enumerate() {
         let oracle = bfs_levels_oracle(el, s);
-        assert_eq!(out.levels[k], oracle, "{what}: bit {k} (source {s})");
+        assert_eq!(
+            out.levels[k].to_vec(),
+            oracle,
+            "{what}: bit {k} (source {s})"
+        );
         let reached = oracle.iter().copied().filter(|&l| l != UNREACHED);
         deepest = deepest.max(reached.max().unwrap());
     }
@@ -113,6 +117,49 @@ proptest! {
         let mut c = AlgoCluster::new(&el, ranks, group, messaging);
         let out = msbfs_distributed(&mut c, &sources);
         assert_matches_oracle(&el, &out, &format!("n={n} ranks={ranks} group={group} {messaging:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every source's level map equals the oracle's array at batch
+    /// widths on both sides of the level planes' crossover. The graph is
+    /// random edges on `n` vertices, then a path of up to 300 vertices
+    /// hung off vertex 0 (levels past 256 need nine planes), then one
+    /// isolated vertex. Sources include the isolated vertex, the path's
+    /// far end and a duplicate of it.
+    #[test]
+    fn level_maps_match_the_oracle_at_every_route(
+        n in 1u64..120,
+        raw_edges in proptest::collection::vec((0u64..120, 0u64..120), 0..240),
+        path in 0u64..300,
+        width in 0usize..4,
+        ranks in 1u32..=5,
+        seed in any::<u64>(),
+    ) {
+        let mut edges: Vec<(Vid, Vid)> =
+            raw_edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let mut far = 0;
+        for v in n..n + path {
+            edges.push((far, v));
+            far = v;
+        }
+        let isolated = n + path;
+        let el = EdgeList::new(isolated + 1, edges);
+        let kq = [1usize, 3, 16, MAX_BATCH][width];
+        let mut sources = pick_sources(el.num_vertices, kq.min(el.num_vertices as usize));
+        sources.resize(kq, seed % el.num_vertices);
+        sources[0] = isolated;
+        if kq > 1 {
+            sources[1] = far;
+        }
+        if kq > 2 {
+            sources[kq - 1] = far;
+        }
+        let mut c = AlgoCluster::new(&el, ranks, 2, Messaging::Direct);
+        let out = msbfs_distributed(&mut c, &sources);
+        assert_matches_oracle(&el, &out, &format!("kq={kq} path={path}"));
     }
 }
 

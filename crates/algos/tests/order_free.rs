@@ -23,7 +23,7 @@ mod reordering;
 use reordering::{Permute, Reordering};
 use std::path::Path;
 use sw_algos::betweenness::betweenness_oracle;
-use sw_algos::msbfs::msbfs_distributed;
+use sw_algos::msbfs::{msbfs_distributed, LevelMap};
 use sw_algos::pagerank::pagerank_oracle;
 use sw_algos::runtime::AlgoCluster;
 use sw_algos::{
@@ -48,7 +48,7 @@ struct Outputs {
     wcc: Vec<Vid>,
     kcore: Vec<bool>,
     sssp: Vec<u64>,
-    msbfs: Vec<Vec<u32>>,
+    msbfs: Vec<LevelMap>,
 }
 
 impl Outputs {

@@ -5,8 +5,8 @@
 //!   1, 4, 16 and 64 on a fixed Kronecker graph. Sweep, round and
 //!   Bottom-Up round totals are exact (`kernel.batch*`); batch 64 must
 //!   beat sequential single-source by at least 4× in wall-clock time,
-//!   which is printed but not stored (the service's wall-clock numbers
-//!   are `perf/`'s).
+//!   the best of three passes per width, which is printed but not
+//!   stored (the service's wall-clock numbers are `perf/`'s).
 //! * **Counters** — two staged bursts against a paused server (the
 //!   worker releases only after the whole burst is admitted), making
 //!   every `serve.*` counter a pure function of the query sequence.
@@ -30,6 +30,9 @@ const RANKS: u32 = 8;
 const SEED: u64 = 42;
 /// The least batch-64 speedup over batch 1 the gate accepts.
 const MIN_SPEEDUP: f64 = 4.0;
+/// Timed passes per width, of which the fastest counts: one ~50 ms
+/// batch-64 pass is short enough for a noisy moment to halve it.
+const TIMED_PASSES: usize = 3;
 
 /// The service gate: both axes, then the exact diff against (or, with
 /// `write`, the rewrite of) `BENCH_service.json`.
@@ -61,24 +64,30 @@ fn kernel_axis(cs: &mut CounterSet) -> f64 {
     let mut secs_batch1 = 0.0f64;
     let mut speedup = 0.0f64;
     for &batch in &[1usize, 4, 16, 64] {
-        // A fresh cluster per width: every configuration pays its own
-        // pool warm-up, so wider batches get no carried-over advantage.
-        let mut cluster = AlgoCluster::new(&el, RANKS, 2, Messaging::Direct);
-        let t0 = Instant::now();
-        let mut rounds = 0u64;
-        let mut bu_rounds = 0u64;
-        let mut sweeps = 0u64;
-        for chunk in roots.chunks(batch) {
-            let out = msbfs_distributed(&mut cluster, chunk);
-            rounds += u64::from(out.rounds);
-            bu_rounds += out
-                .directions
-                .iter()
-                .filter(|&&d| d == Direction::BottomUp)
-                .count() as u64;
-            sweeps += 1;
+        // The best of TIMED_PASSES passes, each on a fresh cluster: every
+        // pass pays its own pool warm-up, so wider batches get no
+        // carried-over advantage. The counters are the first pass's.
+        let mut secs = f64::INFINITY;
+        let (mut rounds, mut bu_rounds, mut sweeps) = (0u64, 0u64, 0u64);
+        for pass in 0..TIMED_PASSES {
+            let mut cluster = AlgoCluster::new(&el, RANKS, 2, Messaging::Direct);
+            let t0 = Instant::now();
+            let (mut r, mut bu, mut sw) = (0u64, 0u64, 0u64);
+            for chunk in roots.chunks(batch) {
+                let out = msbfs_distributed(&mut cluster, chunk);
+                r += u64::from(out.rounds);
+                bu += out
+                    .directions
+                    .iter()
+                    .filter(|&&d| d == Direction::BottomUp)
+                    .count() as u64;
+                sw += 1;
+            }
+            secs = secs.min(t0.elapsed().as_secs_f64());
+            if pass == 0 {
+                (rounds, bu_rounds, sweeps) = (r, bu, sw);
+            }
         }
-        let secs = t0.elapsed().as_secs_f64();
         if batch == 1 {
             secs_batch1 = secs;
         }

@@ -17,7 +17,7 @@ use sw_graph::Vid;
 /// Why a query can be answered in the cycle being planned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Placement {
-    /// The root's level array is already cached — no sweep needed.
+    /// The root's level map is already cached — no sweep needed.
     CacheHit,
     /// The root was already scheduled by an earlier query this cycle.
     Coalesced,

@@ -1,19 +1,21 @@
-//! LRU cache of hot-root level arrays.
+//! LRU cache of hot-root level maps.
 //!
-//! Every service operation is a function of its root's BFS level
-//! array, so the unit of caching is the whole array (`Arc`-shared with
-//! in-flight answers). Capacity is small (tens of entries — a scale-20
-//! level array is 4 MB), so eviction does a plain O(capacity) scan for
-//! the stalest recency stamp instead of carrying an intrusive list.
+//! Every service operation is a function of its root's BFS levels, so
+//! the unit of caching is one root's whole [`LevelMap`] (`Arc`-shared
+//! with in-flight answers). Capacity is small (tens of entries — a
+//! scale-20 map of depth ≤ 7 is 512 KB, a bitmap per level bit plus one
+//! for reachability), so eviction does a plain O(capacity) scan for the
+//! stalest recency stamp instead of carrying an intrusive list.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use sw_algos::msbfs::LevelMap;
 use sw_graph::Vid;
 
-/// One root's level array plus what is memoised from it.
+/// One root's level map plus what is memoised from it.
 #[derive(Debug)]
 pub struct RootLevels {
-    levels: Arc<Vec<u32>>,
+    levels: LevelMap,
     /// `within[h]` = vertices at level <= `h`. Built by the first k-hop
     /// query that finds the root cached, not by the sweep: a root that
     /// is never hit never pays the pass.
@@ -21,8 +23,8 @@ pub struct RootLevels {
 }
 
 impl RootLevels {
-    /// Wraps a freshly swept level array.
-    pub fn new(levels: Arc<Vec<u32>>) -> Self {
+    /// Wraps a freshly swept level map.
+    pub fn new(levels: LevelMap) -> Self {
         Self {
             levels,
             within: OnceLock::new(),
@@ -32,22 +34,13 @@ impl RootLevels {
     /// BFS level of `v` ([`sw_algos::msbfs::UNREACHED`] when no path
     /// exists).
     pub fn level(&self, v: Vid) -> u32 {
-        self.levels[v as usize]
+        self.levels.level(v)
     }
 
     /// Vertices within `hops` of the root (the root included).
     pub fn within(&self, hops: u32) -> u64 {
         let within = self.within.get_or_init(|| {
-            // One branch-free counting pass (a quarter of the time of
-            // one that tests for `UNREACHED`, whose branch mispredicts):
-            // `l + 1` wraps unreached to 0, so the maximum is the bucket
-            // past the deepest level, where unreached vertices are sent.
-            let top = self.levels.iter().map(|&l| l.wrapping_add(1)).max().unwrap_or(0);
-            let mut hist = vec![0u64; top as usize + 1];
-            for &l in self.levels.iter() {
-                hist[l.min(top) as usize] += 1;
-            }
-            hist.pop();
+            let mut hist = self.levels.level_counts();
             let mut sum = 0;
             for h in &mut hist {
                 sum += *h;
@@ -61,19 +54,14 @@ impl RootLevels {
 
     /// [`RootLevels::within`] without the memo, for a root swept this
     /// cycle: most are asked one k-hop or none before they are evicted,
-    /// and one compare-and-add pass (32-bit sums vectorise) costs a
-    /// quarter of the histogram build it would leave behind (15 against
-    /// 67 µs at 32 Ki vertices, behind a sweep that just wrote 8 MB).
+    /// and one bit-sliced compare per 64 vertices costs a fraction of
+    /// the histogram build it would leave behind.
     pub fn count_within(&self, hops: u32) -> u64 {
-        let bound = hops.saturating_add(1); // UNREACHED is never below it
-        self.levels
-            .chunks(1 << 20)
-            .map(|c| u64::from(c.iter().map(|&l| u32::from(l < bound)).sum::<u32>()))
-            .sum()
+        self.levels.count_within(hops)
     }
 }
 
-/// An LRU map from root vertex to its level array.
+/// An LRU map from root vertex to its level map.
 #[derive(Debug)]
 pub struct LevelCache {
     cap: usize,
@@ -104,10 +92,13 @@ impl LevelCache {
         })
     }
 
-    /// Inserts (or refreshes) `root`'s level array, evicting the least
-    /// recently used entry when over capacity.
+    /// Inserts (or refreshes) `root`'s level array, as a map, evicting
+    /// the least recently used entry when over capacity.
     pub fn insert(&mut self, root: Vid, levels: Arc<Vec<u32>>) {
-        self.put(root, Arc::new(RootLevels::new(levels)));
+        self.put(
+            root,
+            Arc::new(RootLevels::new(LevelMap::from_levels(&levels))),
+        );
     }
 
     /// [`LevelCache::insert`] for a caller that keeps the entry too.
@@ -185,9 +176,13 @@ mod tests {
         for levels in arrays {
             let max_level = levels.iter().filter(|&&l| l != UNREACHED).max();
             let top = max_level.map_or(0, |&l| l) + 2;
-            let entry = RootLevels::new(Arc::new(levels.clone()));
+            let entry = RootLevels::new(LevelMap::from_levels(&levels));
             for hops in (0..=top).chain([u32::MAX - 1, u32::MAX]) {
-                assert_eq!(entry.count_within(hops), khop_scan(&levels, hops), "hops {hops}");
+                assert_eq!(
+                    entry.count_within(hops),
+                    khop_scan(&levels, hops),
+                    "hops {hops}"
+                );
                 assert_eq!(entry.within(hops), khop_scan(&levels, hops), "hops {hops}");
             }
         }

@@ -20,7 +20,7 @@
 //!   the BFS level array of its root, so the worker coalesces up to 64
 //!   distinct queued roots into *one* bit-parallel
 //!   [`sw_algos::msbfs`] sweep: one edge pass serves the whole batch.
-//! * **Result cache** — an LRU of hot-root level arrays; repeat roots
+//! * **Result cache** — an LRU of hot-root level maps; repeat roots
 //!   are answered without touching the kernel at all.
 //!
 //! Every stage reports through the `serve.*` counter namespace (and

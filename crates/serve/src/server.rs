@@ -7,7 +7,7 @@
 //! graph cluster, drains the queue in FIFO order through
 //! [`crate::batcher::CyclePlan`], runs at most one
 //! [`sw_algos::msbfs`] sweep per cycle, and answers every query from a
-//! level array — freshly swept or cached. A reader answers a query
+//! root's level map — freshly swept or cached. A reader answers a query
 //! itself when the root is cached and its connection has nothing at the
 //! worker (so answers keep send order). Deadlines are enforced at
 //! answer time as structured [`QueryStatus::Timeout`] results, so an
@@ -67,7 +67,7 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Most roots one sweep may carry (clamped to [`MAX_BATCH`]).
     pub max_batch: usize,
-    /// Hot-root level arrays kept resident (0 disables the cache).
+    /// Hot-root level maps kept resident (0 disables the cache).
     pub cache_capacity: usize,
     /// Start with the worker paused — queries queue (and shed) but are
     /// not answered until [`Server::resume`]. Lets tests and `swgate`
@@ -208,7 +208,7 @@ struct Shared {
     metrics: Mutex<CounterSet>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     num_vertices: Vid,
-    /// Hot-root level arrays: filled by the worker, read by every thread.
+    /// Hot-root level maps: filled by the worker, read by every thread.
     cache: Mutex<LevelCache>,
     /// The wall-clock telemetry plane — strictly beside the
     /// deterministic `metrics` above, never feeding into them.
@@ -714,7 +714,7 @@ fn stats_body(shared: &Shared, format: StatsFormat) -> Vec<u8> {
     }
 }
 
-/// Is the query answerable, and from which root's level array?
+/// Is the query answerable, and from which root's level map?
 fn valid_root(q: &QueryFrame, n: Vid) -> Option<Vid> {
     if q.root >= n {
         return None;
@@ -727,7 +727,7 @@ fn valid_root(q: &QueryFrame, n: Vid) -> Option<Vid> {
 
 /// Answers one admitted query — the status, deadline and value rules of
 /// the service, for whichever thread holds the query. `entry` is the
-/// root's level array (`None` only for [`Placement::NoSweep`]) and
+/// root's level map (`None` only for [`Placement::NoSweep`]) and
 /// `sweep_roots` the width of the sweep that produced it this cycle.
 fn answer(
     q: &QueryFrame,
@@ -954,8 +954,7 @@ fn worker_loop(
             sweep_rounds = out.rounds;
             sweep_hist.record(sweep_micros);
             let mut cache = shared.cache.lock().unwrap();
-            for (k, &root) in out.sources.iter().enumerate() {
-                let levels = Arc::new(std::mem::take(&mut out.levels[k]));
+            for (&root, levels) in out.sources.iter().zip(out.levels.drain(..)) {
                 let entry = Arc::new(RootLevels::new(levels));
                 cache.put(root, Arc::clone(&entry));
                 resident.insert(root, entry);

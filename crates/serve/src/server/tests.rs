@@ -53,6 +53,31 @@ fn khop_matches_the_scan_fresh_cached_evicted_and_reswept() {
     server.shutdown();
 }
 
+/// At `hops = u32::MAX` a KHop counts the vertices the root reaches and
+/// no others, on a fresh root (the word pass) and on a cached one (the
+/// memo): an unreached vertex is within no number of hops.
+#[test]
+fn khop_at_the_top_counts_only_reached_vertices() {
+    let el = graph();
+    let mut server = Server::start(&el, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.addr()).unwrap();
+    let levels = bfs_levels_oracle(&el, 1);
+    let reached = levels.iter().filter(|&&l| l != UNREACHED).count() as u64;
+    assert!(reached < el.num_vertices, "root 1 reaches everything");
+    for _ in 0..2 {
+        let got = value(client.query(QueryOp::KHop, 1, 0, u32::MAX, 0).unwrap());
+        assert_eq!(got, reached);
+    }
+    let m = server.metrics();
+    assert_eq!(m.get(c::SWEPT_ROOTS), 1);
+    assert_eq!(
+        m.get(c::CACHE_HITS),
+        1,
+        "the second query must find the root cached"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn two_khops_coalesced_on_one_fresh_root_share_its_memo() {
     let el = graph();
