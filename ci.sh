@@ -59,6 +59,10 @@ SW_POOL_THREADS=4 cargo test -q -p sw-graph --test csr_proptest
 # The analytics kernels' order-freedom battery: fixed-point sums and
 # exact path counts must not see the pool size either.
 SW_POOL_THREADS=4 cargo test -q -p sw-algos --test order_free
+# The analytics kernels' pinned outputs, wire counters and trace sizes:
+# the partitioned CSR builder runs one rank per pool task, so the pins
+# must hold on a 4-worker pool as well.
+SW_POOL_THREADS=4 cargo test -q -p sw-algos --test traced pinned_outputs_counters_and_traces
 # MS-BFS level maps, both extraction routes, bit-exact against the
 # oracle and against independent runs on a 4-worker pool too.
 SW_POOL_THREADS=4 cargo test -q -p sw-algos --test msbfs_differential

@@ -10,6 +10,8 @@
 //! 3. The sw-insight analyzer consumes kernel traces directly: per-round
 //!    attribution, critical path, and imbalance all populate, and the
 //!    rendered report is itself deterministic.
+//! 4. Every kernel's output, wire counters and trace size on one fixed
+//!    cluster are pinned to constants, on both messaging modes.
 
 use sw_algos::betweenness::betweenness_distributed;
 use sw_algos::delta_stepping::sssp_delta_stepping;
@@ -35,23 +37,19 @@ fn canonical_keys() -> Vec<String> {
     cs.iter().map(|(k, _)| k.to_string()).collect()
 }
 
-fn run_kernel(name: &str, cluster: &mut AlgoCluster) {
+/// Runs kernel `name` on `cluster`; returns its output as words
+/// (floats as bits, flags as 0/1).
+fn run_kernel(name: &str, cluster: &mut AlgoCluster) -> Vec<u64> {
+    let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect();
     match name {
-        "pagerank" => {
-            pagerank_distributed(cluster, 5);
-        }
-        "sssp" => {
-            sssp_delta_stepping(cluster, 1, 10, 4);
-        }
-        "wcc" => {
-            wcc_distributed(cluster);
-        }
-        "kcore" => {
-            kcore_distributed(cluster, 3);
-        }
-        "betweenness" => {
-            betweenness_distributed(cluster, &[1, 17]);
-        }
+        "pagerank" => bits(pagerank_distributed(cluster, 5)),
+        "sssp" => sssp_delta_stepping(cluster, 17, 10, 4),
+        "wcc" => wcc_distributed(cluster),
+        "kcore" => kcore_distributed(cluster, 3)
+            .into_iter()
+            .map(u64::from)
+            .collect(),
+        "betweenness" => bits(betweenness_distributed(cluster, &[1, 17])),
         other => panic!("unknown kernel {other}"),
     }
 }
@@ -149,4 +147,140 @@ fn tracer_off_changes_nothing() {
         "counters identical armed or not"
     );
     assert!(tracer.recorded_events() > 0);
+}
+
+/// The wire counters [`pinned_outputs_counters_and_traces`] holds, in
+/// the counter set's (sorted) order: every `exchange.*` and `pool.*` key.
+const WIRE_KEYS: [&str; 8] = [
+    "exchange.bytes",
+    "exchange.inter_group_bytes",
+    "exchange.max_send_bytes_per_rank",
+    "exchange.max_send_msgs_per_rank",
+    "exchange.messages",
+    "exchange.record_hops",
+    "pool.allocs",
+    "pool.reused_bytes",
+];
+
+/// One kernel run on `graph500(10, 7)` over 6 ranks in groups of 3:
+/// an FNV-1a digest of its output words, its [`WIRE_KEYS`] counters and
+/// its virtual-work trace's event count.
+struct Pin {
+    kernel: &'static str,
+    messaging: Messaging,
+    digest: u64,
+    wire: [u64; 8],
+    events: usize,
+}
+
+const PINS: [Pin; 10] = [
+    Pin {
+        kernel: "pagerank",
+        messaging: Messaging::Relay,
+        digest: 0x3e50_568e_ff05_0b9d,
+        wire: [
+            3_035_920, 1_309_200, 118_392, 5, 150, 189_670, 18, 5_212_416,
+        ],
+        events: 120,
+    },
+    Pin {
+        kernel: "pagerank",
+        messaging: Messaging::Direct,
+        digest: 0x3e50_568e_ff05_0b9d,
+        wire: [2_173_040, 1_309_680, 84_056, 5, 150, 135_740, 18, 5_212_416],
+        events: 120,
+    },
+    Pin {
+        kernel: "sssp",
+        messaging: Messaging::Relay,
+        digest: 0xc3a6_306f_fd68_7a14,
+        wire: [618_720, 265_920, 57_992, 5, 450, 38_445, 91, 272_128],
+        events: 390,
+    },
+    Pin {
+        kernel: "sssp",
+        messaging: Messaging::Direct,
+        digest: 0xc3a6_306f_fd68_7a14,
+        wire: [444_048, 267_360, 43_272, 5, 450, 27_528, 92, 254_784],
+        events: 390,
+    },
+    Pin {
+        kernel: "wcc",
+        messaging: Messaging::Relay,
+        digest: 0x8f3f_d26c_b944_343b,
+        wire: [1_548_480, 665_264, 118_392, 5, 120, 96_720, 18, 2_017_776],
+        events: 102,
+    },
+    Pin {
+        kernel: "wcc",
+        messaging: Messaging::Direct,
+        digest: 0x8f3f_d26c_b944_343b,
+        wire: [1_107_920, 665_648, 84_056, 5, 120, 69_185, 18, 2_017_776],
+        events: 102,
+    },
+    Pin {
+        kernel: "kcore",
+        messaging: Messaging::Relay,
+        digest: 0xdc81_4100_f9e3_4c25,
+        wire: [5_344, 2_000, 1_048, 5, 60, 304, 18, 48],
+        events: 54,
+    },
+    Pin {
+        kernel: "kcore",
+        messaging: Messaging::Direct,
+        digest: 0xdc81_4100_f9e3_4c25,
+        wire: [4_000, 2_192, 792, 5, 60, 220, 18, 48],
+        events: 54,
+    },
+    Pin {
+        kernel: "betweenness",
+        messaging: Messaging::Relay,
+        digest: 0x8345_16df_cfe5_1c87,
+        wire: [1_216_304, 523_984, 97_016, 5, 360, 75_839, 55, 973_408],
+        events: 300,
+    },
+    Pin {
+        kernel: "betweenness",
+        messaging: Messaging::Direct,
+        digest: 0x8345_16df_cfe5_1c87,
+        wire: [871_296, 525_136, 68_568, 5, 360, 54_276, 55, 973_408],
+        events: 300,
+    },
+];
+
+fn fnv1a(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Every kernel's output, wire counters and trace size on one cluster,
+/// against constants captured from the shipped kernels. The output
+/// digests hold the kernels to their results; the counters and event
+/// counts hold them to the rounds they run and the records they send.
+/// Neither may depend on the pool size (ci.sh runs this at
+/// `SW_POOL_THREADS=4` too).
+#[test]
+fn pinned_outputs_counters_and_traces() {
+    let el = graph(10, 7);
+    let ranks = 6u32;
+    for pin in &PINS {
+        let mut c = AlgoCluster::new(&el, ranks, 3, pin.messaging);
+        let tracer = Tracer::for_ranks(ClockDomain::VirtualWork, ranks as usize, 1 << 14);
+        c.set_tracer(Some(tracer.clone()));
+        let digest = fnv1a(&run_kernel(pin.kernel, &mut c));
+        let (keys, wire): (Vec<&str>, Vec<u64>) = c
+            .metrics()
+            .iter()
+            .filter(|(k, _)| k.starts_with("exchange.") || k.starts_with("pool."))
+            .unzip();
+        let at = format!("{} {:?}", pin.kernel, pin.messaging);
+        assert_eq!(keys, WIRE_KEYS, "{at}: wire key set");
+        assert_eq!(digest, pin.digest, "{at}: output digest");
+        assert_eq!(wire, pin.wire, "{at}: wire counters");
+        assert_eq!(tracer.recorded_events(), pin.events, "{at}: trace events");
+    }
 }
