@@ -14,10 +14,8 @@
 
 use crate::fixed::{from_fixed, to_fixed};
 use crate::runtime::AlgoCluster;
-use swbfs_core::engine::Transport;
 use sw_graph::{Csr, EdgeList, Vid};
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
+use swbfs_core::engine::Transport;
 
 /// Per-vertex state of one source's sweep, per rank.
 struct Sweep {
@@ -67,19 +65,16 @@ pub fn betweenness_distributed<T: Transport>(
     cluster: &mut AlgoCluster<T>,
     sources: &[Vid],
 ) -> Vec<f64> {
-    let ranks = cluster.num_ranks() as usize;
     let n = cluster.num_vertices() as usize;
     let mut bc = vec![0.0f64; n];
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
     // One monotone round counter across every source's two sweeps, so
     // span levels stay unique per exchange like the other kernels.
-    let mut round = 0u32;
+    cluster.set_round(0);
 
     for &s in sources {
-        let mut sw: Vec<Sweep> = (0..ranks)
+        let mut sw: Vec<Sweep> = (0..cluster.num_ranks())
             .map(|r| {
-                let owned = cluster.part.owned_count(r as u32) as usize;
+                let owned = cluster.part.owned_count(r) as usize;
                 Sweep {
                     level: vec![-1; owned],
                     sigma: vec![0; owned],
@@ -95,50 +90,15 @@ pub fn betweenness_distributed<T: Transport>(
         }
 
         // ---- forward: level-synchronous σ counting ----
-        // Frontier vertices send (neighbor, σ) to owners; a rank applies
-        // its own targets as it generates.
+        // Frontier vertices send σ to every neighbour.
         let mut depth = 0i64;
-        loop {
-            cluster.set_round(round);
-            let mut out = cluster.lend_outboxes();
-            let mut any = false;
-            for (r, swr) in sw.iter_mut().enumerate() {
-                let t0 = ins::span_begin(tr);
-                let mut produced = 0u64;
-                let csr = &cluster.csrs[r];
-                for i in 0..swr.level.len() {
-                    if swr.level[i] != depth {
-                        continue;
-                    }
-                    any = true;
-                    let sg = swr.sigma[i];
-                    for &v in csr.neighbors_local(i) {
-                        produced += 1;
-                        let owner = cluster.part.owner(v) as usize;
-                        if owner == r {
-                            swr.reach(cluster.part.to_local(v) as usize, depth, sg);
-                        } else {
-                            out[r].push(owner as u32, EdgeRec { u: v, v: sg });
-                        }
-                    }
-                }
-                ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-            }
-            if !any {
-                break;
-            }
-            let inboxes = cluster.exchange(out);
-            for (r, inbox) in inboxes.iter().enumerate() {
-                let t0 = ins::span_begin(tr);
-                for rec in inbox {
-                    sw[r].reach(cluster.part.to_local(rec.u) as usize, depth, rec.v);
-                }
-                let recs = inbox.len() as u64;
-                ins::span_end(tr, r, ins::SPAN_HANDLE, ins::CAT_COMPUTE, round, t0, recs);
-            }
-            cluster.recycle_inboxes(inboxes);
+        while cluster.push(
+            &mut sw,
+            |sw, i, _, _| (sw.level[i] == depth).then(|| sw.sigma[i]),
+            |sg, _, _| Some(sg),
+            |sw, l, sg| sw.reach(l, depth, sg),
+        ) {
             depth += 1;
-            round += 1;
         }
 
         // ---- backward: δ accumulation from the deepest level up ----
@@ -146,42 +106,12 @@ pub fn betweenness_distributed<T: Transport>(
         // adds σ(u)·ρ(v) only for true predecessors, which it checks by
         // level.
         for d in (1..=depth).rev() {
-            cluster.set_round(round);
-            let mut out = cluster.lend_outboxes();
-            for (r, swr) in sw.iter_mut().enumerate() {
-                let t0 = ins::span_begin(tr);
-                let mut produced = 0u64;
-                let csr = &cluster.csrs[r];
-                for i in 0..swr.level.len() {
-                    if swr.level[i] != d {
-                        continue;
-                    }
-                    let coeff = coefficient(swr.delta[i], swr.sigma[i]);
-                    let bits = coeff.to_bits();
-                    for &u in csr.neighbors_local(i) {
-                        produced += 1;
-                        let owner = cluster.part.owner(u) as usize;
-                        if owner == r {
-                            swr.depend(cluster.part.to_local(u) as usize, d, coeff);
-                        } else {
-                            out[r].push(owner as u32, EdgeRec { u, v: bits });
-                        }
-                    }
-                }
-                ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-            }
-            let inboxes = cluster.exchange(out);
-            for (r, inbox) in inboxes.iter().enumerate() {
-                let t0 = ins::span_begin(tr);
-                for rec in inbox {
-                    let u = cluster.part.to_local(rec.u) as usize;
-                    sw[r].depend(u, d, f64::from_bits(rec.v));
-                }
-                let recs = inbox.len() as u64;
-                ins::span_end(tr, r, ins::SPAN_HANDLE, ins::CAT_COMPUTE, round, t0, recs);
-            }
-            cluster.recycle_inboxes(inboxes);
-            round += 1;
+            cluster.push(
+                &mut sw,
+                |sw, i, _, _| (sw.level[i] == d).then(|| coefficient(sw.delta[i], sw.sigma[i])),
+                |coeff, _, _| Some(coeff.to_bits()),
+                |sw, l, bits| sw.depend(l, d, f64::from_bits(bits)),
+            );
         }
 
         // Accumulate (excluding the source; halve for undirected pairs).

@@ -12,13 +12,29 @@
 //! relay batching.
 
 use crate::runtime::{edge_weight, AlgoCluster};
-use swbfs_core::engine::Transport;
 use crate::sssp::INF;
 use sw_graph::Vid;
-use sw_trace::Tracer;
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
-use swbfs_core::modules::Outboxes;
+use swbfs_core::engine::Transport;
+
+/// One rank's distances, and which vertices' edges (of the phase's
+/// class) are pending relaxation.
+struct Dist {
+    dist: Vec<u64>,
+    pending: Vec<bool>,
+}
+
+impl Dist {
+    /// Keeps the shorter candidate; a distance that improves below
+    /// `horizon` is pending for another light phase.
+    fn relax(&mut self, l: usize, cand: u64, horizon: u64) {
+        if cand < self.dist[l] {
+            self.dist[l] = cand;
+            if cand < horizon {
+                self.pending[l] = true;
+            }
+        }
+    }
+}
 
 /// Runs Δ-stepping from `root` with synthetic weights in `1..=max_weight`
 /// and bucket width `delta`. Returns per-vertex distances.
@@ -29,125 +45,59 @@ pub fn sssp_delta_stepping<T: Transport>(
     delta: u64,
 ) -> Vec<u64> {
     assert!(delta > 0, "zero bucket width");
-    let ranks = cluster.num_ranks() as usize;
-
-    let mut dist: Vec<Vec<u64>> = (0..ranks)
-        .map(|r| vec![INF; cluster.part.owned_count(r as u32) as usize])
+    let mut state: Vec<Dist> = (0..cluster.num_ranks())
+        .map(|r| {
+            let owned = cluster.part.owned_count(r) as usize;
+            Dist {
+                dist: vec![INF; owned],
+                pending: vec![false; owned],
+            }
+        })
         .collect();
-    // Vertices whose distance improved and whose edges (of the given
-    // class) are pending relaxation.
-    let mut pending: Vec<Vec<bool>> = dist.iter().map(|d| vec![false; d.len()]).collect();
     {
-        let r = cluster.part.owner(root) as usize;
+        let s = &mut state[cluster.part.owner(root) as usize];
         let l = cluster.part.to_local(root) as usize;
-        dist[r][l] = 0;
-        pending[r][l] = true;
+        s.dist[l] = 0;
+        s.pending[l] = true;
     }
-
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
-    let mut round = 0u32;
+    let weight = |u, v| edge_weight(u, v, max_weight);
+    cluster.set_round(0);
     let mut bucket = 0u64;
     loop {
         // --- light-edge phases within the current bucket ---
-        loop {
-            cluster.set_round(round);
-            let mut out = cluster.lend_outboxes();
-            let mut any = false;
-            for r in 0..ranks {
-                let t0 = ins::span_begin(tr);
-                let mut produced = 0u64;
-                let csr = &cluster.csrs[r];
-                let (start, _) = cluster.part.range(r as u32);
-                for i in 0..dist[r].len() {
-                    let du = dist[r][i];
-                    if !pending[r][i] || du >= (bucket + 1) * delta {
-                        continue;
-                    }
-                    // Stays pending for the heavy phase; light edges relax
-                    // now.
-                    let u = start + i as Vid;
-                    any = true;
-                    pending[r][i] = false;
-                    for &v in csr.neighbors_local(i) {
-                        let w = edge_weight(u, v, max_weight);
-                        if w > delta {
-                            continue;
-                        }
-                        produced += 1;
-                        relax(
-                            cluster,
-                            &mut dist,
-                            &mut pending,
-                            &mut out,
-                            r,
-                            v,
-                            du + w,
-                            (bucket + 1) * delta,
-                        );
-                    }
-                }
-                ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-            }
-            if !any {
-                break;
-            }
-            let inboxes = cluster.exchange(out);
-            apply(
-                cluster,
-                &mut dist,
-                &mut pending,
-                &inboxes,
-                (bucket + 1) * delta,
-                tr,
-                round,
-            );
-            cluster.recycle_inboxes(inboxes);
-            round += 1;
-        }
+        let horizon = (bucket + 1) * delta;
+        while cluster.push(
+            &mut state,
+            |s, i, _, _| {
+                let due = s.pending[i] && s.dist[i] < horizon;
+                s.pending[i] &= !due;
+                due.then(|| s.dist[i])
+            },
+            |du, u, v| {
+                let w = weight(u, v);
+                (w <= delta).then(|| du + w)
+            },
+            |s, l, cand| s.relax(l, cand, horizon),
+        ) {}
 
         // --- heavy-edge phase: every settled vertex of this bucket fires
-        // its heavy edges once ---
-        cluster.set_round(round);
-        let mut out = cluster.lend_outboxes();
-        for r in 0..ranks {
-            let t0 = ins::span_begin(tr);
-            let mut produced = 0u64;
-            let csr = &cluster.csrs[r];
-            let (start, _) = cluster.part.range(r as u32);
-            for i in 0..dist[r].len() {
-                let du = dist[r][i];
-                if du == INF || du / delta != bucket {
-                    continue;
-                }
-                let u = start + i as Vid;
-                for &v in csr.neighbors_local(i) {
-                    let w = edge_weight(u, v, max_weight);
-                    if w <= delta {
-                        continue;
-                    }
-                    produced += 1;
-                    // Heavy targets land in future buckets; the bucket
-                    // advance re-marks them, so no horizon here.
-                    relax(cluster, &mut dist, &mut pending, &mut out, r, v, du + w, 0);
-                }
-            }
-            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-        }
-        let inboxes = cluster.exchange(out);
-        apply(cluster, &mut dist, &mut pending, &inboxes, 0, tr, round);
-        cluster.recycle_inboxes(inboxes);
-        round += 1;
+        // its heavy edges once. Heavy targets land in future buckets; the
+        // bucket advance re-marks them, so no horizon here ---
+        cluster.push(
+            &mut state,
+            |s, i, _, _| Some(s.dist[i]).filter(|&d| d != INF && d / delta == bucket),
+            |du, u, v| {
+                let w = weight(u, v);
+                (w > delta).then(|| du + w)
+            },
+            |s, l, cand| s.relax(l, cand, 0),
+        );
 
         // --- advance to the next non-empty bucket ---
         let mut next = u64::MAX;
-        for r in 0..ranks {
-            for i in 0..dist[r].len() {
-                let d = dist[r][i];
-                if d != INF && d / delta > bucket {
-                    next = next.min(d / delta);
-                }
-                if pending[r][i] && d != INF {
+        for s in &state {
+            for (&d, &p) in s.dist.iter().zip(&s.pending) {
+                if d != INF && (d / delta > bucket || p) {
                     next = next.min(d / delta);
                 }
             }
@@ -157,76 +107,17 @@ pub fn sssp_delta_stepping<T: Transport>(
         }
         bucket = next;
         // Vertices in the new bucket become pending.
-        for r in 0..ranks {
-            for i in 0..dist[r].len() {
-                let d = dist[r][i];
+        for s in &mut state {
+            for (&d, p) in s.dist.iter().zip(&mut s.pending) {
                 if d != INF && d / delta == bucket {
-                    pending[r][i] = true;
+                    *p = true;
                 }
             }
         }
     }
 
     // Ranks own consecutive id blocks in rank order.
-    dist.concat()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn relax<T: Transport>(
-    cluster: &AlgoCluster<T>,
-    dist: &mut [Vec<u64>],
-    pending: &mut [Vec<bool>],
-    out: &mut [Outboxes],
-    from_rank: usize,
-    v: Vid,
-    cand: u64,
-    light_horizon: u64,
-) {
-    let owner = cluster.part.owner(v) as usize;
-    if owner == from_rank {
-        let vl = cluster.part.to_local(v) as usize;
-        if cand < dist[from_rank][vl] {
-            dist[from_rank][vl] = cand;
-            if cand < light_horizon {
-                pending[from_rank][vl] = true;
-            }
-        }
-    } else {
-        out[from_rank].push(owner as u32, EdgeRec { u: v, v: cand });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply<T: Transport>(
-    cluster: &AlgoCluster<T>,
-    dist: &mut [Vec<u64>],
-    pending: &mut [Vec<bool>],
-    inboxes: &[Vec<EdgeRec>],
-    light_horizon: u64,
-    tr: Option<&Tracer>,
-    round: u32,
-) {
-    for (r, inbox) in inboxes.iter().enumerate() {
-        let t0 = ins::span_begin(tr);
-        for rec in inbox {
-            let vl = cluster.part.to_local(rec.u) as usize;
-            if rec.v < dist[r][vl] {
-                dist[r][vl] = rec.v;
-                if rec.v < light_horizon {
-                    pending[r][vl] = true;
-                }
-            }
-        }
-        ins::span_end(
-            tr,
-            r,
-            ins::SPAN_HANDLE,
-            ins::CAT_COMPUTE,
-            round,
-            t0,
-            inbox.len() as u64,
-        );
-    }
+    state.into_iter().flat_map(|s| s.dist).collect()
 }
 
 #[cfg(test)]

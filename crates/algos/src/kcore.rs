@@ -7,98 +7,51 @@
 //! Terminates when a round peels nothing.
 
 use crate::runtime::AlgoCluster;
-use swbfs_core::engine::Transport;
 use sw_graph::{Csr, EdgeList};
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
+use swbfs_core::engine::Transport;
+
+/// One rank's remaining degrees and alive flags.
+struct Peel {
+    deg: Vec<u64>,
+    alive: Vec<bool>,
+}
 
 /// Runs distributed k-core; returns a boolean per vertex: true iff the
 /// vertex is in the k-core.
 pub fn kcore_distributed<T: Transport>(cluster: &mut AlgoCluster<T>, k: u64) -> Vec<bool> {
-    let ranks = cluster.num_ranks() as usize;
-
     // Remaining degree (self-loops don't support a core) and alive flags.
-    let mut deg: Vec<Vec<u64>> = (0..ranks)
+    let mut state: Vec<Peel> = (0..cluster.num_ranks())
         .map(|r| {
-            let csr = &cluster.csrs[r];
-            let (start, _) = cluster.part.range(r as u32);
-            (0..csr.num_rows() as usize)
+            let csr = &cluster.csrs[r as usize];
+            let (start, _) = cluster.part.range(r);
+            let deg: Vec<u64> = (0..csr.num_rows() as usize)
                 .map(|i| {
                     let u = start + i as u64;
                     csr.neighbors_local(i).iter().filter(|&&v| v != u).count() as u64
                 })
-                .collect()
+                .collect();
+            let alive = vec![true; deg.len()];
+            Peel { deg, alive }
         })
         .collect();
-    let mut alive: Vec<Vec<bool>> = deg.iter().map(|d| vec![true; d.len()]).collect();
-
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
-    let mut round = 0u32;
-    loop {
-        cluster.set_round(round);
-        // Peel everything currently below threshold.
-        let mut out = cluster.lend_outboxes();
-        let mut peeled_any = false;
-        for r in 0..ranks {
-            let t0 = ins::span_begin(tr);
-            let mut produced = 0u64;
-            let csr = &cluster.csrs[r];
-            let (start, _) = cluster.part.range(r as u32);
-            for i in 0..deg[r].len() {
-                if alive[r][i] && deg[r][i] < k {
-                    alive[r][i] = false;
-                    peeled_any = true;
-                    let u = start + i as u64;
-                    for &v in csr.neighbors_local(i) {
-                        if v == u {
-                            continue;
-                        }
-                        produced += 1;
-                        let owner = cluster.part.owner(v) as usize;
-                        if owner == r {
-                            // Local decrement applies immediately (and may
-                            // cascade within this same round — harmless,
-                            // k-core is peeling-order independent).
-                            let vl = cluster.part.to_local(v) as usize;
-                            deg[r][vl] = deg[r][vl].saturating_sub(1);
-                        } else {
-                            out[r].push(owner as u32, EdgeRec { u: v, v: 1 });
-                        }
-                    }
-                }
-            }
-            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-        }
-        if !peeled_any {
-            break;
-        }
-        // Apply decrements (local ones included — they travelled through
-        // the outbox to keep one code path; owner == r records deliver to
-        // self, which the exchange forbids, so subtract them inline).
-        let inboxes = cluster.exchange(out);
-        for (r, inbox) in inboxes.iter().enumerate() {
-            let t0 = ins::span_begin(tr);
-            for rec in inbox {
-                let vl = cluster.part.to_local(rec.u) as usize;
-                deg[r][vl] = deg[r][vl].saturating_sub(rec.v);
-            }
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_HANDLE,
-                ins::CAT_COMPUTE,
-                round,
-                t0,
-                inbox.len() as u64,
-            );
-        }
-        cluster.recycle_inboxes(inboxes);
-        round += 1;
-    }
+    cluster.set_round(0);
+    // Peel everything currently below threshold; each peeled vertex
+    // sends its neighbours a decrement. A local decrement applies at once
+    // and may cascade within the same round — harmless, k-core is
+    // peeling-order independent.
+    while cluster.push(
+        &mut state,
+        |s, i, _, _| {
+            let peel = s.alive[i] && s.deg[i] < k;
+            s.alive[i] &= !peel;
+            peel.then_some(())
+        },
+        |(), u, v| (v != u).then_some(1),
+        |s, l, dec| s.deg[l] = s.deg[l].saturating_sub(dec),
+    ) {}
 
     // Ranks own consecutive id blocks in rank order.
-    alive.concat()
+    state.into_iter().flat_map(|s| s.alive).collect()
 }
 
 /// Single-node peeling oracle.

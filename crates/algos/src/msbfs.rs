@@ -459,28 +459,15 @@ fn apply_mask(mask: u64, seen: &mut u64, next: &mut u64) {
     *next |= new;
 }
 
-/// Single-node reference: one sequential BFS, the differential oracle
-/// for every bit of a batched sweep.
+/// Single-node reference: the engine's sequential BFS
+/// ([`swbfs_core::baseline::sequential_bfs_levels`]) with unreached
+/// vertices at [`UNREACHED`], the differential oracle for every bit of a
+/// batched sweep.
 pub fn bfs_levels_oracle(el: &EdgeList, root: Vid) -> Vec<u32> {
-    let csr = Csr::from_edge_list(el);
-    let mut levels = vec![UNREACHED; el.num_vertices as usize];
-    levels[root as usize] = 0;
-    let mut frontier = vec![root];
-    let mut depth = 0u32;
-    while !frontier.is_empty() {
-        depth += 1;
-        let mut nf = Vec::new();
-        for &u in &frontier {
-            for &v in csr.neighbors(u) {
-                if levels[v as usize] == UNREACHED {
-                    levels[v as usize] = depth;
-                    nf.push(v);
-                }
-            }
-        }
-        frontier = nf;
-    }
-    levels
+    swbfs_core::baseline::sequential_bfs_levels(el, root)
+        .into_iter()
+        .map(|l| l.unwrap_or(UNREACHED))
+        .collect()
 }
 
 #[cfg(test)]

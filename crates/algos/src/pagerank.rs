@@ -10,13 +10,20 @@
 
 use crate::fixed::{from_fixed, to_fixed};
 use crate::runtime::AlgoCluster;
-use swbfs_core::engine::Transport;
 use sw_graph::Vid;
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
+use swbfs_core::engine::Transport;
 
 /// Damping factor used by the standard formulation.
 pub const DAMPING: f64 = 0.85;
+
+/// One rank's scores and this iteration's fixed-point sums.
+struct Scores {
+    score: Vec<f64>,
+    /// Contributions received per owned vertex.
+    acc: Vec<i128>,
+    /// Mass of this rank's degree-0 vertices.
+    dangling: i128,
+}
 
 /// Runs `iterations` of distributed PageRank; returns per-vertex scores
 /// summing to 1.
@@ -24,77 +31,48 @@ pub fn pagerank_distributed<T: Transport>(
     cluster: &mut AlgoCluster<T>,
     iterations: u32,
 ) -> Vec<f64> {
-    let ranks = cluster.num_ranks() as usize;
     let n = cluster.num_vertices() as usize;
-
-    let mut score: Vec<Vec<f64>> = (0..ranks)
-        .map(|r| vec![1.0 / n as f64; cluster.part.owned_count(r as u32) as usize])
+    let mut state: Vec<Scores> = (0..cluster.num_ranks())
+        .map(|r| {
+            let owned = cluster.part.owned_count(r) as usize;
+            Scores {
+                score: vec![1.0 / n as f64; owned],
+                acc: vec![0; owned],
+                dangling: 0,
+            }
+        })
         .collect();
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
+    cluster.set_round(0);
 
-    for round in 0..iterations {
-        cluster.set_round(round);
-        // Generate contributions.
-        let mut out = cluster.lend_outboxes();
-        let mut acc: Vec<Vec<i128>> = score.iter().map(|s| vec![0; s.len()]).collect();
-        let mut dangling = 0;
-        for r in 0..ranks {
-            let t0 = ins::span_begin(tr);
-            let mut produced = 0u64;
-            let csr = &cluster.csrs[r];
-            for (i, &sc) in score[r].iter().enumerate() {
-                let deg = csr.degree_local(i);
+    for _ in 0..iterations {
+        // Every vertex with an edge shuffles rank/degree to each neighbour.
+        cluster.push(
+            &mut state,
+            |s, i, _, deg| {
                 if deg == 0 {
-                    dangling += to_fixed(sc);
-                    continue;
+                    s.dangling += to_fixed(s.score[i]);
+                    return None;
                 }
-                let contrib = sc / deg as f64;
-                for &v in csr.neighbors_local(i) {
-                    produced += 1;
-                    let owner = cluster.part.owner(v) as usize;
-                    if owner == r {
-                        acc[r][cluster.part.to_local(v) as usize] += to_fixed(contrib);
-                    } else {
-                        out[r].push(
-                            owner as u32,
-                            EdgeRec {
-                                u: v,
-                                v: contrib.to_bits(),
-                            },
-                        );
-                    }
-                }
-            }
-            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-        }
-        // Exchange and reduce.
-        let inboxes = cluster.exchange(out);
-        for (r, inbox) in inboxes.iter().enumerate() {
-            let t0 = ins::span_begin(tr);
-            for rec in inbox {
-                acc[r][cluster.part.to_local(rec.u) as usize] += to_fixed(f64::from_bits(rec.v));
-            }
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_HANDLE,
-                ins::CAT_COMPUTE,
-                round,
-                t0,
-                inbox.len() as u64,
-            );
-        }
-        cluster.recycle_inboxes(inboxes);
+                Some(s.score[i] / deg as f64)
+            },
+            |contrib, _, _| Some(contrib.to_bits()),
+            |s, l, bits| s.acc[l] += to_fixed(f64::from_bits(bits)),
+        );
         // Apply damping + dangling redistribution.
+        let dangling: i128 = state
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.dangling))
+            .sum();
         let base = (1.0 - DAMPING) / n as f64 + DAMPING * from_fixed(dangling) / n as f64;
-        for (s, a) in score.iter_mut().flatten().zip(acc.iter().flatten()) {
-            *s = base + DAMPING * from_fixed(*a);
+        for s in &mut state {
+            for (sc, a) in s.score.iter_mut().zip(&mut s.acc) {
+                *sc = base + DAMPING * from_fixed(std::mem::take(a));
+            }
         }
     }
 
     // Ranks own consecutive id blocks in rank order.
-    score.concat()
+    state.into_iter().flat_map(|s| s.score).collect()
 }
 
 /// Single-node oracle: the same terms, summed in the same fixed point,

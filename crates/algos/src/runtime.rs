@@ -125,7 +125,10 @@ impl<T: Transport> AlgoCluster<T> {
         let ranks = manifest.num_ranks;
         transport.setup(ranks as usize);
         let mut metrics = CounterSet::new();
-        ins::absorb_store(&mut metrics, &ins::StoreStats::opened(store.stats, store.parts.len()));
+        ins::absorb_store(
+            &mut metrics,
+            &ins::StoreStats::opened(store.stats, store.parts.len()),
+        );
         Ok(Self {
             part: Partition1D::new(manifest.num_vertices, ranks),
             layout: GroupLayout::new(ranks, group_size.min(ranks)),
@@ -175,11 +178,6 @@ impl<T: Transport> AlgoCluster<T> {
         self.transport.set_trace_level(round);
     }
 
-    /// The current round set by [`Self::set_round`].
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
     /// Number of ranks.
     pub fn num_ranks(&self) -> u32 {
         self.part.num_ranks()
@@ -206,6 +204,92 @@ impl<T: Transport> AlgoCluster<T> {
         self.stats.absorb(&st);
         ins::absorb_exchange(&mut self.metrics, &st);
         inboxes
+    }
+
+    /// One push superstep, the round every kernel but MS-BFS runs.
+    ///
+    /// On each rank `r`, in local id order, `offer(&mut state[r], i, u,
+    /// degree)` says whether owned vertex `u` (local index `i`) pushes a
+    /// value `x` this round; if it does, `edge(x, u, v)` gives what each
+    /// neighbour `v` is offered (`None` skips the edge). A target `r`
+    /// owns is updated at once by `apply(&mut state[r], local, value)`;
+    /// any other target travels as a `(v, value)` record and is applied
+    /// by the same `apply` on its owner after the exchange. So `apply`
+    /// must commute: it serves local and remote offers alike, and
+    /// inboxes arrive in any order.
+    ///
+    /// Records a `gen` span per rank (work: edges offered) and, after
+    /// the exchange, a `handle` span per rank (work: records applied).
+    /// When no vertex pushed, runs no exchange and returns `false`;
+    /// otherwise exchanges, advances the round and returns `true`.
+    pub fn push<S, X: Copy>(
+        &mut self,
+        state: &mut [S],
+        mut offer: impl FnMut(&mut S, usize, Vid, u64) -> Option<X>,
+        edge: impl Fn(X, Vid, Vid) -> Option<u64>,
+        apply: impl Fn(&mut S, usize, u64),
+    ) -> bool {
+        let mut out = self.transport.lend_outboxes();
+        let tr = self.tracer.as_ref();
+        let mut any = false;
+        for (r, st) in state.iter_mut().enumerate() {
+            let t0 = ins::span_begin(tr);
+            let mut produced = 0u64;
+            let csr = &self.csrs[r];
+            let (start, _) = self.part.range(r as u32);
+            for i in 0..csr.num_rows() as usize {
+                let u = start + i as Vid;
+                let Some(x) = offer(st, i, u, csr.degree_local(i)) else {
+                    continue;
+                };
+                any = true;
+                for &v in csr.neighbors_local(i) {
+                    let Some(value) = edge(x, u, v) else {
+                        continue;
+                    };
+                    produced += 1;
+                    let owner = self.part.owner(v);
+                    if owner as usize == r {
+                        apply(st, self.part.to_local(v) as usize, value);
+                    } else {
+                        out[r].push(owner, EdgeRec { u: v, v: value });
+                    }
+                }
+            }
+            ins::span_end(
+                tr,
+                r,
+                ins::SPAN_GEN,
+                ins::CAT_COMPUTE,
+                self.round,
+                t0,
+                produced,
+            );
+        }
+        if !any {
+            return false;
+        }
+        let inboxes = self.exchange(out);
+        let tr = self.tracer.as_ref();
+        for ((r, inbox), st) in inboxes.iter().enumerate().zip(state.iter_mut()) {
+            let t0 = ins::span_begin(tr);
+            for rec in inbox {
+                apply(st, self.part.to_local(rec.u) as usize, rec.v);
+            }
+            let recs = inbox.len() as u64;
+            ins::span_end(
+                tr,
+                r,
+                ins::SPAN_HANDLE,
+                ins::CAT_COMPUTE,
+                self.round,
+                t0,
+                recs,
+            );
+        }
+        self.recycle_inboxes(inboxes);
+        self.set_round(self.round + 1);
+        true
     }
 
     /// Checks per-rank outboxes out of the transport (cleared, with
@@ -253,7 +337,9 @@ mod tests {
         let base = std::env::temp_dir().join(format!("swalgo_mixed_{}", std::process::id()));
         let (plain, ordered) = (base.join("plain"), base.join("ordered"));
         std::fs::remove_dir_all(&base).ok();
-        AlgoCluster::new(&el, 4, 2, Messaging::Relay).persist_store(&plain).unwrap();
+        AlgoCluster::new(&el, 4, 2, Messaging::Relay)
+            .persist_store(&plain)
+            .unwrap();
         let cfg = BfsConfig {
             degree_ordered_adjacency: true,
             ..BfsConfig::threaded_small(2)
@@ -265,7 +351,10 @@ mod tests {
             .err()
             .expect("a mixed store must be refused");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains("disagrees with the manifest"), "{err}");
+        assert!(
+            err.to_string().contains("disagrees with the manifest"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&base).ok();
     }
 

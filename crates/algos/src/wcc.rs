@@ -8,89 +8,44 @@
 //! component.
 
 use crate::runtime::AlgoCluster;
-use sw_graph::{Csr, EdgeList, Vid};
+use sw_graph::{EdgeList, Vid};
 use swbfs_core::engine::Transport;
-use swbfs_core::instrument as ins;
-use swbfs_core::messages::EdgeRec;
+
+/// One rank's labels, and which of them shrank since they were last
+/// propagated.
+struct Labels {
+    label: Vec<Vid>,
+    dirty: Vec<bool>,
+}
 
 /// Runs distributed WCC; returns the per-vertex component label.
 pub fn wcc_distributed<T: Transport>(cluster: &mut AlgoCluster<T>) -> Vec<Vid> {
-    let ranks = cluster.num_ranks() as usize;
-
-    // Per-rank label arrays and dirty flags.
-    let mut labels: Vec<Vec<Vid>> = (0..ranks)
+    let mut state: Vec<Labels> = (0..cluster.num_ranks())
         .map(|r| {
-            let (s, e) = cluster.part.range(r as u32);
-            (s..e).collect()
+            let (s, e) = cluster.part.range(r);
+            Labels {
+                label: (s..e).collect(),
+                dirty: vec![true; (e - s) as usize],
+            }
         })
         .collect();
-    let mut dirty: Vec<Vec<bool>> = labels.iter().map(|l| vec![true; l.len()]).collect();
-    let tracer = cluster.tracer().cloned();
-    let tr = tracer.as_ref();
-
-    let mut round = 0u32;
-    loop {
-        cluster.set_round(round);
-        // Generate: every dirty vertex offers its label to all neighbours.
-        let mut out = cluster.lend_outboxes();
-        let mut any = false;
-        for r in 0..ranks {
-            let t0 = ins::span_begin(tr);
-            let mut produced = 0u64;
-            let csr = &cluster.csrs[r];
-            for i in 0..labels[r].len() {
-                if !std::mem::replace(&mut dirty[r][i], false) {
-                    continue;
-                }
-                any = true;
-                let lab = labels[r][i];
-                for &v in csr.neighbors_local(i) {
-                    produced += 1;
-                    let owner = cluster.part.owner(v) as usize;
-                    if owner == r {
-                        // Local apply.
-                        let vl = cluster.part.to_local(v) as usize;
-                        if lab < labels[r][vl] {
-                            labels[r][vl] = lab;
-                            dirty[r][vl] = true;
-                        }
-                    } else {
-                        out[r].push(owner as u32, EdgeRec { u: v, v: lab });
-                    }
-                }
+    cluster.set_round(0);
+    // Every dirty vertex offers its label to all neighbours; owners keep
+    // the minimum.
+    while cluster.push(
+        &mut state,
+        |s, i, _, _| std::mem::replace(&mut s.dirty[i], false).then(|| s.label[i]),
+        |lab, _, _| Some(lab),
+        |s, l, lab| {
+            if lab < s.label[l] {
+                s.label[l] = lab;
+                s.dirty[l] = true;
             }
-            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, round, t0, produced);
-        }
-        if !any {
-            break;
-        }
-        // Exchange + apply minima.
-        let inboxes = cluster.exchange(out);
-        for (r, inbox) in inboxes.iter().enumerate() {
-            let t0 = ins::span_begin(tr);
-            for rec in inbox {
-                let vl = cluster.part.to_local(rec.u) as usize;
-                if rec.v < labels[r][vl] {
-                    labels[r][vl] = rec.v;
-                    dirty[r][vl] = true;
-                }
-            }
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_HANDLE,
-                ins::CAT_COMPUTE,
-                round,
-                t0,
-                inbox.len() as u64,
-            );
-        }
-        cluster.recycle_inboxes(inboxes);
-        round += 1;
-    }
+        },
+    ) {}
 
     // Ranks own consecutive id blocks in rank order.
-    labels.concat()
+    state.into_iter().flat_map(|s| s.label).collect()
 }
 
 /// Single-node oracle: union-find with path halving.
@@ -127,11 +82,6 @@ pub fn component_sizes(labels: &[Vid]) -> std::collections::HashMap<Vid, u64> {
     }
     sizes
 }
-
-/// Ensures CSR construction isn't accidentally required by callers that
-/// only have the cluster (compile-time usage hook for the shared types).
-#[allow(dead_code)]
-fn _uses_csr(_: &Csr) {}
 
 #[cfg(test)]
 mod tests {
@@ -178,7 +128,8 @@ mod tests {
         let labels = wcc_distributed(&mut c);
         let sizes = component_sizes(&labels);
         let giant = sizes.values().max().unwrap();
-        let non_isolated = labels.len() as u64 - sizes.iter().filter(|(_, &s)| s == 1).count() as u64;
+        let non_isolated =
+            labels.len() as u64 - sizes.iter().filter(|(_, &s)| s == 1).count() as u64;
         assert!(*giant as f64 > 0.95 * non_isolated as f64);
     }
 }

@@ -236,15 +236,15 @@ const PINS: [Pin; 10] = [
         kernel: "betweenness",
         messaging: Messaging::Relay,
         digest: 0x8345_16df_cfe5_1c87,
-        wire: [1_216_304, 523_984, 97_016, 5, 360, 75_839, 55, 973_408],
-        events: 300,
+        wire: [1_215_824, 523_888, 97_016, 5, 300, 75_839, 55, 973_408],
+        events: 264,
     },
     Pin {
         kernel: "betweenness",
         messaging: Messaging::Direct,
         digest: 0x8345_16df_cfe5_1c87,
-        wire: [871_296, 525_136, 68_568, 5, 360, 54_276, 55, 973_408],
-        events: 300,
+        wire: [870_816, 524_848, 68_568, 5, 300, 54_276, 55, 973_408],
+        events: 264,
     },
 ];
 
