@@ -18,11 +18,18 @@
 //!   oracle);
 //! * [`pagerank`] — damped power iteration with shuffled contributions;
 //! * [`kcore`] — iterative peeling with remote degree-decrement records;
+//! * [`betweenness`] — Brandes centrality: a forward σ-counting sweep and
+//!   a backward δ accumulation per source;
 //! * [`msbfs`] — bit-parallel multi-source BFS (up to 64 traversals per
 //!   sweep), the batching kernel behind the `sw-serve` query service.
 //!
 //! [`runtime`] holds the shared distributed scaffolding, [`fixed`] the
-//! fixed-point sums that make PageRank and betweenness order-free.
+//! fixed-point sums that make PageRank and betweenness order-free. Every
+//! kernel but MS-BFS runs its rounds through one method,
+//! [`AlgoCluster::push`]: a vertex offers a value, each edge maps it to
+//! a neighbour's offer, and one commuting `apply` takes it wherever the
+//! neighbour lives. MS-BFS ORs its masks per target on the sender before
+//! they travel, so it keeps rounds of its own.
 
 pub mod betweenness;
 pub mod delta_stepping;

@@ -1,6 +1,11 @@
 //! Shared distributed scaffolding for the non-BFS kernels: 1-D partitioned
 //! CSRs plus the BFS's record exchange, over any [`Transport`].
 //!
+//! [`AlgoCluster::push`] is the round every kernel but MS-BFS runs: an
+//! offer per owned vertex, a value per edge, one commuting `apply` for
+//! the local and the remote targets alike. MS-BFS combines masks per
+//! target on the sender, and drives [`AlgoCluster::exchange`] itself.
+//!
 //! Store directories open and persist through `sw_graph`'s one reader
 //! and writer ([`StoreDir`]), the same as the BFS engine's, in either
 //! row order: every kernel's output is independent of neighbour order
@@ -125,10 +130,7 @@ impl<T: Transport> AlgoCluster<T> {
         let ranks = manifest.num_ranks;
         transport.setup(ranks as usize);
         let mut metrics = CounterSet::new();
-        ins::absorb_store(
-            &mut metrics,
-            &ins::StoreStats::opened(store.stats, store.parts.len()),
-        );
+        ins::absorb_store(&mut metrics, &ins::StoreStats::opened(store.stats, store.parts.len()));
         Ok(Self {
             part: Partition1D::new(manifest.num_vertices, ranks),
             layout: GroupLayout::new(ranks, group_size.min(ranks)),
@@ -256,15 +258,7 @@ impl<T: Transport> AlgoCluster<T> {
                     }
                 }
             }
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_GEN,
-                ins::CAT_COMPUTE,
-                self.round,
-                t0,
-                produced,
-            );
+            ins::span_end(tr, r, ins::SPAN_GEN, ins::CAT_COMPUTE, self.round, t0, produced);
         }
         if !any {
             return false;
@@ -277,15 +271,7 @@ impl<T: Transport> AlgoCluster<T> {
                 apply(st, self.part.to_local(rec.u) as usize, rec.v);
             }
             let recs = inbox.len() as u64;
-            ins::span_end(
-                tr,
-                r,
-                ins::SPAN_HANDLE,
-                ins::CAT_COMPUTE,
-                self.round,
-                t0,
-                recs,
-            );
+            ins::span_end(tr, r, ins::SPAN_HANDLE, ins::CAT_COMPUTE, self.round, t0, recs);
         }
         self.recycle_inboxes(inboxes);
         self.set_round(self.round + 1);
@@ -337,9 +323,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("swalgo_mixed_{}", std::process::id()));
         let (plain, ordered) = (base.join("plain"), base.join("ordered"));
         std::fs::remove_dir_all(&base).ok();
-        AlgoCluster::new(&el, 4, 2, Messaging::Relay)
-            .persist_store(&plain)
-            .unwrap();
+        AlgoCluster::new(&el, 4, 2, Messaging::Relay).persist_store(&plain).unwrap();
         let cfg = BfsConfig {
             degree_ordered_adjacency: true,
             ..BfsConfig::threaded_small(2)
@@ -351,10 +335,7 @@ mod tests {
             .err()
             .expect("a mixed store must be refused");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(
-            err.to_string().contains("disagrees with the manifest"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("disagrees with the manifest"), "{err}");
         std::fs::remove_dir_all(&base).ok();
     }
 

@@ -128,8 +128,7 @@ mod tests {
         let labels = wcc_distributed(&mut c);
         let sizes = component_sizes(&labels);
         let giant = sizes.values().max().unwrap();
-        let non_isolated =
-            labels.len() as u64 - sizes.iter().filter(|(_, &s)| s == 1).count() as u64;
+        let non_isolated = labels.len() as u64 - sizes.iter().filter(|(_, &s)| s == 1).count() as u64;
         assert!(*giant as f64 > 0.95 * non_isolated as f64);
     }
 }
