@@ -166,9 +166,14 @@ pub fn msbfs_distributed<T: Transport>(
         round += 1;
     }
 
+    // The map cut is the sweep's last handle work: a span on rank lane
+    // 0 at the last round's level, doing no record work.
+    let t0 = ins::span_begin(tr);
+    let levels = sweep.levels.into_maps(sources);
+    ins::span_end(tr, 0, ins::SPAN_HANDLE, ins::CAT_COMPUTE, round - 1, t0, 0);
     MsBfsOutput {
         sources: sources.to_vec(),
-        levels: sweep.levels.into_maps(sources),
+        levels,
         rounds: round,
         directions,
         view_bytes,

@@ -223,7 +223,10 @@ impl<T: Transport> AlgoCluster<T> {
     /// Records a `gen` span per rank (work: edges offered) and, after
     /// the exchange, a `handle` span per rank (work: records applied).
     /// When no vertex pushed, runs no exchange and returns `false`;
-    /// otherwise exchanges, advances the round and returns `true`.
+    /// otherwise exchanges, advances the round and returns `true`. The
+    /// outboxes are lent on the round's first remote record (or before
+    /// the exchange, when every target was local), so a round without
+    /// offers leaves the pooled buffers where they are.
     pub fn push<S, X: Copy>(
         &mut self,
         state: &mut [S],
@@ -231,7 +234,7 @@ impl<T: Transport> AlgoCluster<T> {
         edge: impl Fn(X, Vid, Vid) -> Option<u64>,
         apply: impl Fn(&mut S, usize, u64),
     ) -> bool {
-        let mut out = self.transport.lend_outboxes();
+        let mut out: Option<Vec<Outboxes>> = None;
         let tr = self.tracer.as_ref();
         let mut any = false;
         for (r, st) in state.iter_mut().enumerate() {
@@ -254,6 +257,7 @@ impl<T: Transport> AlgoCluster<T> {
                     if owner as usize == r {
                         apply(st, self.part.to_local(v) as usize, value);
                     } else {
+                        let out = out.get_or_insert_with(|| self.transport.lend_outboxes());
                         out[r].push(owner, EdgeRec { u: v, v: value });
                     }
                 }
@@ -263,6 +267,7 @@ impl<T: Transport> AlgoCluster<T> {
         if !any {
             return false;
         }
+        let out = out.unwrap_or_else(|| self.transport.lend_outboxes());
         let inboxes = self.exchange(out);
         let tr = self.tracer.as_ref();
         for ((r, inbox), st) in inboxes.iter().enumerate().zip(state.iter_mut()) {

@@ -77,7 +77,7 @@ fn bench_fault_overhead(c: &mut Criterion) {
                 ("quiet", FaultPlan::quiet(0xBE_EF)),
                 ("lossy", FaultPlan::lossy(0xBE_EF)),
             ] {
-                let mut session = FaultSession::new(plan);
+                let mut session = FaultSession::new(plan, policy, Codec::Fixed(16));
                 g.bench_function(
                     BenchmarkId::new(format!("{mode_name}_{plan_name}"), scale),
                     |b| {
@@ -89,8 +89,6 @@ fn bench_fault_overhead(c: &mut Criterion) {
                                 out,
                                 &layout,
                                 Codec::Fixed(16),
-                                Codec::Fixed(16),
-                                &policy,
                                 &mut session,
                             );
                             arena.recycle_inboxes(result.expect("survivable by construction"));

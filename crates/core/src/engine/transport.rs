@@ -11,7 +11,7 @@
 use crate::config::Messaging;
 use crate::error::ExchangeError;
 use crate::exchange::{Codec, ExchangeStats};
-use crate::faults::{FaultSession, RetryPolicy};
+use crate::faults::FaultSession;
 use crate::messages::EdgeRec;
 use crate::modules::Outboxes;
 use sw_net::GroupLayout;
@@ -90,17 +90,15 @@ pub trait Transport: Send {
     /// deterministic injection/retry schedule first and engages sticky
     /// degradations (compression disable, relay→direct where the fabric
     /// has a relay stage) on terminal failures; only the winning variant
-    /// delivers. `plain` is the codec degraded compression falls back
-    /// to. Stats carry the fault tallies even when the result is `Err`.
-    #[allow(clippy::too_many_arguments)]
+    /// delivers. The session carries the retry policy and the codec
+    /// degraded compression falls back to. Stats carry the fault
+    /// tallies even when the result is `Err`.
     fn exchange_faulty(
         &mut self,
         mode: Messaging,
         out: Vec<Outboxes>,
         layout: &GroupLayout,
         codec: Codec,
-        plain: Codec,
-        policy: &RetryPolicy,
         session: &mut FaultSession,
     ) -> (Result<Vec<Vec<EdgeRec>>, ExchangeError>, ExchangeStats);
 

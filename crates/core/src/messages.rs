@@ -9,7 +9,6 @@
 //! Records are fixed-size and batched; [`encode_batch`]/[`try_decode_batch`]
 //! give the byte-level framing the relay stage shuffles.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use sw_graph::Vid;
 
 /// One edge record on the wire. Used for both forward claims and backward
@@ -28,15 +27,25 @@ impl EdgeRec {
     pub const WIRE_BYTES: usize = 16;
 }
 
-/// Serializes a batch of records (length-prefixed).
-pub fn encode_batch(records: &[EdgeRec]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + records.len() * EdgeRec::WIRE_BYTES);
-    buf.put_u64_le(records.len() as u64);
+/// Appends a batch of records (length-prefixed) to `buf`, so it can
+/// follow a header already there (the socket fabric's `XMIT`
+/// realization header). Returns the bytes written.
+pub fn encode_batch_into(records: &[EdgeRec], buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.reserve(8 + records.len() * EdgeRec::WIRE_BYTES);
+    buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for r in records {
-        buf.put_u64_le(r.u);
-        buf.put_u64_le(r.v);
+        buf.extend_from_slice(&r.u.to_le_bytes());
+        buf.extend_from_slice(&r.v.to_le_bytes());
     }
-    buf.freeze()
+    buf.len() - start
+}
+
+/// Serializes a batch of records (length-prefixed) into a fresh buffer.
+pub fn encode_batch(records: &[EdgeRec]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + records.len() * EdgeRec::WIRE_BYTES);
+    encode_batch_into(records, &mut buf);
+    buf
 }
 
 /// Deserializes a batch produced by [`encode_batch`] from a borrowed
@@ -93,13 +102,27 @@ mod tests {
         grown.push(0);
         assert!(try_decode_batch(&grown).is_err());
         // A count of 5 over one record's worth of body.
-        let mut short = BytesMut::new();
-        short.put_u64_le(5);
-        short.put_u64_le(1);
+        let short = [5u64.to_le_bytes(), 1u64.to_le_bytes()].concat();
         assert_eq!(
             try_decode_batch(&short),
             Err("record frame length disagrees with its count")
         );
+    }
+
+    #[test]
+    fn appended_encode_round_trips_and_reuses_capacity() {
+        let recs = vec![EdgeRec { u: 3, v: 9 }, EdgeRec { u: 0, v: u64::MAX }];
+        let mut buf = vec![7, 7];
+        let n1 = encode_batch_into(&recs, &mut buf);
+        assert_eq!(n1, buf.len() - 2);
+        assert_eq!(buf[..2], [7, 7], "the header before the batch stays");
+        assert_eq!(buf[2..], encode_batch(&recs)[..]);
+        assert_eq!(try_decode_batch(&buf[2..]).unwrap(), recs);
+        let cap = buf.capacity();
+        buf.clear();
+        assert_eq!(encode_batch_into(&recs, &mut buf), n1);
+        assert_eq!(buf.capacity(), cap, "the buffer re-grew");
+        assert_eq!(try_decode_batch(&buf).unwrap(), recs);
     }
 
     #[test]

@@ -60,17 +60,8 @@ fn run_faulty(
 ) -> FaultyRun {
     let out = traffic(ranks, traffic_seed);
     let mut arena = ExchangeArena::new(ranks);
-    let mut session = FaultSession::new(plan.clone());
-    let policy = RetryPolicy::default();
-    let (result, stats) = arena.exchange_faulty(
-        mode,
-        out,
-        layout,
-        codec,
-        Codec::Fixed(16),
-        &policy,
-        &mut session,
-    );
+    let mut session = FaultSession::new(plan.clone(), RetryPolicy::default(), Codec::Fixed(16));
+    let (result, stats) = arena.exchange_faulty(mode, out, layout, codec, &mut session);
     (result, stats, session.trace().to_vec())
 }
 
