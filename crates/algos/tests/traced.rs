@@ -194,14 +194,14 @@ const PINS: [Pin; 10] = [
         kernel: "sssp",
         messaging: Messaging::Relay,
         digest: 0xc3a6_306f_fd68_7a14,
-        wire: [618_720, 265_920, 57_992, 5, 450, 38_445, 91, 272_128],
+        wire: [618_720, 265_920, 57_992, 5, 450, 38_445, 75, 349_280],
         events: 390,
     },
     Pin {
         kernel: "sssp",
         messaging: Messaging::Direct,
         digest: 0xc3a6_306f_fd68_7a14,
-        wire: [444_048, 267_360, 43_272, 5, 450, 27_528, 92, 254_784],
+        wire: [444_048, 267_360, 43_272, 5, 450, 27_528, 76, 331_936],
         events: 390,
     },
     Pin {
@@ -236,14 +236,14 @@ const PINS: [Pin; 10] = [
         kernel: "betweenness",
         messaging: Messaging::Relay,
         digest: 0x8345_16df_cfe5_1c87,
-        wire: [1_215_824, 523_888, 97_016, 5, 300, 75_839, 55, 973_408],
+        wire: [1_215_824, 523_888, 97_016, 5, 300, 75_839, 43, 1_328_592],
         events: 264,
     },
     Pin {
         kernel: "betweenness",
         messaging: Messaging::Direct,
         digest: 0x8345_16df_cfe5_1c87,
-        wire: [870_816, 524_848, 68_568, 5, 300, 54_276, 55, 973_408],
+        wire: [870_816, 524_848, 68_568, 5, 300, 54_276, 43, 1_328_592],
         events: 264,
     },
 ];
