@@ -270,6 +270,17 @@ impl Conn {
         self.stream.as_raw_fd()
     }
 
+    /// This connection's `poll` entry: readable, and writable while
+    /// bytes are queued.
+    pub fn watch(&self) -> PollFd {
+        let out = if self.pending_out() > 0 { POLLOUT } else { 0 };
+        PollFd {
+            fd: self.fd(),
+            events: POLLIN | out,
+            revents: 0,
+        }
+    }
+
     /// Queues a frame for transmission (no I/O yet).
     pub fn queue(&mut self, frame: &Frame) {
         if self.sent > 0 && self.sent == self.outq.len() {

@@ -13,8 +13,8 @@ use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use sw_net::framing::{
-    BusyFrame, FrameDecoder, QueryFrame, QueryOp, ResultFrame, StatsFormat, StatsFrame,
-    StatsReqFrame, KIND_BUSY, KIND_RESULT, KIND_STATS,
+    BusyFrame, Frame, FrameDecoder, QueryFrame, QueryOp, ResultFrame, StatsFormat, StatsFrame,
+    StatsReqFrame, KIND_BUSY, KIND_RESULT,
 };
 
 use crate::server::ServerAddr;
@@ -93,23 +93,25 @@ impl Client {
         Ok(id)
     }
 
+    /// Blocks for the next frame on the connection; `awaited` names
+    /// it in the timeout error.
+    fn next_frame(&mut self, awaited: &str) -> io::Result<Frame> {
+        match read_frame(&mut self.stream, &mut self.decoder)? {
+            ReadEvent::Frame(f) => Ok(f),
+            ReadEvent::Closed => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            ReadEvent::TimedOut => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("timed out waiting for {awaited}"),
+            )),
+        }
+    }
+
     /// Blocks for the next response on the connection.
     pub fn recv(&mut self) -> io::Result<Response> {
-        let frame = match read_frame(&mut self.stream, &mut self.decoder)? {
-            ReadEvent::Frame(f) => f,
-            ReadEvent::Closed => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))
-            }
-            ReadEvent::TimedOut => {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "timed out waiting for a response",
-                ))
-            }
-        };
+        let frame = self.next_frame("a response")?;
         let bad = |msg: &'static str| io::Error::new(io::ErrorKind::InvalidData, msg);
         match frame.kind {
             KIND_RESULT => ResultFrame::from_frame(&frame)
@@ -130,27 +132,7 @@ impl Client {
         self.next_id += 1;
         let req = StatsReqFrame { id, format };
         write_frame(&mut self.stream, &req.into_frame())?;
-        let frame = match read_frame(&mut self.stream, &mut self.decoder)? {
-            ReadEvent::Frame(f) => f,
-            ReadEvent::Closed => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))
-            }
-            ReadEvent::TimedOut => {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "timed out waiting for stats",
-                ))
-            }
-        };
-        if frame.kind != KIND_STATS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected frame kind from server",
-            ));
-        }
+        let frame = self.next_frame("stats")?;
         let resp = StatsFrame::from_frame(&frame)
             .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
         if resp.id != id {

@@ -14,16 +14,16 @@
 //!
 //! Snapshots ([`HistogramSnapshot`]) are plain value types: mergeable
 //! (bucket-wise saturating addition — associative and commutative, so
-//! cross-rank aggregation order cannot matter), quantile-extractable,
-//! and wire-codable (fixed 66×u64 little-endian layout) for the socket
-//! fabric's TELEM leg.
+//! cross-rank aggregation order cannot matter) and quantile-extractable;
+//! the socket fabric's TELEM report carries them as 66 little-endian
+//! `u64`s (`sw_net::framing::TelemFrame` is their codec).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets; covers the full `u64` range.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Wire bytes of one encoded [`HistogramSnapshot`]
+/// Wire bytes of one [`HistogramSnapshot`] in a TELEM report
 /// (64 buckets + sum + max, little-endian u64s).
 pub const HIST_WIRE_BYTES: usize = (HIST_BUCKETS + 2) * 8;
 
@@ -118,8 +118,8 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-/// A plain-value copy of a [`LatencyHistogram`]: mergeable, quantile-
-/// extractable, wire-codable.
+/// A plain-value copy of a [`LatencyHistogram`]: mergeable and
+/// quantile-extractable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (bucket `i` = bit length `i`).
@@ -188,34 +188,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// Serializes as the fixed [`HIST_WIRE_BYTES`] little-endian
-    /// layout (buckets, then sum, then max) — the TELEM payload core.
-    pub fn encode_wire(&self, buf: &mut Vec<u8>) {
-        buf.reserve(HIST_WIRE_BYTES);
-        for b in &self.buckets {
-            buf.extend_from_slice(&b.to_le_bytes());
-        }
-        buf.extend_from_slice(&self.sum.to_le_bytes());
-        buf.extend_from_slice(&self.max.to_le_bytes());
-    }
-
-    /// Parses the [`Self::encode_wire`] layout. `None` on any length
-    /// mismatch — a torn TELEM payload is dropped, never misread.
-    pub fn decode_wire(bytes: &[u8]) -> Option<HistogramSnapshot> {
-        if bytes.len() != HIST_WIRE_BYTES {
-            return None;
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
-        };
-        let mut s = HistogramSnapshot::default();
-        for i in 0..HIST_BUCKETS {
-            s.buckets[i] = word(i);
-        }
-        s.sum = word(HIST_BUCKETS);
-        s.max = word(HIST_BUCKETS + 1);
-        Some(s)
-    }
 }
 
 #[cfg(test)]
@@ -277,22 +249,6 @@ mod tests {
         assert_eq!(m.count(), 4);
         assert_eq!(m.sum, 5 + 300 + 300 + 70_000);
         assert_eq!(m.max, 70_000);
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let h = LatencyHistogram::new();
-        for v in [0u64, 1, 17, 4096, u64::MAX] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let mut buf = Vec::new();
-        s.encode_wire(&mut buf);
-        assert_eq!(buf.len(), HIST_WIRE_BYTES);
-        assert_eq!(HistogramSnapshot::decode_wire(&buf), Some(s));
-        assert_eq!(HistogramSnapshot::decode_wire(&buf[1..]), None, "short");
-        buf.push(0);
-        assert_eq!(HistogramSnapshot::decode_wire(&buf), None, "long");
     }
 
     #[test]
